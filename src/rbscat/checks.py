@@ -45,6 +45,7 @@ from .rbs import (
     tits_building,
 )
 from .resolution import category_homology_mod
+from .rings import make_ring
 from .toolkit import is_colim_equivalence, is_proper
 
 
@@ -174,10 +175,12 @@ def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT, nerve_depth=None):
 
 def check_bgl_comparison(spec, n, ell, max_degree=3, guards=DEFAULT):
     """H_i(BGL; F_ell) = H_i(flag category; F_ell) for i <= max_degree,
-    ell prime to the characteristic."""
+    ell prime to the characteristic.  Raises ValueError for ell = p."""
     t0 = time.time()
+    if ell == make_ring(spec, guards).p:
+        raise ValueError("bgl-comparison needs ell != characteristic, got "
+                         "ell = %d for %s" % (ell, spec))
     rbs = _rbs(spec, n, guards)
-    assert ell != rbs.ring.p, "comparison needs ell != characteristic"
     G = Group(list(range(len(rbs.gl))), lambda a, b: rbs.gl.mult[a][b],
               rbs.gl.one)
     bg = group_category(G)

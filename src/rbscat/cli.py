@@ -14,6 +14,7 @@ byte-stable for identical invocations.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from . import jsonio
 from .checks import CHECKS, DESK_PROFILE, run_check
 from .guards import DEFAULT, GuardExceeded, load_config
 from .homology import homology, nerve_chain_complex, smith_normal_form
-from .rings import RingError, enumerate_gl, make_ring
+from .rings import enumerate_gl, make_ring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,6 +185,10 @@ def _print_report(rep, as_json):
                rep.verdict.upper(), rep.seconds))
 
 
+# command-line flag of each check parameter whose name differs from it
+_FLAGS = {"spec": "--ring", "max_degree": "--max-degree"}
+
+
 def _cmd_verify(args, guards):
     if args.list:
         for name in sorted(CHECKS):
@@ -212,6 +217,11 @@ def _cmd_verify(args, guards):
     # keep only parameters the check accepts
     fn, sig = CHECKS[args.check]
     params = {k: v for k, v in params.items() if k in sig}
+    for name, p in inspect.signature(fn).parameters.items():
+        if p.default is p.empty and name not in params:
+            sys.stderr.write("check %s: missing required parameter %s\n"
+                             % (args.check, _FLAGS.get(name, "--" + name)))
+            return EXIT_USAGE
     rep = run_check(args.check, guards=guards, **params)
     _print_report(rep, args.json)
     return EXIT_OK if rep.ok else EXIT_CHECKFAIL
@@ -281,7 +291,7 @@ def main(argv=None):
     except GuardExceeded as exc:
         sys.stderr.write("guard exceeded: %s\n" % exc)
         return EXIT_GUARD
-    except RingError as exc:
+    except ValueError as exc:  # includes RingError
         sys.stderr.write("invalid parameters: %s\n" % exc)
         return EXIT_USAGE
     except SystemExit as exc:

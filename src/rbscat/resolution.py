@@ -10,6 +10,16 @@ builds a small free resolution (greedy generator selection with
 reverse-delete pruning) and is the feasible route for categories whose
 groups of automorphisms make the nerve itself astronomically large.
 
+Generators are found a submodule at a time.  A vector v supported on the
+component e_x generates the submodule k[C]·v, and b·(a·v) = (b∘a)·v, so one
+round of action already spans it: k[C]·v is the span of the orbit block
+{a·v : src a = x}, the image of P_x = k[C](x, -) under e_x ↦ v (Webb, "An
+introduction to the representations and cohomology of categories", 2007).
+Elimination works on whole blocks: a block is reduced against the span
+with one matrix product and its residue is echelonized with one RREF mod
+ell.  The orbit blocks of the chosen generators, transposed, are also the
+boundary matrix of the next term of the resolution.
+
 It is cross-validated against the nerve/Smith pipeline on a corpus of
 small categories in the test suite.
 """
@@ -20,89 +30,78 @@ import numpy as np
 
 
 def _rref_mod(M, ell):
-    """Row-reduce M mod ell in place; returns list of pivot columns."""
+    """Row-reduce M mod ell in place; returns list of pivot columns.
+
+    Each pivot clears its column with one outer-product update.  The pivot
+    row is zero left of its pivot, so the update starts at the pivot column,
+    and a column that starts out zero stays zero, so it is never visited.
+    """
     M %= ell
-    rows, cols = M.shape
+    rows = M.shape[0]
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(M.any(axis=0)):
         if r == rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(M[r:, c])
+        if not len(nz):
             continue
+        piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), ell - 2, ell)
-        M[r] = (M[r] * inv) % ell
-        nz = np.nonzero(M[:, c])[0]
-        for i in nz:
-            if i != r:
-                M[i] = (M[i] - M[i, c] * M[r]) % ell
-        pivots.append(c)
+        M[r, c:] = (M[r, c:] * pow(int(M[r, c]), ell - 2, ell)) % ell
+        col = M[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if len(hit):
+            M[hit, c:] = (M[hit, c:] - np.outer(col[hit], M[r, c:])) % ell
+        pivots.append(int(c))
         r += 1
     return pivots
 
 
 def kernel_mod(M, ell):
     """Basis (rows) of the right kernel of M over F_ell."""
-    m, n = M.shape
-    W = M.copy() % ell
-    pivots = _rref_mod(W, ell)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    n = M.shape[1]
+    W = M % ell
+    pivots = np.array(_rref_mod(W, ell), dtype=np.intp)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-W[r, c]) % ell
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-W[:len(pivots), free].T) % ell
     return basis
 
 
 def rank_mod_dense(M, ell):
-    W = M.copy() % ell
-    return len(_rref_mod(W, ell))
+    return len(_rref_mod(M % ell, ell))
 
 
 class _Span:
-    """Incremental row space mod ell for membership tests."""
+    """Row space mod ell of rank at most max_rank, in reduced echelon form."""
 
-    def __init__(self, dim, ell):
+    def __init__(self, dim, ell, max_rank):
         self.ell = ell
-        self.dim = dim
-        self.rows = np.zeros((0, dim), dtype=np.int64)
+        self._rows = np.zeros((max_rank, dim), dtype=np.int64)
         self.pivots = []
 
-    def reduce(self, v):
-        v = v.copy() % self.ell
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = (v - v[p] * row) % self.ell
-        return v
+    def residue(self, B):
+        """The rows of B (entries mod ell) minus their part in the span."""
+        coef = B[:, self.pivots]
+        used = np.flatnonzero(coef.any(axis=0))
+        return (B - coef[:, used] @ self._rows[used]) % self.ell
 
-    def add(self, v):
-        """Add v to the span; True if it was new."""
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        p = int(nz[0])
-        v = (v * pow(int(v[p]), self.ell - 2, self.ell)) % self.ell
-        # keep rows mutually reduced at the new pivot
-        if len(self.rows):
-            coef = self.rows[:, p].copy()
-            if coef.any():
-                self.rows = (self.rows - np.outer(coef, v)) % self.ell
-        self.rows = np.vstack([self.rows, v[None, :]])
-        self.pivots.append(p)
-        order = np.argsort(self.pivots)
-        self.rows = self.rows[order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
+    def add(self, B):
+        """Add the rows of B (entries mod ell) to the span."""
+        R = self.residue(B)
+        piv = _rref_mod(R, self.ell)
+        r, k = self.rank, len(piv)
+        rows = self._rows[:r]
+        hit = np.flatnonzero(rows[:, piv].any(axis=1))
+        rows[hit] = (rows[hit] - rows[hit][:, piv] @ R[:k]) % self.ell
+        self._rows[r:r + k] = R[:k]
+        self.pivots += piv
 
     @property
     def rank(self):
@@ -127,96 +126,79 @@ class FreeModule:
         self.by_tgt = {}
         for i, (j, f) in enumerate(basis):
             self.by_tgt.setdefault(C.tgt[f], []).append(i)
+        self._orbit_maps = {}
 
-    def act(self, a, v, ell):
-        """Left action of morphism a on v (v supported on tgt == src a)."""
-        C = self.C
-        out = np.zeros(self.dim, dtype=np.int64)
-        nz = np.nonzero(v)[0]
-        for i in nz:
-            j, f = self.basis[i]
-            af = C.comp.get((a, f))
-            if af is not None:
-                i2 = self.pos[(j, af)]
-                out[i2] = (out[i2] + v[i]) % ell
-        return out
+    def orbit(self, x, v, ell):
+        """The rows a·v for every morphism a out of x, in morphism order.
 
-def _component_split(F, v):
-    """Split v into its e_x components (x = target object); nonzero only."""
-    out = []
+        v is supported on e_x.  The index map, sending (a, position of a
+        basis morphism f into x) to the position of a∘f, is built once per
+        x; a∘f = a∘f' is possible, so coefficients are summed.
+        """
+        if x not in self._orbit_maps:
+            C = self.C
+            cols = np.array(self.by_tgt[x], dtype=np.intp)
+            dest = np.array(
+                [[self.pos[(self.basis[i][0], C.comp[(a, self.basis[i][1])])]
+                  for i in cols] for a in C.morphisms_from(x)], dtype=np.intp)
+            self._orbit_maps[x] = (cols, dest)
+        cols, dest = self._orbit_maps[x]
+        nz = np.flatnonzero(v[cols])
+        B = np.zeros((len(dest), self.dim), dtype=np.int64)
+        np.add.at(B, (np.arange(len(dest))[:, None], dest[:, nz]),
+                  v[cols[nz]])
+        return B % ell
+
+
+def _candidates(F, kernel_rows):
+    """The nonzero e_x components of the kernel rows, by x, then by bytes."""
     for x, positions in sorted(F.by_tgt.items()):
-        w = np.zeros(F.dim, dtype=np.int64)
-        w[positions] = v[positions]
-        if w.any():
-            out.append((x, w))
-    return out
+        comps = [c for c in kernel_rows[:, positions] if c.any()]
+        for c in sorted(comps, key=lambda c: c.tobytes()):
+            v = np.zeros(F.dim, dtype=np.int64)
+            v[positions] = c
+            yield x, v
 
 
-def _minimal_generators(C, F, kernel_rows, ell, minimize=True):
-    """Small module generating set of the kernel (vectors in F).
+def _minimal_generators(F, kernel_rows, ell, minimize=True):
+    """Small module generating set of the kernel, as (x, v) with v on e_x.
 
-    Greedy: walk the e_x components of the kernel basis, keep those not in
-    the span of the module generated so far; optionally prune by
-    reverse-delete.
+    Greedy: walk the e_x components of the kernel basis in a deterministic
+    order and keep each one not yet in the span; optionally prune by
+    reverse-delete.  The span is always a submodule, the sum of the kept
+    generators' submodules.  Each kept v adds its whole submodule in one
+    step, because b·(a·v) = (b∘a)·v makes k[C]·v the span of its orbit block
+    {a·v : src a = x}; the block is reduced against the span with one
+    matrix product and its residue is echelonized with one RREF mod ell.
     """
-    dim = F.dim
-    kdim = len(kernel_rows)
-    if kdim == 0:
-        return []
-    candidates = []
-    for row in kernel_rows:
-        for x, comp_vec in _component_split(F, row):
-            candidates.append((x, comp_vec))
-    # deterministic order: by object then vector bytes
-    candidates.sort(key=lambda t: (t[0], t[1].tobytes()))
+    target_rank = len(kernel_rows)  # kernel_mod returns a basis
 
-    def closure(gens, span):
-        """Add the module orbits of gens to span."""
-        for (x, v) in gens:
-            frontier = [v % ell]
-            span.add(v)
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    # act by all basis morphisms out of the support targets
-                    tgts = {F.C.tgt[F.basis[i][1]] for i in np.nonzero(w)[0]}
-                    for t in tgts:
-                        for a in range(F.C.n_morphisms):
-                            if F.C.src[a] == t:
-                                aw = F.act(a, w, ell)
-                                if aw.any() and span.add(aw):
-                                    nxt.append(aw)
-                frontier = nxt
+    def span_of(gens):
+        span = _Span(F.dim, ell, target_rank)
+        for x, v in gens:
+            span.add(F.orbit(x, v, ell))
         return span
 
-    kernel_span = _Span(dim, ell)
-    for row in kernel_rows:
-        kernel_span.add(row)
-    target_rank = kernel_span.rank
-
     gens = []
-    span = _Span(dim, ell)
-    for (x, v) in candidates:
+    span = _Span(F.dim, ell, target_rank)
+    for x, v in _candidates(F, kernel_rows):
         if span.rank == target_rank:
             break
-        if span.reduce(v).any():
+        if span.residue(v[None, :]).any():
+            span.add(F.orbit(x, v, ell))
             gens.append((x, v))
-            closure([(x, v)], span)
-    assert span.rank == target_rank, "greedy generators failed to span the kernel"
-    if minimize and len(gens) > 1:
-        kept = list(gens)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(kept) - 1, -1, -1):
-                trial = kept[:i] + kept[i + 1:]
-                span2 = _Span(dim, ell)
-                closure(trial, span2)
-                if span2.rank == target_rank:
-                    kept = trial
-                    changed = True
-                    break
-        gens = kept
+    if span.rank != target_rank:
+        raise RuntimeError("greedy generators failed to span the kernel")
+    del span  # free its rows before the trial spans allocate theirs
+    changed = minimize
+    while changed and len(gens) > 1:
+        changed = False
+        for i in range(len(gens) - 1, -1, -1):
+            trial = gens[:i] + gens[i + 1:]
+            if span_of(trial).rank == target_rank:
+                gens = trial
+                changed = True
+                break
     return gens
 
 
@@ -225,28 +207,23 @@ def category_homology_mod(C, ell, max_degree, minimize=True):
 
     Builds a free resolution F_{max_degree+1} -> ... -> F_0 -> constant
     module and returns the homology of the induced complex of
-    coefficient sums (Tor over the category algebra).
+    coefficient sums (Tor over the category algebra).  Raises ValueError
+    when ell is not a prime.
     """
-    assert ell >= 2 and all(ell % d for d in range(2, ell)), "ell must be prime"
+    if ell < 2 or not all(ell % d for d in range(2, ell)):
+        raise ValueError("ell must be prime, got %r" % (ell,))
     # F_0 = sum of P_x over all objects, covering the constant module
-    F0 = FreeModule(C, list(range(C.n_objects)))
+    F_prev = FreeModule(C, list(range(C.n_objects)))
     # augmentation F_0 -> constant module
-    aug = np.zeros((C.n_objects, F0.dim), dtype=np.int64)
-    for i, (j, f) in enumerate(F0.basis):
+    aug = np.zeros((C.n_objects, F_prev.dim), dtype=np.int64)
+    for i, (j, f) in enumerate(F_prev.basis):
         aug[C.tgt[f], i] = 1
-    modules = [F0]
     gen_sources = [list(range(C.n_objects))]  # generators of F_0 (one per object)
     tor_mats = []  # induced matrices on coefficient sums
     kernel_rows = kernel_mod(aug, ell)
     for _deg in range(1, max_degree + 2):
-        F_prev = modules[-1]
-        gens = _minimal_generators(C, F_prev, kernel_rows, ell, minimize)
+        gens = _minimal_generators(F_prev, kernel_rows, ell, minimize)
         sources = [x for (x, _) in gens]
-        F_new = FreeModule(C, sources)
-        # boundary matrix F_new -> F_prev
-        d = np.zeros((F_prev.dim, F_new.dim), dtype=np.int64)
-        for i, (j, a) in enumerate(F_new.basis):
-            d[:, i] = F_prev.act(a, gens[j][1], ell)
         # induced map on Tor coefficients: sum coefficients per summand
         t = np.zeros((len(gen_sources[-1]), len(sources)), dtype=np.int64)
         for col, (x, v) in enumerate(gens):
@@ -254,11 +231,14 @@ def category_homology_mod(C, ell, max_degree, minimize=True):
                 j, f = F_prev.basis[i]
                 t[j, col] = (t[j, col] + v[i]) % ell
         tor_mats.append(t)
-        modules.append(F_new)
         gen_sources.append(sources)
         if _deg <= max_degree:
-            kernel_rows = kernel_mod(d, ell) if F_new.dim else \
-                np.zeros((0, 0), dtype=np.int64)
+            # boundary F_new -> F_prev: the columns of summand j are the
+            # orbit rows of gens[j], in the basis order of F_new
+            d = np.vstack([np.zeros((0, F_prev.dim), dtype=np.int64)] +
+                          [F_prev.orbit(x, v, ell) for x, v in gens]).T
+            kernel_rows = kernel_mod(d, ell)
+            F_prev = FreeModule(C, sources)
     # homology of ... -> k^{g_2} -> k^{g_1} -> k^{g_0}
     betti = []
     for i in range(max_degree + 1):

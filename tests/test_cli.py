@@ -108,3 +108,26 @@ def test_bench_kernels():
     assert code == 0 and "[1, 5, 25, 125, 625]" in out
     code, out, _ = run_cli("bench", "gl-enum", "--ring", "F2", "--n", "3")
     assert code == 0 and "168" in out
+
+
+def test_bad_bgl_comparison_parameters_exit_code():
+    # ell = characteristic, ell not prime, ell missing
+    for extra in (["--ell", "2"], ["--ell", "4"], []):
+        code, _, err = run_cli("verify", "bgl-comparison", "--ring", "F2",
+                               "--n", "2", *extra)
+        assert code == 1, (extra, err)
+        assert "Traceback" not in err
+    assert "--ell" in err  # the last call names the missing parameter
+
+
+def test_non_prime_ell_rejected_under_optimize():
+    code = ("from rbscat.fincat import terminal_category\n"
+            "from rbscat.resolution import category_homology_mod\n"
+            "try:\n"
+            "    category_homology_mod(terminal_category(), 4, 1)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(5)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,9 +2,22 @@ import itertools
 
 import pytest
 
-from rbscat.fincat import Group, Poset, group_category, poset_category, terminal_category
+from rbscat.fincat import (
+    Group,
+    Poset,
+    group_category,
+    poset_category,
+    terminal_category,
+    validate_category,
+)
 from rbscat.homology import homology, nerve_chain_complex
-from rbscat.resolution import category_homology_mod, kernel_mod, rank_mod_dense
+from rbscat.rbs import build_rbs
+from rbscat.resolution import (
+    FreeModule,
+    category_homology_mod,
+    kernel_mod,
+    rank_mod_dense,
+)
 
 import numpy as np
 
@@ -60,9 +73,54 @@ def test_bs3_classical_patterns():
     assert category_homology_mod(bs3(), 3, 4) == [1, 0, 0, 1, 1]
 
 
+def idempotent_monoid():
+    # one object, morphisms 1 and e with e.e = e: e.1 = e.e, so e is not mono
+    comp = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    return validate_category(["*"], [("1", "*", "*"), ("e", "*", "*")],
+                             {"*": "1"}, comp)
+
+
+def corpus():
+    return [terminal_category(), bz(2), bz(3), hexagon_circle(), bs3(),
+            idempotent_monoid(), build_rbs("F2", 2).cat]
+
+
+def act(C, F, a, v, ell):
+    """Reference left action of the morphism a on v, one basis vector at a
+    time."""
+    out = np.zeros(F.dim, dtype=np.int64)
+    for i in np.nonzero(v)[0]:
+        j, f = F.basis[i]
+        if C.tgt[f] == C.src[a]:
+            i2 = F.pos[(j, C.comp[(a, f)])]
+            out[i2] = (out[i2] + v[i]) % ell
+    return out
+
+
+def test_orbit_block_spans_its_submodule():
+    # b.(a.v) = (b.a).v: acting once more on an orbit block adds nothing
+    rng = np.random.default_rng(0)
+    for C in corpus():
+        for ell in (2, 3):
+            F = FreeModule(C, list(range(C.n_objects)) * 2)
+            for x, positions in sorted(F.by_tgt.items()):
+                vecs = [np.eye(F.dim, dtype=np.int64)[i] for i in positions]
+                for _ in range(3):
+                    v = np.zeros(F.dim, dtype=np.int64)
+                    v[positions] = rng.integers(0, ell, len(positions))
+                    vecs.append(v)
+                for v in vecs:
+                    block = F.orbit(x, v, ell)
+                    assert np.array_equal(block, [act(C, F, a, v, ell)
+                                                  for a in C.morphisms_from(x)])
+                    more = [act(C, F, b, w, ell) for w in block
+                            for b in range(C.n_morphisms)]
+                    assert rank_mod_dense(np.vstack([block] + more), ell) == \
+                        rank_mod_dense(block, ell)
+
+
 def test_agreement_with_nerve_on_corpus():
-    cats = [terminal_category(), bz(2), bz(3), hexagon_circle()]
-    for C in cats:
+    for C in corpus():
         cx = nerve_chain_complex(C, 4)
         for ell in (2, 3):
             direct = homology(cx, "F%d" % ell)
