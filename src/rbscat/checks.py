@@ -19,6 +19,7 @@ from .fincat import (
     group_category,
     poset_category,
     Poset,
+    skeleton,
     twisted_arrow_op,
     terminal_category,
 )
@@ -110,12 +111,16 @@ def check_steinberg(q, n, guards=DEFAULT):
 def check_pi1(spec, n, depth=2, guards=DEFAULT):
     """H_1 of the flag category is the unit group of the ring, via the
     depth-2-sufficient nerve truncation, plus the subgroup comparison
-    E(M) = SL(M) and |GL/E| = |units|."""
+    E(M) = SL(M) and |GL/E| = |units|.
+
+    The nerve is taken of a skeleton: the inclusion of a skeleton is an
+    equivalence of categories, so the nerves are homotopy equivalent and
+    H_1 is unchanged, while the boundaries shrink several times."""
     t0 = time.time()
     rbs = _rbs(spec, n, guards)
     units = len(rbs.ring.units)
     expected_torsion = [] if units == 1 else [units]
-    cx = nerve_chain_complex(rbs.cat, max(2, depth), guards)
+    cx = nerve_chain_complex(skeleton(rbs.cat), max(2, depth), guards)
     h = homology(cx, "Z")
     sg = compute_e_group(rbs)
     target = pi1_target(rbs, sg)
@@ -366,7 +371,7 @@ def check_infra(snf_count=1000, seed=20240601, guards=DEFAULT):
         rows = 1 + rnd(6)
         cols = 1 + rnd(6)
         A = [[rnd(9) - 4 for _ in range(cols)] for _ in range(rows)]
-        smith_normal_form(A)  # postconditions asserted inside
+        smith_normal_form(A)  # raises RuntimeError on a failed postcondition
         snf_ok += 1
     corpus = {
         "circle": chain_complex_from_facets([(1, 2), (2, 3), (1, 3)]),

@@ -5,10 +5,11 @@
     rbscat verify  {check-name | --all} [params] [--json]
     rbscat bench   {snf|nerve|gl-enum} [params]
 
-Exit codes: 0 success/pass, 1 usage error, 2 resource guard exceeded,
-3 check failure.  Guards are configured by a single JSON file passed via
---config; there is no environment-variable configuration.  Output is
-byte-stable for identical invocations.
+Exit codes: 0 success/pass, 1 usage error or invalid input (bad
+parameters, an unreadable file, a malformed artifact), 2 resource guard
+exceeded, 3 check failure.  Guards are configured by a single JSON file
+passed via --config; there is no environment-variable configuration.
+Output is byte-stable for identical invocations.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _build_parser():
     h = sub.add_parser("homology", help="homology of a category or artifact")
     h.add_argument("object", nargs="?", choices=["rbs", "bgl"],
                    help="build inline instead of reading an artifact")
-    h.add_argument("--artifact", help="path to a fincat JSON artifact")
+    h.add_argument("--artifact",
+                   help="path to a fincat or chain complex JSON artifact")
     h.add_argument("--ring", default="F2")
     h.add_argument("--n", type=int, default=2)
     h.add_argument("--depth", type=int, default=2)
@@ -151,8 +153,11 @@ def _cmd_homology(args, guards):
     if args.artifact:
         with open(args.artifact) as fh:
             doc = json.load(fh)
-        if doc.get("schema") == "chaincomplex/1":
-            cx = jsonio.complex_from_json(doc)
+        if isinstance(doc, dict) and doc.get("schema") == "chaincomplex/1":
+            try:
+                cx = jsonio.complex_from_json(doc)
+            except ValueError as exc:
+                raise ValueError("artifact %s: %s" % (args.artifact, exc))
         else:
             C = jsonio.fincat_from_json(doc, guards)
             cx = nerve_chain_complex(C, args.depth, guards)
@@ -291,8 +296,11 @@ def main(argv=None):
     except GuardExceeded as exc:
         sys.stderr.write("guard exceeded: %s\n" % exc)
         return EXIT_GUARD
-    except ValueError as exc:  # includes RingError
+    except ValueError as exc:  # includes RingError and bad artifacts
         sys.stderr.write("invalid parameters: %s\n" % exc)
+        return EXIT_USAGE
+    except OSError as exc:  # unreadable artifact, unwritable --out
+        sys.stderr.write("file error: %s\n" % exc)
         return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE

@@ -6,13 +6,19 @@ non-identity morphisms, and a face whose composite is an identity
 contributes zero.  Homology computed from such a truncation is trusted in
 degrees 0..D-1 only; HomologyResult records that range.
 
-Integer homology goes through Smith normal form with arbitrary-precision
-integers; a fraction-free rank oracle over Q (Bareiss) is provided as an
-independent cross-check.
+Boundary matrices over Z and over F_ell go through one sparse kernel,
+eliminate_units: it pivots on units (+-1 over Z, any nonzero entry over
+F_ell) in Markowitz order, so over F_ell it returns the rank, and over Z
+it leaves a residual core without units whose lattice basis alone goes to
+Smith normal form.  The dense smith_normal_form with transforms checks
+its postconditions on every call and raises RuntimeError if one fails.  A
+fraction-free rank oracle over Q (Bareiss) is kept as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .guards import DEFAULT, GuardExceeded
@@ -24,7 +30,7 @@ from .guards import DEFAULT, GuardExceeded
 def smith_normal_form(A):
     """Full SNF: returns (U, D, V) with U*A*V = D, U, V unimodular and the
     diagonal entries forming a divisibility chain.  Postconditions are
-    asserted on every call.
+    checked on every call (RuntimeError on failure).
 
     Classical pivot algorithm: take the smallest nonzero entry as pivot,
     clear its row and column with Euclidean remainder swaps (each swap
@@ -90,7 +96,7 @@ def smith_normal_form(A):
                 break
             _row_op(D, U, k, bad, 1)  # mixes a non-multiple into row k
         k += 1
-    _assert_snf(A, U, D, V, k)
+    _check_snf(A, U, D, V, k)
     return U, D, V
 
 
@@ -171,20 +177,26 @@ def _det_unimodular(M):
     return sign * (A[n - 1][n - 1] if n else 1)
 
 
-def _assert_snf(A, U, D, V, rank):
-    prod = _mat_mul(_mat_mul(U, [list(r) for r in A]), V)
-    assert prod == D, "U*A*V != D"
+def _check_snf(A, U, D, V, rank):
+    """Raise RuntimeError unless (U, D, V) is a Smith form of A: explicit
+    raises, so that python -O cannot turn a failed postcondition into a pass."""
+    def require(ok, what):
+        if not ok:
+            raise RuntimeError("Smith normal form postcondition failed: " + what)
+
+    require(_mat_mul(_mat_mul(U, [list(r) for r in A]), V) == D, "U*A*V != D")
     for i in range(len(D)):
         for j in range(len(D[0]) if D else 0):
             if i != j:
-                assert D[i][j] == 0, "D not diagonal"
+                require(D[i][j] == 0, "D not diagonal")
     diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     for i in range(rank - 1):
-        assert diag[i] != 0 and diag[i + 1] % diag[i] == 0, "divisibility fails"
+        require(diag[i] != 0 and diag[i + 1] % diag[i] == 0,
+                "divisibility fails")
     for i in range(rank, len(diag)):
-        assert diag[i] == 0
-    assert abs(_det_unimodular(U)) == 1, "U not unimodular"
-    assert abs(_det_unimodular(V)) == 1, "V not unimodular"
+        require(diag[i] == 0, "nonzero diagonal entry past the rank")
+    require(abs(_det_unimodular(U)) == 1, "U not unimodular")
+    require(abs(_det_unimodular(V)) == 1, "V not unimodular")
 
 
 def snf_diagonal(A):
@@ -195,87 +207,141 @@ def snf_diagonal(A):
 
 
 # ---------------------------------------------------------------------------
-# sparse integer column reduction (image lattice + invariant factors)
+# sparse unit-pivot elimination (one kernel over Z and F_ell)
 
-class IntegerLattice:
-    """Row-echelon integer lattice accumulator (columns streamed in).
+def eliminate_units(columns, ell=None):
+    """Unit-pivot elimination of the sparse matrix given by columns (each a
+    dict row -> value), over Z (ell None) or over F_ell.
 
-    Vectors are dicts {coordinate: value}.  After all columns are added,
-    `basis` holds echelon generators of the lattice they span.
+    Repeatedly pivots on a unit entry -- +-1 over Z, any nonzero entry
+    over F_ell -- of low Markowitz cost (r-1)(c-1), where r and c count the
+    nonzero entries in the pivot's row and column, and replaces the matrix
+    by its Schur complement.  Each pivot contributes an invariant factor 1
+    (rank 1 over F_ell).  The matrix is held as sparse lines along its
+    shorter side (rows of a wide matrix, columns of a tall one), which
+    keeps the number of containers small.  Returns (pivots, core): the
+    core is the list of nonzero lines left, none of which holds a unit;
+    over F_ell it is empty, so pivots is the rank.
+    Dumas-Heckenbach-Saunders-Welker (2003), "Computing simplicial
+    homology based on efficient Smith normal form algorithms".
     """
+    n_rows = 1 + max((max(col, default=-1) for col in columns), default=-1)
+    wide = n_rows < len(columns)
+    lines = {}  # line -> {index: nonzero value}
+    count = [0] * (len(columns) if wide else n_rows)  # lines meeting index
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            x = x % ell if ell else x
+            if x:
+                line, index = (r, j) if wide else (j, r)
+                lines.setdefault(line, {})[index] = x
+                count[index] += 1
+    version = dict.fromkeys(lines, 0)
 
-    def __init__(self):
-        self.pivots = {}  # leading coordinate -> vector (dict)
+    def best(line):
+        # cheapest unit entry of the line, as (cost, index), or None
+        v = lines[line]
+        c = len(v) - 1
+        out = None
+        for i, x in v.items():
+            if ell or x in (1, -1):
+                cost = (count[i] - 1) * c
+                if out is None or cost < out[0]:
+                    out = (cost, i)
+        return out
 
-    def add(self, vec):
-        v = {k: x for k, x in vec.items() if x}
-        while v:
-            j = min(v)
-            if j not in self.pivots:
-                self.pivots[j] = v
-                return True
-            row = self.pivots[j]
-            a, b = row[j], v[j]
+    heap = []
+    for line in lines:
+        b = best(line)
+        if b is not None:
+            heap.append((b[0], line, 0))
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        cost, line, ver = heapq.heappop(heap)
+        if version.get(line) != ver:
+            continue  # line eliminated or changed since it was queued
+        b = best(line)  # not None: the line is unchanged since queued
+        if b[0] > cost:
+            heapq.heappush(heap, (b[0], line, ver))
+            continue
+        i = b[1]
+        pl = lines.pop(line)
+        del version[line]
+        for k in pl:
+            count[k] -= 1
+        inv = pow(pl[i], -1, ell) if ell else pl[i]  # +-1 is its own inverse
+        for other in [o for o, v in lines.items() if i in v]:
+            v = lines[other]
+            q = v.pop(i) * inv
+            count[i] -= 1
+            for k, x in pl.items():
+                if k == i:
+                    continue
+                y = v.get(k, 0) - q * x
+                if ell:
+                    y %= ell
+                if y:
+                    if k not in v:
+                        count[k] += 1
+                    v[k] = y
+                elif k in v:
+                    del v[k]
+                    count[k] -= 1
+            if not v:
+                del lines[other], version[other]
+                continue
+            version[other] += 1
+            b = best(other)
+            if b is not None:
+                heapq.heappush(heap, (b[0], other, version[other]))
+        pivots += 1
+    return pivots, list(lines.values())
+
+
+def sparse_invariant_factors(columns):
+    """Invariant factors of the integer matrix given by sparse columns
+    (each column a dict row->value).
+
+    Unit pivots give factors 1.  The residual core, which has no unit
+    entry, is read as vectors of length k, its shorter side; an echelon
+    basis of the lattice they span (at most k vectors) is all that goes
+    to Smith normal form.
+    """
+    pivots, core = eliminate_units(columns)
+    support = sorted({i for line in core for i in line})
+    if len(core) <= len(support):
+        vectors = [[line.get(i, 0) for line in core] for i in support]
+    else:
+        vectors = [[line.get(i, 0) for i in support] for line in core]
+    return [1] * pivots + snf_diagonal(_lattice_basis(vectors))
+
+
+def _lattice_basis(vectors):
+    """Echelon basis of the integer lattice spanned by dense vectors
+    (Hermite column pass by unimodular 2x2 combinations; no transforms)."""
+    pivots = {}  # leading coordinate -> basis vector
+    for v in vectors:
+        j = 0
+        while j < len(v):
+            if not v[j]:
+                j += 1
+                continue
+            p = pivots.get(j)
+            if p is None:
+                pivots[j] = v
+                break
+            a, b = p[j], v[j]
             if b % a == 0:
                 q = b // a
-                v = _vec_sub(v, row, q)
+                v = [y - q * x for x, y in zip(p, v)]
             else:
                 g, s, t = _xgcd_int(a, b)
-                new_row = _vec_comb(row, v, s, t)
-                # replacement has entry g at j; express both against it
-                v = _vec_sub(v, new_row, b // g)
-                self.pivots[j] = new_row
-                v2 = _vec_sub(row, new_row, a // g)
-                if v2:
-                    # re-add the tail of the displaced row
-                    self.add(v2)
-        return False
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def basis_matrix(self, dense_cols=None):
-        """Dense matrix of the echelon basis restricted to its support."""
-        if dense_cols is None:
-            support = sorted({k for v in self.pivots.values() for k in v})
-        else:
-            support = list(dense_cols)
-        colmap = {c: i for i, c in enumerate(support)}
-        rows = []
-        for j in sorted(self.pivots):
-            v = self.pivots[j]
-            row = [0] * len(support)
-            for k, x in v.items():
-                row[colmap[k]] = x
-            rows.append(row)
-        return rows
-
-
-def _vec_sub(v, row, q):
-    if q == 0:
-        return v
-    out = dict(v)
-    for k, x in row.items():
-        y = out.get(k, 0) - q * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _vec_comb(u, v, s, t):
-    out = {}
-    for k, x in u.items():
-        out[k] = s * x
-    for k, x in v.items():
-        y = out.get(k, 0) + t * x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return {k: x for k, x in out.items() if x}
+                # [[s, t], [-b/g, a/g]] has determinant 1
+                pivots[j] = [s * x + t * y for x, y in zip(p, v)]
+                v = [(a // g) * y - (b // g) * x for x, y in zip(p, v)]
+            j += 1
+    return [pivots[j] for j in sorted(pivots)]
 
 
 def _xgcd_int(a, b):
@@ -290,81 +356,6 @@ def _xgcd_int(a, b):
     return a, x0, y0
 
 
-def sparse_invariant_factors(columns):
-    """Invariant factors of the integer matrix given by sparse columns
-    (each column a dict row->value)."""
-    lat = IntegerLattice()
-    for col in columns:
-        lat.add(col)
-    if not lat.pivots:
-        return []
-    basis = lat.basis_matrix()
-    factors = snf_diagonal(basis) if len(basis) <= 120 else \
-        _invariant_factors_sparse_first(basis)
-    return factors
-
-
-def _invariant_factors_sparse_first(rows):
-    """Eliminate unit pivots cheaply, then dense SNF on the small core."""
-    work = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    work = [r for r in work if r]
-    ones = 0
-    progress = True
-    while progress:
-        progress = False
-        for i, row in enumerate(work):
-            unit_col = next((j for j, x in row.items() if abs(x) == 1), None)
-            if unit_col is None:
-                continue
-            val = row[unit_col]
-            for i2, other in enumerate(work):
-                if i2 != i and unit_col in other:
-                    q = other[unit_col] * val  # val in {1,-1}
-                    work[i2] = _vec_sub(other, row, q)
-            work.pop(i)
-            work = [r for r in work if r]
-            ones += 1
-            progress = True
-            break
-    if not work:
-        return [1] * ones
-    support = sorted({j for r in work for j in r})
-    colmap = {c: i for i, c in enumerate(support)}
-    dense = [[0] * len(support) for _ in work]
-    for i, r in enumerate(work):
-        for j, x in r.items():
-            dense[i][colmap[j]] = x
-    core = snf_diagonal(dense)
-    return [1] * ones + core
-
-
-def sparse_rank_mod(columns, ell, nrows=None):
-    """Rank over F_ell of the matrix given by sparse columns."""
-    pivots = {}  # row -> reduced column (dict), leading entry 1
-    rank = 0
-    for col in columns:
-        v = {k: x % ell for k, x in col.items() if x % ell}
-        while v:
-            j = min(v)
-            if j in pivots:
-                c = v[j]
-                row = pivots[j]
-                out = dict(v)
-                for k, x in row.items():
-                    y = (out.get(k, 0) - c * x) % ell
-                    if y:
-                        out[k] = y
-                    else:
-                        out.pop(k, None)
-                v = out
-            else:
-                inv = pow(v[j], ell - 2, ell)
-                pivots[j] = {k: (inv * x) % ell for k, x in v.items()}
-                rank += 1
-                break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # chain complexes
 
@@ -374,7 +365,8 @@ class ChainComplex:
 
     dims[k] is the rank of C_k; boundaries[k] (for 1 <= k <= D) is the
     sparse matrix of d_k: C_k -> C_{k-1}, stored column-wise as a list of
-    dicts {row: coefficient}.  d_{k-1} . d_k = 0 is verified on build.
+    dicts {row: coefficient}.  Builders call verify_boundary_squared,
+    which raises ValueError unless d_{k-1} . d_k = 0.
     """
 
     dims: list
@@ -396,7 +388,7 @@ class ChainComplex:
                     for r2, c2 in dk1[r].items():
                         acc[r2] = acc.get(r2, 0) + c * c2
                 if any(v != 0 for v in acc.values()):
-                    raise AssertionError("d.d != 0 in degree %d" % k)
+                    raise ValueError("d.d != 0 in degree %d" % k)
         return True
 
 
@@ -420,8 +412,9 @@ class HomologyResult:
 def homology(complex_, coefficients="Z", reduced=False):
     """Homology of a truncated complex; degrees 0..depth-1 are certified.
 
-    Over Z returns Betti numbers and torsion via Smith normal form; over
-    F_ell (coefficients "F2", "F3", ...) returns Betti numbers via ranks.
+    Over Z returns Betti numbers and torsion from the invariant factors of
+    the boundaries; over F_ell (coefficients "F2", "F3", ...) returns
+    Betti numbers from their ranks.  Both come from eliminate_units.
     """
     D = complex_.depth
     dims = complex_.dims
@@ -446,7 +439,7 @@ def homology(complex_, coefficients="Z", reduced=False):
             raise ValueError("homology coefficients need a prime ell, got %d" % ell)
         rank = {0: 0}
         for k in range(1, D + 1):
-            rank[k] = sparse_rank_mod(complex_.boundaries.get(k, []), ell)
+            rank[k], _ = eliminate_units(complex_.boundaries.get(k, []), ell)
         betti = {k: dims[k] - rank.get(k, 0) - rank.get(k + 1, 0)
                  for k in range(0, top)}
         return HomologyResult(coefficients, betti, {}, top - 1, list(dims))

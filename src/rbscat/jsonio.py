@@ -48,7 +48,8 @@ def fincat_to_json(C):
 
 def fincat_from_json(doc, guards=None, assoc="auto"):
     from .guards import DEFAULT
-    assert doc.get("schema") == "fincat/1", "not a fincat artifact"
+    if not isinstance(doc, dict) or doc.get("schema") != "fincat/1":
+        raise ValueError("not a fincat artifact")
     objects = [_freeze(o) for o in doc["objects"]]
     morphisms = [(_freeze(m["label"]), _freeze(m["src"]), _freeze(m["tgt"]))
                  for m in doc["morphisms"]]
@@ -80,17 +81,52 @@ def complex_to_json(cx):
 
 
 def complex_from_json(doc):
+    """Load a chain complex artifact; raises ValueError unless the schema,
+    the dimensions, every (row, column) index and d.d = 0 all check out."""
     from .homology import ChainComplex
-    assert doc.get("schema") == "chaincomplex/1", "not a chain complex artifact"
-    dims = list(doc["dims"])
-    boundaries = {}
-    for k, triples in doc["boundaries"].items():
-        k = int(k)
-        cols = [dict() for _ in range(dims[k])]
-        for r, c, v in triples:
+    if not isinstance(doc, dict) or doc.get("schema") != "chaincomplex/1":
+        raise ValueError("not a chain complex artifact")
+    dims = doc.get("dims")
+    if not isinstance(dims, list) or not dims or \
+            not all(_is_int(d) and d >= 0 for d in dims):
+        raise ValueError("chain complex: dims must be a non-empty list of "
+                         "non-negative integers")
+    given = doc.get("boundaries", {})
+    if not isinstance(given, dict):
+        raise ValueError("chain complex: boundaries must be an object")
+    # a boundary left out is the zero map
+    boundaries = {k: [{} for _ in range(dims[k])] for k in range(1, len(dims))}
+    for key, triples in given.items():
+        if not key.isdigit() or not 1 <= int(key) < len(dims) or \
+                not isinstance(triples, list):
+            raise ValueError("chain complex: no boundary d_%s for dims %s"
+                             % (key, dims))
+        k = int(key)
+        cols = boundaries[k]
+        for entry in triples:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and all(_is_int(x) for x in entry)):
+                raise ValueError("chain complex: d_%d entry %r is not "
+                                 "[row, column, value]" % (k, entry))
+            r, c, v = entry
+            if not (0 <= r < dims[k - 1] and 0 <= c < dims[k]):
+                raise ValueError("chain complex: d_%d entry (%d, %d) outside "
+                                 "%d x %d" % (k, r, c, dims[k - 1], dims[k]))
+            if r in cols[c]:
+                raise ValueError("chain complex: d_%d entry (%d, %d) repeated"
+                                 % (k, r, c))
             cols[c][r] = v
-        boundaries[k] = cols
-    return ChainComplex(dims, boundaries, complete=doc.get("complete", False))
+        boundaries[k] = [{r: v for r, v in col.items() if v} for col in cols]
+    complete = doc.get("complete", False)
+    if not isinstance(complete, bool):
+        raise ValueError("chain complex: complete must be true or false")
+    cx = ChainComplex(dims, boundaries, complete=complete)
+    cx.verify_boundary_squared()
+    return cx
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def homology_to_json(h):

@@ -89,6 +89,9 @@ class RBSCategory:
     """The flag category together with its construction data."""
 
     def __init__(self, ring, n, guards=DEFAULT, well_definedness="sampled"):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("rank n must be a non-negative integer, got %r"
+                             % (n,))
         self.ring = ring
         self.n = n
         self.guards = guards

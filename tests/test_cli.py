@@ -131,3 +131,37 @@ def test_non_prime_ell_rejected_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_homology_artifact_with_nonzero_dd(tmp_path):
+    # d_2 = d_1 = [1] on dims [1, 1, 1]: d.d != 0, which once printed Betti -1
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps({"schema": "chaincomplex/1", "dims": [1, 1, 1],
+                               "boundaries": {"1": [[0, 0, 1]],
+                                              "2": [[0, 0, 1]]}}))
+    code, out, err = run_cli("homology", "--artifact", str(art))
+    assert code == 1 and out == ""
+    assert "d.d != 0" in err and len(err.splitlines()) == 1
+
+
+def test_homology_artifact_out_of_range_entry(tmp_path):
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps({"schema": "chaincomplex/1", "dims": [1, 1],
+                               "boundaries": {"1": [[3, 0, 1]]}}))
+    code, _, err = run_cli("homology", "--artifact", str(art))
+    assert code == 1
+    assert "outside" in err and "Traceback" not in err
+
+
+def test_homology_missing_artifact(tmp_path):
+    code, out, err = run_cli("homology", "--artifact",
+                             str(tmp_path / "missing.json"))
+    assert code == 1 and out == ""
+    assert "missing.json" in err and len(err.splitlines()) == 1
+
+
+def test_build_rbs_negative_rank():
+    code, _, err = run_cli("build", "rbs", "--ring", "F2", "--n", "-1")
+    assert code == 1
+    assert "rank n must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err

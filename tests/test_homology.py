@@ -1,13 +1,17 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbscat.fincat import Group, Poset, group_category, poset_category, terminal_category
+from rbscat.fincat import (
+    Group, Poset, group_category, poset_category, skeleton, terminal_category)
 from rbscat.guards import GuardConfig, GuardExceeded
 from rbscat.homology import (
-    IntegerLattice,
     bareiss_rank,
     betti_via_rank_oracle,
     chain_complex_from_facets,
+    eliminate_units,
     homology,
     nerve_chain_complex,
     nerve_simplex_counts,
@@ -15,7 +19,6 @@ from rbscat.homology import (
     smith_normal_form,
     snf_diagonal,
     sparse_invariant_factors,
-    sparse_rank_mod,
 )
 
 RP2_FACETS = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
@@ -76,17 +79,74 @@ def test_sparse_invariant_factors_matches_dense():
 
 
 def test_integer_lattice_rank():
-    lat = IntegerLattice()
-    lat.add({0: 2, 1: 4})
-    lat.add({0: 6, 1: 8})
-    lat.add({0: 8, 1: 12})
-    assert lat.rank == 2
+    cols = [{0: 2, 1: 4}, {0: 6, 1: 8}, {0: 8, 1: 12}]
+    assert len(sparse_invariant_factors(cols)) == 2
 
 
 def test_sparse_rank_mod():
     cols = [{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 2}]
-    assert sparse_rank_mod(cols, 2) == 1
-    assert sparse_rank_mod(cols, 3) == 2
+    assert eliminate_units(cols, 2) == (1, [])
+    assert eliminate_units(cols, 3) == (2, [])
+
+
+def _rank_mod(rows, ell):
+    """Dense Gaussian elimination mod ell (test oracle)."""
+    M = [[x % ell for x in r] for r in rows]
+    rank = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][c], -1, ell)
+        for i in range(len(M)):
+            if i != rank and M[i][c]:
+                q = M[i][c] * inv
+                M[i] = [(x - q * y) % ell for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_kernel_matches_dense_snf_and_rank_mod(rows):
+    cols = [{i: r[j] for i, r in enumerate(rows) if r[j]}
+            for j in range(len(rows[0]))]
+    assert sparse_invariant_factors(cols) == snf_diagonal(rows)
+    for ell in (2, 3, 5):
+        rank, core = eliminate_units(cols, ell)
+        assert core == [] and rank == _rank_mod(rows, ell)
+
+
+def test_kernel_core_without_units():
+    # no +-1 entry: the whole matrix is the core, and a wide core goes
+    # through its lattice basis (gcd 1 here, so one factor 1)
+    pivots, core = eliminate_units([{0: 2}, {0: 3}, {0: 4}])
+    assert pivots == 0
+    assert sorted(x for line in core for x in line.values()) == [2, 3, 4]
+    assert sparse_invariant_factors([{0: 6}, {0: 10}, {0: 15}]) == [1]
+    assert sparse_invariant_factors([{0: 2, 1: 2}, {0: 2, 1: 6}]) == [2, 4]
+
+
+def test_snf_postconditions_survive_optimize():
+    # a wrong D must raise under python -O, where bare asserts vanish
+    code = ("from rbscat.homology import _check_snf\n"
+            "try:\n"
+            "    _check_snf([[2]], [[1]], [[3]], [[1]], 1)\n"
+            "except RuntimeError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(5)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +195,16 @@ def test_nerve_guard():
     tight = GuardConfig(max_simplices_per_degree=10)
     with pytest.raises(GuardExceeded, match="2-simplices"):
         nerve_chain_complex(group_category(G), 3, tight)
+
+
+def test_skeleton_nerve_keeps_h1():
+    from rbscat.rbs import build_rbs
+    bz4 = group_category(Group([0, 1, 2, 3], lambda a, b: (a + b) % 4, 0))
+    for C in (build_rbs("F2", 2).cat, build_rbs("F3", 2).cat, bz4):
+        full = homology(nerve_chain_complex(C, 2), "Z")
+        skel = homology(nerve_chain_complex(skeleton(C), 2), "Z")
+        assert (skel.betti[1], skel.torsion[1]) == (full.betti[1], full.torsion[1])
+    assert skel.torsion[1] == [4]
 
 
 def test_truncation_stability():
@@ -200,3 +270,22 @@ def test_bareiss_rank():
     assert bareiss_rank([[2, 4], [6, 8]]) == 2
     assert bareiss_rank([[1, 2], [2, 4]]) == 1
     assert bareiss_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_complex_from_json_validates():
+    from rbscat.jsonio import complex_from_json, complex_to_json
+    rp2 = chain_complex_from_facets(RP2_FACETS)
+    assert homology(complex_from_json(complex_to_json(rp2)), "Z").torsion[1] == [2]
+    bad = [
+        ["not", "a", "dict"],
+        {"schema": "fincat/1"},
+        {"schema": "chaincomplex/1", "dims": [1, -1]},
+        {"schema": "chaincomplex/1", "dims": [1, 1], "boundaries": {"2": []}},
+        {"schema": "chaincomplex/1", "dims": [1, 1], "boundaries": {"1": [[0, 1, 1]]}},
+        {"schema": "chaincomplex/1", "dims": [1, 1], "boundaries": {"1": [[0, 0]]}},
+        {"schema": "chaincomplex/1", "dims": [1, 1, 1],
+         "boundaries": {"1": [[0, 0, 1]], "2": [[0, 0, 1]]}},
+    ]
+    for doc in bad:
+        with pytest.raises(ValueError):
+            complex_from_json(doc)
