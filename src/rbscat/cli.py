@@ -150,6 +150,8 @@ def _cmd_build(args, guards):
 
 
 def _cmd_homology(args, guards):
+    if args.depth < 1:
+        raise ValueError("--depth must be at least 1, got %d" % args.depth)
     if args.artifact:
         with open(args.artifact) as fh:
             doc = json.load(fh)

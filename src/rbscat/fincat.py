@@ -2,10 +2,13 @@
 
 A FinCat stores objects and morphisms as opaque hashable labels with a
 total composition table on composable pairs.  Construction validates the
-category axioms: identity neutrality always, associativity exhaustively
-up to a guarded triple count (callers building categories whose
-associativity is inherited from a group multiplication may request
-sampled validation instead).
+category axioms on int32 arrays of the table: totality and identity
+neutrality always, associativity on every composable triple whenever
+their number is at most the guard max_assoc_triples, whatever the assoc
+mode.  Only past the guard do the modes differ: "exhaustive" raises
+GuardExceeded, while "auto" and "sampled" (for categories whose
+associativity is inherited from a group multiplication) check a fixed
+pseudo-random sample of triples.
 
 Also here: functors, the basic category calculus (opposites, products,
 full subcategories, isomorphism/equivalence tests), comma-style fibers,
@@ -16,6 +19,8 @@ categories.
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from .guards import DEFAULT, GuardExceeded
 
@@ -144,8 +149,12 @@ def validate_category(objects, morphisms, identities, composition,
     identities: dict object label -> identity morphism label.
     composition: dict (g_label, f_label) -> label, defined exactly on
         composable pairs (src g == tgt f).
-    assoc: "exhaustive" (guarded) or "sampled" for categories whose
-        associativity is inherited from a validated group structure.
+    assoc: what to do when the composable triples outnumber
+        guards.max_assoc_triples: "exhaustive" raises GuardExceeded,
+        "auto" and "sampled" check a fixed pseudo-random sample of
+        100,000 triples (for categories whose associativity is inherited
+        from a validated group structure).  Under the guard every mode
+        checks every triple.
     """
     objects = sorted(objects, key=_canon_key)
     obj_index = {o: i for i, o in enumerate(objects)}
@@ -162,36 +171,25 @@ def validate_category(objects, morphisms, identities, composition,
         raise CategoryError("morphism endpoint %r is not an object" % (exc.args[0],))
     identity_of = [None] * len(objects)
     for o, m in identities.items():
+        if o not in obj_index:
+            raise CategoryError("identity given for %r, which is not an object"
+                                % (o,))
+        if m not in mor_index:
+            raise CategoryError("identity %r of %r is not a morphism" % (m, o))
         identity_of[obj_index[o]] = mor_index[m]
     for i, m in enumerate(identity_of):
         if m is None:
             raise CategoryError("missing identity for object %r" % (objects[i],))
         if src[m] != i or tgt[m] != i:
             raise CategoryError("identity of %r is not an endomorphism" % (objects[i],))
-
-    comp = {}
-    for (gl, fl), hl in composition.items():
-        g, f = mor_index[gl], mor_index[fl]
-        if src[g] != tgt[f]:
-            raise CategoryError("composition defined on non-composable pair (%r, %r)"
-                                % (gl, fl))
-        h = mor_index[hl]
-        if src[h] != src[f] or tgt[h] != tgt[g]:
-            raise CategoryError("composite of (%r, %r) has wrong endpoints" % (gl, fl))
-        comp[(g, f)] = h
-    # totality on composable pairs
-    by_src = {}
-    for i in range(len(labels)):
-        by_src.setdefault(src[i], []).append(i)
-    for f in range(len(labels)):
-        for g in by_src.get(tgt[f], ()):
-            if (g, f) not in comp:
-                raise CategoryError("composition missing for composable pair (%r, %r)"
-                                    % (labels[g], labels[f]))
-
-    cat = FinCat(objects, labels, src, tgt, identity_of, comp)
-    _check_identities(cat)
-    _check_associativity(cat, guards, assoc)
+    try:
+        pairs = [(mor_index[g], mor_index[f]) for g, f in composition]
+        composites = [mor_index[h] for h in composition.values()]
+    except KeyError as exc:
+        raise CategoryError("composition names %r, which is not a morphism"
+                            % (exc.args[0],))
+    cat = FinCat(objects, labels, src, tgt, identity_of, dict(zip(pairs, composites)))
+    _check_axioms(cat, pairs, composites, guards, assoc)
     return cat
 
 
@@ -200,67 +198,132 @@ def _canon_key(label):
     return (str(type(label)), repr(label))
 
 
-def _check_identities(cat):
-    for f in range(cat.n_morphisms):
-        idt = cat.identity_of[cat.tgt[f]]
-        ids = cat.identity_of[cat.src[f]]
-        if cat.comp[(idt, f)] != f:
-            raise CategoryError("left identity fails for %r" % (cat.mor_labels[f],))
-        if cat.comp[(f, ids)] != f:
-            raise CategoryError("right identity fails for %r" % (cat.mor_labels[f],))
+# no temporary array of the associativity check holds more entries
+_CHUNK_ENTRIES = 1 << 16
+# past max_assoc_triples, "auto" and "sampled" check at most this many
+_SAMPLE_TRIPLES = 100_000
 
 
-def _check_associativity(cat, guards=DEFAULT, assoc="exhaustive"):
-    total = cat.triple_count()
-    if assoc == "auto":
-        assoc = "exhaustive" if total <= guards.max_assoc_triples else "sampled"
-    if assoc == "exhaustive":
-        if total > guards.max_assoc_triples:
+def _positions(ends, counts):
+    """Each morphism's position among those with the same end (in index
+    order), the morphisms grouped by end, and where each group starts."""
+    order = np.argsort(ends, kind="stable")
+    start = np.cumsum(counts) - counts
+    pos = np.empty(len(ends), np.int32)
+    pos[order] = np.arange(len(ends)) - start[ends[order]]
+    return pos, order, start
+
+
+def _check_axioms(cat, pairs, composites, guards, assoc):
+    """Composition is total on composable pairs, unital and associative.
+
+    The table is one int32 block per object y, of shape out(y) x in(y):
+    g.f sits in the row of g among the morphisms out of y and the column
+    of f among those into y.  The blocks lie end to end in ``flat``;
+    ``row[g]`` is where the row of g starts, so g.f is
+    ``flat[row[g] + ipos[f]]``.
+    """
+    labels = cat.mor_labels
+    src = np.array(cat.src, np.int64)
+    tgt = np.array(cat.tgt, np.int64)
+    out_n = np.bincount(src, minlength=cat.n_objects)
+    in_n = np.bincount(tgt, minlength=cat.n_objects)
+    pos, out_order, out_start = _positions(src, out_n)
+    ipos, in_order, in_start = _positions(tgt, in_n)
+    sizes = out_n * in_n
+    block = np.cumsum(sizes) - sizes
+    row = (block[src] + pos * in_n[src]).astype(np.int32)
+
+    # the pairs (a, b) with a.b = ab
+    ab_pairs = np.array(pairs, np.int64).reshape(-1, 2)
+    a, b = ab_pairs[:, 0], ab_pairs[:, 1]
+    ab = np.array(composites, np.int64)
+    wrong = (src[a] != tgt[b]) | (src[ab] != src[b]) | (tgt[ab] != tgt[a])
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        what = ("composition defined on non-composable pair (%r, %r)"
+                if src[a[i]] != tgt[b[i]] else
+                "composite of (%r, %r) has wrong endpoints")
+        raise CategoryError(what % (labels[a[i]], labels[b[i]]))
+    flat = np.full(int(sizes.sum()), -1, np.int32)
+    flat[row[a] + ipos[b]] = ab
+    if len(ab) < len(flat):
+        slot = int(np.argmax(flat < 0))
+        y = int(np.searchsorted(block, slot, side="right")) - 1
+        r, c = divmod(slot - int(block[y]), int(in_n[y]))
+        raise CategoryError("composition missing for composable pair (%r, %r)"
+                            % (labels[out_order[out_start[y] + r]],
+                               labels[in_order[in_start[y] + c]]))
+
+    every = np.arange(cat.n_morphisms)
+    ident = np.array(cat.identity_of, np.int64)
+    left = flat[row[ident[tgt]] + ipos] != every
+    right = flat[row + ipos[ident[src]]] != every
+    if (left | right).any():
+        m = int(np.argmax(left | right))
+        raise CategoryError("%s identity fails for %r"
+                            % ("left" if left[m] else "right", labels[m]))
+
+    total = int((in_n[src] * out_n[tgt]).sum())
+    if total > guards.max_assoc_triples:
+        if assoc == "exhaustive":
             raise GuardExceeded(
                 "associativity check needs %d triples > max_assoc_triples=%d; "
                 "use assoc='sampled' for group-derived categories" %
                 (total, guards.max_assoc_triples))
-        triples = _all_triples(cat)
-    else:
-        triples = _sampled_triples(cat, min(total, 100_000))
-    comp = cat.comp
-    for f, g, h in triples:
-        if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
-            raise CategoryError(
-                "associativity fails at (%r, %r, %r)" %
-                (cat.mor_labels[f], cat.mor_labels[g], cat.mor_labels[h]))
+        f, g, h = _sampled_triples(min(total, _SAMPLE_TRIPLES), tgt, out_n,
+                                   out_order, out_start)
+        gf = flat[row[g] + ipos[f]]
+        hg = flat[row[h] + ipos[g]]
+        bad = flat[row[h] + ipos[gf]] != flat[row[hg] + ipos[f]]
+        if bad.any():
+            i = int(np.argmax(bad))
+            _associativity_fails(labels, f[i], g[i], h[i])
+        return
+    # every triple f: w -> x, g: x -> y, h: y -> z, one object x at a
+    # time: the pairs (h, g) = (a, b) with src g = x as rows, all f into x
+    # as columns, compare h.(g.f) with (h.g).f
+    by_x = np.argsort(src[b], kind="stable")
+    first = np.searchsorted(src[b][by_x], np.arange(cat.n_objects + 1))
+    for x in range(cat.n_objects):
+        nin = int(in_n[x])
+        bx = flat[block[x]:block[x] + sizes[x]].reshape(-1, nin)
+        step = max(1, _CHUNK_ENTRIES // nin)
+        for s in range(first[x], first[x + 1], step):
+            rows = by_x[s:min(s + step, first[x + 1])]
+            gf = bx[pos[b[rows]]]
+            bad = flat[row[a[rows]][:, None] + ipos[gf]] != bx[pos[ab[rows]]]
+            if bad.any():
+                r, c = np.unravel_index(np.argmax(bad), bad.shape)
+                _associativity_fails(labels, in_order[in_start[x] + c],
+                                     b[rows[r]], a[rows[r]])
 
 
-def _all_triples(cat):
-    by_src = {}
-    for i in range(cat.n_morphisms):
-        by_src.setdefault(cat.src[i], []).append(i)
-    for f in range(cat.n_morphisms):
-        for g in by_src.get(cat.tgt[f], ()):
-            for h in by_src.get(cat.tgt[g], ()):
-                yield f, g, h
+def _associativity_fails(labels, f, g, h):
+    raise CategoryError("associativity fails at (%r, %r, %r)"
+                        % (labels[f], labels[g], labels[h]))
 
 
-def _sampled_triples(cat, count):
-    state = 987654321
-    n = cat.n_morphisms
-    by_src = {}
-    for i in range(n):
-        by_src.setdefault(cat.src[i], []).append(i)
-    made = 0
-    while made < count:
-        state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 64)
-        f = state % n
-        outs = by_src.get(cat.tgt[f], ())
-        if not outs:
-            continue
-        g = outs[(state >> 24) % len(outs)]
-        outs2 = by_src.get(cat.tgt[g], ())
-        if not outs2:
-            continue
-        h = outs2[(state >> 44) % len(outs2)]
-        made += 1
-        yield f, g, h
+def _sampled_triples(count, tgt, out_n, out_order, out_start):
+    """The fixed sample (f, g, h): triple k reads state k of the 64-bit
+    LCG x -> 6364136223846793005 x + 1442695040888963407 from 987654321;
+    f is the state mod the morphism count, g and h are picked among the
+    morphisms out of the previous target by the state's bits from 24 and
+    from 44 up.  State k is a^k x_0 + c (1 + a + ... + a^(k-1)), wrapping
+    mod 2^64 as uint64 does."""
+    power = np.multiply.accumulate(np.full(count, 6364136223846793005, np.uint64))
+    geometric = np.cumsum(np.concatenate((np.ones(1, np.uint64), power[:-1])),
+                          dtype=np.uint64)
+    state = power * np.uint64(987654321) + geometric * np.uint64(1442695040888963407)
+
+    def pick_after(m, shift):
+        y = tgt[m]
+        k = (state >> np.uint64(shift)) % out_n[y].astype(np.uint64)
+        return out_order[out_start[y] + k.astype(np.int64)]
+
+    f = (state % np.uint64(len(tgt))).astype(np.int64)
+    g = pick_after(f, 24)
+    return f, g, pick_after(g, 44)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +389,6 @@ def identity_functor(C):
                       {m: m for m in C.mor_labels})
 
 
-def compose_functors(G, F):
-    """G after F."""
-    assert F.target is G.source
-    return FinFunctor(F.source, G.target,
-                      {o: G.obj_map[F.obj_map[o]] for o in F.source.objects},
-                      {m: G.mor_map[F.mor_map[m]] for m in F.source.mor_labels})
-
-
 # ---------------------------------------------------------------------------
 # category calculus
 
@@ -369,16 +424,6 @@ def product(C, D):
                        D.mor_labels[D.identity_of[D.obj_index[d]]])
               for c in C.objects for d in D.objects}
     return validate_category(objects, morphs, idents, comp, assoc="sampled")
-
-
-def product_many(cats):
-    """Iterated binary product; the terminal category for an empty list."""
-    if not cats:
-        return terminal_category()
-    out = cats[0]
-    for nxt in cats[1:]:
-        out = product(out, nxt)
-    return out
 
 
 def product_tuple(cats):

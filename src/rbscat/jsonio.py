@@ -20,6 +20,8 @@ def dumps(obj):
 def _freeze(x):
     if isinstance(x, list):
         return tuple(_freeze(v) for v in x)
+    if isinstance(x, dict):
+        raise ValueError("a label cannot be a JSON object: %r" % (x,))
     return x
 
 
@@ -47,9 +49,24 @@ def fincat_to_json(C):
 
 
 def fincat_from_json(doc, guards=None, assoc="auto"):
+    """Load a category artifact; raises ValueError for a bad schema, a
+    missing key or a malformed entry, and CategoryError (a ValueError)
+    unless the tables form a category."""
     from .guards import DEFAULT
     if not isinstance(doc, dict) or doc.get("schema") != "fincat/1":
         raise ValueError("not a fincat artifact")
+    for key in ("objects", "morphisms", "identities", "composition"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError("fincat: %r must be a list" % key)
+    for m in doc["morphisms"]:
+        if not (isinstance(m, dict) and {"label", "src", "tgt"} <= set(m)):
+            raise ValueError("fincat: morphism %r is not "
+                             "{label, src, tgt}" % (m,))
+    for key, width in (("identities", 2), ("composition", 3)):
+        for entry in doc[key]:
+            if not (isinstance(entry, list) and len(entry) == width):
+                raise ValueError("fincat: %s entry %r does not have %d "
+                                 "items" % (key, entry, width))
     objects = [_freeze(o) for o in doc["objects"]]
     morphisms = [(_freeze(m["label"]), _freeze(m["src"]), _freeze(m["tgt"]))
                  for m in doc["morphisms"]]

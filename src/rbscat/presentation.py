@@ -43,10 +43,6 @@ class GroupPresentation:
         free_rank = n - len(diag)
         return sorted(abs(d) for d in torsion), free_rank
 
-    def abelian_invariants(self):
-        """(torsion invariant factors, free rank)."""
-        return self.abelianization()
-
 
 def pi1_presentation(C, basepoint=None):
     """Edge-path presentation of pi_1 of (the nerve of) a connected C."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import (
+    CategoryError,
     FinFunctor,
     Group,
     Poset,
@@ -68,12 +69,6 @@ class GLData:
     def __len__(self):
         return len(self.mats)
 
-    def group(self):
-        """As a generic Group on matrix-data labels."""
-        return Group([m.data for m in self.mats],
-                     lambda a, b: self.mats[self.mult[self.index[a]][self.index[b]]].data,
-                     self.mats[self.one].data)
-
 
 @dataclass
 class SubgroupData:
@@ -97,6 +92,8 @@ class RBSCategory:
         self.guards = guards
         self.flags = enumerate_flags(ring, n, guards)
         self.flag_index = {f: i for i, f in enumerate(self.flags)}
+        members = [f.member_set() for f in self.flags]
+        self._refines = [[mj <= mi for mj in members] for mi in members]
         self.gl = GLData(ring, n, guards)
         self._build_action()
         self._build_subgroups()
@@ -122,7 +119,7 @@ class RBSCategory:
 
     def refines(self, fi, fj):
         """Refinement order: fi <= fj iff members(fj) subset of members(fi)."""
-        return self.flags[fi].refines_to(self.flags[fj])
+        return self._refines[fi][fj]
 
     # -- parabolic and unipotent subgroups --------------------------------
 
@@ -156,29 +153,25 @@ class RBSCategory:
 
     def coset_min(self, fi, gi):
         """Canonical representative index of the coset g U_{F_i}."""
-        key = (fi, gi)
-        cached = self._coset_cache.get(key)
-        if cached is None:
-            mult = self.gl.mult[gi]
-            cached = min(mult[u] for u in self.unipotent[fi])
-            self._coset_cache[key] = cached
-        return cached
+        return self._coset_rep[fi][gi]
 
     def _build_category(self, well_definedness):
         gl, flags = self.gl, self.flags
         nf = len(flags)
-        self._coset_cache = {}
+        mult = gl.mult
+        # _coset_rep[fi][gi]: the least index in the coset g U_{F_i}
+        self._coset_rep = [[min(row[u] for u in self.unipotent[fi])
+                            for row in mult] for fi in range(nf)]
         morphs = []
         comp = {}
         idents = {}
         hom_reps = {}
+        coarser = [[fj for fj in range(nf) if leq[fj]] for leq in self._refines]
         for fi in range(nf):
+            reps = self._coset_rep[fi]
             for gi in range(len(gl)):
-                tj = self.flag_act[gi][fi]
-                rep = self.coset_min(fi, gi)
-                for fj in range(nf):
-                    if self.refines(tj, fj):
-                        hom_reps.setdefault((fi, fj), set()).add(rep)
+                for fj in coarser[self.flag_act[gi][fi]]:
+                    hom_reps.setdefault((fi, fj), set()).add(reps[gi])
         for (fi, fj), reps in sorted(hom_reps.items()):
             for rep in sorted(reps):
                 morphs.append(((fi, fj, rep), fi, fj))
@@ -188,22 +181,24 @@ class RBSCategory:
         for (lbl, s, t) in morphs:
             by_src.setdefault(s, []).append(lbl)
         for (lbl1, s1, t1) in morphs:
+            reps, g = self._coset_rep[s1], lbl1[2]
             for lbl2 in by_src.get(t1, ()):
-                _, t2, h = lbl2
-                comp[(lbl2, lbl1)] = (s1, t2, self.coset_min(s1, gl.mult[h][lbl1[2]]))
+                comp[(lbl2, lbl1)] = (s1, lbl2[1], reps[mult[lbl2[2]][g]])
         self.cat = validate_category(list(range(nf)), morphs, idents, comp,
                                      guards=self.guards, assoc="auto")
         self._check_well_definedness(well_definedness)
 
     def _check_well_definedness(self, mode):
         """All representative products of a composable coset pair land in one
-        coset (guaranteed by U_{F'} <= g U_F g^{-1}; asserted here)."""
+        coset (guaranteed by U_{F'} <= g U_F g^{-1}; checked here)."""
         if mode == "none":
             return
         gl = self.gl
-        pairs = [((fi, fj, g), (fj2, fk, h))
-                 for (fi, fj, g) in self.morphism_labels()
-                 for (fj2, fk, h) in self.morphism_labels() if fj == fj2]
+        by_src = {}
+        for lbl in self.morphism_labels():
+            by_src.setdefault(lbl[0], []).append(lbl)
+        pairs = [(first, second) for first in self.morphism_labels()
+                 for second in by_src.get(first[1], ())]
         if mode == "sampled":
             pairs = pairs[::max(1, len(pairs) // 500)]
         for (fi, fj, g), (_, fk, h) in pairs:
@@ -212,8 +207,9 @@ class RBSCategory:
                 gu = gl.mult[g][u]
                 for v in self.unipotent[fj]:
                     hv = gl.mult[h][v]
-                    assert self.coset_min(fi, gl.mult[hv][gu]) == expected, \
-                        "coset composition depends on representatives"
+                    if self.coset_min(fi, gl.mult[hv][gu]) != expected:
+                        raise CategoryError(
+                            "coset composition depends on representatives")
 
     def morphism_labels(self):
         return self.cat.mor_labels
@@ -365,7 +361,8 @@ def pi1_quotient_functor(rbs, subgroups=None):
     for (fi, fj, g) in rbs.cat.mor_labels:
         # independence of the coset representative: all of gU_F maps to gE
         classes = {rep_of[gl.mult[g][u]] for u in rbs.unipotent[fi]}
-        assert len(classes) == 1, "U_F is not contained in E(M)"
+        if len(classes) != 1:
+            raise RuntimeError("U_F is not contained in E(M)")
         mor_map[(fi, fj, g)] = ("*", classes.pop())
     functor = FinFunctor(rbs.cat, B, obj_map, mor_map)
     surjective = {mor_map[m] for m in rbs.cat.mor_labels} == set(B.mor_labels)
@@ -418,10 +415,13 @@ def tits_building(q, n, guards=DEFAULT):
     top = n - 2
     reduced_top = hz.betti.get(top, 0) - (1 if top == 0 else 0)
     expected = q ** (n * (n - 1) // 2)
-    assert reduced_top == expected, \
-        "Steinberg rank %d != q^(n(n-1)/2) = %d" % (reduced_top, expected)
+    if reduced_top != expected:
+        raise RuntimeError("Steinberg rank %d != q^(n(n-1)/2) = %d"
+                           % (reduced_top, expected))
     chi = sum((-1) ** k * d for k, d in enumerate(cx.dims))
-    assert chi == 1 + (-1) ** n * expected
+    if chi != 1 + (-1) ** n * expected:
+        raise RuntimeError("Euler characteristic %d != 1 + (-1)^n q^(n(n-1)/2)"
+                           % chi)
     return TitsComplex(q, n, len(subs), list(cx.dims), cx, hz,
                        reduced_top, chi)
 
@@ -476,8 +476,9 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT):
     for lbl in ref_sub.mor_labels:
         (src, tgt, rep) = lbl
         g = rbs.gl.mats[rep]
-        assert rbs.flag_act[rep][fi] == fi, \
-            "transporter between refinements must stabilise the flag"
+        if rbs.flag_act[rep][fi] != fi:
+            raise CategoryError(
+                "transporter between refinements must stabilise the flag")
         piece_labels = []
         for i, q in enumerate(quots):
             gm = _block_matrix(rbs, g, q, graded[i].ring)

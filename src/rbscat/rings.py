@@ -186,17 +186,6 @@ class FiniteRing:
     def is_field(self):
         return self.kind in ("Fp", "Fq")
 
-    def valuation(self, a):
-        """p-adic valuation of a in Z/p^k (v(0) = k)."""
-        assert self.kind == "Zpk"
-        if a == 0:
-            return self.k
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
-
     def descriptor(self):
         d = {"kind": self.kind, "p": self.p, "k": self.k}
         if self.poly is not None:
@@ -414,10 +403,6 @@ class Mat:
     def encode(self):
         """Total order key: row-major entry tuple."""
         return self.data
-
-
-def mat_from_rows(ring, rows):
-    return Mat(ring, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -864,21 +849,15 @@ def enumerate_flags(ring, n, guards=DEFAULT):
     return flags
 
 
-def residue_vec(ring, vec):
-    """Image of a vector in the residue field coordinates (mod p for Z/p^k,
-    identity for fields)."""
-    if ring.is_field:
-        return list(vec)
-    return [x % ring.p for x in vec]
-
-
 def complete_to_invertible(ring, rows, n):
     """Extend free-basis rows to an invertible n x n matrix by greedily
     appending standard basis rows (lexicographically least completion)."""
     ech = ResidueEchelon(ring)
     chosen = [list(r) for r in rows]
     for r in chosen:
-        assert ech.add(r) is not None, "rows are not independent over the residue field"
+        # the echelon must see every row, also under python -O
+        if ech.add(r) is None:
+            raise RingError("rows are not independent over the residue field")
     for j in range(n):
         if len(chosen) == n:
             break

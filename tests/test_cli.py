@@ -165,3 +165,35 @@ def test_build_rbs_negative_rank():
     assert code == 1
     assert "rank n must be a non-negative integer, got -1" in err
     assert "Traceback" not in err
+
+
+def test_homology_fincat_artifact_missing_key(tmp_path):
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps({"schema": "fincat/1"}))
+    code, out, err = run_cli("homology", "--artifact", str(art))
+    assert code == 1 and out == ""
+    assert "'objects'" in err and len(err.splitlines()) == 1
+
+
+def test_homology_fincat_artifact_malformed_entries(tmp_path):
+    one = {"schema": "fincat/1", "objects": [1],
+           "morphisms": [{"label": "i", "src": 1, "tgt": 1}],
+           "identities": [[1, "i"]], "composition": [["i", "i", "i"]]}
+    for key, bad in (("composition", [["i", "i"]]),
+                     ("composition", [["i", "j", "i"]]),
+                     ("identities", [[1, "j"]]),
+                     ("morphisms", [{"label": "i", "src": 1}]),
+                     ("objects", [{}])):
+        art = tmp_path / "bad.json"
+        art.write_text(json.dumps(dict(one, **{key: bad})))
+        code, out, err = run_cli("homology", "--artifact", str(art))
+        assert code == 1 and out == "", (key, bad)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_homology_depth_below_one():
+    for depth in ("-1", "0"):
+        code, out, err = run_cli("homology", "rbs", "--ring", "F2", "--n",
+                                 "2", "--depth", depth)
+        assert code == 1 and out == ""
+        assert "--depth" in err and len(err.splitlines()) == 1

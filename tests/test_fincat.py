@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbscat.fincat import (
     CategoryError,
@@ -24,6 +25,7 @@ from rbscat.fincat import (
     twisted_arrow_op,
     validate_category,
 )
+from rbscat.guards import GuardConfig, GuardExceeded
 from rbscat.toolkit import (
     is_colim_equivalence,
     is_lim_equivalence,
@@ -79,6 +81,127 @@ def test_missing_composite_is_reported():
         validate_category(["*"], [("e", "*", "*"), ("f", "*", "*")],
                           {"*": "e"},
                           {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f"})
+
+
+def tables(C):
+    """The raw label tables validate_category takes, read back from C."""
+    morphs = [(C.mor_labels[i], C.objects[C.src[i]], C.objects[C.tgt[i]])
+              for i in range(C.n_morphisms)]
+    idents = {C.objects[i]: C.mor_labels[C.identity_of[i]]
+              for i in range(C.n_objects)}
+    comp = {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
+            for (g, f), h in C.comp.items()}
+    return list(C.objects), morphs, idents, comp
+
+
+def oracle_is_category(morphs, idents, comp):
+    """Oracle for validate_category: a plain loop over labels that checks
+    both identity laws and every composable triple for associativity."""
+    src = {m: s for m, s, _ in morphs}
+    tgt = {m: t for m, _, t in morphs}
+    for f in src:
+        if comp[(idents[tgt[f]], f)] != f or comp[(f, idents[src[f]])] != f:
+            return False
+    for f in src:
+        for g in src:
+            if src[g] != tgt[f]:
+                continue
+            for h in src:
+                if src[h] == tgt[g] and \
+                        comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
+                    return False
+    return True
+
+
+def v_poset_category():
+    P = Poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
+                      ("a", "b"), ("a", "c")])
+    return poset_category(P)
+
+
+BASES = [bz(1), bz(2), bz(3), bz(4), chain_category(), v_poset_category(),
+         validate_category(["a", "b"], [("ia", "a", "a"), ("ib", "b", "b")],
+                           {"a": "ia", "b": "ib"},
+                           {("ia", "ia"): "ia", ("ib", "ib"): "ib"})]
+
+
+@st.composite
+def small_categories(draw):
+    """Products and full subcategories of cyclic-group and poset categories."""
+    C = draw(st.sampled_from(BASES))
+    if draw(st.booleans()):
+        C = product(C, draw(st.sampled_from(BASES)))
+    if draw(st.booleans()):
+        objs = draw(st.lists(st.sampled_from(C.objects), min_size=1,
+                             unique=True))
+        C, _ = full_subcategory(C, objs)
+    return C
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_categories(), st.data())
+def test_validator_agrees_with_triple_loop_oracle(C, data):
+    # one composite replaced by a random morphism with the same endpoints
+    objs, morphs, idents, comp = tables(C)
+    g, f = data.draw(st.sampled_from(sorted(comp, key=repr)))
+    ends = {m: (s, t) for m, s, t in morphs}
+    comp[(g, f)] = data.draw(st.sampled_from(
+        [m for m, s, t in morphs if (s, t) == (ends[f][0], ends[g][1])]))
+    assoc = data.draw(st.sampled_from(["exhaustive", "auto", "sampled"]))
+    if oracle_is_category(morphs, idents, comp):
+        validate_category(objs, morphs, idents, comp, assoc=assoc)
+    else:
+        with pytest.raises(CategoryError):
+            validate_category(objs, morphs, idents, comp, assoc=assoc)
+
+
+def test_sampled_mode_checks_every_triple_under_the_guard():
+    # Z/2 x a poset with w < x < y, 20 elements above x and 20 above y;
+    # one wrong composite breaks only triples that the fixed sample rarely
+    # draws
+    elems = ["w", "x", "y"] + ["L%d" % i for i in range(20)] + \
+        ["M%d" % i for i in range(20)]
+    leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
+    leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
+    leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
+    objs, morphs, idents, comp = tables(
+        product(bz(2), poset_category(Poset(elems, leq))))
+    g, f = (("*", 1), ("x", "y")), (("*", 1), ("w", "x"))
+    comp[(g, f)] = (("*", 1), ("w", "y"))  # should be (("*", 0), ("w", "y"))
+    assert not oracle_is_category(morphs, idents, comp)
+    # past the guard the sample misses every failing triple ...
+    validate_category(objs, morphs, idents, comp,
+                      GuardConfig(max_assoc_triples=0), assoc="sampled")
+    # ... under it "sampled" checks them all
+    with pytest.raises(CategoryError, match="associativity"):
+        validate_category(objs, morphs, idents, comp, assoc="sampled")
+
+
+def test_exhaustive_mode_past_the_guard_raises():
+    objs, morphs, idents, comp = tables(bz(3))  # 27 composable triples
+    small = GuardConfig(max_assoc_triples=26)
+    with pytest.raises(GuardExceeded, match="27 triples"):
+        validate_category(objs, morphs, idents, comp, small)
+    validate_category(objs, morphs, idents, comp, small, assoc="auto")
+    validate_category(objs, morphs, idents, comp,
+                      GuardConfig(max_assoc_triples=27))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_broken_identity_in_an_associative_table_is_reported(side):
+    # the left-zero (x.y = x) and right-zero (x.y = y) semigroups on {e, a}
+    # are associative, and e is neutral on one side only
+    comp = {(x, y): x if side == "left" else y for x in "ea" for y in "ea"}
+    with pytest.raises(CategoryError, match="%s identity fails for 'a'" % side):
+        validate_category(["*"], [("e", "*", "*"), ("a", "*", "*")],
+                          {"*": "e"}, comp)
+
+
+def test_composite_with_wrong_endpoints_is_reported():
+    objs, morphs, idents, comp = tables(chain_category())
+    comp[((1, 1), (0, 1))] = (1, 1)
+    with pytest.raises(CategoryError, match="wrong endpoints"):
+        validate_category(objs, morphs, idents, comp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from rbscat.fincat import is_fully_faithful, twisted_arrow_op
@@ -299,3 +302,21 @@ def test_composition_representative_independence_exhaustive():
                 for v in r.unipotent[fj]:
                     prod = gl.mult[gl.mult[h][v]][gl.mult[g][u]]
                     assert r.coset_min(fi, prod) == expected
+
+
+def test_coset_well_definedness_survives_optimize():
+    # every element made its own coset representative: products of other
+    # representatives of the same cosets then land elsewhere
+    code = ("from rbscat.fincat import CategoryError\n"
+            "from rbscat.rbs import build_rbs\n"
+            "rbs = build_rbs('F2', 2, well_definedness='none')\n"
+            "rbs._coset_rep = [list(range(len(rbs.gl))) for _ in rbs.flags]\n"
+            "try:\n"
+            "    rbs._check_well_definedness('full')\n"
+            "except CategoryError as exc:\n"
+            "    assert 'depends on representatives' in str(exc)\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(5)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
