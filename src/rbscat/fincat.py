@@ -1,14 +1,21 @@
 """Finite 1-categories with validated composition tables.
 
-A FinCat stores objects and morphisms as opaque hashable labels with a
-total composition table on composable pairs.  Construction validates the
-category axioms on int32 arrays of the table: totality and identity
+A FinCat numbers its objects and morphisms in a canonical order and keeps
+their opaque hashable labels for messages and JSON.  Composition is
+stored once, as an int32 table on composable pairs (see _check_axioms);
+the dict ``comp`` is a view of it, built on first use.  Construction
+validates the category axioms on that table: totality and identity
 neutrality always, associativity on every composable triple whenever
 their number is at most the guard max_assoc_triples, whatever the assoc
 mode.  Only past the guard do the modes differ: "exhaustive" raises
 GuardExceeded, while "auto" and "sampled" (for categories whose
 associativity is inherited from a group multiplication) check a fixed
 pseudo-random sample of triples.
+
+validate_category takes label tables; _build, which it calls, takes
+index arrays.  Fibers, full and strict subcategories, skeletons, action
+categories and functor checks are array operations on the index arrays
+and table gathers, with no label round trip.
 
 Also here: functors, the basic category calculus (opposites, products,
 full subcategories, isomorphism/equivalence tests), comma-style fibers,
@@ -30,10 +37,14 @@ class CategoryError(ValueError):
 
 
 class FinCat:
-    __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
-                 "src", "tgt", "identity_of", "comp", "_hom", "_iso_cache")
+    """A validated finite category (see the module docstring); g.f is
+    ``flat[row[g] + ipos[f]]`` whenever src g == tgt f."""
 
-    def __init__(self, objects, mor_labels, src, tgt, identity_of, comp):
+    __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
+                 "src", "tgt", "identity_of", "flat", "row", "ipos",
+                 "_comp", "_hom", "_iso_cache")
+
+    def __init__(self, objects, mor_labels, src, tgt, identity_of, table):
         self.objects = tuple(objects)
         self.obj_index = {o: i for i, o in enumerate(self.objects)}
         self.mor_labels = tuple(mor_labels)
@@ -41,7 +52,8 @@ class FinCat:
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.identity_of = tuple(identity_of)
-        self.comp = comp  # dict (g, f) -> g.f  for src(g) == tgt(f)
+        self.flat, self.row, self.ipos = table
+        self._comp = None
         hom = {}
         for i in range(len(self.mor_labels)):
             hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
@@ -58,6 +70,11 @@ class FinCat:
     def n_morphisms(self):
         return len(self.mor_labels)
 
+    def ends(self):
+        """Source and target object index of every morphism, as arrays."""
+        return (np.array(self.src, np.int64).reshape(-1),
+                np.array(self.tgt, np.int64).reshape(-1))
+
     def hom(self, x, y):
         """Morphism indices x -> y (objects given as labels)."""
         return list(self._hom.get((self.obj_index[x], self.obj_index[y]), []))
@@ -67,7 +84,29 @@ class FinCat:
 
     def compose(self, g, f):
         """g.f for composable indices (tgt(f) == src(g))."""
-        return self.comp[(g, f)]
+        return int(self.flat[self.row[g] + self.ipos[f]])
+
+    def compose_many(self, g, f):
+        """g.f for arrays of composable indices, as one gather."""
+        return self.flat[self.row[g] + self.ipos[f]]
+
+    def pairs(self):
+        """Every composable pair (g, f) and g.f, as arrays in table order."""
+        src, tgt = self.ends()
+        in_n = np.bincount(tgt, minlength=self.n_objects)
+        _, in_order, in_start = _positions(tgt, in_n)
+        by_row = np.argsort(self.row, kind="stable")
+        g = np.repeat(by_row, in_n[src[by_row]])
+        column = np.arange(len(g)) - self.row[g]
+        return g, in_order[in_start[src[g]] + column], self.flat
+
+    @property
+    def comp(self):
+        """dict (g, f) -> g.f on composable pairs, read from the table."""
+        if self._comp is None:
+            g, f, gf = self.pairs()
+            self._comp = dict(zip(zip(g.tolist(), f.tolist()), gf.tolist()))
+        return self._comp
 
     def is_identity(self, f):
         return self.identity_of[self.src[f]] == f
@@ -78,8 +117,8 @@ class FinCat:
             return self._iso_cache[f]
         out = None
         for g in self.hom_idx(self.tgt[f], self.src[f]):
-            if self.comp[(g, f)] == self.identity_of[self.src[f]] and \
-               self.comp[(f, g)] == self.identity_of[self.tgt[f]]:
+            if self.compose(g, f) == self.identity_of[self.src[f]] and \
+               self.compose(f, g) == self.identity_of[self.tgt[f]]:
                 out = g
                 break
         self._iso_cache[f] = out
@@ -156,20 +195,17 @@ def validate_category(objects, morphisms, identities, composition,
         from a validated group structure).  Under the guard every mode
         checks every triple.
     """
-    objects = sorted(objects, key=_canon_key)
+    objects = list(objects)
     obj_index = {o: i for i, o in enumerate(objects)}
-    mor_list = sorted(morphisms, key=lambda m: (_canon_key(m[1]), _canon_key(m[2]),
-                                                _canon_key(m[0])))
-    labels = [m[0] for m in mor_list]
-    if len(set(labels)) != len(labels):
-        raise CategoryError("duplicate morphism labels")
+    morphisms = list(morphisms)
+    labels = [m[0] for m in morphisms]
     mor_index = {m: i for i, m in enumerate(labels)}
     try:
-        src = [obj_index[m[1]] for m in mor_list]
-        tgt = [obj_index[m[2]] for m in mor_list]
+        src = [obj_index[m[1]] for m in morphisms]
+        tgt = [obj_index[m[2]] for m in morphisms]
     except KeyError as exc:
         raise CategoryError("morphism endpoint %r is not an object" % (exc.args[0],))
-    identity_of = [None] * len(objects)
+    identity_of = [-1] * len(objects)
     for o, m in identities.items():
         if o not in obj_index:
             raise CategoryError("identity given for %r, which is not an object"
@@ -177,25 +213,94 @@ def validate_category(objects, morphisms, identities, composition,
         if m not in mor_index:
             raise CategoryError("identity %r of %r is not a morphism" % (m, o))
         identity_of[obj_index[o]] = mor_index[m]
-    for i, m in enumerate(identity_of):
-        if m is None:
-            raise CategoryError("missing identity for object %r" % (objects[i],))
-        if src[m] != i or tgt[m] != i:
-            raise CategoryError("identity of %r is not an endomorphism" % (objects[i],))
     try:
-        pairs = [(mor_index[g], mor_index[f]) for g, f in composition]
-        composites = [mor_index[h] for h in composition.values()]
+        a = [mor_index[g] for g, _ in composition]
+        b = [mor_index[f] for _, f in composition]
+        ab = [mor_index[h] for h in composition.values()]
     except KeyError as exc:
         raise CategoryError("composition names %r, which is not a morphism"
                             % (exc.args[0],))
-    cat = FinCat(objects, labels, src, tgt, identity_of, dict(zip(pairs, composites)))
-    _check_axioms(cat, pairs, composites, guards, assoc)
-    return cat
+    return _build(objects, labels, src, tgt, identity_of, a, b, ab, guards, assoc)
+
+
+def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards, assoc):
+    """The FinCat given by index arrays, in canonical order, validated.
+
+    src, tgt: object index of each morphism; identity_of: morphism index
+    of each object's identity, -1 where there is none; a, b, ab: the
+    composition a.b = ab, with ab = -1 for a composite that is not a
+    morphism.  Objects are ordered by _canon_key and morphisms by the keys
+    of (source, target, label), exactly as sorting the labels would; the
+    keys are computed once per object and once per morphism.
+    """
+    if len(set(objects)) != len(objects):
+        raise CategoryError("duplicate object labels")
+    if len(set(labels)) != len(labels):
+        raise CategoryError("duplicate morphism labels")
+    src, tgt, identity_of, a, b, ab = (
+        np.asarray(v, np.int64).reshape(-1)
+        for v in (src, tgt, identity_of, a, b, ab))
+    obj_rank = _dense_rank(objects)
+    obj_order = np.argsort(obj_rank, kind="stable")
+    mor_order = np.lexsort((_dense_rank(labels), obj_rank[tgt], obj_rank[src]))
+    new_obj = np.empty(len(objects), np.int64)
+    new_obj[obj_order] = np.arange(len(objects))
+    new_mor = np.empty(len(labels), np.int64)
+    new_mor[mor_order] = np.arange(len(labels))
+    objects = [objects[i] for i in obj_order.tolist()]
+    src, tgt = new_obj[src[mor_order]], new_obj[tgt[mor_order]]
+    identity_of = identity_of[obj_order]
+    if (identity_of < 0).any():
+        raise CategoryError("missing identity for object %r"
+                            % (objects[int(np.argmax(identity_of < 0))],))
+    identity_of = new_mor[identity_of]
+    loops = (src[identity_of] != np.arange(len(objects))) | \
+        (tgt[identity_of] != np.arange(len(objects)))
+    if loops.any():
+        raise CategoryError("identity of %r is not an endomorphism"
+                            % (objects[int(np.argmax(loops))],))
+    labels = [labels[i] for i in mor_order.tolist()]
+    if (ab < 0).any():
+        i = int(np.argmax(ab < 0))
+        raise CategoryError("composite of (%r, %r) is not a morphism"
+                            % (labels[new_mor[a[i]]], labels[new_mor[b[i]]]))
+    a, b, ab = new_mor[a], new_mor[b], new_mor[ab]
+    table = _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc)
+    return FinCat(objects, labels, src.tolist(), tgt.tolist(),
+                  identity_of.tolist(), table)
 
 
 def _canon_key(label):
     # stable total order on heterogeneous labels
     return (str(type(label)), repr(label))
+
+
+def _dense_rank(labels):
+    """Rank of each label's _canon_key among the distinct keys."""
+    keys = [_canon_key(x) for x in labels]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return np.array([rank[k] for k in keys], np.int64).reshape(-1)
+
+
+def _join(left, right):
+    """Every (i, j) with left[i] == right[j], by i and then by j."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    lo = np.searchsorted(keys, left, "left")
+    counts = np.searchsorted(keys, left, "right") - lo
+    i = np.repeat(np.arange(len(left)), counts)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return i, order[lo[i] + offset]
+
+
+def _lookup(keys, queries):
+    """Index of each query among the distinct keys, -1 where absent."""
+    if len(keys) == 0:
+        return np.full(len(queries), -1, np.int64)
+    order = np.argsort(keys, kind="stable")
+    at = np.minimum(np.searchsorted(keys[order], queries), len(keys) - 1)
+    found = order[at]
+    return np.where(keys[found] == queries, found, -1)
 
 
 # no temporary array of the associativity check holds more entries
@@ -214,8 +319,9 @@ def _positions(ends, counts):
     return pos, order, start
 
 
-def _check_axioms(cat, pairs, composites, guards, assoc):
-    """Composition is total on composable pairs, unital and associative.
+def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
+    """Composition a.b = ab is total on composable pairs, unital and
+    associative; returns the table (flat, row, ipos).
 
     The table is one int32 block per object y, of shape out(y) x in(y):
     g.f sits in the row of g among the morphisms out of y and the column
@@ -223,21 +329,15 @@ def _check_axioms(cat, pairs, composites, guards, assoc):
     ``row[g]`` is where the row of g starts, so g.f is
     ``flat[row[g] + ipos[f]]``.
     """
-    labels = cat.mor_labels
-    src = np.array(cat.src, np.int64)
-    tgt = np.array(cat.tgt, np.int64)
-    out_n = np.bincount(src, minlength=cat.n_objects)
-    in_n = np.bincount(tgt, minlength=cat.n_objects)
+    n_objects = len(identity_of)
+    out_n = np.bincount(src, minlength=n_objects)
+    in_n = np.bincount(tgt, minlength=n_objects)
     pos, out_order, out_start = _positions(src, out_n)
     ipos, in_order, in_start = _positions(tgt, in_n)
     sizes = out_n * in_n
     block = np.cumsum(sizes) - sizes
     row = (block[src] + pos * in_n[src]).astype(np.int32)
 
-    # the pairs (a, b) with a.b = ab
-    ab_pairs = np.array(pairs, np.int64).reshape(-1, 2)
-    a, b = ab_pairs[:, 0], ab_pairs[:, 1]
-    ab = np.array(composites, np.int64)
     wrong = (src[a] != tgt[b]) | (src[ab] != src[b]) | (tgt[ab] != tgt[a])
     if wrong.any():
         i = int(np.argmax(wrong))
@@ -247,18 +347,19 @@ def _check_axioms(cat, pairs, composites, guards, assoc):
         raise CategoryError(what % (labels[a[i]], labels[b[i]]))
     flat = np.full(int(sizes.sum()), -1, np.int32)
     flat[row[a] + ipos[b]] = ab
-    if len(ab) < len(flat):
+    if (flat < 0).any():
         slot = int(np.argmax(flat < 0))
         y = int(np.searchsorted(block, slot, side="right")) - 1
         r, c = divmod(slot - int(block[y]), int(in_n[y]))
         raise CategoryError("composition missing for composable pair (%r, %r)"
                             % (labels[out_order[out_start[y] + r]],
                                labels[in_order[in_start[y] + c]]))
+    if len(ab) != len(flat):
+        raise CategoryError("composition given twice for a composable pair")
 
-    every = np.arange(cat.n_morphisms)
-    ident = np.array(cat.identity_of, np.int64)
-    left = flat[row[ident[tgt]] + ipos] != every
-    right = flat[row + ipos[ident[src]]] != every
+    every = np.arange(len(labels))
+    left = flat[row[identity_of[tgt]] + ipos] != every
+    right = flat[row + ipos[identity_of[src]]] != every
     if (left | right).any():
         m = int(np.argmax(left | right))
         raise CategoryError("%s identity fails for %r"
@@ -279,13 +380,13 @@ def _check_axioms(cat, pairs, composites, guards, assoc):
         if bad.any():
             i = int(np.argmax(bad))
             _associativity_fails(labels, f[i], g[i], h[i])
-        return
+        return flat, row, ipos
     # every triple f: w -> x, g: x -> y, h: y -> z, one object x at a
     # time: the pairs (h, g) = (a, b) with src g = x as rows, all f into x
     # as columns, compare h.(g.f) with (h.g).f
     by_x = np.argsort(src[b], kind="stable")
-    first = np.searchsorted(src[b][by_x], np.arange(cat.n_objects + 1))
-    for x in range(cat.n_objects):
+    first = np.searchsorted(src[b][by_x], np.arange(n_objects + 1))
+    for x in range(n_objects):
         nin = int(in_n[x])
         bx = flat[block[x]:block[x] + sizes[x]].reshape(-1, nin)
         step = max(1, _CHUNK_ENTRIES // nin)
@@ -297,6 +398,7 @@ def _check_axioms(cat, pairs, composites, guards, assoc):
                 r, c = np.unravel_index(np.argmax(bad), bad.shape)
                 _associativity_fails(labels, in_order[in_start[x] + c],
                                      b[rows[r]], a[rows[r]])
+    return flat, row, ipos
 
 
 def _associativity_fails(labels, f, g, h):
@@ -330,7 +432,7 @@ def _sampled_triples(count, tgt, out_n, out_order, out_start):
 # functors
 
 class FinFunctor:
-    __slots__ = ("source", "target", "obj_map", "mor_map")
+    __slots__ = ("source", "target", "obj_map", "mor_map", "obj_idx", "mor_idx")
 
     def __init__(self, source, target, obj_map, mor_map, guards=DEFAULT):
         """obj_map / mor_map are dicts on labels; validated on construction."""
@@ -352,24 +454,31 @@ class FinFunctor:
                 raise CategoryError("functor misses morphism %r" % (m,))
             if self.mor_map[m] not in B.mor_index:
                 raise CategoryError("functor image %r not in target" % (self.mor_map[m],))
-        fo = [B.obj_index[self.obj_map[o]] for o in A.objects]
-        fm = [B.mor_index[self.mor_map[m]] for m in A.mor_labels]
-        for i in range(A.n_morphisms):
-            if B.src[fm[i]] != fo[A.src[i]] or B.tgt[fm[i]] != fo[A.tgt[i]]:
-                raise CategoryError("functor breaks src/tgt at %r" % (A.mor_labels[i],))
-        for oi in range(A.n_objects):
-            if fm[A.identity_of[oi]] != B.identity_of[fo[oi]]:
-                raise CategoryError("functor breaks identity at %r" % (A.objects[oi],))
-        pairs = ((g, f) for (g, f) in A.comp)
-        n_pairs = len(A.comp)
+        # obj_idx / mor_idx: the functor on indices
+        fo = self.obj_idx = np.array(
+            [B.obj_index[self.obj_map[o]] for o in A.objects], np.int64).reshape(-1)
+        fm = self.mor_idx = np.array(
+            [B.mor_index[self.mor_map[m]] for m in A.mor_labels], np.int64).reshape(-1)
+        a_src, a_tgt = A.ends()
+        b_src, b_tgt = B.ends()
+        bad = (b_src[fm] != fo[a_src]) | (b_tgt[fm] != fo[a_tgt])
+        if bad.any():
+            raise CategoryError("functor breaks src/tgt at %r"
+                                % (A.mor_labels[int(np.argmax(bad))],))
+        bad = fm[list(A.identity_of)] != np.array(B.identity_of, np.int64)[fo]
+        if bad.any():
+            raise CategoryError("functor breaks identity at %r"
+                                % (A.objects[int(np.argmax(bad))],))
+        n_pairs = len(A.flat)
         if n_pairs > guards.max_functor_pairs:
             raise GuardExceeded("functor validation needs %d pairs" % n_pairs)
-        comp = A.comp
-        for (g, f) in pairs:
-            if B.comp[(fm[g], fm[f])] != fm[comp[(g, f)]]:
-                raise CategoryError(
-                    "functor breaks composition at (%r, %r)" %
-                    (A.mor_labels[g], A.mor_labels[f]))
+        g, f, gf = A.pairs()
+        bad = B.compose_many(fm[g], fm[f]) != fm[gf]
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CategoryError(
+                "functor breaks composition at (%r, %r)" %
+                (A.mor_labels[g[i]], A.mor_labels[f[i]]))
 
     def om(self, o):
         return self.obj_map[o]
@@ -378,10 +487,10 @@ class FinFunctor:
         return self.mor_map[m]
 
     def mor_image_idx(self, i):
-        return self.target.mor_index[self.mor_map[self.source.mor_labels[i]]]
+        return int(self.mor_idx[i])
 
     def obj_image_idx(self, i):
-        return self.target.obj_index[self.obj_map[self.source.objects[i]]]
+        return int(self.obj_idx[i])
 
 
 def identity_functor(C):
@@ -403,27 +512,6 @@ def opposite(C):
         {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
          for (g, f), h in comp.items()},
         assoc="sampled")  # associativity is inherited from C
-
-
-def product(C, D):
-    objects = [(c, d) for c in C.objects for d in D.objects]
-    morphs = []
-    comp = {}
-    for i in range(C.n_morphisms):
-        for j in range(D.n_morphisms):
-            lbl = (C.mor_labels[i], D.mor_labels[j])
-            morphs.append((lbl,
-                           (C.objects[C.src[i]], D.objects[D.src[j]]),
-                           (C.objects[C.tgt[i]], D.objects[D.tgt[j]])))
-    for (g1, f1), h1 in C.comp.items():
-        for (g2, f2), h2 in D.comp.items():
-            comp[((C.mor_labels[g1], D.mor_labels[g2]),
-                  (C.mor_labels[f1], D.mor_labels[f2]))] = \
-                (C.mor_labels[h1], D.mor_labels[h2])
-    idents = {(c, d): (C.mor_labels[C.identity_of[C.obj_index[c]]],
-                       D.mor_labels[D.identity_of[D.obj_index[d]]])
-              for c in C.objects for d in D.objects}
-    return validate_category(objects, morphs, idents, comp, assoc="sampled")
 
 
 def product_tuple(cats):
@@ -456,25 +544,38 @@ def terminal_category():
                              {("id", "id"): "id"})
 
 
-def full_subcategory(C, objs):
+def full_subcategory(C, objs, guards=DEFAULT):
+    """The full subcategory on the objects objs and its inclusion."""
     objs = list(objs)
     for o in objs:
         if o not in C.obj_index:
             raise CategoryError("object %r not in category" % (o,))
-    keep_obj = {C.obj_index[o] for o in objs}
-    keep_mor = [i for i in range(C.n_morphisms)
-                if C.src[i] in keep_obj and C.tgt[i] in keep_obj]
-    keep_set = set(keep_mor)
-    morphs = [(C.mor_labels[i], C.objects[C.src[i]], C.objects[C.tgt[i]])
-              for i in keep_mor]
-    idents = {C.objects[i]: C.mor_labels[C.identity_of[i]] for i in keep_obj}
-    comp = {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
-            for (g, f), h in C.comp.items() if g in keep_set and f in keep_set}
-    inclusion_pairs = ({o: o for o in objs},
-                       {C.mor_labels[i]: C.mor_labels[i] for i in keep_mor})
-    sub = validate_category(objs, morphs, idents, comp, assoc="sampled")
-    incl = FinFunctor(sub, C, *inclusion_pairs)
+    idx = [C.obj_index[o] for o in objs]
+    keep = np.zeros(C.n_objects, bool)
+    keep[idx] = True
+    src, tgt = C.ends()
+    sub = _subcategory(C, idx, keep[src] & keep[tgt], guards)
+    incl = FinFunctor(sub, C, {o: o for o in objs},
+                      {m: m for m in sub.mor_labels}, guards)
     return sub, incl
+
+
+def _subcategory(C, objs, keep, guards):
+    """The subcategory of C on the object indices objs and the morphisms
+    where keep is set, with the composition of C."""
+    src, tgt = C.ends()
+    mors = np.flatnonzero(keep)
+    local_obj = np.full(C.n_objects, -1, np.int64)
+    local_obj[objs] = np.arange(len(objs))
+    local = np.full(C.n_morphisms, -1, np.int64)
+    local[mors] = np.arange(len(mors))
+    f, g = _join(tgt[mors], src[mors])
+    return _build([C.objects[i] for i in objs],
+                  [C.mor_labels[i] for i in mors.tolist()],
+                  local_obj[src[mors]], local_obj[tgt[mors]],
+                  local[np.array(C.identity_of, np.int64)[objs]],
+                  g, f, local[C.compose_many(mors[g], mors[f])],
+                  guards, "sampled")
 
 
 def is_fully_faithful(F):
@@ -505,25 +606,26 @@ def is_equivalence(F):
     return is_fully_faithful(F) and is_essentially_surjective(F)
 
 
-def skeleton(C):
-    """Full subcategory on one object per isomorphism class.
+def skeleton(C, guards=DEFAULT):
+    """Full subcategory on one object per isomorphism class: the first
+    object of each class in index order.
 
     The inclusion of a skeleton is an equivalence, so the classifying
     space is unchanged up to homotopy; nerves can shrink drastically.
     """
-    reps = []
-    rep_idx = []
-    for xi in range(C.n_objects):
-        found = False
-        for ri in rep_idx:
-            if any(C.is_iso(f) is not None for f in C.hom_idx(xi, ri)):
-                found = True
-                break
-        if not found:
-            reps.append(C.objects[xi])
-            rep_idx.append(xi)
-    sub, incl = full_subcategory(C, reps)
-    return sub
+    src, tgt = C.ends()
+    # f and g with src g = tgt f and tgt g = src f; f is an isomorphism
+    # when both composites are identities
+    f, g = _join(src * C.n_objects + tgt, tgt * C.n_objects + src)
+    ident = np.array(C.identity_of, np.int64)
+    iso = (C.compose_many(g, f) == ident[src[f]]) & \
+        (C.compose_many(f, g) == ident[tgt[f]])
+    first = np.arange(C.n_objects)
+    np.minimum.at(first, src[f[iso]], tgt[f[iso]])
+    reps = np.flatnonzero(first == np.arange(C.n_objects))
+    keep = np.zeros(C.n_objects, bool)
+    keep[reps] = True
+    return _subcategory(C, reps, keep[src] & keep[tgt], guards)
 
 
 def is_isomorphism_of_categories(F):
@@ -540,94 +642,75 @@ def is_isomorphism_of_categories(F):
 # ---------------------------------------------------------------------------
 # fibers
 
-def left_fiber(F, d):
+def left_fiber(F, d, guards=DEFAULT):
     """Left fiber of F over target object d: objects (c, F(c) -> d)."""
-    return _fiber(F, d, "left")
+    return _fiber(F, d, "left", guards)
 
 
-def right_fiber(F, d):
+def right_fiber(F, d, guards=DEFAULT):
     """Right fiber: objects (c, d -> F(c))."""
-    return _fiber(F, d, "right")
+    return _fiber(F, d, "right", guards)
 
 
-def _fiber(F, d, side):
+def _fiber(F, d, side, guards):
     A, B = F.source, F.target
     di = B.obj_index[d]
-    objects = []
-    for ci in range(A.n_objects):
-        fci = F.obj_image_idx(ci)
-        homs = B.hom_idx(fci, di) if side == "left" else B.hom_idx(di, fci)
-        for m in homs:
-            objects.append((A.objects[ci], B.mor_labels[m]))
-    morphs = []
-    idents = {}
-    comp = {}
-    obj_set = set(objects)
-    mors_of = {}
-    # a morphism (c,m) -> (c',m') is u: c -> c' with
-    # (left)  m == m' . F(u)      (right)  m' == F(u) . m
-    for (c, m) in objects:
-        ci = A.obj_index[c]
-        mi = B.mor_index[m]
-        for u in A.morphisms_from(ci):
-            cpi = A.tgt[u]
-            fu = F.mor_image_idx(u)
-            if side == "left":
-                # m factors: find m' with  m = m' . F(u)
-                for mp in B.hom_idx(F.obj_image_idx(cpi), di):
-                    if B.comp[(mp, fu)] == mi:
-                        tgt_obj = (A.objects[cpi], B.mor_labels[mp])
-                        if tgt_obj in obj_set:
-                            lbl = ((c, m), tgt_obj, A.mor_labels[u])
-                            morphs.append((lbl, (c, m), tgt_obj))
-            else:
-                mp = B.comp[(fu, mi)]
-                tgt_obj = (A.objects[cpi], B.mor_labels[mp])
-                if tgt_obj in obj_set:
-                    lbl = ((c, m), tgt_obj, A.mor_labels[u])
-                    morphs.append((lbl, (c, m), tgt_obj))
-    for (c, m) in objects:
-        idents[(c, m)] = ((c, m), (c, m),
-                          A.mor_labels[A.identity_of[A.obj_index[c]]])
-    for (lbl1, s1, t1) in morphs:
-        mors_of.setdefault(s1, []).append(lbl1)
-    for (lbl1, s1, t1) in morphs:
-        for lbl2 in mors_of.get(t1, ()):
-            u1 = A.mor_index[lbl1[2]]
-            u2 = A.mor_index[lbl2[2]]
-            u21 = A.comp[(u2, u1)]
-            comp[(lbl2, lbl1)] = (s1, lbl2[1], A.mor_labels[u21])
-    return validate_category(objects, morphs, idents, comp, assoc="sampled")
+    fo, fm = F.obj_idx, F.mor_idx
+    a_src, a_tgt = A.ends()
+    b_src, b_tgt = B.ends()
+    # objects x = (c[x], m[x]) with m: F(c) -> d (left) or d -> F(c) (right)
+    near, far = (b_tgt, b_src) if side == "left" else (b_src, b_tgt)
+    ms = np.flatnonzero(near == di)
+    c, k = _join(fo, far[ms])
+    m = ms[k]
+    # a morphism x -> y is u: c[x] -> c[y] with
+    # (left)  m[x] == m[y] . F(u)      (right)  m[y] == F(u) . m[x]
+    x, u = _join(c, a_src)
+    if side == "left":
+        i, y = _join(a_tgt[u], c)
+        x, u = x[i], u[i]
+        hit = B.compose_many(m[y], fm[u]) == m[x]
+        x, y, u = x[hit], y[hit], u[hit]
+    else:
+        y = _lookup(c * B.n_morphisms + m,
+                    a_tgt[u] * B.n_morphisms + B.compose_many(fm[u], m[x]))
+    # (y2, u2) . (y1, u1) from x1 is (y2, u2 . u1)
+    first, second = _join(y, x)
+    width = len(c) * A.n_morphisms
+    composite = _lookup(x * width + y * A.n_morphisms + u,
+                        x[first] * width + y[second] * A.n_morphisms +
+                        A.compose_many(u[second], u[first]))
+    identity_of = np.full(len(c), -1, np.int64)
+    loop = u == np.array(A.identity_of, np.int64)[c[x]]
+    identity_of[x[loop]] = np.flatnonzero(loop)
+    objects = list(zip([A.objects[i] for i in c.tolist()],
+                       [B.mor_labels[i] for i in m.tolist()]))
+    labels = [(objects[s], objects[t], A.mor_labels[w])
+              for s, t, w in zip(x.tolist(), y.tolist(), u.tolist())]
+    return _build(objects, labels, x, y, identity_of, second, first, composite,
+                  guards, "sampled")
 
 
-def strict_fiber(F, d):
+def strict_fiber(F, d, guards=DEFAULT):
     """Strict fiber (objects with F(c) = d on the nose) and its inclusion
     into the right fiber."""
     A, B = F.source, F.target
     di = B.obj_index[d]
-    objs = [A.objects[ci] for ci in range(A.n_objects)
-            if F.obj_image_idx(ci) == di]
+    src, tgt = A.ends()
+    over = F.obj_idx == di
     id_d = B.identity_of[di]
-    keep = []
-    for i in range(A.n_morphisms):
-        if A.objects[A.src[i]] in objs and A.objects[A.tgt[i]] in objs and \
-           F.mor_image_idx(i) == id_d:
-            keep.append(i)
-    keep_set = set(keep)
-    morphs = [(A.mor_labels[i], A.objects[A.src[i]], A.objects[A.tgt[i]])
-              for i in keep]
-    idents = {o: A.mor_labels[A.identity_of[A.obj_index[o]]] for o in objs}
-    comp = {(A.mor_labels[g], A.mor_labels[f]): A.mor_labels[h]
-            for (g, f), h in A.comp.items() if g in keep_set and f in keep_set}
-    fib = validate_category(objs, morphs, idents, comp, assoc="sampled")
-    rf = right_fiber(F, d)
+    objs = np.flatnonzero(over)
+    fib = _subcategory(A, objs, over[src] & over[tgt] & (F.mor_idx == id_d),
+                       guards)
+    rf = right_fiber(F, d, guards)
     id_d_label = B.mor_labels[id_d]
     incl = FinFunctor(
         fib, rf,
-        {o: (o, id_d_label) for o in objs},
-        {A.mor_labels[i]: ((A.objects[A.src[i]], id_d_label),
-                           (A.objects[A.tgt[i]], id_d_label),
-                           A.mor_labels[i]) for i in keep})
+        {o: (o, id_d_label) for o in fib.objects},
+        {fib.mor_labels[i]: ((fib.objects[fib.src[i]], id_d_label),
+                             (fib.objects[fib.tgt[i]], id_d_label),
+                             fib.mor_labels[i]) for i in range(fib.n_morphisms)},
+        guards)
     return fib, rf, incl
 
 
@@ -784,30 +867,31 @@ def group_category(G, base="*"):
     return validate_category(objects, morphs, idents, comp, assoc="sampled")
 
 
-def action_category(G, P, act):
+def action_category(G, P, act, guards=DEFAULT):
     """Action category G\\\\P: objects the poset elements, morphisms p -> p'
     the group elements g with g.p <= p'."""
-    for g in G.elements:
-        for a in P.elements:
-            for b in P.elements:
-                if P.leq(a, b) and not P.leq(act(g, a), act(g, b)):
-                    raise CategoryError("group does not act by poset automorphisms")
-    objects = list(P.elements)
-    morphs = []
-    comp = {}
-    for g in G.elements:
-        for p in P.elements:
-            gp = act(g, p)
-            for pp in P.elements:
-                if P.leq(gp, pp):
-                    morphs.append(((g, p, pp), p, pp))
-    mor_set = {m[0] for m in morphs}
-    for (g, p, pp) in mor_set:
-        for (h, p2, ppp) in mor_set:
-            if p2 == pp:
-                comp[((h, pp, ppp), (g, p, pp))] = (G.mul(h, g), p, ppp)
-    idents = {p: (G.identity, p, p) for p in P.elements}
-    return validate_category(objects, morphs, idents, comp, assoc="sampled")
+    n = len(P)
+    moved = np.array([[P.index[act(g, p)] for p in P.elements]
+                      for g in G.elements], np.int64).reshape(len(G), n)
+    leq = np.array(P.rel, bool).reshape(n, n)
+    for image in moved:
+        if (leq & ~leq[image[:, None], image[None, :]]).any():
+            raise CategoryError("group does not act by poset automorphisms")
+    # the morphism (g, p, q), g.p <= q, has the key (g n + p) n + q
+    g, p, q = np.nonzero(leq[moved])
+    keys = (g * n + p) * n + q
+    # (h, q, r) . (g, p, q) = (hg, p, r)
+    first, second = _join(q, p)
+    mult = np.array(G.table, np.int64).reshape(len(G), len(G))
+    composite = _lookup(keys, (mult[g[second], g[first]] * n + p[first]) * n +
+                        q[second])
+    e = G.index[G.identity]
+    identity_of = _lookup(keys, e * n * n + np.arange(n) * (n + 1))
+    labels = list(zip([G.elements[i] for i in g.tolist()],
+                      [P.elements[i] for i in p.tolist()],
+                      [P.elements[i] for i in q.tolist()]))
+    return _build(list(P.elements), labels, p, q, identity_of, second, first,
+                  composite, guards, "sampled")
 
 
 class RegularityError(ValueError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import validate_category, FinFunctor
+from .fincat import CategoryError, FinFunctor, validate_category
 from .guards import DEFAULT
 from .rings import (
     Mat,
@@ -103,38 +103,39 @@ class FiltCategory:
         for a in self.objects:
             ida = Mat.identity(R, a)
             z_in = Mat.zero(R, a, 0)
-            assert self.is_ses((0, a, z_in), (a, a, ida))
+            _require(self.is_ses((0, a, z_in), (a, a, ida)), "axiom 2 fails")
             z_out = Mat.zero(R, 0, a)
-            assert self.is_ses((a, a, ida), (a, 0, z_out))
+            _require(self.is_ses((a, a, ida), (a, 0, z_out)), "axiom 2 fails")
         # axiom 3: composites of admissible monos/epis
         for (a, b, m1) in monos:
             for (b2, c, m2) in monos:
                 if b2 == b:
-                    assert self.is_mono(a, c, m2.mul(m1))
+                    _require(self.is_mono(a, c, m2.mul(m1)), "axiom 3 fails")
         for (a, b, m1) in epis:
             for (b2, c, m2) in epis:
                 if b2 == b:
-                    assert self.is_epi(a, c, m2.mul(m1))
+                    _require(self.is_epi(a, c, m2.mul(m1)), "axiom 3 fails")
         # axiom 4: monos are kernels of their epis and conversely
         for (a, b, mi) in monos:
             coker = cokernel_projection(R, a, b, mi)
-            assert self.is_ses((a, b, mi), (b, b - a, coker))
+            _require(self.is_ses((a, b, mi), (b, b - a, coker)), "axiom 4 fails")
             ker_rows = kernel_basis(R, coker)
-            assert Submodule.from_rows(R, b, [list(r) for r in ker_rows]) == \
-                image_submodule(R, b, mi), "mono is not the kernel of its cokernel"
+            _require(Submodule.from_rows(R, b, [list(r) for r in ker_rows]) ==
+                     image_submodule(R, b, mi),
+                     "mono is not the kernel of its cokernel")
         # axioms 5/6 and the swapped forms on all pairs
         for (b, c, p) in epis:
             for (cp, c2, m) in monos:
                 if c2 != c:
                     continue
                 pb_obj, to_b, to_cp = pullback(R, b, c, p, cp, m)
-                assert self.is_epi(pb_obj, cp, to_cp), "axiom 5 fails"
+                _require(self.is_epi(pb_obj, cp, to_cp), "axiom 5 fails")
         for (z, b, i) in monos:
             for (z2, c, p) in epis:
                 if z2 != z:
                     continue
                 po_obj, from_b, from_c = pushout(R, z, b, c, i, p)
-                assert self.is_mono(c, po_obj, from_c), "axiom 6 fails"
+                _require(self.is_mono(c, po_obj, from_c), "axiom 6 fails")
         # swapped: pullback of mono along epi is mono; pushout of epi along
         # mono is epi (bicartesian consequences)
         for (b, c, p) in epis:
@@ -142,14 +143,20 @@ class FiltCategory:
                 if c2 != c:
                     continue
                 pb_obj, to_b, to_cp = pullback(R, b, c, p, cp, m)
-                assert self.is_mono(pb_obj, b, to_b)
+                _require(self.is_mono(pb_obj, b, to_b), "swapped axiom 5 fails")
         for (z, b, i) in monos:
             for (z2, c, p) in epis:
                 if z2 != z:
                     continue
                 po_obj, from_b, from_c = pushout(R, z, b, c, i, p)
-                assert self.is_epi(b, po_obj, from_b)
+                _require(self.is_epi(b, po_obj, from_b), "swapped axiom 6 fails")
         return True
+
+
+def _require(holds, what):
+    """A check that holds under python -O too."""
+    if not holds:
+        raise CategoryError(what)
 
 
 def image_submodule(ring, ambient, m):
@@ -704,18 +711,18 @@ def terminal_decomposition(calc, q2, obj_label):
     # the terminal object of the component containing obj_label
     cid = q2.components[obj_label]
     terms = q2.terminals[cid]
-    assert terms, "component has no terminal object"
+    _require(terms, "component has no terminal object")
     # locate the terminal of the expected padded shape
     expected_a = tuple(tgt[j] for j in J1)
     expected_b = tuple(tgt[j] for j in J3)
     matching = [t for t in terms
                 if t[0][:len(J1)] == expected_a
                 and (len(J3) == 0 or t[1][len(t[1]) - len(J3):] == expected_b)]
-    assert matching, "no terminal object of the decomposed shape"
+    _require(matching, "no terminal object of the decomposed shape")
     term = matching[0]
     cells_from = [m for m in q2.cat.mor_labels
                   if m[0] == obj_label and m[1] == term]
-    assert len(cells_from) == 1, "2-cell to the terminal form is not unique"
+    _require(len(cells_from) == 1, "2-cell to the terminal form is not unique")
     return term, cells_from[0], (tuple(J1), tuple(J2), tuple(J3))
 
 
@@ -830,7 +837,6 @@ class QKit:
         quots = flag_quotients(ring, y, tuple(s.mat for s in chain))
         # solve i(u) = v for u (i is mono)
         def solve_i(v):
-            aug_cols = [list(col) for col in zip(*i.data)] if z else []
             # least-squares style solve by rref on [i | v]
             rows = [list(i.data[r]) + [v[r]] for r in range(y)]
             red = canonical_rowspace(ring, rows)
@@ -1070,7 +1076,6 @@ def comma_contractibility(kit, target, depth=3, guards=None):
 
 def _coords_in_rows(ring, rows, vec):
     """Coordinates of vec in independent rows (fields)."""
-    from .rings import ResidueEchelon
     # solve coords . rows = vec by augmented reduction
     aug = [list(r) + [1 if k == idx else 0 for k in range(len(rows))]
            for idx, r in enumerate(rows)]

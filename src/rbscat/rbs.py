@@ -20,17 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fincat import (
     CategoryError,
     FinFunctor,
     Group,
     Poset,
+    _build,
+    _join,
+    _lookup,
     action_category,
     full_subcategory,
     is_fully_faithful,
     is_isomorphism_of_categories,
     product_tuple,
-    validate_category,
 )
 from .guards import DEFAULT
 from .homology import chain_complex_from_facets, homology
@@ -45,8 +49,17 @@ from .rings import (
 )
 
 
+# no temporary array of the GL product holds more entries
+_CHUNK_ENTRIES = 1 << 18
+
+
 class GLData:
-    """GL(R^n) with integer-indexed multiplication tables."""
+    """GL(R^n) with integer-indexed multiplication tables.
+
+    mult[i][j] is the index of mats[i] mats[j].  The products are computed
+    for all pairs at once from the ring's add/mul tables, and found by
+    their row-major entry code, the order enumerate_gl sorts by.
+    """
 
     def __init__(self, ring, n, guards=DEFAULT):
         self.ring = ring
@@ -55,16 +68,26 @@ class GLData:
         self.index = {m.data: i for i, m in enumerate(self.mats)}
         size = len(self.mats)
         guards.check(size, "max_group_order", "GL table")
-        self.mult = [[0] * size for _ in range(size)]
-        for i, a in enumerate(self.mats):
-            for j, b in enumerate(self.mats):
-                self.mult[i][j] = self.index[a.mul(b).data]
-        ident = Mat.identity(ring, n)
-        self.one = self.index[ident.data]
-        self.inv = [0] * size
-        for i in range(size):
-            self.inv[i] = next(j for j in range(size)
-                               if self.mult[i][j] == self.one)
+        add, mul = np.array(ring.add, np.int64), np.array(ring.mul, np.int64)
+        entries = np.array([m.data for m in self.mats], np.int64).reshape(size, n, n)
+        weights = ring.size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        codes = entries.reshape(size, n * n) @ weights
+        table = np.empty((size, size), np.int64)
+        step = max(1, _CHUNK_ENTRIES // max(1, size * n ** 3))
+        for lo in range(0, size, step):
+            # terms[a, b, i, k, j] = A[a, i, k] B[b, k, j], summed over k
+            terms = mul[entries[lo:lo + step, None, :, :, None],
+                        entries[None, :, None, :, :]]
+            acc = np.zeros(terms.shape[:3] + (n,), np.int64)
+            for k in range(n):
+                acc = add[acc, terms[:, :, :, k, :]]
+            table[lo:lo + step] = _lookup(codes, acc.reshape(len(acc), size, n * n)
+                                          @ weights)
+        if (table < 0).any():
+            raise RuntimeError("GL is not closed under multiplication")
+        self.mult = table.tolist()
+        self.one = self.index[Mat.identity(ring, n).data]
+        self.inv = np.argmax(table == self.one, axis=1).tolist()
 
     def __len__(self):
         return len(self.mats)
@@ -93,7 +116,8 @@ class RBSCategory:
         self.flags = enumerate_flags(ring, n, guards)
         self.flag_index = {f: i for i, f in enumerate(self.flags)}
         members = [f.member_set() for f in self.flags]
-        self._refines = [[mj <= mi for mj in members] for mi in members]
+        self._refines = np.array([[mj <= mi for mj in members] for mi in members],
+                                 bool).reshape(len(members), len(members))
         self.gl = GLData(ring, n, guards)
         self._build_action()
         self._build_subgroups()
@@ -119,7 +143,7 @@ class RBSCategory:
 
     def refines(self, fi, fj):
         """Refinement order: fi <= fj iff members(fj) subset of members(fi)."""
-        return self._refines[fi][fj]
+        return bool(self._refines[fi, fj])
 
     # -- parabolic and unipotent subgroups --------------------------------
 
@@ -153,39 +177,33 @@ class RBSCategory:
 
     def coset_min(self, fi, gi):
         """Canonical representative index of the coset g U_{F_i}."""
-        return self._coset_rep[fi][gi]
+        return int(self._coset_rep[fi][gi])
 
     def _build_category(self, well_definedness):
-        gl, flags = self.gl, self.flags
-        nf = len(flags)
-        mult = gl.mult
-        # _coset_rep[fi][gi]: the least index in the coset g U_{F_i}
-        self._coset_rep = [[min(row[u] for u in self.unipotent[fi])
-                            for row in mult] for fi in range(nf)]
-        morphs = []
-        comp = {}
-        idents = {}
-        hom_reps = {}
-        coarser = [[fj for fj in range(nf) if leq[fj]] for leq in self._refines]
-        for fi in range(nf):
-            reps = self._coset_rep[fi]
-            for gi in range(len(gl)):
-                for fj in coarser[self.flag_act[gi][fi]]:
-                    hom_reps.setdefault((fi, fj), set()).add(reps[gi])
-        for (fi, fj), reps in sorted(hom_reps.items()):
-            for rep in sorted(reps):
-                morphs.append(((fi, fj, rep), fi, fj))
-        for fi in range(nf):
-            idents[fi] = (fi, fi, self.coset_min(fi, gl.one))
-        by_src = {}
-        for (lbl, s, t) in morphs:
-            by_src.setdefault(s, []).append(lbl)
-        for (lbl1, s1, t1) in morphs:
-            reps, g = self._coset_rep[s1], lbl1[2]
-            for lbl2 in by_src.get(t1, ()):
-                comp[(lbl2, lbl1)] = (s1, lbl2[1], reps[mult[lbl2[2]][g]])
-        self.cat = validate_category(list(range(nf)), morphs, idents, comp,
-                                     guards=self.guards, assoc="auto")
+        gl, nf, size = self.gl, len(self.flags), len(self.gl)
+        mult = np.array(gl.mult, np.int64).reshape(size, size)
+        # _coset_rep[fi, gi]: the least index in the coset g U_{F_i}
+        self._coset_rep = np.array(
+            [mult[:, list(self.unipotent[fi])].min(axis=1) for fi in range(nf)],
+            np.int64).reshape(nf, size)
+        # the morphism (fi, fj, rep), a coset g U_{F_i} with g F_i <= F_j,
+        # has the key (fi nf + fj) |GL| + rep
+        act = np.array(self.flag_act, np.int64).reshape(size, nf)
+        fi, gi, fj = np.nonzero(self._refines[act.T])
+        keys = np.unique((fi * nf + fj) * size + self._coset_rep[fi, gi])
+        ends, rep = np.divmod(keys, size)
+        src, tgt = np.divmod(ends, nf)
+        # (fj, fk, h) . (fi, fj, g) = (fi, fk, rep[fi, h g])
+        first, second = _join(tgt, src)
+        s1 = src[first]
+        composite = _lookup(keys, (s1 * nf + tgt[second]) * size +
+                            self._coset_rep[s1, mult[rep[second], rep[first]]])
+        flags = np.arange(nf)
+        identity_of = _lookup(keys, flags * (nf + 1) * size +
+                              self._coset_rep[flags, gl.one])
+        labels = list(zip(src.tolist(), tgt.tolist(), rep.tolist()))
+        self.cat = _build(list(range(nf)), labels, src, tgt, identity_of,
+                          second, first, composite, self.guards, "auto")
         self._check_well_definedness(well_definedness)
 
     def _check_well_definedness(self, mode):
@@ -193,15 +211,15 @@ class RBSCategory:
         coset (guaranteed by U_{F'} <= g U_F g^{-1}; checked here)."""
         if mode == "none":
             return
-        gl = self.gl
-        by_src = {}
-        for lbl in self.morphism_labels():
-            by_src.setdefault(lbl[0], []).append(lbl)
-        pairs = [(first, second) for first in self.morphism_labels()
-                 for second in by_src.get(first[1], ())]
+        gl, labels = self.gl, self.morphism_labels()
+        # the composable pairs by first and then second morphism index
+        src, tgt = self.cat.ends()
+        first, second = _join(tgt, src)
         if mode == "sampled":
-            pairs = pairs[::max(1, len(pairs) // 500)]
-        for (fi, fj, g), (_, fk, h) in pairs:
+            step = max(1, len(first) // 500)
+            first, second = first[::step], second[::step]
+        for (fi, fj, g), (_, fk, h) in zip([labels[i] for i in first.tolist()],
+                                           [labels[i] for i in second.tolist()]):
             expected = self.coset_min(fi, gl.mult[h][g])
             for u in self.unipotent[fi]:
                 gu = gl.mult[g][u]
@@ -264,7 +282,7 @@ def gl_action(rbs):
 def gl_flag_action_category(rbs):
     """The action category GL\\\\P of the GL action on the flag poset."""
     G, P, act = gl_action(rbs)
-    return action_category(G, P, act)
+    return action_category(G, P, act, rbs.guards)
 
 
 def comparison_functor(rbs, action_cat=None):
@@ -275,7 +293,7 @@ def comparison_functor(rbs, action_cat=None):
     mor_map = {}
     for (g, p, pp) in action_cat.mor_labels:
         mor_map[(g, p, pp)] = (p, pp, rbs.coset_min(p, g))
-    return FinFunctor(action_cat, rbs.cat, obj_map, mor_map)
+    return FinFunctor(action_cat, rbs.cat, obj_map, mor_map, rbs.guards)
 
 
 def bgl_category(rbs):
@@ -456,10 +474,10 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT):
     nf = len(rbs.flags)
     # objects admitting a map to F
     le_objs = [gj for gj in range(nf) if cat.hom(gj, fi)]
-    le_sub, _ = full_subcategory(cat, le_objs)
+    le_sub, _ = full_subcategory(cat, le_objs, guards)
     # refinements of F (members contain members(F))
     ref_objs = [gj for gj in range(nf) if rbs.refines(gj, fi)]
-    ref_sub, ref_incl = full_subcategory(cat, ref_objs)
+    ref_sub, ref_incl = full_subcategory(cat, ref_objs, guards)
 
     quots = rbs._quotients[fi]
     dims = rbs.graded_dims(fi)

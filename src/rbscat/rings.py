@@ -223,9 +223,11 @@ def make_ring(spec, guards=DEFAULT):
     """Build a ring from a descriptor.
 
     Accepts strings "F<q>" (q = p^k) and "Z<p^k>", or dicts
-    {"kind": .., "p": .., "k": .., "poly": optional}.
+    {"kind": .., "p": .., "k": .., "poly": optional}.  The ring size is
+    checked against the guards on every call, cached ring or not.
     """
     if isinstance(spec, FiniteRing):
+        guards.check(spec.size, "max_ring_size", "ring construction")
         return spec
     if isinstance(spec, str):
         s = spec.strip().upper()
@@ -234,13 +236,13 @@ def make_ring(spec, guards=DEFAULT):
         n = int(s[1:])
         p, k = _prime_power(n)
         if s[0] == "F":
-            if k == 1:
-                return _make_ring_cached("Fp", p, 1, None)
-            return _make_ring_cached("Fq", p, k, default_irreducible(p, k))
-        if k == 1:
+            key = ("Fp", p, 1, None) if k == 1 else \
+                ("Fq", p, k, default_irreducible(p, k))
+        elif k == 1:
             raise RingError("Z/%d with prime modulus: use F%d" % (n, n))
-        return _make_ring_cached("Zpk", p, k, None)
-    if isinstance(spec, dict):
+        else:
+            key = ("Zpk", p, k, None)
+    elif isinstance(spec, dict):
         kind = spec["kind"]
         p, k = spec["p"], spec.get("k", 1)
         if not _is_prime(p):
@@ -248,8 +250,11 @@ def make_ring(spec, guards=DEFAULT):
         poly = tuple(spec["poly"]) if "poly" in spec else None
         if kind == "Fq" and poly is None:
             poly = default_irreducible(p, k)
-        return _make_ring_cached(kind, p, k, poly)
-    raise RingError("cannot parse ring descriptor %r" % (spec,))
+        key = (kind, p, k, poly)
+    else:
+        raise RingError("cannot parse ring descriptor %r" % (spec,))
+    guards.check(p ** k, "max_ring_size", "ring construction")
+    return _make_ring_cached(*key)
 
 
 def _prime_power(n):

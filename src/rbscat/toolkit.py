@@ -46,7 +46,7 @@ def is_weakly_contractible(C, depth=3, guards=DEFAULT):
     if C.n_objects == 0:
         return ContractibilityCertificate("not-contractible", depth,
                                           witness="empty category")
-    C = skeleton(C)
+    C = skeleton(C, guards)
     if C.has_terminal_object() is not None or C.has_initial_object() is not None:
         # a cone point contracts the nerve at every depth
         return ContractibilityCertificate("contractible", depth, connected=True,
@@ -104,7 +104,8 @@ def _fiber_check(F, depth, guards, side):
     failure = None
     ok = True
     for d in F.target.objects:
-        fib = left_fiber(F, d) if side == "left" else right_fiber(F, d)
+        fiber = left_fiber if side == "left" else right_fiber
+        fib = fiber(F, d, guards)
         cert = is_weakly_contractible(fib, depth, guards)
         per[d] = cert
         if not cert.ok:
@@ -121,7 +122,7 @@ def is_proper(F, depth=3, guards=DEFAULT):
     failure = None
     ok = True
     for d in F.target.objects:
-        _, _, incl = strict_fiber(F, d)
+        _, _, incl = strict_fiber(F, d, guards)
         verdict = is_lim_equivalence(incl, depth, guards)
         per[d] = verdict
         if not verdict.ok:

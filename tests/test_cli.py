@@ -197,3 +197,14 @@ def test_homology_depth_below_one():
                                  "2", "--depth", depth)
         assert code == 1 and out == ""
         assert "--depth" in err and len(err.splitlines()) == 1
+
+
+def test_ring_size_guard_exit_code(tmp_path):
+    # the ring cache builds rings under the default guards, so the size
+    # check must not depend on it
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"max_ring_size": 2}))
+    code, _, err = run_cli("--config", str(cfg), "build", "rbs",
+                           "--ring", "F4", "--n", "2")
+    assert code == 2
+    assert "max_ring_size" in err

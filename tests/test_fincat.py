@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbscat.fincat import (
     CategoryError,
+    FinFunctor,
     Group,
     Poset,
     action_category,
@@ -17,8 +19,8 @@ from rbscat.fincat import (
     opposite,
     poset_category,
     poset_quotient,
-    product,
     product_tuple,
+    right_fiber,
     skeleton,
     strict_fiber,
     terminal_category,
@@ -26,6 +28,7 @@ from rbscat.fincat import (
     validate_category,
 )
 from rbscat.guards import GuardConfig, GuardExceeded
+from rbscat.rbs import build_rbs, comparison_functor
 from rbscat.toolkit import (
     is_colim_equivalence,
     is_lim_equivalence,
@@ -130,7 +133,7 @@ def small_categories(draw):
     """Products and full subcategories of cyclic-group and poset categories."""
     C = draw(st.sampled_from(BASES))
     if draw(st.booleans()):
-        C = product(C, draw(st.sampled_from(BASES)))
+        C = product_tuple([C, draw(st.sampled_from(BASES))])
     if draw(st.booleans()):
         objs = draw(st.lists(st.sampled_from(C.objects), min_size=1,
                              unique=True))
@@ -165,7 +168,7 @@ def test_sampled_mode_checks_every_triple_under_the_guard():
     leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
     leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
     objs, morphs, idents, comp = tables(
-        product(bz(2), poset_category(Poset(elems, leq))))
+        product_tuple([bz(2), poset_category(Poset(elems, leq))]))
     g, f = (("*", 1), ("x", "y")), (("*", 1), ("w", "x"))
     comp[(g, f)] = (("*", 1), ("w", "y"))  # should be (("*", 0), ("w", "y"))
     assert not oracle_is_category(morphs, idents, comp)
@@ -215,7 +218,7 @@ def test_opposite_involutive():
 
 def test_product_with_terminal():
     C = chain_category()
-    P = product(C, terminal_category())
+    P = product_tuple([C, terminal_category()])
     assert P.n_objects == C.n_objects and P.n_morphisms == C.n_morphisms
 
 
@@ -302,6 +305,152 @@ def test_left_adjoint_is_lim_equivalence():
     # whereas the non-initial inclusion has an empty left fiber over 0
     sub1, incl1 = full_subcategory(C, [1])
     assert not is_lim_equivalence(incl1, 3).ok
+
+
+# ---------------------------------------------------------------------------
+# index-space builders against label-space oracles
+
+def oracle_fiber(F, d, side):
+    """Oracle for left_fiber / right_fiber: the label-space construction,
+    one dict entry per composable pair, validated by validate_category."""
+    A, B = F.source, F.target
+    di = B.obj_index[d]
+    objects = []
+    for ci in range(A.n_objects):
+        fci = F.obj_image_idx(ci)
+        homs = B.hom_idx(fci, di) if side == "left" else B.hom_idx(di, fci)
+        for m in homs:
+            objects.append((A.objects[ci], B.mor_labels[m]))
+    morphs = []
+    # a morphism (c,m) -> (c',m') is u: c -> c' with
+    # (left)  m == m' . F(u)      (right)  m' == F(u) . m
+    for (c, m) in objects:
+        mi = B.mor_index[m]
+        for u in A.morphisms_from(A.obj_index[c]):
+            cpi = A.tgt[u]
+            fu = F.mor_image_idx(u)
+            if side == "left":
+                targets = [mp for mp in B.hom_idx(F.obj_image_idx(cpi), di)
+                           if B.comp[(mp, fu)] == mi]
+            else:
+                targets = [B.comp[(fu, mi)]]
+            for mp in targets:
+                tgt_obj = (A.objects[cpi], B.mor_labels[mp])
+                morphs.append((((c, m), tgt_obj, A.mor_labels[u]), (c, m), tgt_obj))
+    idents = {(c, m): ((c, m), (c, m), A.mor_labels[A.identity_of[A.obj_index[c]]])
+              for (c, m) in objects}
+    mors_of = {}
+    for (lbl, s, _) in morphs:
+        mors_of.setdefault(s, []).append(lbl)
+    comp = {}
+    for (lbl1, s1, t1) in morphs:
+        for lbl2 in mors_of.get(t1, ()):
+            u21 = A.comp[(A.mor_index[lbl2[2]], A.mor_index[lbl1[2]])]
+            comp[(lbl2, lbl1)] = (s1, lbl2[1], A.mor_labels[u21])
+    return validate_category(objects, morphs, idents, comp, assoc="sampled")
+
+
+def oracle_subcategory(C, objs, keep):
+    """Oracle for full_subcategory / strict_fiber: the objects objs and the
+    morphism labels m with keep(m), composition copied label by label."""
+    mors = [i for i in range(C.n_morphisms)
+            if C.objects[C.src[i]] in objs and C.objects[C.tgt[i]] in objs
+            and keep(i)]
+    kept = set(mors)
+    morphs = [(C.mor_labels[i], C.objects[C.src[i]], C.objects[C.tgt[i]])
+              for i in mors]
+    idents = {o: C.mor_labels[C.identity_of[C.obj_index[o]]] for o in objs}
+    comp = {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
+            for (g, f), h in C.comp.items() if g in kept and f in kept}
+    return validate_category(objs, morphs, idents, comp, assoc="sampled")
+
+
+def oracle_strict_fiber(F, d):
+    A, B = F.source, F.target
+    id_d = B.identity_of[B.obj_index[d]]
+    objs = [o for i, o in enumerate(A.objects)
+            if F.obj_image_idx(i) == B.obj_index[d]]
+    return oracle_subcategory(A, objs, lambda i: F.mor_image_idx(i) == id_d)
+
+
+def assert_same_category(C, D):
+    assert (C.objects, C.mor_labels, C.src, C.tgt, C.identity_of) == \
+        (D.objects, D.mor_labels, D.src, D.tgt, D.identity_of)
+    # with the same src and tgt the tables have the same layout, so equal
+    # tables mean equal comp; the dicts are compared on small categories
+    assert np.array_equal(C.flat, D.flat)
+    if len(C.flat) <= 10_000:
+        assert C.comp == D.comp
+
+
+def assert_fibers_agree(F):
+    for d in F.target.objects:
+        for side, build in (("left", left_fiber), ("right", right_fiber)):
+            assert_same_category(build(F, d), oracle_fiber(F, d, side))
+        fib, rf, _ = strict_fiber(F, d)
+        assert_same_category(fib, oracle_strict_fiber(F, d))
+        assert_same_category(rf, oracle_fiber(F, d, "right"))
+
+
+@st.composite
+def small_functors(draw):
+    """Identities, full inclusions and product projections among small
+    categories."""
+    C = draw(small_categories())
+    kind = draw(st.sampled_from(["identity", "inclusion", "projection"]))
+    if kind == "identity":
+        return identity_functor(C)
+    if kind == "inclusion":
+        objs = draw(st.lists(st.sampled_from(C.objects), min_size=1,
+                             unique=True))
+        return full_subcategory(C, objs)[1]
+    P = product_tuple([C, draw(st.sampled_from(BASES))])
+    return FinFunctor(P, C, {o: o[0] for o in P.objects},
+                      {m: m[0] for m in P.mor_labels})
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_functors(), st.data())
+def test_fibers_and_subcategories_agree_with_label_oracle(F, data):
+    assert_fibers_agree(F)
+    C = F.source
+    objs = data.draw(st.lists(st.sampled_from(C.objects), min_size=1,
+                              unique=True))
+    sub, incl = full_subcategory(C, objs)
+    assert_same_category(sub, oracle_subcategory(C, objs, lambda i: True))
+    assert is_fully_faithful(incl)
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3"])
+def test_comparison_functor_fibers_agree_with_label_oracle(spec):
+    assert_fibers_agree(comparison_functor(build_rbs(spec, 2)))
+
+
+def test_empty_left_fiber_agrees_with_label_oracle():
+    C = chain_category()
+    sub, incl = full_subcategory(C, [1])
+    lf = left_fiber(incl, 0)
+    assert lf.n_objects == lf.n_morphisms == 0
+    assert_same_category(lf, oracle_fiber(incl, 0, "left"))
+
+
+def test_corrupted_table_entry_is_reported():
+    # in BZ/3, make 1 + 1 = 0: the identities still hold, associativity
+    # does not, and every category built from the table is re-checked
+    C = bz(3)
+    one = C.mor_index[("*", 1)]
+    C.flat[C.row[one] + C.ipos[one]] = C.identity_of[0]
+    with pytest.raises(CategoryError, match="associativity"):
+        full_subcategory(C, C.objects)
+    with pytest.raises(CategoryError, match="associativity"):
+        skeleton(C)
+
+
+def test_functor_breaking_composition_is_reported():
+    # 1 -> 1 from Z/2 to Z/3 sends 1 + 1 = 0 to 0, not to 2
+    with pytest.raises(CategoryError, match="breaks composition"):
+        FinFunctor(bz(2), bz(3), {"*": "*"},
+                   {("*", 0): ("*", 0), ("*", 1): ("*", 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import pytest
+
 from rbscat.fincat import is_fully_faithful
 from rbscat.rings import Mat, make_ring
 from rbscat.qkt import (
@@ -326,3 +328,39 @@ def test_graded_list_homs_reproduce_flag_category_homs():
         assert len(calc.hom((1, 1), (2,))) == rbs.hom_size(line, e)
         assert len(calc.hom((2,), (2,))) == rbs.aut_size(e)
         assert len(calc.hom((1, 1), (1, 1))) == rbs.aut_size(line)
+
+
+def test_failed_exact_category_axiom_raises_category_error():
+    from rbscat.fincat import CategoryError
+    E = build_filt_category(2, 1, validate=False)
+    E.validate_axioms()
+    E.is_mono = lambda a, b, m: False  # no admissible monos
+    with pytest.raises(CategoryError, match="axiom 2"):
+        E.validate_axioms()
+
+
+def test_failed_terminal_decomposition_fails_the_suite_under_optimize():
+    # every component of every hom category names the terminals of the
+    # next one: the decompositions fail, and under python -O this must
+    # still be a failing verdict, not a pass or a traceback
+    import subprocess
+    import sys
+    code = ("import rbscat.qkt as qkt\n"
+            "from rbscat.checks import check_q_suite\n"
+            "real = qkt.q2_hom\n"
+            "def corrupted(*args, **kwargs):\n"
+            "    q2 = real(*args, **kwargs)\n"
+            "    cids = sorted(q2.terminals)\n"
+            "    q2.terminals.update({c: q2.terminals[cids[(i + 1) % len(cids)]]\n"
+            "                         for i, c in enumerate(cids)})\n"
+            "    return q2\n"
+            "qkt.q2_hom = corrupted\n"
+            "rep = check_q_suite(q=2, N=1, cap=2)\n"
+            "assert rep.measured['terminals'] is True\n"
+            "if rep.verdict == 'fail' and \\\n"
+            "        rep.measured['terminal_decompositions'] is False:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(5)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,9 +3,12 @@ import sys
 
 import pytest
 
+from rbscat import checks
 from rbscat.fincat import is_fully_faithful, twisted_arrow_op
+from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
 from rbscat.homology import homology, nerve_chain_complex
 from rbscat.rbs import (
+    GLData,
     bgl_category,
     build_rbs,
     comparison_functor,
@@ -19,6 +22,7 @@ from rbscat.rbs import (
     steinberg_rank,
     tits_building,
 )
+from rbscat.rings import Mat, make_ring
 from rbscat.fincat import check_poset_regularity
 from rbscat.toolkit import is_colim_equivalence, is_proper
 
@@ -320,3 +324,20 @@ def test_coset_well_definedness_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
+                                     ("F4", 2), ("F2", 3), ("F3", 0)])
+def test_gl_table_matches_matrix_products(spec, n):
+    gl = GLData(make_ring(spec), n)
+    index = {m.data: i for i, m in enumerate(gl.mats)}
+    assert gl.mult == [[index[a.mul(b).data] for b in gl.mats] for a in gl.mats]
+    assert gl.one == index[Mat.identity(gl.ring, n).data]
+    assert all(gl.mult[i][j] == gl.one for i, j in enumerate(gl.inv))
+    assert all(isinstance(x, int) for row in gl.mult for x in row)
+
+
+def test_rbs_cache_is_keyed_by_guards():
+    checks._rbs("F2", 2, DEFAULT)
+    with pytest.raises(GuardExceeded, match="max_group_order"):
+        checks._rbs("F2", 2, GuardConfig(max_group_order=5))

@@ -103,6 +103,15 @@ def test_bad_descriptors():
         make_ring({"kind": "Fq", "p": 2, "k": 2, "poly": [1, 0, 1]})  # (x+1)^2
 
 
+def test_make_ring_checks_size_on_every_call():
+    # F4 and Z4 are already cached at module level
+    small = GuardConfig(max_ring_size=2)
+    for spec in ("F4", "Z4", {"kind": "Fq", "p": 2, "k": 2}, F4):
+        with pytest.raises(GuardExceeded, match="max_ring_size"):
+            make_ring(spec, small)
+    assert make_ring("F2", small) is F2
+
+
 def test_default_irreducible():
     assert default_irreducible(2, 2) == (1, 1, 1)
     assert default_irreducible(3, 2) == (1, 0, 1)  # x^2 + 1 over F_3
