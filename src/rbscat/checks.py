@@ -299,6 +299,12 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
     intersections; all graded-list morphisms are monomorphisms."""
     from .fincat import is_fully_faithful
     from .qkt import monoidal_category
+    if N < 0:
+        raise ValueError("--N must be at least 0, got %d" % N)
+    if cap < N:
+        raise ValueError("--cap must be at least --N = %d, got %d" % (N, cap))
+    if depth < 1:
+        raise ValueError("--depth must be at least 1, got %d" % depth)
     t0 = time.time()
     kit = QKit(q, N, cap=cap, guards=guards)
     psi = kit.psi_functor()

@@ -14,6 +14,9 @@ On top of it:
     explicit graded isomorphisms onto the source entries; composition
     merges chains through the quotient maps.  Storing literal chains
     makes the usual equivalence classes collapse to strict equality.
+    A MonCalculus merges each (second, first) pair once, checking that
+    the merged graded maps are isomorphisms, and returns the stored
+    composite on later calls.
   * the hom 2-categories of the associated Q-construction, their
     terminal decompositions, the collapsed 1-category, and the
     comparison functor from the span category with its comma categories.
@@ -22,7 +25,7 @@ On top of it:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .fincat import CategoryError, FinFunctor, validate_category
 from .guards import DEFAULT
@@ -51,6 +54,7 @@ class FiltCategory:
 
     def __init__(self, q, N, guards=DEFAULT):
         self.ring = make_ring("F%d" % q, guards)
+        self.guards = guards
         self.N = N
         total = sum(self.ring.size ** (r * c)
                     for r in range(N + 1) for c in range(N + 1))
@@ -234,10 +238,12 @@ def build_filt_category(q, N, guards=DEFAULT, validate=True):
 _GL_CACHE = {}
 
 
-def _gl(ring, n):
-    key = (ring.key(), n)
+def _gl(ring, n, guards):
+    # keyed by guard config: a list enumerated under looser guards is not
+    # reused under tighter ones
+    key = (ring.key(), n, astuple(guards))
     if key not in _GL_CACHE:
-        _GL_CACHE[key] = enumerate_gl(ring, n)
+        _GL_CACHE[key] = enumerate_gl(ring, n, guards)
     return _GL_CACHE[key]
 
 
@@ -245,7 +251,7 @@ def span_canonical(E, x, z, y, p, i):
     """Canonical representative of the span class (minimise over GL(z))."""
     R = E.ring
     best = None
-    for h in _gl(R, z):
+    for h in _gl(R, z, E.guards):
         cand = (p.mul(h).data, i.mul(h).data)
         if best is None or cand < best:
             best = cand
@@ -354,12 +360,12 @@ def flag_quotients(ring, n, chain):
 _SUBS_CACHE = {}
 
 
-def enumerate_flag_chains(ring, n, jumps):
+def enumerate_flag_chains(ring, n, jumps, guards=DEFAULT):
     """All literal chains in F^n with the given dimension jumps."""
-    assert sum(jumps) == n
-    key = (ring.key(), n)
+    _require(sum(jumps) == n, "dimension jumps do not add up to n")
+    key = (ring.key(), n, astuple(guards))
     if key not in _SUBS_CACHE:
-        _SUBS_CACHE[key] = enumerate_submodules(ring, n)
+        _SUBS_CACHE[key] = enumerate_submodules(ring, n, guards)
     subs = _SUBS_CACHE[key]
     by_rank = {}
     for s in subs:
@@ -388,11 +394,13 @@ class MonMor:
     flags: tuple  # FlagChain per target index
 
     def __post_init__(self):
-        assert len(self.theta) == len(self.src)
+        _require(len(self.theta) == len(self.src),
+                 "theta does not match the source length")
         if self.theta:
-            assert max(self.theta) == len(self.tgt) - 1
+            _require(max(self.theta) == len(self.tgt) - 1,
+                     "theta is not onto the target")
         else:
-            assert self.tgt == ()
+            _require(self.tgt == (), "empty source with a nonempty target")
 
 
 class MonCalculus:
@@ -403,6 +411,7 @@ class MonCalculus:
         self.guards = guards
         self._quot_cache = {}
         self._hom_cache = {}
+        self._comp_cache = {}  # (second, first) -> second o first
 
     def quotients(self, n, chain):
         key = (n, chain)
@@ -432,8 +441,21 @@ class MonCalculus:
     # -- composition by merging -------------------------------------------
 
     def compose(self, second, first):
-        """second o first (first: src -> mid, second: mid -> tgt)."""
-        assert first.tgt == second.src
+        """second o first (first: src -> mid, second: mid -> tgt).
+
+        Each distinct (second, first) pair is merged once; later calls
+        return the stored composite.
+        """
+        key = (second, first)
+        out = self._comp_cache.get(key)
+        if out is None:
+            out = self._comp_cache[key] = self._merge(second, first)
+        return out
+
+    def _merge(self, second, first):
+        """second o first, by lifting first's chains through the steps of
+        second's chains."""
+        _require(first.tgt == second.src, "composite of non-composable morphisms")
         ring = self.ring
         theta = tuple(second.theta[j] for j in first.theta)
         new_flags = []
@@ -480,8 +502,8 @@ class MonCalculus:
                     m_i = first.src[ _fiber_index(first.theta, j, u) ]
                     iso = Mat(ring, [list(r) for r in zip(*cols)]) if cols else \
                         Mat(ring, [])
-                    assert iso.rows == m_i and iso.is_invertible(), \
-                        "merged graded map must be an isomorphism"
+                    _require(iso.rows == m_i and iso.is_invertible(),
+                             "merged graded map must be an isomorphism")
                     merged_isos.append(iso)
                     step += 1
             new_flags.append(FlagChain(k_l, chain_rows, tuple(merged_isos)))
@@ -510,14 +532,15 @@ class MonCalculus:
             ok = True
             for j, fib in enumerate(fibers):
                 jumps = tuple(src[i] for i in fib)
-                chains = enumerate_flag_chains(self.ring, tgt[j], jumps)
+                chains = enumerate_flag_chains(self.ring, tgt[j], jumps,
+                                               self.guards)
                 variants = []
                 for chain in chains:
                     qs = self.quotients(tgt[j], chain)
                     iso_choices = []
                     for u, i in enumerate(fib):
                         d = qs[u].quotient_rank
-                        iso_choices.append(_gl(self.ring, d))
+                        iso_choices.append(_gl(self.ring, d, self.guards))
                     for isos in itertools.product(*iso_choices):
                         variants.append(FlagChain(tgt[j], chain, tuple(isos)))
                 if not variants:
@@ -557,6 +580,8 @@ def _fiber_index(theta, j, u):
 
 def monoidal_category(calc, cap, max_entry, guards=DEFAULT):
     """The graded-list category at a dimension cap, as a validated FinCat."""
+    if cap < 0:
+        raise ValueError("--cap must be at least 0, got %d" % cap)
     objs = calc.objects_up_to(cap, max_entry)
     morphs = []
     mor_objs = {}
@@ -833,7 +858,7 @@ class QKit:
         if not chain:
             # x = y = z = 0: the empty-to-empty identity
             return ((), (), self.calc.identity(()))
-        assert chain[-1] == full
+        _require(chain[-1] == full, "chain does not end at the full space")
         quots = flag_quotients(ring, y, tuple(s.mat for s in chain))
         # solve i(u) = v for u (i is mono)
         def solve_i(v):
@@ -846,9 +871,8 @@ class QKit:
                 if piv < z:
                     u[piv] = rr[z]
                 else:
-                    assert rr[z] == 0, "vector not in the image"
-            # verify
-            assert tuple(i.mul_vec(u)) == tuple(v)
+                    _require(rr[z] == 0, "vector not in the image")
+            _require(tuple(i.mul_vec(u)) == tuple(v), "solve of i(u) = v failed")
             return tuple(u)
 
         isos = []
@@ -1090,7 +1114,7 @@ def _coords_in_rows(ring, rows, vec):
                  for xx, yy in zip(v, rr[:len(vec)])]
             for k in range(len(rows)):
                 coords[k] = ring.add[coords[k]][ring.mul[c][rr[len(vec) + k]]]
-    assert not any(v), "vector not in the row span"
+    _require(not any(v), "vector not in the row span")
     return tuple(coords)
 
 

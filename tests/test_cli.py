@@ -208,3 +208,20 @@ def test_ring_size_guard_exit_code(tmp_path):
                            "--ring", "F4", "--n", "2")
     assert code == 2
     assert "max_ring_size" in err
+
+
+def test_bad_q_parameters_exit_code():
+    # each used to end in a KeyError traceback, a FAIL (exit 3), a vacuous
+    # PASS or an artifact (exit 0)
+    cases = [
+        (("verify", "q-suite", "--q", "2", "--N", "2", "--cap", "-1"), "--cap"),
+        (("verify", "q-suite", "--q", "2", "--N", "2", "--cap", "1"), "--cap"),
+        (("verify", "q-suite", "--q", "2", "--N", "-1"), "--N"),
+        (("verify", "q-suite", "--q", "2", "--N", "1", "--cap", "2",
+          "--depth", "0"), "--depth"),
+        (("build", "mE", "--q", "2", "--N", "1", "--cap", "-2"), "--cap"),
+    ]
+    for args, flag in cases:
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == "", args
+        assert flag in err and len(err.splitlines()) == 1, (args, err)

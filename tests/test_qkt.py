@@ -364,3 +364,110 @@ def test_failed_terminal_decomposition_fails_the_suite_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# composition store: each composite is merged once per calculus
+
+def test_each_composite_is_merged_once_during_the_q_suite(monkeypatch):
+    from rbscat.checks import check_q_suite
+    real_compose, real_merge = MonCalculus.compose, MonCalculus._merge
+    composes, merged = [], []
+
+    def counting_compose(self, second, first):
+        composes.append(1)
+        return real_compose(self, second, first)
+
+    def counting_merge(self, second, first):
+        merged.append((second, first))
+        return real_merge(self, second, first)
+
+    monkeypatch.setattr(MonCalculus, "compose", counting_compose)
+    monkeypatch.setattr(MonCalculus, "_merge", counting_merge)
+    assert check_q_suite(2, 2, 3).ok
+    assert len(merged) == len(set(merged)) == 175
+    assert len(composes) == 11631
+
+
+def _composable_pairs(mor_objs):
+    mors = list(mor_objs.values())
+    return [(g, f) for f in mors for g in mors if g.src == f.tgt]
+
+
+@pytest.mark.parametrize("ring, cap, max_entry", [(F2, 3, 2), (F3, 2, 1)])
+def test_stored_composites_equal_fresh_merges(ring, cap, max_entry):
+    calc = MonCalculus(ring)
+    cat, mor_objs = monoidal_category(calc, cap, max_entry)
+    oracle = MonCalculus(ring)  # its store stays empty: every merge is fresh
+    pairs = _composable_pairs(mor_objs)
+    assert len(pairs) == len(cat.comp)
+    for g, f in pairs:
+        fresh = oracle._merge(g, f)
+        assert calc.compose(g, f) == fresh
+        gi = cat.mor_index[_monmor_label(g)]
+        fi = cat.mor_index[_monmor_label(f)]
+        assert cat.mor_labels[cat.compose(gi, fi)] == _monmor_label(fresh)
+    assert not oracle._comp_cache
+
+
+def test_repeated_compose_returns_equal_morphisms():
+    calc = MonCalculus(F2)
+    _, mor_objs = monoidal_category(calc, 3, 2)
+    for g, f in _composable_pairs(mor_objs):
+        first = calc.compose(g, f)
+        again = calc.compose(g, f)
+        assert again == first and hash(again) == hash(first)
+        assert _monmor_label(again) == _monmor_label(first)
+
+
+def test_corrupted_merge_raises_under_optimize():
+    # a graded isomorphism replaced by zero makes the merged graded map
+    # singular; under python -O the merge must still raise, and store nothing
+    import subprocess
+    import sys
+    code = ("import dataclasses\n"
+            "from rbscat.fincat import CategoryError\n"
+            "from rbscat.qkt import MonCalculus, MonMor\n"
+            "from rbscat.rings import Mat, make_ring\n"
+            "R = make_ring('F2')\n"
+            "calc = MonCalculus(R)\n"
+            "f = calc.hom((1, 1), (2,))[0]\n"
+            "flag = dataclasses.replace(\n"
+            "    f.flags[0], isos=(Mat.zero(R, 1, 1),) + f.flags[0].isos[1:])\n"
+            "bad = dataclasses.replace(f, flags=(flag,))\n"
+            "attempts = {\n"
+            "    'singular merge': lambda: calc.compose(calc.identity((2,)), bad),\n"
+            "    'endpoints': lambda: calc.compose(f, calc.identity((2,))),\n"
+            "    'shape': lambda: MonMor((1,), (), (0,), ()),\n"
+            "}\n"
+            "for what, attempt in attempts.items():\n"
+            "    try:\n"
+            "        attempt()\n"
+            "    except CategoryError:\n"
+            "        continue\n"
+            "    raise SystemExit('no CategoryError: ' + what)\n"
+            "if calc._comp_cache:\n"
+            "    raise SystemExit('a failed merge was stored')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# guards reach the qkt enumeration caches
+
+@pytest.mark.parametrize("limit", [{"max_gl_candidates": 15},
+                                   {"max_vector_enum": 3}])
+def test_q_suite_obeys_guards_after_a_default_run(limit):
+    from rbscat.checks import check_q_suite
+    from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
+    from rbscat.qkt import _GL_CACHE, _SUBS_CACHE, _gl
+    from dataclasses import astuple
+    # warm both caches under the default guards
+    _gl(F2, 2, DEFAULT)
+    enumerate_flag_chains(F2, 2, (1, 1))
+    assert (F2.key(), 2, astuple(DEFAULT)) in _GL_CACHE
+    assert (F2.key(), 2, astuple(DEFAULT)) in _SUBS_CACHE
+    tight = GuardConfig(**limit)
+    with pytest.raises(GuardExceeded, match=next(iter(limit))):
+        check_q_suite(2, 2, 3, 3, tight)
