@@ -2,8 +2,8 @@
 
 A FinCat numbers its objects and morphisms in a canonical order and keeps
 their opaque hashable labels for messages and JSON.  Composition is
-stored once, as an int32 table on composable pairs (see _check_axioms);
-the dict ``comp`` is a view of it, built on first use.  Construction
+stored once, as an int32 table on composable pairs (see _check_axioms),
+and read through compose, compose_many and pairs.  Construction
 validates the category axioms on that table: totality and identity
 neutrality always, associativity on every composable triple whenever
 their number is at most the guard max_assoc_triples, whatever the assoc
@@ -13,9 +13,10 @@ associativity is inherited from a group multiplication) check a fixed
 pseudo-random sample of triples.
 
 validate_category takes label tables; _build, which it calls, takes
-index arrays.  Fibers, full and strict subcategories, skeletons, action
-categories and functor checks are array operations on the index arrays
-and table gathers, with no label round trip.
+index arrays.  Opposites, products, poset and group categories, the
+twisted arrow category, fibers, full and strict subcategories,
+skeletons, action categories and functor checks are array operations on
+the index arrays and table gathers, with no label round trip.
 
 Also here: functors, the basic category calculus (opposites, products,
 full subcategories, isomorphism/equivalence tests), comma-style fibers,
@@ -42,7 +43,7 @@ class FinCat:
 
     __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
                  "src", "tgt", "identity_of", "flat", "row", "ipos",
-                 "_comp", "_hom", "_iso_cache")
+                 "_hom", "_iso_cache")
 
     def __init__(self, objects, mor_labels, src, tgt, identity_of, table):
         self.objects = tuple(objects)
@@ -53,7 +54,6 @@ class FinCat:
         self.tgt = tuple(tgt)
         self.identity_of = tuple(identity_of)
         self.flat, self.row, self.ipos = table
-        self._comp = None
         hom = {}
         for i in range(len(self.mor_labels)):
             hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
@@ -91,7 +91,8 @@ class FinCat:
         return self.flat[self.row[g] + self.ipos[f]]
 
     def pairs(self):
-        """Every composable pair (g, f) and g.f, as arrays in table order."""
+        """Every composable pair (g, f) and g.f, as arrays in table order,
+        which is sorted by (g, f): rows follow the morphism order."""
         src, tgt = self.ends()
         in_n = np.bincount(tgt, minlength=self.n_objects)
         _, in_order, in_start = _positions(tgt, in_n)
@@ -99,17 +100,6 @@ class FinCat:
         g = np.repeat(by_row, in_n[src[by_row]])
         column = np.arange(len(g)) - self.row[g]
         return g, in_order[in_start[src[g]] + column], self.flat
-
-    @property
-    def comp(self):
-        """dict (g, f) -> g.f on composable pairs, read from the table."""
-        if self._comp is None:
-            g, f, gf = self.pairs()
-            self._comp = dict(zip(zip(g.tolist(), f.tolist()), gf.tolist()))
-        return self._comp
-
-    def is_identity(self, f):
-        return self.identity_of[self.src[f]] == f
 
     def is_iso(self, f):
         """f invertible: exists g with g.f and f.g identities."""
@@ -130,9 +120,6 @@ class FinCat:
 
     def morphisms_from(self, xi):
         return [i for i in range(self.n_morphisms) if self.src[i] == xi]
-
-    def morphisms_to(self, xi):
-        return [i for i in range(self.n_morphisms) if self.tgt[i] == xi]
 
     def has_terminal_object(self):
         for yi in range(self.n_objects):
@@ -480,12 +467,6 @@ class FinFunctor:
                 "functor breaks composition at (%r, %r)" %
                 (A.mor_labels[g[i]], A.mor_labels[f[i]]))
 
-    def om(self, o):
-        return self.obj_map[o]
-
-    def mm(self, m):
-        return self.mor_map[m]
-
     def mor_image_idx(self, i):
         return int(self.mor_idx[i])
 
@@ -502,41 +483,37 @@ def identity_functor(C):
 # category calculus
 
 def opposite(C):
-    comp = {(f, g): h for (g, f), h in C.comp.items()}
-    morphs = [(C.mor_labels[i], C.objects[C.tgt[i]], C.objects[C.src[i]])
-              for i in range(C.n_morphisms)]
-    idents = {C.objects[i]: C.mor_labels[C.identity_of[i]]
-              for i in range(C.n_objects)}
-    return validate_category(
-        C.objects, morphs, idents,
-        {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
-         for (g, f), h in comp.items()},
-        assoc="sampled")  # associativity is inherited from C
+    """C^op: g.f in C^op is f.g in C (associativity is inherited)."""
+    src, tgt = C.ends()
+    g, f, gf = C.pairs()
+    return _build(C.objects, C.mor_labels, tgt, src, C.identity_of, f, g, gf,
+                  DEFAULT, "sampled")
 
 
 def product_tuple(cats):
-    """n-ary product with flat tuple labels (objects and morphisms)."""
-    obj_tuples = list(itertools.product(*[c.objects for c in cats])) or [()]
-    mor_tuples = list(itertools.product(*[c.mor_labels for c in cats])) or [()]
-    morphs = []
-    for mt in mor_tuples:
-        srcs = tuple(c.objects[c.src[c.mor_index[m]]] for c, m in zip(cats, mt))
-        tgts = tuple(c.objects[c.tgt[c.mor_index[m]]] for c, m in zip(cats, mt))
-        morphs.append((mt, srcs, tgts))
-    idents = {}
-    for ot in obj_tuples:
-        idents[ot] = tuple(c.mor_labels[c.identity_of[c.obj_index[o]]]
-                           for c, o in zip(cats, ot))
-    comp = {}
-    for (gt, _, _) in morphs:
-        for (ft, fs, ftg) in morphs:
-            ok = all(c.src[c.mor_index[g]] == c.tgt[c.mor_index[f]]
-                     for c, g, f in zip(cats, gt, ft))
-            if ok:
-                comp[(gt, ft)] = tuple(
-                    c.mor_labels[c.comp[(c.mor_index[g], c.mor_index[f])]]
-                    for c, g, f in zip(cats, gt, ft))
-    return validate_category(obj_tuples, morphs, idents, comp, assoc="auto")
+    """n-ary product with flat tuple labels (objects and morphisms).
+
+    A tuple of indices is numbered in mixed radix, the last factor
+    fastest, as itertools.product lists the labels; the composable pairs
+    of the product are the tuples of composable pairs of the factors."""
+    src = tgt = identity_of = g = f = gf = np.zeros(1, np.int64)
+    for c in cats:
+        c_src, c_tgt = c.ends()
+        c_g, c_f, c_gf = c.pairs()
+        src = _radix(src, c_src, c.n_objects)
+        tgt = _radix(tgt, c_tgt, c.n_objects)
+        identity_of = _radix(identity_of, c.identity_of, c.n_morphisms)
+        g, f, gf = (_radix(x, y, c.n_morphisms)
+                    for x, y in ((g, c_g), (f, c_f), (gf, c_gf)))
+    return _build(list(itertools.product(*[c.objects for c in cats])),
+                  list(itertools.product(*[c.mor_labels for c in cats])),
+                  src, tgt, identity_of, g, f, gf, DEFAULT, "auto")
+
+
+def _radix(high, low, base):
+    """high * base + low for every pair, high-major."""
+    low = np.asarray(low, np.int64).reshape(-1)
+    return (high[:, None] * base + low).reshape(-1)
 
 
 def terminal_category():
@@ -721,47 +698,30 @@ def twisted_arrow_op(C):
     """The category Tw(C)^op: objects are morphisms of C, a map f -> f' is a
     factorisation f = b . f' . a, together with the projection to C sending
     f: x -> y to x (a colim-equivalence)."""
-    objects = list(C.mor_labels)
-    morphs = []
-    comp = {}
-    idents = {}
-    pairs = {}
-    for f in range(C.n_morphisms):
-        for fp in range(C.n_morphisms):
-            # a: src f -> src f', b: tgt f' -> tgt f with f = b . f' . a
-            for a in C.hom_idx(C.src[f], C.src[fp]):
-                fa = C.comp[(fp, a)]
-                for b in C.hom_idx(C.tgt[fp], C.tgt[f]):
-                    if C.comp[(b, fa)] == f:
-                        lbl = (C.mor_labels[f], C.mor_labels[fp],
-                               C.mor_labels[a], C.mor_labels[b])
-                        morphs.append((lbl, C.mor_labels[f], C.mor_labels[fp]))
-                        pairs[lbl] = (a, b)
-    for f in range(C.n_morphisms):
-        idents[C.mor_labels[f]] = (C.mor_labels[f], C.mor_labels[f],
-                                   C.mor_labels[C.identity_of[C.src[f]]],
-                                   C.mor_labels[C.identity_of[C.tgt[f]]])
-    by_src = {}
-    for (lbl, s, t) in morphs:
-        by_src.setdefault(s, []).append(lbl)
-    for (lbl1, s1, t1) in morphs:
-        a1, b1 = pairs[lbl1]
-        for lbl2 in by_src.get(t1, ()):
-            a2, b2 = pairs[lbl2]
-            a = C.comp[(a2, a1)]
-            b = C.comp[(b1, b2)]
-            comp[(lbl2, lbl1)] = (s1, lbl2[1], C.mor_labels[a], C.mor_labels[b])
-    tw = validate_category(objects, morphs, idents, comp, assoc="auto")
+    n = C.n_morphisms
+    src, tgt = C.ends()
+    ident = np.array(C.identity_of, np.int64).reshape(-1)
+    # the composable triples (b, f', a) with f = b . f' . a: a pair
+    # (f', a) joined to a pair (b, f' . a)
+    g, f, gf = C.pairs()
+    i, j = _join(gf, f)
+    f, fp, a, b = gf[j], g[i], f[i], g[j]
+    # the morphism f -> f' is determined by (f', a, b)
+    keys = (fp * n + a) * n + b
+    # (f', f'', a2, b2) . (f, f', a1, b1) = (f, f'', a2 . a1, b1 . b2)
+    first, second = _join(fp, f)
+    composite = _lookup(keys, (fp[second] * n + C.compose_many(
+        a[second], a[first])) * n + C.compose_many(b[first], b[second]))
+    identity_of = _lookup(keys, (np.arange(n) * n + ident[src]) * n +
+                          ident[tgt])
+    labels = [tuple(C.mor_labels[x] for x in t)
+              for t in zip(f.tolist(), fp.tolist(), a.tolist(), b.tolist())]
+    tw = _build(C.mor_labels, labels, f, fp, identity_of, second, first,
+                composite, DEFAULT, "auto")
     proj = FinFunctor(tw, C,
-                      {C.mor_labels[f]: C.objects[C.src[f]]
-                       for f in range(C.n_morphisms)},
-                      {lbl: lbl[2] for (lbl, _, _) in morphs})
+                      {C.mor_labels[x]: C.objects[C.src[x]] for x in range(n)},
+                      {lbl: lbl[2] for lbl in labels})
     return tw, proj
-
-
-# the naming convention elsewhere calls this the twisted-arrow category;
-# the projection to the source object is the cofinal one
-twisted_arrow = twisted_arrow_op
 
 
 # ---------------------------------------------------------------------------
@@ -800,22 +760,18 @@ class Poset:
 
 def poset_category(P):
     """The poset viewed as a category (one morphism per related pair)."""
-    objects = list(P.elements)
-    morphs = []
-    comp = {}
-    for a in P.elements:
-        for b in P.elements:
-            if P.leq(a, b):
-                morphs.append(((a, b), a, b))
-    for a in P.elements:
-        for b in P.elements:
-            if not P.leq(a, b):
-                continue
-            for c in P.elements:
-                if P.leq(b, c):
-                    comp[((b, c), (a, b))] = (a, c)
-    idents = {a: (a, a) for a in P.elements}
-    return validate_category(objects, morphs, idents, comp)
+    n = len(P)
+    # the morphism (a, b), a <= b, has the key a n + b
+    a, b = np.nonzero(np.array(P.rel, bool).reshape(n, n))
+    keys = a * n + b
+    # (b, c) . (a, b) = (a, c)
+    first, second = _join(b, a)
+    composite = _lookup(keys, a[first] * n + b[second])
+    identity_of = _lookup(keys, np.arange(n) * (n + 1))
+    labels = list(zip([P.elements[i] for i in a.tolist()],
+                      [P.elements[i] for i in b.tolist()]))
+    return _build(list(P.elements), labels, a, b, identity_of, second, first,
+                  composite, DEFAULT, "exhaustive")
 
 
 class Group:
@@ -859,12 +815,13 @@ class Group:
 
 def group_category(G, base="*"):
     """The one-object category B(G)."""
-    objects = [base]
-    morphs = [((base, g), base, base) for g in G.elements]
-    idents = {base: (base, G.identity)}
-    comp = {((base, a), (base, b)): (base, G.mul(a, b))
-            for a in G.elements for b in G.elements}
-    return validate_category(objects, morphs, idents, comp, assoc="sampled")
+    n = len(G)
+    # (base, a) . (base, b) = (base, ab) for every pair
+    a, b = np.divmod(np.arange(n * n), n)
+    ends = np.zeros(n, np.int64)
+    return _build([base], [(base, g) for g in G.elements], ends, ends,
+                  [G.index[G.identity]], a, b, np.array(G.table, np.int64),
+                  DEFAULT, "sampled")
 
 
 def action_category(G, P, act, guards=DEFAULT):

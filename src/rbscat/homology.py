@@ -21,6 +21,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .guards import DEFAULT, GuardExceeded
 
 
@@ -475,7 +477,10 @@ def nerve_chain_complex(C, depth, guards=DEFAULT):
         index_here = {ch: i for i, ch in enumerate(chains)}
         cols = []
         ids = set(C.identity_of)
-        for ch in chains:
+        # inner[i][c] is f_{i+1} . f_i of chain c, all read in one gather
+        arrows = np.array(chains, np.int64).reshape(len(chains), k)
+        inner = C.compose_many(arrows[:, 1:], arrows[:, :-1]).T.tolist()
+        for c, ch in enumerate(chains):
             col = {}
             if k == 1:
                 f = ch[0]
@@ -487,7 +492,7 @@ def nerve_chain_complex(C, depth, guards=DEFAULT):
                 _acc(col, index_prev[face], 1)
                 sign = -1
                 for i in range(k - 1):
-                    comp = C.comp[(ch[i + 1], ch[i])]
+                    comp = inner[i][c]
                     if comp not in ids:
                         face = ch[:i] + (comp,) + ch[i + 2:]
                         _acc(col, index_prev[face], sign)

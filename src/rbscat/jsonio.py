@@ -32,6 +32,8 @@ def _thaw(x):
 
 
 def fincat_to_json(C):
+    # sorted by (g, f)
+    pairs = zip(*(a.tolist() for a in C.pairs()))
     return {
         "schema": "fincat/1",
         "objects": [_thaw(o) for o in C.objects],
@@ -44,7 +46,7 @@ def fincat_to_json(C):
                        for i in range(C.n_objects)],
         "composition": [[_thaw(C.mor_labels[g]), _thaw(C.mor_labels[f]),
                          _thaw(C.mor_labels[h])]
-                        for (g, f), h in sorted(C.comp.items())],
+                        for g, f, h in pairs],
     }
 
 

@@ -80,7 +80,7 @@ def pi1_presentation(C, basepoint=None):
         return (gen_pos[f],)
 
     relators = []
-    for (g, f), h in C.comp.items():
+    for g, f, h in zip(*(a.tolist() for a in C.pairs())):
         if f in ids or g in ids:
             continue
         # relator: w(g) w(f) w(h)^{-1}

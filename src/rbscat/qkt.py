@@ -963,20 +963,16 @@ def comma_category(kit, target):
     morphs = []
     comp = {}
     idents = {}
-    q1_comp = {}
-    for (g, f), h in q1.comp.items():
-        q1_comp[(q1.mor_labels[g], q1.mor_labels[f])] = q1.mor_labels[h]
-    obj_set = set(objects)
     span_cat = kit.span_cat
     for (x, kappa) in objects:
         for s in span_cat.morphisms_from(span_cat.obj_index[x]):
             y = span_cat.objects[span_cat.tgt[s]]
             s_lbl = span_cat.mor_labels[s]
-            psi_s = psi.mor_map[s_lbl]
+            psi_s = psi.mor_image_idx(s)
             for (y2, lam) in objects:
                 if y2 != y:
                     continue
-                if q1_comp[(lam, psi_s)] == kappa:
+                if q1.mor_labels[q1.compose(q1.mor_index[lam], psi_s)] == kappa:
                     lbl = ((x, kappa), (y, lam), s_lbl)
                     morphs.append((lbl, (x, kappa), (y, lam)))
     for (x, kappa) in objects:
@@ -989,7 +985,7 @@ def comma_category(kit, target):
         u1 = span_cat.mor_index[lbl1[2]]
         for lbl2 in by_src.get(t1, ()):
             u2 = span_cat.mor_index[lbl2[2]]
-            u21 = span_cat.comp[(u2, u1)]
+            u21 = span_cat.compose(u2, u1)
             comp[(lbl2, lbl1)] = (s1, lbl2[1], span_cat.mor_labels[u21])
     cat = validate_category(objects, morphs, idents, comp, guards=kit.guards)
     return cat
@@ -1016,18 +1012,15 @@ def comma_cover_subcategories(kit, target):
     q1, _ = kit.q1_category()
     psi = kit.psi_functor()
     target = tuple(target)
-    q1_comp = {}
-    for (g, f), h in q1.comp.items():
-        q1_comp[(q1.mor_labels[g], q1.mor_labels[f])] = q1.mor_labels[h]
     members = {i0: set() for i0 in range(len(target))}
     for i0 in range(len(target)):
-        pad = _padded_identity_label(kit, target, i0)
+        pad = q1.mor_index[_padded_identity_label(kit, target, i0)]
         m_i0 = target[i0]
-        for s_lbl in kit.span_cat.mor_labels:
+        for s, s_lbl in enumerate(kit.span_cat.mor_labels):
             (x, y, z, _, _) = s_lbl
             if y != m_i0:
                 continue
-            kappa = q1_comp[(pad, psi.mor_map[s_lbl])]
+            kappa = q1.mor_labels[q1.compose(pad, psi.mor_image_idx(s))]
             members[i0].add((x, kappa))
     return members
 

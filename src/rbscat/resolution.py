@@ -138,9 +138,11 @@ class FreeModule:
         if x not in self._orbit_maps:
             C = self.C
             cols = np.array(self.by_tgt[x], dtype=np.intp)
-            dest = np.array(
-                [[self.pos[(self.basis[i][0], C.comp[(a, self.basis[i][1])])]
-                  for i in cols] for a in C.morphisms_from(x)], dtype=np.intp)
+            j, f = zip(*(self.basis[i] for i in cols))
+            af = C.compose_many(np.array(C.morphisms_from(x))[:, None],
+                                np.array(f)[None, :])
+            dest = np.array([[self.pos[jf] for jf in zip(j, row)]
+                             for row in af.tolist()], dtype=np.intp)
             self._orbit_maps[x] = (cols, dest)
         cols, dest = self._orbit_maps[x]
         nz = np.flatnonzero(v[cols])

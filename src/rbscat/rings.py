@@ -291,10 +291,13 @@ class Mat:
         self.rows = len(self.data)
         if self.data:
             self.cols = len(self.data[0])
-            assert cols is None or cols == self.cols
+            if cols is not None and cols != self.cols:
+                raise RingError("matrix rows have %d entries, not cols=%d"
+                                % (self.cols, cols))
         else:
             self.cols = 0 if cols is None else cols
-        assert all(len(r) == self.cols for r in self.data)
+        if any(len(r) != self.cols for r in self.data):
+            raise RingError("matrix rows differ in length")
 
     @staticmethod
     def identity(ring, n):
@@ -316,7 +319,9 @@ class Mat:
         return "Mat(%s)" % (self.data,)
 
     def mul(self, other):
-        assert self.cols == other.rows, "shape mismatch"
+        if self.cols != other.rows:
+            raise RingError("shape mismatch: %d columns times %d rows"
+                            % (self.cols, other.rows))
         R = self.ring
         add, mul = R.add, R.mul
         out = []
@@ -352,7 +357,8 @@ class Mat:
 
     def det(self):
         """Determinant by permutation expansion (intended for n <= 4)."""
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise RingError("determinant of a non-square matrix")
         R = self.ring
         n = self.rows
         total = 0
@@ -415,7 +421,8 @@ class Mat:
 
 def rref(ring, rows):
     """Reduced row echelon form over a field; returns nonzero rows."""
-    assert ring.is_field
+    if not ring.is_field:
+        raise RingError("%s is not a field" % (ring,))
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
@@ -450,7 +457,8 @@ def howell(ring, rows):
     Pivots are normalised to powers of p and entries above a pivot are
     reduced modulo the pivot.
     """
-    assert ring.kind == "Zpk"
+    if ring.kind != "Zpk":
+        raise RingError("Howell form needs a ring Z/p^k, not %s" % (ring,))
     n = ring.size
     p = ring.p
     ncols = len(rows[0]) if rows else 0
@@ -551,7 +559,7 @@ def _unit_inverse(u, n):
     if g != 1:
         # u is a unit modulo n/pivot only; lift to a unit mod n first
         # (u coprime to p since pivot absorbed all p factors)
-        raise AssertionError("pivot unit part not invertible")
+        raise RingError("pivot unit part not invertible")
     return s % n
 
 
@@ -797,10 +805,12 @@ class Flag:
 
     def __post_init__(self):
         for i, m in enumerate(self.members):
-            assert 0 < m.free_rank < self.n, "flag members must be proper and nonzero"
-            assert is_splittable(m), "flag members must be splittable"
-            if i:
-                assert self.members[i - 1] < m, "flag must be strictly increasing"
+            if not 0 < m.free_rank < self.n:
+                raise RingError("flag members must be proper and nonzero")
+            if not is_splittable(m):
+                raise RingError("flag members must be splittable")
+            if i and not self.members[i - 1] < m:
+                raise RingError("flag must be strictly increasing")
 
     @property
     def length(self):
@@ -870,9 +880,9 @@ def complete_to_invertible(ring, rows, n):
         if ech.add(e) is not None:
             chosen.append(e)
     ext = Mat(ring, chosen)
-    assert ext.rows == n
-    inv = ext.inverse_or_none()
-    assert inv is not None, "completion failed to be invertible"
+    inv = ext.inverse_or_none() if ext.rows == n else None
+    if inv is None:
+        raise RingError("completion failed to be invertible")
     return ext, inv
 
 
@@ -900,7 +910,8 @@ class QuotientData:
     """
 
     def __init__(self, small, big):
-        assert big.contains_sub(small), "small must be contained in big"
+        if not big.contains_sub(small):
+            raise RingError("small must be contained in big")
         ring = small.ring
         self.ring = ring
         self.small = small
@@ -917,7 +928,8 @@ class QuotientData:
         pivots = []
         for r in small_rows:
             j = ech.add(r)
-            assert j is not None, "small free basis degenerate in big coordinates"
+            if j is None:
+                raise RingError("small free basis degenerate in big coordinates")
             pivots.append(j)
         comp_idx = [i for i in range(rb) if i not in set(pivots)]
         self.comp_idx = comp_idx
@@ -935,7 +947,8 @@ class QuotientData:
 
     def _coords(self, vec):
         full = _row_times_mat(self.ring, vec, self._ext_inv)
-        assert not any(full[self._rb:]), "vector outside big"
+        if any(full[self._rb:]):
+            raise RingError("vector outside big")
         return full[: self._rb]
 
     def coords(self, vec):
@@ -978,7 +991,8 @@ def kernel_basis(ring, mat):
     Computed from the RREF of mat with the standard free-column completion,
     then re-canonicalised, so equal kernels give equal bases.
     """
-    assert ring.is_field
+    if not ring.is_field:
+        raise RingError("%s is not a field" % (ring,))
     rows = rref(ring, mat.data) if mat.data else ()
     ncols = mat.cols
     pivots = []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,11 @@ def test_missing_composite_is_reported():
                           {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f"})
 
 
+def pair_list(C):
+    """Every composable pair (g, f, g.f) of C, as index triples."""
+    return list(zip(*(a.tolist() for a in C.pairs())))
+
+
 def tables(C):
     """The raw label tables validate_category takes, read back from C."""
     morphs = [(C.mor_labels[i], C.objects[C.src[i]], C.objects[C.tgt[i]])
@@ -93,7 +100,7 @@ def tables(C):
     idents = {C.objects[i]: C.mor_labels[C.identity_of[i]]
               for i in range(C.n_objects)}
     comp = {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
-            for (g, f), h in C.comp.items()}
+            for g, f, h in pair_list(C)}
     return list(C.objects), morphs, idents, comp
 
 
@@ -331,9 +338,9 @@ def oracle_fiber(F, d, side):
             fu = F.mor_image_idx(u)
             if side == "left":
                 targets = [mp for mp in B.hom_idx(F.obj_image_idx(cpi), di)
-                           if B.comp[(mp, fu)] == mi]
+                           if B.compose(mp, fu) == mi]
             else:
-                targets = [B.comp[(fu, mi)]]
+                targets = [B.compose(fu, mi)]
             for mp in targets:
                 tgt_obj = (A.objects[cpi], B.mor_labels[mp])
                 morphs.append((((c, m), tgt_obj, A.mor_labels[u]), (c, m), tgt_obj))
@@ -345,7 +352,7 @@ def oracle_fiber(F, d, side):
     comp = {}
     for (lbl1, s1, t1) in morphs:
         for lbl2 in mors_of.get(t1, ()):
-            u21 = A.comp[(A.mor_index[lbl2[2]], A.mor_index[lbl1[2]])]
+            u21 = A.compose(A.mor_index[lbl2[2]], A.mor_index[lbl1[2]])
             comp[(lbl2, lbl1)] = (s1, lbl2[1], A.mor_labels[u21])
     return validate_category(objects, morphs, idents, comp, assoc="sampled")
 
@@ -361,7 +368,7 @@ def oracle_subcategory(C, objs, keep):
               for i in mors]
     idents = {o: C.mor_labels[C.identity_of[C.obj_index[o]]] for o in objs}
     comp = {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
-            for (g, f), h in C.comp.items() if g in kept and f in kept}
+            for g, f, h in pair_list(C) if g in kept and f in kept}
     return validate_category(objs, morphs, idents, comp, assoc="sampled")
 
 
@@ -376,11 +383,9 @@ def oracle_strict_fiber(F, d):
 def assert_same_category(C, D):
     assert (C.objects, C.mor_labels, C.src, C.tgt, C.identity_of) == \
         (D.objects, D.mor_labels, D.src, D.tgt, D.identity_of)
-    # with the same src and tgt the tables have the same layout, so equal
-    # tables mean equal comp; the dicts are compared on small categories
-    assert np.array_equal(C.flat, D.flat)
-    if len(C.flat) <= 10_000:
-        assert C.comp == D.comp
+    # with the same src and tgt the tables have the same layout
+    for x, y in zip(C.pairs(), D.pairs()):
+        assert np.array_equal(x, y)
 
 
 def assert_fibers_agree(F):
@@ -451,6 +456,178 @@ def test_functor_breaking_composition_is_reported():
     with pytest.raises(CategoryError, match="breaks composition"):
         FinFunctor(bz(2), bz(3), {"*": "*"},
                    {("*", 0): ("*", 0), ("*", 1): ("*", 1)})
+
+
+# ---------------------------------------------------------------------------
+# array builders against their label-path oracles: each oracle builds one
+# dict entry per composable pair, validated by validate_category
+
+def oracle_opposite(C):
+    objs, morphs, idents, comp = tables(C)
+    return validate_category(objs, [(m, t, s) for m, s, t in morphs], idents,
+                             {(f, g): h for (g, f), h in comp.items()},
+                             assoc="sampled")
+
+
+def oracle_product_tuple(cats):
+    obj_tuples = list(itertools.product(*[c.objects for c in cats])) or [()]
+    mor_tuples = list(itertools.product(*[c.mor_labels for c in cats])) or [()]
+    morphs = []
+    for mt in mor_tuples:
+        srcs = tuple(c.objects[c.src[c.mor_index[m]]] for c, m in zip(cats, mt))
+        tgts = tuple(c.objects[c.tgt[c.mor_index[m]]] for c, m in zip(cats, mt))
+        morphs.append((mt, srcs, tgts))
+    idents = {}
+    for ot in obj_tuples:
+        idents[ot] = tuple(c.mor_labels[c.identity_of[c.obj_index[o]]]
+                           for c, o in zip(cats, ot))
+    comp = {}
+    for (gt, _, _) in morphs:
+        for (ft, _, _) in morphs:
+            ok = all(c.src[c.mor_index[g]] == c.tgt[c.mor_index[f]]
+                     for c, g, f in zip(cats, gt, ft))
+            if ok:
+                comp[(gt, ft)] = tuple(
+                    c.mor_labels[c.compose(c.mor_index[g], c.mor_index[f])]
+                    for c, g, f in zip(cats, gt, ft))
+    return validate_category(obj_tuples, morphs, idents, comp, assoc="auto")
+
+
+def oracle_poset_category(P):
+    morphs = [((a, b), a, b) for a in P.elements for b in P.elements
+              if P.leq(a, b)]
+    comp = {((b, c), (a, b)): (a, c) for (a, b), _, _ in morphs
+            for c in P.elements if P.leq(b, c)}
+    return validate_category(P.elements, morphs,
+                             {a: (a, a) for a in P.elements}, comp)
+
+
+def oracle_group_category(G, base="*"):
+    morphs = [((base, g), base, base) for g in G.elements]
+    comp = {((base, a), (base, b)): (base, G.mul(a, b))
+            for a in G.elements for b in G.elements}
+    return validate_category([base], morphs, {base: (base, G.identity)}, comp,
+                             assoc="sampled")
+
+
+def oracle_twisted_arrow_op(C):
+    morphs = []
+    pairs = {}
+    for f in range(C.n_morphisms):
+        for fp in range(C.n_morphisms):
+            # a: src f -> src f', b: tgt f' -> tgt f with f = b . f' . a
+            for a in C.hom_idx(C.src[f], C.src[fp]):
+                fa = C.compose(fp, a)
+                for b in C.hom_idx(C.tgt[fp], C.tgt[f]):
+                    if C.compose(b, fa) == f:
+                        lbl = (C.mor_labels[f], C.mor_labels[fp],
+                               C.mor_labels[a], C.mor_labels[b])
+                        morphs.append((lbl, C.mor_labels[f], C.mor_labels[fp]))
+                        pairs[lbl] = (a, b)
+    idents = {C.mor_labels[f]: (C.mor_labels[f], C.mor_labels[f],
+                                C.mor_labels[C.identity_of[C.src[f]]],
+                                C.mor_labels[C.identity_of[C.tgt[f]]])
+              for f in range(C.n_morphisms)}
+    by_src = {}
+    for (lbl, s, _) in morphs:
+        by_src.setdefault(s, []).append(lbl)
+    comp = {}
+    for (lbl1, s1, t1) in morphs:
+        a1, b1 = pairs[lbl1]
+        for lbl2 in by_src.get(t1, ()):
+            a2, b2 = pairs[lbl2]
+            comp[(lbl2, lbl1)] = (s1, lbl2[1],
+                                  C.mor_labels[C.compose(a2, a1)],
+                                  C.mor_labels[C.compose(b1, b2)])
+    tw = validate_category(C.mor_labels, morphs, idents, comp, assoc="auto")
+    proj = FinFunctor(tw, C,
+                      {C.mor_labels[f]: C.objects[C.src[f]]
+                       for f in range(C.n_morphisms)},
+                      {lbl: lbl[2] for (lbl, _, _) in morphs})
+    return tw, proj
+
+
+RBS_F2 = build_rbs("F2", 2).cat
+
+
+@st.composite
+def builder_inputs(draw):
+    """BASES, their binary products and RBS(F2, 2)."""
+    C = draw(st.sampled_from(BASES + [RBS_F2]))
+    if C is not RBS_F2 and draw(st.booleans()):
+        C = product_tuple([C, draw(st.sampled_from(BASES))])
+    return C
+
+
+@settings(max_examples=60, deadline=None)
+@given(builder_inputs(), st.sampled_from(BASES), st.sampled_from(BASES))
+def test_array_builders_agree_with_label_oracles(C, D, E):
+    assert_same_category(opposite(C), oracle_opposite(C))
+    for cats in ([C], [C, D], [D, C, E]):
+        assert_same_category(product_tuple(cats), oracle_product_tuple(cats))
+    # Tw(C)^op has one morphism per composable triple; the label oracle
+    # stores every composable pair of those
+    if C.triple_count() <= 1000:
+        tw, proj = twisted_arrow_op(C)
+        oracle_tw, oracle_proj = oracle_twisted_arrow_op(C)
+        assert_same_category(tw, oracle_tw)
+        assert (proj.obj_map, proj.mor_map) == \
+            (oracle_proj.obj_map, oracle_proj.mor_map)
+
+
+def test_pairs_are_sorted_by_composable_pair():
+    # fincat_to_json writes the composition in this order
+    for C in BASES + [RBS_F2, opposite(RBS_F2), twisted_arrow_op(RBS_F2)[0]]:
+        g, f, _ = C.pairs()
+        assert (np.diff(g * C.n_morphisms + f) > 0).all()
+
+
+def test_products_of_no_factors_and_of_rbs_agree_with_label_oracle():
+    assert_same_category(product_tuple([]), oracle_product_tuple([]))
+    cats = [RBS_F2, bz(3)]
+    assert_same_category(product_tuple(cats), oracle_product_tuple(cats))
+
+
+def test_product_with_an_empty_factor_is_empty():
+    # the label oracle gives the one-object category on () here
+    empty = validate_category([], [], {}, {})
+    P = product_tuple([chain_category(), empty])
+    assert P.n_objects == P.n_morphisms == 0
+
+
+@st.composite
+def posets(draw):
+    """The reflexive-transitive closure of a random relation a < b on up to
+    six elements, labelled by a random permutation."""
+    n = draw(st.integers(0, 6))
+    rel = np.eye(n, dtype=bool)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                        st.integers(0, max(n - 1, 0))))):
+        if a < b:
+            rel[a, b] = True
+    for k in range(n):
+        rel |= rel[:, k:k + 1] & rel[k:k + 1, :]
+    names = draw(st.permutations(["p%d" % i for i in range(n)]))
+    return Poset(names, [(names[a], names[b]) for a, b in zip(*np.nonzero(rel))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_poset_category_agrees_with_label_oracle(P):
+    assert_same_category(poset_category(P), oracle_poset_category(P))
+
+
+@pytest.mark.parametrize("G", [
+    Group(list(range(k)), lambda a, b, k=k: (a + b) % k, 0) for k in (1, 2, 5)
+] + [
+    Group(list(itertools.permutations(range(3))),
+          lambda a, b: tuple(a[i] for i in b), (0, 1, 2)),
+    Group([(a, b) for a in range(2) for b in range(2)],
+          lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2), (0, 0)),
+])
+def test_group_category_agrees_with_label_oracle(G):
+    assert_same_category(group_category(G), oracle_group_category(G))
+    assert_same_category(group_category(G, "o"), oracle_group_category(G, "o"))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def act(C, F, a, v, ell):
     for i in np.nonzero(v)[0]:
         j, f = F.basis[i]
         if C.tgt[f] == C.src[a]:
-            i2 = F.pos[(j, C.comp[(a, f)])]
+            i2 = F.pos[(j, C.compose(a, f))]
             out[i2] = (out[i2] + v[i]) % ell
     return out
 

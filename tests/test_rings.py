@@ -1,10 +1,14 @@
 import itertools
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbscat.guards import GuardConfig, GuardExceeded
 from rbscat.rings import (
+    Flag,
     Mat,
     RingError,
     Submodule,
@@ -356,3 +360,52 @@ def test_mat_inverse():
     assert mz.mul(mz.inverse()) == Mat.identity(Z4, 2)
     with pytest.raises(RingError):
         Mat(Z4, [[2, 0], [0, 1]]).inverse()
+
+
+# ---------------------------------------------------------------------------
+# checks that raise RingError, also under python -O
+
+# (expression, what the RingError says)
+BAD_INPUTS = (
+    ("Flag(F2, 2, (Submodule.full(F2, 2),))", "proper and nonzero"),
+    ("Flag(F2, 2, (Submodule.zero(F2, 2),))", "proper and nonzero"),
+    ("Flag(F2, 3, (Submodule.from_rows(F2, 3, [[1, 0, 0], [0, 1, 0]]),"
+     " Submodule.from_rows(F2, 3, [[1, 0, 0]])))", "strictly increasing"),
+    ("Flag(Z4, 2, (Submodule.from_rows(Z4, 2, [[1, 0], [0, 2]]),))",
+     "splittable"),
+    ("Mat(F2, [[1, 0], [1]])", "differ in length"),
+    ("Mat(F2, [[1, 0]], cols=3)", "not cols=3"),
+    ("Mat(F2, [[1, 0]]).mul(Mat(F2, [[1, 0]]))", "shape mismatch"),
+    ("Mat(F2, [[1, 0]]).det()", "non-square"),
+    ("rref(Z4, [[1, 0]])", "not a field"),
+    ("howell(F2, [[1, 0]])", "Z/p^k"),
+    ("complete_to_invertible(F2, [[1, 0], [1, 0]], 2)", "not independent"),
+    ("QuotientData(Submodule.full(F2, 2), Submodule.zero(F2, 2))",
+     "contained in big"),
+)
+PRELUDE = ("from rbscat.rings import (Flag, Mat, QuotientData, RingError,"
+           " Submodule, complete_to_invertible, howell, make_ring, rref)\n"
+           "F2, Z4 = make_ring('F2'), make_ring('Z4')\n")
+
+
+@pytest.mark.parametrize("expr, message", BAD_INPUTS)
+def test_bad_input_raises_ring_error(expr, message):
+    scope = {}
+    exec(PRELUDE, scope)
+    with pytest.raises(RingError, match=re.escape(message)):
+        eval(expr, scope)
+
+
+def test_bad_flag_and_mat_shape_raise_under_optimize():
+    code = PRELUDE + (
+        "for expr, message in %r:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except RingError as exc:\n"
+        "        if message in str(exc):\n"
+        "            continue\n"
+        "    raise SystemExit('no RingError %%r: %%s' %% (message, expr))\n"
+        % (BAD_INPUTS,))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
