@@ -157,7 +157,7 @@ def _cmd_homology(args, guards):
             doc = json.load(fh)
         if isinstance(doc, dict) and doc.get("schema") == "chaincomplex/1":
             try:
-                cx = jsonio.complex_from_json(doc)
+                cx = jsonio.complex_from_json(doc, guards)
             except ValueError as exc:
                 raise ValueError("artifact %s: %s" % (args.artifact, exc))
         else:

@@ -5,12 +5,16 @@ their opaque hashable labels for messages and JSON.  Composition is
 stored once, as an int32 table on composable pairs (see _check_axioms),
 and read through compose, compose_many and pairs.  Construction
 validates the category axioms on that table: totality and identity
-neutrality always, associativity on every composable triple whenever
-their number is at most the guard max_assoc_triples, whatever the assoc
-mode.  Only past the guard do the modes differ: "exhaustive" raises
-GuardExceeded, while "auto" and "sampled" (for categories whose
-associativity is inherited from a group multiplication) check a fixed
-pseudo-random sample of triples.
+neutrality always, then associativity exactly by Light's test over a
+generating set S (see _generators): h.(g.f) == (h.g).f is compared for
+every composable h, f and every g in S only, which implies it for every
+g.  Whenever the composable triples number at most the guard
+max_assoc_triples, every assoc mode runs this test.  Past the guard,
+"exhaustive" raises GuardExceeded, while "auto" and "sampled" (for
+categories whose associativity is inherited from a group multiplication)
+still run it when the triples with middle morphism in S fit under the
+guard, and check a fixed pseudo-random sample of triples only beyond
+that.
 
 validate_category takes label tables; _build, which it calls, takes
 index arrays.  Opposites, products, poset and group categories, the
@@ -177,10 +181,16 @@ def validate_category(objects, morphisms, identities, composition,
         composable pairs (src g == tgt f).
     assoc: what to do when the composable triples outnumber
         guards.max_assoc_triples: "exhaustive" raises GuardExceeded,
-        "auto" and "sampled" check a fixed pseudo-random sample of
-        100,000 triples (for categories whose associativity is inherited
-        from a validated group structure).  Under the guard every mode
-        checks every triple.
+        "auto" and "sampled" (for categories whose associativity is
+        inherited from a validated group structure) still check exactly
+        when the triples Light's test compares fit under the guard, and
+        check a fixed pseudo-random sample of 100,000 triples only
+        beyond that.  Under the guard every mode checks exactly.
+
+    Associativity is checked by Light's test: h.(g.f) == (h.g).f for
+    every composable h, f and every g in a set S that generates all
+    morphisms together with the identities, so a failure names a triple
+    whose middle morphism is in S.
     """
     objects = list(objects)
     obj_index = {o: i for i, o in enumerate(objects)}
@@ -292,7 +302,8 @@ def _lookup(keys, queries):
 
 # no temporary array of the associativity check holds more entries
 _CHUNK_ENTRIES = 1 << 16
-# past max_assoc_triples, "auto" and "sampled" check at most this many
+# when even Light's test needs more than max_assoc_triples, "auto" and
+# "sampled" check at most this many
 _SAMPLE_TRIPLES = 100_000
 
 
@@ -308,7 +319,8 @@ def _positions(ends, counts):
 
 def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
     """Composition a.b = ab is total on composable pairs, unital and
-    associative; returns the table (flat, row, ipos).
+    associative (by Light's test, or by the fixed sample past the guard
+    as validate_category describes); returns the table (flat, row, ipos).
 
     The table is one int32 block per object y, of shape out(y) x in(y):
     g.f sits in the row of g among the morphisms out of y and the column
@@ -352,13 +364,16 @@ def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
         raise CategoryError("%s identity fails for %r"
                             % ("left" if left[m] else "right", labels[m]))
 
-    total = int((in_n[src] * out_n[tgt]).sum())
-    if total > guards.max_assoc_triples:
-        if assoc == "exhaustive":
-            raise GuardExceeded(
-                "associativity check needs %d triples > max_assoc_triples=%d; "
-                "use assoc='sampled' for group-derived categories" %
-                (total, guards.max_assoc_triples))
+    # the composable triples (f, g, h) with middle g
+    through = in_n[src] * out_n[tgt]
+    total = int(through.sum())
+    if total > guards.max_assoc_triples and assoc == "exhaustive":
+        raise GuardExceeded(
+            "associativity check needs %d triples > max_assoc_triples=%d; "
+            "use assoc='sampled' for group-derived categories" %
+            (total, guards.max_assoc_triples))
+    gen = _generators(len(labels), identity_of, a, b, ab)
+    if int(through[gen].sum()) > guards.max_assoc_triples:
         f, g, h = _sampled_triples(min(total, _SAMPLE_TRIPLES), tgt, out_n,
                                    out_order, out_start)
         gf = flat[row[g] + ipos[f]]
@@ -368,11 +383,13 @@ def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
             i = int(np.argmax(bad))
             _associativity_fails(labels, f[i], g[i], h[i])
         return flat, row, ipos
-    # every triple f: w -> x, g: x -> y, h: y -> z, one object x at a
-    # time: the pairs (h, g) = (a, b) with src g = x as rows, all f into x
-    # as columns, compare h.(g.f) with (h.g).f
-    by_x = np.argsort(src[b], kind="stable")
-    first = np.searchsorted(src[b][by_x], np.arange(n_objects + 1))
+    # Light's test: every triple f: w -> x, g: x -> y, h: y -> z with g a
+    # generator, one object x at a time: the pairs (h, g) = (a, b) with
+    # src g = x as rows, all f into x as columns, compare h.(g.f) with
+    # (h.g).f
+    light = np.flatnonzero(gen[b])
+    by_x = light[np.argsort(src[b[light]], kind="stable")]
+    first = np.searchsorted(src[b[by_x]], np.arange(n_objects + 1))
     for x in range(n_objects):
         nin = int(in_n[x])
         bx = flat[block[x]:block[x] + sizes[x]].reshape(-1, nin)
@@ -386,6 +403,31 @@ def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
                 _associativity_fails(labels, in_order[in_start[x] + c],
                                      b[rows[r]], a[rows[r]])
     return flat, row, ipos
+
+
+def _generators(n_morphisms, identity_of, a, b, ab):
+    """A generating set S for Light's associativity test, as a mask: with
+    the identities, S generates every morphism under the composition
+    a.b = ab.
+
+    The morphisms are ordered identities first, then by how many pairs
+    compose to them (fewest first), then by index.  A morphism is left out
+    of S when it is an identity or the composite of a pair that both come
+    earlier, so by induction on the order each morphism is a composite of
+    members of S and identities.  Once the identity laws hold, h.(g.f) ==
+    (h.g).f for every g in S and all composable h, f implies
+    associativity: the g for which it holds contain the identities and
+    are closed under composition (Clifford-Preston, The Algebraic Theory
+    of Semigroups I, section 1.2).
+    """
+    gen = np.ones(n_morphisms, bool)
+    gen[identity_of] = False
+    order = np.lexsort((np.arange(n_morphisms),
+                        np.bincount(ab, minlength=n_morphisms), gen))
+    rank = np.empty(n_morphisms, np.int32)
+    rank[order] = np.arange(n_morphisms, dtype=np.int32)
+    gen[ab[np.maximum(rank[a], rank[b]) < rank[ab]]] = False
+    return gen
 
 
 def _associativity_fails(labels, f, g, h):
@@ -651,7 +693,11 @@ def _fiber(F, d, side, guards):
     else:
         y = _lookup(c * B.n_morphisms + m,
                     a_tgt[u] * B.n_morphisms + B.compose_many(fm[u], m[x]))
-    # (y2, u2) . (y1, u1) from x1 is (y2, u2 . u1)
+    # (y2, u2) . (y1, u1) from x1 is (y2, u2 . u1), one entry per
+    # composable pair, counted before the join builds them
+    guards.check(int((np.bincount(y, minlength=len(c)) *
+                      np.bincount(x, minlength=len(c))).sum()),
+                 "max_functor_pairs", "%s fiber composition" % side)
     first, second = _join(y, x)
     width = len(c) * A.n_morphisms
     composite = _lookup(x * width + y * A.n_morphisms + u,

@@ -25,7 +25,10 @@ class GuardConfig:
     max_vector_enum: int = 1_000_000          # |R|^n bound for vector/submodule enumeration
     # fincat
     max_simplices_per_degree: int = 2_000_000
-    max_assoc_triples: int = 20_000_000       # exhaustive associativity bound
+    # composable triples for an exact associativity check; past it
+    # "exhaustive" raises, "auto"/"sampled" still check exactly when the
+    # triples of Light's test fit and sample only beyond that
+    max_assoc_triples: int = 20_000_000
     max_functor_pairs: int = 20_000_000
     tietze_budget: int = 200_000
     # rbs / groups

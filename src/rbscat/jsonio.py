@@ -99,9 +99,11 @@ def complex_to_json(cx):
     }
 
 
-def complex_from_json(doc):
+def complex_from_json(doc, guards=None):
     """Load a chain complex artifact; raises ValueError unless the schema,
-    the dimensions, every (row, column) index and d.d = 0 all check out."""
+    the dimensions, every (row, column) index and d.d = 0 all check out,
+    and GuardExceeded for a dimension past max_simplices_per_degree."""
+    from .guards import DEFAULT
     from .homology import ChainComplex
     if not isinstance(doc, dict) or doc.get("schema") != "chaincomplex/1":
         raise ValueError("not a chain complex artifact")
@@ -110,6 +112,9 @@ def complex_from_json(doc):
             not all(_is_int(d) and d >= 0 for d in dims):
         raise ValueError("chain complex: dims must be a non-empty list of "
                          "non-negative integers")
+    for k, d in enumerate(dims):
+        (guards or DEFAULT).check(d, "max_simplices_per_degree",
+                                  "chain complex: degree %d" % k)
     given = doc.get("boundaries", {})
     if not isinstance(given, dict):
         raise ValueError("chain complex: boundaries must be an object")

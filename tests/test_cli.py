@@ -1,6 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from rbscat import cli
+from rbscat.fincat import Group, Poset, group_category, poset_category
+from rbscat.homology import ChainComplex
+from rbscat.jsonio import complex_to_json, fincat_to_json
 
 
 def run_cli(*args):
@@ -225,3 +236,93 @@ def test_bad_q_parameters_exit_code():
         code, out, err = run_cli(*args)
         assert code == 1 and out == "", args
         assert flag in err and len(err.splitlines()) == 1, (args, err)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: random and truncated artifacts, run in-process
+
+def _valid_artifacts():
+    bz2 = group_category(Group([0, 1], lambda a, b: (a + b) % 2, 0))
+    chain = poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)]))
+    # a circle: two vertices joined by two edges
+    circle = ChainComplex([2, 2], {1: [{0: -1, 1: 1}, {0: -1, 1: 1}]})
+    return [fincat_to_json(bz2), fincat_to_json(chain), complex_to_json(circle)]
+
+
+VALID_ARTIFACTS = _valid_artifacts()
+
+# integers are small or far past every guard, so that no run grows large
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) |
+    st.integers(-2, 4) | st.sampled_from([2 ** 31, 10 ** 12, -10 ** 12]) |
+    st.sampled_from(["fincat/1", "chaincomplex/1"]),
+    lambda kids: st.lists(kids, max_size=4) |
+    st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def mutated(draw, value):
+    """value with random entries replaced, deleted or added, at any depth."""
+    if isinstance(value, dict) and value and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value)))
+        out = dict(value)
+        action = draw(st.sampled_from(["replace", "delete", "recurse"]))
+        if action == "delete":
+            del out[key]
+        else:
+            out[key] = draw(json_values if action == "replace"
+                            else mutated(value[key]))
+        return out
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        out = list(value)
+        action = draw(st.sampled_from(["replace", "delete", "recurse",
+                                       "append"]))
+        if action == "delete":
+            del out[i]
+        elif action == "append":
+            out.append(draw(json_values))
+        else:
+            out[i] = draw(json_values if action == "replace"
+                          else mutated(value[i]))
+        return out
+    return draw(json_values) if draw(st.integers(0, 4)) == 0 else value
+
+
+@st.composite
+def artifact_texts(draw):
+    """A valid, mutated or random document, possibly cut short."""
+    doc = draw(st.one_of(st.sampled_from(VALID_ARTIFACTS).flatmap(mutated),
+                         json_values))
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(artifact_texts())
+def test_homology_artifact_fuzz_exits_cleanly(text):
+    # every run ends with a documented exit code and prints no traceback
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["homology", "--artifact", path])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_homology_artifact_dims_past_the_guard(tmp_path):
+    # the loader once allocated one column per simplex before any check
+    art = tmp_path / "huge.json"
+    art.write_text(json.dumps({"schema": "chaincomplex/1",
+                               "dims": [1, 10 ** 12]}))
+    code, out, err = run_cli("homology", "--artifact", str(art))
+    assert code == 2 and out == ""
+    assert "max_simplices_per_degree" in err and "Traceback" not in err

@@ -9,6 +9,7 @@ from rbscat.fincat import (
     FinFunctor,
     Group,
     Poset,
+    _generators,
     action_category,
     check_poset_regularity,
     full_subcategory,
@@ -29,7 +30,7 @@ from rbscat.fincat import (
     twisted_arrow_op,
     validate_category,
 )
-from rbscat.guards import GuardConfig, GuardExceeded
+from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
 from rbscat.rbs import build_rbs, comparison_functor
 from rbscat.toolkit import (
     is_colim_equivalence,
@@ -212,6 +213,149 @@ def test_composite_with_wrong_endpoints_is_reported():
     comp[((1, 1), (0, 1))] = (1, 1)
     with pytest.raises(CategoryError, match="wrong endpoints"):
         validate_category(objs, morphs, idents, comp)
+
+
+# ---------------------------------------------------------------------------
+# Light's test: the generating set and exactness
+
+def generators(C, comp=None):
+    """The generating set S of Light's test for the table of C, or for
+    comp, a label table over the morphisms of C (possibly corrupted)."""
+    if comp is None:
+        g, f, gf = C.pairs()
+    else:
+        g, f, gf = (np.array([C.mor_index[m] for m in column],
+                             np.int64).reshape(-1)
+                    for column in zip(*((g, f, h) for (g, f), h in
+                                        comp.items())))
+    mask = _generators(C.n_morphisms, np.array(C.identity_of, np.int64),
+                       g, f, gf)
+    return {C.mor_labels[i] for i in np.flatnonzero(mask)}
+
+
+def light_triples(C, gens):
+    """The composable triples (f, g, h) with g in gens."""
+    in_n = np.bincount(C.tgt, minlength=C.n_objects)
+    out_n = np.bincount(C.src, minlength=C.n_objects)
+    return sum(int(in_n[C.src[i]] * out_n[C.tgt[i]])
+               for i in map(C.mor_index.get, gens))
+
+
+def closure(C, gens):
+    """Oracle for the generating set: the morphisms reached from gens and
+    the identities by composing, breadth first."""
+    reached = set(gens) | {C.mor_labels[i] for i in C.identity_of}
+    labelled = [tuple(C.mor_labels[i] for i in t) for t in pair_list(C)]
+    frontier = set(reached)
+    while frontier:
+        new = {h for g, f, h in labelled
+               if (g in frontier or f in frontier)
+               and g in reached and f in reached} - reached
+        reached |= new
+        frontier = new
+    return reached
+
+
+RBS_F2 = build_rbs("F2", 2).cat
+RBS_F2_P = comparison_functor(build_rbs("F2", 2))
+# every left and right fiber of the comparison functor on F2^2
+RBS_F2_FIBERS = [build(RBS_F2_P, d) for d in RBS_F2_P.target.objects
+                 for build in (left_fiber, right_fiber)]
+
+
+def test_generators_and_identities_generate_every_morphism():
+    products = [product_tuple([C, D]) for C in BASES for D in BASES]
+    for C in BASES + products + [RBS_F2] + RBS_F2_FIBERS:
+        gens = generators(C)
+        assert not gens & {C.mor_labels[i] for i in C.identity_of}
+        assert closure(C, gens) == set(C.mor_labels)
+
+
+def failing_triples(morphs, comp):
+    """Every composable (f, g, h) with h.(g.f) != (h.g).f, by labels."""
+    src = {m: s for m, s, _ in morphs}
+    tgt = {m: t for m, _, t in morphs}
+    return {(f, g, h) for (g, f) in comp for h in src
+            if src[h] == tgt[g] and
+            comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]}
+
+
+def assert_validator_agrees(C, objs, morphs, idents, comp, assoc="exhaustive",
+                            guards=DEFAULT):
+    """validate_category raises exactly when oracle_is_category fails; an
+    associativity failure names a failing triple whose middle morphism is
+    in the generating set of comp."""
+    if oracle_is_category(morphs, idents, comp):
+        validate_category(objs, morphs, idents, comp, guards, assoc)
+        return
+    with pytest.raises(CategoryError) as info:
+        validate_category(objs, morphs, idents, comp, guards, assoc)
+    if "associativity" in str(info.value):
+        named = [t for t in failing_triples(morphs, comp)
+                 if str(info.value).endswith("(%r, %r, %r)" % t)]
+        assert len(named) == 1 and named[0][1] in generators(C, comp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([RBS_F2] + RBS_F2_FIBERS), st.data())
+def test_validator_agrees_with_oracle_on_rbs_and_its_fibers(C, data):
+    # one composite replaced by a random morphism with the same endpoints
+    objs, morphs, idents, comp = tables(C)
+    g, f = data.draw(st.sampled_from(sorted(comp, key=repr)))
+    ends = {m: (s, t) for m, s, t in morphs}
+    comp[(g, f)] = data.draw(st.sampled_from(
+        [m for m, s, t in morphs if (s, t) == (ends[f][0], ends[g][1])]))
+    assoc = data.draw(st.sampled_from(["exhaustive", "auto", "sampled"]))
+    assert_validator_agrees(C, objs, morphs, idents, comp, assoc)
+
+
+def test_wrong_composite_on_non_generators_is_caught():
+    # in BZ/4 set 2 + 1 = 1 instead of 3: then 1 = 2 + 3 and 2 = 3 + 3
+    # come after 3 in the order, so S = {3}, and the wrong composite lies
+    # on two morphisms outside S
+    C = bz(4)
+    objs, morphs, idents, comp = tables(C)
+    comp[(("*", 2), ("*", 1))] = ("*", 1)
+    assert generators(C, comp) == {("*", 3)}
+    assert not oracle_is_category(morphs, idents, comp)
+    assert_validator_agrees(C, objs, morphs, idents, comp)
+
+
+def z2_times_wide_poset():
+    """Z/2 x a poset with w < x < y, 20 elements above x and 20 above y,
+    with one composite broken on triples the fixed sample rarely draws."""
+    elems = ["w", "x", "y"] + ["L%d" % i for i in range(20)] + \
+        ["M%d" % i for i in range(20)]
+    leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
+    leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
+    leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
+    C = product_tuple([bz(2), poset_category(Poset(elems, leq))])
+    objs, morphs, idents, comp = tables(C)
+    g, f = (("*", 1), ("x", "y")), (("*", 1), ("w", "x"))
+    comp[(g, f)] = (("*", 1), ("w", "y"))  # should be (("*", 0), ("w", "y"))
+    return C, objs, morphs, idents, comp
+
+
+def test_past_the_guard_light_test_is_exact_when_its_triples_fit():
+    C, objs, morphs, idents, comp = z2_times_wide_poset()
+    light = light_triples(C, generators(C, comp))
+    assert light < C.triple_count()
+    for assoc in ("auto", "sampled"):
+        with pytest.raises(CategoryError, match="associativity"):
+            validate_category(objs, morphs, idents, comp,
+                              GuardConfig(max_assoc_triples=light), assoc)
+        # one triple fewer, and only the fixed sample is checked
+        validate_category(objs, morphs, idents, comp,
+                          GuardConfig(max_assoc_triples=light - 1), assoc)
+    with pytest.raises(GuardExceeded, match="%d triples" % C.triple_count()):
+        validate_category(objs, morphs, idents, comp,
+                          GuardConfig(max_assoc_triples=light))
+
+
+def test_rbs_f2_cubed_is_validated_exactly_under_the_default_guard():
+    C = build_rbs("F2", 3).cat
+    assert light_triples(C, generators(C)) <= DEFAULT.max_assoc_triples \
+        < C.triple_count()
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +575,22 @@ def test_comparison_functor_fibers_agree_with_label_oracle(spec):
     assert_fibers_agree(comparison_functor(build_rbs(spec, 2)))
 
 
+@pytest.mark.parametrize("spec", ["F2", "F3"])
+def test_fiber_pairs_are_guarded_before_they_are_joined(spec):
+    # a fiber with p composable pairs builds under max_functor_pairs=p,
+    # the same as under the default guards, and raises under p - 1
+    F = comparison_functor(build_rbs(spec, 2))
+    for d in F.target.objects:
+        for build in (left_fiber, right_fiber):
+            fib = build(F, d)
+            p = len(fib.flat)
+            assert_same_category(
+                build(F, d, GuardConfig(max_functor_pairs=p)), fib)
+            with pytest.raises(GuardExceeded,
+                               match="requires %d > max_functor_pairs" % p):
+                build(F, d, GuardConfig(max_functor_pairs=p - 1))
+
+
 def test_empty_left_fiber_agrees_with_label_oracle():
     C = chain_category()
     sub, incl = full_subcategory(C, [1])
@@ -545,9 +705,6 @@ def oracle_twisted_arrow_op(C):
                        for f in range(C.n_morphisms)},
                       {lbl: lbl[2] for (lbl, _, _) in morphs})
     return tw, proj
-
-
-RBS_F2 = build_rbs("F2", 2).cat
 
 
 @st.composite
