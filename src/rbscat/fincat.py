@@ -5,16 +5,11 @@ their opaque hashable labels for messages and JSON.  Composition is
 stored once, as an int32 table on composable pairs (see _check_axioms),
 and read through compose, compose_many and pairs.  Construction
 validates the category axioms on that table: totality and identity
-neutrality always, then associativity exactly by Light's test over a
+neutrality, then associativity exactly by Light's test over a
 generating set S (see _generators): h.(g.f) == (h.g).f is compared for
 every composable h, f and every g in S only, which implies it for every
-g.  Whenever the composable triples number at most the guard
-max_assoc_triples, every assoc mode runs this test.  Past the guard,
-"exhaustive" raises GuardExceeded, while "auto" and "sampled" (for
-categories whose associativity is inherited from a group multiplication)
-still run it when the triples with middle morphism in S fit under the
-guard, and check a fixed pseudo-random sample of triples only beyond
-that.
+g.  The guard max_assoc_triples bounds the triples this test compares;
+past it construction raises GuardExceeded.
 
 validate_category takes label tables; _build, which it calls, takes
 index arrays.  Opposites, products, poset and group categories, the
@@ -171,7 +166,7 @@ class FinCat:
 
 
 def validate_category(objects, morphisms, identities, composition,
-                      guards=DEFAULT, assoc="exhaustive"):
+                      guards=DEFAULT):
     """Build a FinCat from raw tables, checking the category axioms.
 
     objects: iterable of hashable labels.
@@ -179,18 +174,12 @@ def validate_category(objects, morphisms, identities, composition,
     identities: dict object label -> identity morphism label.
     composition: dict (g_label, f_label) -> label, defined exactly on
         composable pairs (src g == tgt f).
-    assoc: what to do when the composable triples outnumber
-        guards.max_assoc_triples: "exhaustive" raises GuardExceeded,
-        "auto" and "sampled" (for categories whose associativity is
-        inherited from a validated group structure) still check exactly
-        when the triples Light's test compares fit under the guard, and
-        check a fixed pseudo-random sample of 100,000 triples only
-        beyond that.  Under the guard every mode checks exactly.
 
     Associativity is checked by Light's test: h.(g.f) == (h.g).f for
     every composable h, f and every g in a set S that generates all
     morphisms together with the identities, so a failure names a triple
-    whose middle morphism is in S.
+    whose middle morphism is in S.  GuardExceeded is raised when those
+    triples outnumber guards.max_assoc_triples.
     """
     objects = list(objects)
     obj_index = {o: i for i, o in enumerate(objects)}
@@ -217,10 +206,10 @@ def validate_category(objects, morphisms, identities, composition,
     except KeyError as exc:
         raise CategoryError("composition names %r, which is not a morphism"
                             % (exc.args[0],))
-    return _build(objects, labels, src, tgt, identity_of, a, b, ab, guards, assoc)
+    return _build(objects, labels, src, tgt, identity_of, a, b, ab, guards)
 
 
-def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards, assoc):
+def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards):
     """The FinCat given by index arrays, in canonical order, validated.
 
     src, tgt: object index of each morphism; identity_of: morphism index
@@ -262,7 +251,7 @@ def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards, assoc):
         raise CategoryError("composite of (%r, %r) is not a morphism"
                             % (labels[new_mor[a[i]]], labels[new_mor[b[i]]]))
     a, b, ab = new_mor[a], new_mor[b], new_mor[ab]
-    table = _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc)
+    table = _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards)
     return FinCat(objects, labels, src.tolist(), tgt.tolist(),
                   identity_of.tolist(), table)
 
@@ -302,9 +291,6 @@ def _lookup(keys, queries):
 
 # no temporary array of the associativity check holds more entries
 _CHUNK_ENTRIES = 1 << 16
-# when even Light's test needs more than max_assoc_triples, "auto" and
-# "sampled" check at most this many
-_SAMPLE_TRIPLES = 100_000
 
 
 def _positions(ends, counts):
@@ -317,10 +303,10 @@ def _positions(ends, counts):
     return pos, order, start
 
 
-def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
+def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards):
     """Composition a.b = ab is total on composable pairs, unital and
-    associative (by Light's test, or by the fixed sample past the guard
-    as validate_category describes); returns the table (flat, row, ipos).
+    associative (by Light's test, within max_assoc_triples); returns the
+    table (flat, row, ipos).
 
     The table is one int32 block per object y, of shape out(y) x in(y):
     g.f sits in the row of g among the morphisms out of y and the column
@@ -366,23 +352,9 @@ def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards, assoc):
 
     # the composable triples (f, g, h) with middle g
     through = in_n[src] * out_n[tgt]
-    total = int(through.sum())
-    if total > guards.max_assoc_triples and assoc == "exhaustive":
-        raise GuardExceeded(
-            "associativity check needs %d triples > max_assoc_triples=%d; "
-            "use assoc='sampled' for group-derived categories" %
-            (total, guards.max_assoc_triples))
     gen = _generators(len(labels), identity_of, a, b, ab)
-    if int(through[gen].sum()) > guards.max_assoc_triples:
-        f, g, h = _sampled_triples(min(total, _SAMPLE_TRIPLES), tgt, out_n,
-                                   out_order, out_start)
-        gf = flat[row[g] + ipos[f]]
-        hg = flat[row[h] + ipos[g]]
-        bad = flat[row[h] + ipos[gf]] != flat[row[hg] + ipos[f]]
-        if bad.any():
-            i = int(np.argmax(bad))
-            _associativity_fails(labels, f[i], g[i], h[i])
-        return flat, row, ipos
+    guards.check(int(through[gen].sum()), "max_assoc_triples",
+                 "associativity check (Light's test)")
     # Light's test: every triple f: w -> x, g: x -> y, h: y -> z with g a
     # generator, one object x at a time: the pairs (h, g) = (a, b) with
     # src g = x as rows, all f into x as columns, compare h.(g.f) with
@@ -433,28 +405,6 @@ def _generators(n_morphisms, identity_of, a, b, ab):
 def _associativity_fails(labels, f, g, h):
     raise CategoryError("associativity fails at (%r, %r, %r)"
                         % (labels[f], labels[g], labels[h]))
-
-
-def _sampled_triples(count, tgt, out_n, out_order, out_start):
-    """The fixed sample (f, g, h): triple k reads state k of the 64-bit
-    LCG x -> 6364136223846793005 x + 1442695040888963407 from 987654321;
-    f is the state mod the morphism count, g and h are picked among the
-    morphisms out of the previous target by the state's bits from 24 and
-    from 44 up.  State k is a^k x_0 + c (1 + a + ... + a^(k-1)), wrapping
-    mod 2^64 as uint64 does."""
-    power = np.multiply.accumulate(np.full(count, 6364136223846793005, np.uint64))
-    geometric = np.cumsum(np.concatenate((np.ones(1, np.uint64), power[:-1])),
-                          dtype=np.uint64)
-    state = power * np.uint64(987654321) + geometric * np.uint64(1442695040888963407)
-
-    def pick_after(m, shift):
-        y = tgt[m]
-        k = (state >> np.uint64(shift)) % out_n[y].astype(np.uint64)
-        return out_order[out_start[y] + k.astype(np.int64)]
-
-    f = (state % np.uint64(len(tgt))).astype(np.int64)
-    g = pick_after(f, 24)
-    return f, g, pick_after(g, 44)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +479,7 @@ def opposite(C):
     src, tgt = C.ends()
     g, f, gf = C.pairs()
     return _build(C.objects, C.mor_labels, tgt, src, C.identity_of, f, g, gf,
-                  DEFAULT, "sampled")
+                  DEFAULT)
 
 
 def product_tuple(cats):
@@ -549,7 +499,7 @@ def product_tuple(cats):
                     for x, y in ((g, c_g), (f, c_f), (gf, c_gf)))
     return _build(list(itertools.product(*[c.objects for c in cats])),
                   list(itertools.product(*[c.mor_labels for c in cats])),
-                  src, tgt, identity_of, g, f, gf, DEFAULT, "auto")
+                  src, tgt, identity_of, g, f, gf, DEFAULT)
 
 
 def _radix(high, low, base):
@@ -594,7 +544,7 @@ def _subcategory(C, objs, keep, guards):
                   local_obj[src[mors]], local_obj[tgt[mors]],
                   local[np.array(C.identity_of, np.int64)[objs]],
                   g, f, local[C.compose_many(mors[g], mors[f])],
-                  guards, "sampled")
+                  guards)
 
 
 def is_fully_faithful(F):
@@ -711,7 +661,7 @@ def _fiber(F, d, side, guards):
     labels = [(objects[s], objects[t], A.mor_labels[w])
               for s, t, w in zip(x.tolist(), y.tolist(), u.tolist())]
     return _build(objects, labels, x, y, identity_of, second, first, composite,
-                  guards, "sampled")
+                  guards)
 
 
 def strict_fiber(F, d, guards=DEFAULT):
@@ -763,7 +713,7 @@ def twisted_arrow_op(C):
     labels = [tuple(C.mor_labels[x] for x in t)
               for t in zip(f.tolist(), fp.tolist(), a.tolist(), b.tolist())]
     tw = _build(C.mor_labels, labels, f, fp, identity_of, second, first,
-                composite, DEFAULT, "auto")
+                composite, DEFAULT)
     proj = FinFunctor(tw, C,
                       {C.mor_labels[x]: C.objects[C.src[x]] for x in range(n)},
                       {lbl: lbl[2] for lbl in labels})
@@ -817,7 +767,7 @@ def poset_category(P):
     labels = list(zip([P.elements[i] for i in a.tolist()],
                       [P.elements[i] for i in b.tolist()]))
     return _build(list(P.elements), labels, a, b, identity_of, second, first,
-                  composite, DEFAULT, "exhaustive")
+                  composite, DEFAULT)
 
 
 class Group:
@@ -867,7 +817,7 @@ def group_category(G, base="*"):
     ends = np.zeros(n, np.int64)
     return _build([base], [(base, g) for g in G.elements], ends, ends,
                   [G.index[G.identity]], a, b, np.array(G.table, np.int64),
-                  DEFAULT, "sampled")
+                  DEFAULT)
 
 
 def action_category(G, P, act, guards=DEFAULT):
@@ -894,7 +844,7 @@ def action_category(G, P, act, guards=DEFAULT):
                       [P.elements[i] for i in p.tolist()],
                       [P.elements[i] for i in q.tolist()]))
     return _build(list(P.elements), labels, p, q, identity_of, second, first,
-                  composite, guards, "sampled")
+                  composite, guards)
 
 
 class RegularityError(ValueError):

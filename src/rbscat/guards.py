@@ -20,14 +20,12 @@ class GuardExceeded(RuntimeError):
 class GuardConfig:
     # ring_linalg
     max_ring_size: int = 256
-    max_ring_axiom_exhaustive: int = 64       # exhaustive triple check up to this ring size
     max_gl_candidates: int = 10_000_000       # |R|^(n^2) brute-force bound
     max_vector_enum: int = 1_000_000          # |R|^n bound for vector/submodule enumeration
     # fincat
     max_simplices_per_degree: int = 2_000_000
-    # composable triples for an exact associativity check; past it
-    # "exhaustive" raises, "auto"/"sampled" still check exactly when the
-    # triples of Light's test fit and sample only beyond that
+    # composable triples that the exact associativity check (Light's
+    # test) compares; past it validation raises
     max_assoc_triples: int = 20_000_000
     max_functor_pairs: int = 20_000_000
     tietze_budget: int = 200_000

@@ -576,31 +576,33 @@ def _subsets(t, size):
     return itertools.combinations(t, size)
 
 
+def maximal_chains(less):
+    """Every maximal chain of a finite strict order, as index tuples.
+
+    less: n x n boolean matrix, less[i, j] when i < j.  A maximal chain
+    runs from a minimal to a maximal element and steps only along covers
+    (i < j with nothing strictly between), so each chain is listed once
+    and no chain that is a face of another is.
+    """
+    less = np.asarray(less, bool)
+    between = (less.astype(np.int64) @ less.astype(np.int64)) > 0
+    covers = [np.flatnonzero(up).tolist() for up in less & ~between]
+    chains = []
+    stack = [(x,) for x in np.flatnonzero(~less.any(axis=0)).tolist()]
+    while stack:
+        chain = stack.pop()
+        up = covers[chain[-1]]
+        if not up:
+            chains.append(chain)
+        stack.extend(chain + (y,) for y in up)
+    return chains
+
+
 def order_complex(poset):
     """Order complex of a poset: simplices are the chains."""
-    elements = list(poset.elements)
-    facets = []
-
-    def extend(chain):
-        extended = False
-        last = chain[-1]
-        for e in elements:
-            if e != last and poset.leq(last, e):
-                if all(x == e or poset.leq(x, e) for x in chain):
-                    extend(chain + [e])
-                    extended = True
-        if not extended:
-            facets.append(tuple(poset.index[x] for x in chain))
-
-    for e in elements:
-        if not any(x != e and poset.leq(x, e) for x in elements):
-            extend([e])
-    # ensure isolated/missed elements appear
-    covered = {v for f in facets for v in f}
-    for e in elements:
-        if poset.index[e] not in covered:
-            facets.append((poset.index[e],))
-    return chain_complex_from_facets(facets)
+    n = len(poset)
+    less = np.array(poset.rel, bool).reshape(n, n) & ~np.eye(n, dtype=bool)
+    return chain_complex_from_facets(maximal_chains(less))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def fincat_to_json(C):
     }
 
 
-def fincat_from_json(doc, guards=None, assoc="auto"):
+def fincat_from_json(doc, guards=None):
     """Load a category artifact; raises ValueError for a bad schema, a
     missing key or a malformed entry, and CategoryError (a ValueError)
     unless the tables form a category."""
@@ -76,7 +76,7 @@ def fincat_from_json(doc, guards=None, assoc="auto"):
     comp = {(_freeze(g), _freeze(f)): _freeze(h)
             for g, f, h in doc["composition"]}
     return validate_category(objects, morphisms, identities, comp,
-                             guards=guards or DEFAULT, assoc=assoc)
+                             guards=guards or DEFAULT)
 
 
 def ring_to_json(ring):
@@ -101,8 +101,9 @@ def complex_to_json(cx):
 
 def complex_from_json(doc, guards=None):
     """Load a chain complex artifact; raises ValueError unless the schema,
-    the dimensions, every (row, column) index and d.d = 0 all check out,
-    and GuardExceeded for a dimension past max_simplices_per_degree."""
+    the dimensions (at least two degrees unless the complex is complete),
+    every (row, column) index and d.d = 0 all check out, and
+    GuardExceeded for a dimension past max_simplices_per_degree."""
     from .guards import DEFAULT
     from .homology import ChainComplex
     if not isinstance(doc, dict) or doc.get("schema") != "chaincomplex/1":
@@ -115,13 +116,21 @@ def complex_from_json(doc, guards=None):
     for k, d in enumerate(dims):
         (guards or DEFAULT).check(d, "max_simplices_per_degree",
                                   "chain complex: degree %d" % k)
+    complete = doc.get("complete", False)
+    if not isinstance(complete, bool):
+        raise ValueError("chain complex: complete must be true or false")
+    if not complete and len(dims) < 2:
+        # a truncated complex certifies degrees below its top one only
+        raise ValueError("chain complex: an incomplete complex needs at "
+                         "least two degrees, got dims %s" % (dims,))
     given = doc.get("boundaries", {})
     if not isinstance(given, dict):
         raise ValueError("chain complex: boundaries must be an object")
     # a boundary left out is the zero map
     boundaries = {k: [{} for _ in range(dims[k])] for k in range(1, len(dims))}
     for key, triples in given.items():
-        if not key.isdigit() or not 1 <= int(key) < len(dims) or \
+        if not (key.isascii() and key.isdigit()) or \
+                not 1 <= int(key) < len(dims) or \
                 not isinstance(triples, list):
             raise ValueError("chain complex: no boundary d_%s for dims %s"
                              % (key, dims))
@@ -141,9 +150,6 @@ def complex_from_json(doc, guards=None):
                                  % (k, r, c))
             cols[c][r] = v
         boundaries[k] = [{r: v for r, v in col.items() if v} for col in cols]
-    complete = doc.get("complete", False)
-    if not isinstance(complete, bool):
-        raise ValueError("chain complex: complete must be true or false")
     cx = ChainComplex(dims, boundaries, complete=complete)
     cx.verify_boundary_squared()
     return cx

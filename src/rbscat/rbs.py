@@ -5,9 +5,10 @@ category has objects the splittable flags of submodules of M and
 Hom(F, F') = {g in GL(M) : gF <= F'} / U_F, where U_F is the subgroup of
 the flag stabiliser P_F acting as the identity on every graded piece and
 <= is the refinement order (the empty flag is the maximum).  Composition
-is induced by group multiplication; morphisms are stored as canonical
-minimal coset representatives so equality and composition are table
-lookups.
+is induced by group multiplication, which construction checks exactly to
+be independent of the coset representatives; morphisms are stored as
+canonical minimal coset representatives so equality and composition are
+table lookups.
 
 Also here: the flag poset with its GL action, the action category
 GL\\\\P with the comparison functor to the flag category, the subgroup
@@ -37,7 +38,7 @@ from .fincat import (
     product_tuple,
 )
 from .guards import DEFAULT
-from .homology import chain_complex_from_facets, homology
+from .homology import chain_complex_from_facets, homology, maximal_chains
 from .rings import (
     Mat,
     QuotientData,
@@ -106,7 +107,7 @@ class SubgroupData:
 class RBSCategory:
     """The flag category together with its construction data."""
 
-    def __init__(self, ring, n, guards=DEFAULT, well_definedness="sampled"):
+    def __init__(self, ring, n, guards=DEFAULT):
         if not isinstance(n, int) or n < 0:
             raise ValueError("rank n must be a non-negative integer, got %r"
                              % (n,))
@@ -121,7 +122,7 @@ class RBSCategory:
         self.gl = GLData(ring, n, guards)
         self._build_action()
         self._build_subgroups()
-        self._build_category(well_definedness)
+        self._build_category()
 
     # -- group action on flags -------------------------------------------
 
@@ -179,7 +180,7 @@ class RBSCategory:
         """Canonical representative index of the coset g U_{F_i}."""
         return int(self._coset_rep[fi][gi])
 
-    def _build_category(self, well_definedness):
+    def _build_category(self):
         gl, nf, size = self.gl, len(self.flags), len(self.gl)
         mult = np.array(gl.mult, np.int64).reshape(size, size)
         # _coset_rep[fi, gi]: the least index in the coset g U_{F_i}
@@ -203,31 +204,46 @@ class RBSCategory:
                               self._coset_rep[flags, gl.one])
         labels = list(zip(src.tolist(), tgt.tolist(), rep.tolist()))
         self.cat = _build(list(range(nf)), labels, src, tgt, identity_of,
-                          second, first, composite, self.guards, "auto")
-        self._check_well_definedness(well_definedness)
+                          second, first, composite, self.guards)
+        self._check_coset_composition()
 
-    def _check_well_definedness(self, mode):
-        """All representative products of a composable coset pair land in one
-        coset (guaranteed by U_{F'} <= g U_F g^{-1}; checked here)."""
-        if mode == "none":
-            return
-        gl, labels = self.gl, self.morphism_labels()
-        # the composable pairs by first and then second morphism index
-        src, tgt = self.cat.ends()
-        first, second = _join(tgt, src)
-        if mode == "sampled":
-            step = max(1, len(first) // 500)
-            first, second = first[::step], second[::step]
-        for (fi, fj, g), (_, fk, h) in zip([labels[i] for i in first.tolist()],
-                                           [labels[i] for i in second.tolist()]):
-            expected = self.coset_min(fi, gl.mult[h][g])
-            for u in self.unipotent[fi]:
-                gu = gl.mult[g][u]
-                for v in self.unipotent[fj]:
-                    hv = gl.mult[h][v]
-                    if self.coset_min(fi, gl.mult[hv][gu]) != expected:
-                        raise CategoryError(
-                            "coset composition depends on representatives")
+    def _check_coset_composition(self):
+        """Composing cosets does not depend on the representatives.
+
+        For morphisms (F_i, F_j, g) and (F_j, F_k, h), u in U_{F_i} and
+        v in U_{F_j}, (h v)(g u) = h g (g^-1 v g) u lies in h g U_{F_i}
+        exactly when g^-1 v g does in U_{F_i}.  So it suffices that
+        _coset_rep[F] is constant on every coset g U_F and that
+        g^-1 U_{F_j} g <= U_{F_i} for every morphism (F_i, F_j, g); both
+        are checked exactly, one flag at a time.
+        """
+        gl, nf, size = self.gl, len(self.flags), len(self.gl)
+        mult = np.array(gl.mult, np.int64).reshape(size, size)
+        inv = np.array(gl.inv, np.int64)
+        unipotent = [np.array(self.unipotent[f], np.int64) for f in range(nf)]
+        in_u = np.zeros((nf, size), bool)
+        for f, u in enumerate(unipotent):
+            in_u[f, u] = True
+        labels = np.array(self.cat.mor_labels, np.int64).reshape(-1, 3)
+        for f, u in enumerate(unipotent):
+            rep = np.asarray(self._coset_rep[f], np.int64)
+            moved = rep[mult[:, u]] != rep[:, None]
+            if moved.any():
+                g, k = np.unravel_index(np.argmax(moved), moved.shape)
+                raise CategoryError(
+                    "coset composition depends on representatives: g = %d "
+                    "and g u, u = %d in U_F, have different representatives "
+                    "at flag %d" % (g, u[k], f))
+            # the morphisms (F_i, F, g) into F
+            fi, g = labels[labels[:, 1] == f][:, [0, 2]].T
+            conj = mult[mult[inv[g][:, None], u[None, :]], g[:, None]]
+            outside = ~in_u[fi[:, None], conj]
+            if outside.any():
+                m, k = np.unravel_index(np.argmax(outside), outside.shape)
+                raise CategoryError(
+                    "coset composition depends on representatives: g^-1 v g "
+                    "is not in U_{F_i} for the morphism %r and v = %d in U_F"
+                    % ((int(fi[m]), f, int(g[m])), u[k]))
 
     def morphism_labels(self):
         return self.cat.mor_labels
@@ -252,9 +268,9 @@ class RBSCategory:
         return tuple(q.quotient_rank for q in self._quotients[fi])
 
 
-def build_rbs(ring_spec, n, guards=DEFAULT, well_definedness="sampled"):
+def build_rbs(ring_spec, n, guards=DEFAULT):
     ring = make_ring(ring_spec, guards)
-    return RBSCategory(ring, n, guards, well_definedness)
+    return RBSCategory(ring, n, guards)
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +429,9 @@ def tits_building(q, n, guards=DEFAULT):
     ring = make_ring("F%d" % q, guards)
     subs = [s for s in enumerate_submodules(ring, n, guards)
             if 0 < s.rank < n]
-    index = {s: i for i, s in enumerate(subs)}
-    facets = []
-
-    def extend(chain):
-        extended = False
-        for s in subs:
-            if chain[-1] < s:
-                extend(chain + [s])
-                extended = True
-        if not extended:
-            facets.append(tuple(index[x] for x in chain))
-
-    for s in subs:
-        if not any(t < s for t in subs):
-            extend([s])
+    less = np.array([[s < t for t in subs] for s in subs],
+                    bool).reshape(len(subs), len(subs))
+    facets = maximal_chains(less)
     cx = chain_complex_from_facets(facets)
     hz = homology(cx, "Z")
     top = n - 2

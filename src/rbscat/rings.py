@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .guards import DEFAULT, GuardExceeded
 
 
@@ -146,7 +148,7 @@ class FiniteRing:
                     break
         self.inv = inv
         self.units = tuple(a for a in range(n) if inv[a] is not None)
-        self._validate(guards)
+        self._validate()
 
     def _decode(self, a):
         vec = []
@@ -161,26 +163,31 @@ class FiniteRing:
             a = a * self.p + c
         return a
 
-    def _validate(self, guards):
+    def _validate(self):
+        """The ring axioms, exactly: one n x n slice of table gathers per
+        element a holds the triples (a, b, c).  A failure names the first
+        failing triple in lexicographic order."""
         n = self.size
         add, mul = self.add, self.mul
         if any(add[a][0] != a or mul[a][1] != a or mul[a][0] != 0 for a in range(n)):
             raise RingError("0/1 are not neutral")
-        rng = range(n)
-        exhaustive = n <= guards.max_ring_axiom_exhaustive
-        triples = (itertools.product(rng, rng, rng) if exhaustive
-                   else _sampled_triples(n))
-        for a, b, c in triples:
-            if add[add[a][b]][c] != add[a][add[b][c]]:
-                raise RingError("addition not associative at %s" % ((a, b, c),))
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise RingError("multiplication not associative at %s" % ((a, b, c),))
-            if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                raise RingError("distributivity fails at %s" % ((a, b, c),))
-        for a in rng:
-            for b in rng:
-                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    raise RingError("commutativity fails at %s" % ((a, b),))
+        A = np.array(add, np.int64).reshape(n, n)
+        M = np.array(mul, np.int64).reshape(n, n)
+        for a in range(n):
+            bad = (A[A[a]] != A[a][A],
+                   M[M[a]] != M[a][M],
+                   M[a][A] != A[M[a][:, None], M[a][None, :]])
+            either = bad[0] | bad[1] | bad[2]
+            if either.any():
+                b, c = np.unravel_index(np.argmax(either), either.shape)
+                what = next(w for w, fails in zip(
+                    ("addition not associative", "multiplication not "
+                     "associative", "distributivity fails"), bad) if fails[b, c])
+                raise RingError("%s at %s" % (what, (a, int(b), int(c))))
+        bad = (A != A.T) | (M != M.T)
+        if bad.any():
+            a, b = np.unravel_index(np.argmax(bad), bad.shape)
+            raise RingError("commutativity fails at %s" % ((int(a), int(b)),))
 
     @property
     def is_field(self):
@@ -201,17 +208,6 @@ class FiniteRing:
     # stable key is handy for caches and serialisation
     def key(self):
         return (self.kind, self.p, self.k, self.poly)
-
-
-def _sampled_triples(n, count=20000):
-    # deterministic LCG sampling; exact arithmetic, sampled coverage
-    state = 123456789
-    for _ in range(count):
-        state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 64)
-        a = state % n
-        b = (state >> 20) % n
-        c = (state >> 40) % n
-        yield a, b, c
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from rbscat import cli
-from rbscat.fincat import Group, Poset, group_category, poset_category
+from rbscat.fincat import (
+    Group, Poset, group_category, poset_category, product_tuple)
 from rbscat.homology import ChainComplex
 from rbscat.jsonio import complex_to_json, fincat_to_json
 
@@ -326,3 +327,83 @@ def test_homology_artifact_dims_past_the_guard(tmp_path):
     code, out, err = run_cli("homology", "--artifact", str(art))
     assert code == 2 and out == ""
     assert "max_simplices_per_degree" in err and "Traceback" not in err
+
+
+def test_homology_artifact_non_ascii_boundary_key(tmp_path):
+    # "²".isdigit() holds, but int("²") raises
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps({"schema": "chaincomplex/1", "dims": [1, 1],
+                               "boundaries": {"²": []}}))
+    code, out, err = run_cli("homology", "--artifact", str(art))
+    assert code == 1 and out == ""
+    assert "no boundary d_²" in err and len(err.splitlines()) == 1
+
+
+def test_homology_artifact_incomplete_with_one_degree(tmp_path):
+    # it used to print an empty result "trusted through degree -1"
+    for dims in ([0], [3]):
+        art = tmp_path / "short.json"
+        art.write_text(json.dumps({"schema": "chaincomplex/1", "dims": dims}))
+        code, out, err = run_cli("homology", "--artifact", str(art))
+        assert code == 1 and out == "", dims
+        assert "two degrees" in err and len(err.splitlines()) == 1
+    # a complete complex may have one degree
+    art.write_text(json.dumps({"schema": "chaincomplex/1", "dims": [3],
+                               "complete": True}))
+    code, out, _ = run_cli("homology", "--artifact", str(art))
+    assert code == 0 and "trusted through degree 0" in out
+
+
+def non_associative_artifact():
+    """Z/2 x a poset with w < x < y, 20 elements above x and 20 above y,
+    as a fincat/1 document with one wrong composite."""
+    elems = ["w", "x", "y"] + ["L%d" % i for i in range(20)] + \
+        ["M%d" % i for i in range(20)]
+    leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
+    leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
+    leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
+    doc = fincat_to_json(product_tuple([
+        group_category(Group([0, 1], lambda a, b: (a + b) % 2, 0)),
+        poset_category(Poset(elems, leq))]))
+    g, f = [["*", 1], ["x", "y"]], [["*", 1], ["w", "x"]]
+    entry = next(e for e in doc["composition"] if e[:2] == [g, f])
+    entry[2] = [["*", 1], ["w", "y"]]  # should be [["*", 0], ["w", "y"]]
+    return doc
+
+
+def test_non_associative_artifact_is_never_accepted(tmp_path):
+    # Light's test compares 2,056 triples of this table; with the guard
+    # one below, validation stops instead of passing unchecked triples
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps(non_associative_artifact()))
+    code, out, err = run_cli("homology", "--artifact", str(art), "--depth", "1")
+    assert code == 1 and out == ""
+    assert "associativity fails at" in err and len(err.splitlines()) == 1
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"max_assoc_triples": 2055}))
+    code, out, err = run_cli("--config", str(cfg), "homology", "--artifact",
+                             str(art), "--depth", "1")
+    assert code == 2 and out == ""
+    assert "requires 2056 > max_assoc_triples=2055" in err
+
+
+def test_removed_guard_key_is_rejected(tmp_path):
+    # the ring axioms are checked exactly at every size, so the knob that
+    # chose between exact and sampled checks is gone
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"max_ring_axiom_exhaustive": 64}))
+    code, out, err = run_cli("--config", str(cfg), "verify", "steinberg",
+                             "--q", "2", "--n", "2")
+    assert code == 1 and out == ""
+    assert "unknown guard keys" in err and "max_ring_axiom_exhaustive" in err
+
+
+def test_fast_checks_pass_under_optimize():
+    # the checks raise explicit exceptions, so python -O proves the same
+    for args in (("steinberg", "--q", "2", "--n", "3"),
+                 ("poset-regularity", "--ring", "F2", "--n", "2"),
+                 ("q-suite", "--q", "2", "--N", "1", "--cap", "2")):
+        proc = subprocess.run([sys.executable, "-O", "-m", "rbscat.cli",
+                               "verify", *args], capture_output=True, text=True)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stdout.split()[0] == args[0] and "PASS" in proc.stdout

@@ -158,44 +158,22 @@ def test_validator_agrees_with_triple_loop_oracle(C, data):
     ends = {m: (s, t) for m, s, t in morphs}
     comp[(g, f)] = data.draw(st.sampled_from(
         [m for m, s, t in morphs if (s, t) == (ends[f][0], ends[g][1])]))
-    assoc = data.draw(st.sampled_from(["exhaustive", "auto", "sampled"]))
     if oracle_is_category(morphs, idents, comp):
-        validate_category(objs, morphs, idents, comp, assoc=assoc)
+        validate_category(objs, morphs, idents, comp)
     else:
         with pytest.raises(CategoryError):
-            validate_category(objs, morphs, idents, comp, assoc=assoc)
+            validate_category(objs, morphs, idents, comp)
 
 
-def test_sampled_mode_checks_every_triple_under_the_guard():
-    # Z/2 x a poset with w < x < y, 20 elements above x and 20 above y;
-    # one wrong composite breaks only triples that the fixed sample rarely
-    # draws
-    elems = ["w", "x", "y"] + ["L%d" % i for i in range(20)] + \
-        ["M%d" % i for i in range(20)]
-    leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
-    leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
-    leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
-    objs, morphs, idents, comp = tables(
-        product_tuple([bz(2), poset_category(Poset(elems, leq))]))
-    g, f = (("*", 1), ("x", "y")), (("*", 1), ("w", "x"))
-    comp[(g, f)] = (("*", 1), ("w", "y"))  # should be (("*", 0), ("w", "y"))
-    assert not oracle_is_category(morphs, idents, comp)
-    # past the guard the sample misses every failing triple ...
+def test_guard_bounds_the_triples_light_test_compares():
+    # BZ/3 has 27 composable triples; S = {1} (2 = 1 + 1), so Light's test
+    # compares the 9 with middle 1
+    objs, morphs, idents, comp = tables(bz(3))
     validate_category(objs, morphs, idents, comp,
-                      GuardConfig(max_assoc_triples=0), assoc="sampled")
-    # ... under it "sampled" checks them all
-    with pytest.raises(CategoryError, match="associativity"):
-        validate_category(objs, morphs, idents, comp, assoc="sampled")
-
-
-def test_exhaustive_mode_past_the_guard_raises():
-    objs, morphs, idents, comp = tables(bz(3))  # 27 composable triples
-    small = GuardConfig(max_assoc_triples=26)
-    with pytest.raises(GuardExceeded, match="27 triples"):
-        validate_category(objs, morphs, idents, comp, small)
-    validate_category(objs, morphs, idents, comp, small, assoc="auto")
-    validate_category(objs, morphs, idents, comp,
-                      GuardConfig(max_assoc_triples=27))
+                      GuardConfig(max_assoc_triples=9))
+    with pytest.raises(GuardExceeded, match="requires 9 > max_assoc_triples=8"):
+        validate_category(objs, morphs, idents, comp,
+                          GuardConfig(max_assoc_triples=8))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -280,16 +258,15 @@ def failing_triples(morphs, comp):
             comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]}
 
 
-def assert_validator_agrees(C, objs, morphs, idents, comp, assoc="exhaustive",
-                            guards=DEFAULT):
+def assert_validator_agrees(C, objs, morphs, idents, comp):
     """validate_category raises exactly when oracle_is_category fails; an
     associativity failure names a failing triple whose middle morphism is
     in the generating set of comp."""
     if oracle_is_category(morphs, idents, comp):
-        validate_category(objs, morphs, idents, comp, guards, assoc)
+        validate_category(objs, morphs, idents, comp)
         return
     with pytest.raises(CategoryError) as info:
-        validate_category(objs, morphs, idents, comp, guards, assoc)
+        validate_category(objs, morphs, idents, comp)
     if "associativity" in str(info.value):
         named = [t for t in failing_triples(morphs, comp)
                  if str(info.value).endswith("(%r, %r, %r)" % t)]
@@ -305,8 +282,7 @@ def test_validator_agrees_with_oracle_on_rbs_and_its_fibers(C, data):
     ends = {m: (s, t) for m, s, t in morphs}
     comp[(g, f)] = data.draw(st.sampled_from(
         [m for m, s, t in morphs if (s, t) == (ends[f][0], ends[g][1])]))
-    assoc = data.draw(st.sampled_from(["exhaustive", "auto", "sampled"]))
-    assert_validator_agrees(C, objs, morphs, idents, comp, assoc)
+    assert_validator_agrees(C, objs, morphs, idents, comp)
 
 
 def test_wrong_composite_on_non_generators_is_caught():
@@ -323,7 +299,7 @@ def test_wrong_composite_on_non_generators_is_caught():
 
 def z2_times_wide_poset():
     """Z/2 x a poset with w < x < y, 20 elements above x and 20 above y,
-    with one composite broken on triples the fixed sample rarely draws."""
+    with one composite broken: few of its composable triples fail."""
     elems = ["w", "x", "y"] + ["L%d" % i for i in range(20)] + \
         ["M%d" % i for i in range(20)]
     leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
@@ -336,20 +312,21 @@ def z2_times_wide_poset():
     return C, objs, morphs, idents, comp
 
 
-def test_past_the_guard_light_test_is_exact_when_its_triples_fit():
+def test_wrong_composite_is_caught_at_the_light_count():
+    # the guard bounds the triples Light's test compares, not all
+    # composable triples: at that count the failure is found, one below
+    # it validation stops
     C, objs, morphs, idents, comp = z2_times_wide_poset()
+    assert not oracle_is_category(morphs, idents, comp)
     light = light_triples(C, generators(C, comp))
     assert light < C.triple_count()
-    for assoc in ("auto", "sampled"):
+    for guards in (DEFAULT, GuardConfig(max_assoc_triples=light)):
         with pytest.raises(CategoryError, match="associativity"):
-            validate_category(objs, morphs, idents, comp,
-                              GuardConfig(max_assoc_triples=light), assoc)
-        # one triple fewer, and only the fixed sample is checked
+            validate_category(objs, morphs, idents, comp, guards)
+    with pytest.raises(GuardExceeded, match="requires %d > max_assoc_triples"
+                       % light):
         validate_category(objs, morphs, idents, comp,
-                          GuardConfig(max_assoc_triples=light - 1), assoc)
-    with pytest.raises(GuardExceeded, match="%d triples" % C.triple_count()):
-        validate_category(objs, morphs, idents, comp,
-                          GuardConfig(max_assoc_triples=light))
+                          GuardConfig(max_assoc_triples=light - 1))
 
 
 def test_rbs_f2_cubed_is_validated_exactly_under_the_default_guard():
@@ -498,7 +475,7 @@ def oracle_fiber(F, d, side):
         for lbl2 in mors_of.get(t1, ()):
             u21 = A.compose(A.mor_index[lbl2[2]], A.mor_index[lbl1[2]])
             comp[(lbl2, lbl1)] = (s1, lbl2[1], A.mor_labels[u21])
-    return validate_category(objects, morphs, idents, comp, assoc="sampled")
+    return validate_category(objects, morphs, idents, comp)
 
 
 def oracle_subcategory(C, objs, keep):
@@ -513,7 +490,7 @@ def oracle_subcategory(C, objs, keep):
     idents = {o: C.mor_labels[C.identity_of[C.obj_index[o]]] for o in objs}
     comp = {(C.mor_labels[g], C.mor_labels[f]): C.mor_labels[h]
             for g, f, h in pair_list(C) if g in kept and f in kept}
-    return validate_category(objs, morphs, idents, comp, assoc="sampled")
+    return validate_category(objs, morphs, idents, comp)
 
 
 def oracle_strict_fiber(F, d):
@@ -625,8 +602,7 @@ def test_functor_breaking_composition_is_reported():
 def oracle_opposite(C):
     objs, morphs, idents, comp = tables(C)
     return validate_category(objs, [(m, t, s) for m, s, t in morphs], idents,
-                             {(f, g): h for (g, f), h in comp.items()},
-                             assoc="sampled")
+                             {(f, g): h for (g, f), h in comp.items()})
 
 
 def oracle_product_tuple(cats):
@@ -650,7 +626,7 @@ def oracle_product_tuple(cats):
                 comp[(gt, ft)] = tuple(
                     c.mor_labels[c.compose(c.mor_index[g], c.mor_index[f])]
                     for c, g, f in zip(cats, gt, ft))
-    return validate_category(obj_tuples, morphs, idents, comp, assoc="auto")
+    return validate_category(obj_tuples, morphs, idents, comp)
 
 
 def oracle_poset_category(P):
@@ -666,8 +642,7 @@ def oracle_group_category(G, base="*"):
     morphs = [((base, g), base, base) for g in G.elements]
     comp = {((base, a), (base, b)): (base, G.mul(a, b))
             for a in G.elements for b in G.elements}
-    return validate_category([base], morphs, {base: (base, G.identity)}, comp,
-                             assoc="sampled")
+    return validate_category([base], morphs, {base: (base, G.identity)}, comp)
 
 
 def oracle_twisted_arrow_op(C):
@@ -699,7 +674,7 @@ def oracle_twisted_arrow_op(C):
             comp[(lbl2, lbl1)] = (s1, lbl2[1],
                                   C.mor_labels[C.compose(a2, a1)],
                                   C.mor_labels[C.compose(b1, b2)])
-    tw = validate_category(C.mor_labels, morphs, idents, comp, assoc="auto")
+    tw = validate_category(C.mor_labels, morphs, idents, comp)
     proj = FinFunctor(tw, C,
                       {C.mor_labels[f]: C.objects[C.src[f]]
                        for f in range(C.n_morphisms)},

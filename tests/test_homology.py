@@ -13,6 +13,7 @@ from rbscat.homology import (
     chain_complex_from_facets,
     eliminate_units,
     homology,
+    maximal_chains,
     nerve_chain_complex,
     nerve_simplex_counts,
     order_complex,
@@ -238,6 +239,17 @@ def test_rp2_over_z_and_f2():
     assert hf.betti == {0: 1, 1: 1, 2: 1}
     hf3 = homology(rp2, "F3")
     assert hf3.betti == {0: 1, 1: 0, 2: 0}
+
+
+def test_maximal_chains_step_along_covers():
+    # a < b < c < e, a < d < e and the relations they imply, plus an
+    # isolated f: the faces (a, c) and (a, e) are not listed
+    less = [[False] * 6 for _ in range(6)]
+    for i, j in [(0, 1), (1, 2), (0, 2), (2, 4), (1, 4), (0, 4), (0, 3),
+                 (3, 4)]:
+        less[i][j] = True
+    assert sorted(maximal_chains(less)) == [(0, 1, 2, 4), (0, 3, 4), (5,)]
+    assert maximal_chains([[False]]) == [(0,)]
 
 
 def test_order_complex_of_chain_is_contractible():

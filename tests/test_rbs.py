@@ -1,10 +1,13 @@
+import copy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbscat import checks
-from rbscat.fincat import is_fully_faithful, twisted_arrow_op
+from rbscat.fincat import CategoryError, is_fully_faithful, twisted_arrow_op
 from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
 from rbscat.homology import homology, nerve_chain_complex
 from rbscat.rbs import (
@@ -28,8 +31,8 @@ from rbscat.toolkit import is_colim_equivalence, is_proper
 
 
 # module-level instances reused across tests (construction is validated)
-R22 = build_rbs("F2", 2, well_definedness="exhaustive")
-R32 = build_rbs("F3", 2, well_definedness="exhaustive")
+R22 = build_rbs("F2", 2)
+R32 = build_rbs("F3", 2)
 RZ4 = build_rbs("Z4", 2)
 
 
@@ -292,10 +295,10 @@ def test_twisted_cofinal_rbs():
 # ---------------------------------------------------------------------------
 # well-definedness of composition
 
-def test_composition_representative_independence_exhaustive():
-    # fully exhaustive re-check at (F2, 2): all representative products of
-    # composable cosets land in the canonical coset
-    r = R22
+def representatives_independent(r):
+    """Oracle for RBSCategory._check_coset_composition: for every
+    composable pair of cosets, every product of representatives lands in
+    the canonical coset of the product, by a plain loop."""
     gl = r.gl
     for (fi, fj, g) in r.cat.mor_labels:
         for (fj2, fk, h) in r.cat.mor_labels:
@@ -305,7 +308,14 @@ def test_composition_representative_independence_exhaustive():
             for u in r.unipotent[fi]:
                 for v in r.unipotent[fj]:
                     prod = gl.mult[gl.mult[h][v]][gl.mult[g][u]]
-                    assert r.coset_min(fi, prod) == expected
+                    if r.coset_min(fi, prod) != expected:
+                        return False
+    return True
+
+
+def test_composition_representative_independence_exhaustive():
+    for r in (R22, R32):
+        assert representatives_independent(r)
 
 
 def test_coset_well_definedness_survives_optimize():
@@ -313,10 +323,10 @@ def test_coset_well_definedness_survives_optimize():
     # representatives of the same cosets then land elsewhere
     code = ("from rbscat.fincat import CategoryError\n"
             "from rbscat.rbs import build_rbs\n"
-            "rbs = build_rbs('F2', 2, well_definedness='none')\n"
+            "rbs = build_rbs('F2', 2)\n"
             "rbs._coset_rep = [list(range(len(rbs.gl))) for _ in rbs.flags]\n"
             "try:\n"
-            "    rbs._check_well_definedness('full')\n"
+            "    rbs._check_coset_composition()\n"
             "except CategoryError as exc:\n"
             "    assert 'depends on representatives' in str(exc)\n"
             "    raise SystemExit(0)\n"
@@ -324,6 +334,69 @@ def test_coset_well_definedness_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def corrupted(r, unipotent=None, coset_rep=None, recompute=False):
+    """A shallow copy of r with its unipotent subgroups or its coset
+    representatives replaced; recompute takes the least element of each
+    coset g U_F of the new U_F as its representative, as construction
+    does."""
+    c = copy.copy(r)
+    c.unipotent = dict(r.unipotent) if unipotent is None else unipotent
+    c._coset_rep = r._coset_rep if coset_rep is None else coset_rep
+    if recompute:
+        mult = np.array(r.gl.mult, np.int64)
+        c._coset_rep = np.array([mult[:, list(c.unipotent[f])].min(axis=1)
+                                 for f in range(len(r.flags))])
+    return c
+
+
+def test_corrupted_unipotent_subgroup_is_caught():
+    lines, e = lines_of(R32)
+    f = lines[0]
+    outside = next(g for g in range(len(R32.gl)) if g not in R32.unipotent[f])
+    # U_F of a line enlarged by an element outside it: the representatives
+    # are then not constant on its cosets
+    c = corrupted(R32, {**R32.unipotent, f: R32.unipotent[f] + (outside,)})
+    assert not representatives_independent(c)
+    with pytest.raises(CategoryError, match="different representatives"):
+        c._check_coset_composition()
+    # U_F of a line replaced by the U_F of another line, with the
+    # representatives computed from it: they are constant on its cosets,
+    # but conjugation no longer carries U_F into the U_F of the source
+    c = corrupted(R32, {**R32.unipotent, f: R32.unipotent[lines[1]]},
+                  recompute=True)
+    assert not representatives_independent(c)
+    with pytest.raises(CategoryError, match=r"g\^-1 v g is not in"):
+        c._check_coset_composition()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([R22, R32]), st.data())
+def test_well_definedness_check_rejects_what_the_oracle_rejects(r, data):
+    size, nf = len(r.gl), len(r.flags)
+    f = data.draw(st.integers(0, nf - 1))
+    kind = data.draw(st.sampled_from(["unipotent", "both", "coset_rep"]))
+    if kind == "coset_rep":
+        # one coset representative changed
+        rep = np.array(r._coset_rep, np.int64)
+        rep[f, data.draw(st.integers(0, size - 1))] = \
+            data.draw(st.integers(0, size - 1))
+        c = corrupted(r, coset_rep=rep)
+    else:
+        # one element of one U_F replaced, added or dropped, and the
+        # representatives kept or computed from the new U_F
+        u_f = list(r.unipotent[f])
+        k = data.draw(st.integers(0, len(u_f)))
+        g = data.draw(st.integers(0, size - 1))
+        u_f[k:k + data.draw(st.integers(0, 1))] = \
+            [g] * data.draw(st.integers(0, 1))
+        c = corrupted(r, {**r.unipotent, f: tuple(u_f)},
+                      recompute=kind == "both" and bool(u_f))
+    if representatives_independent(c):
+        return
+    with pytest.raises(CategoryError, match="depends on representatives"):
+        c._check_coset_composition()
 
 
 @pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import re
 import subprocess
@@ -114,6 +115,66 @@ def test_make_ring_checks_size_on_every_call():
         with pytest.raises(GuardExceeded, match="max_ring_size"):
             make_ring(spec, small)
     assert make_ring("F2", small) is F2
+
+
+def first_failing_ring_axiom(add, mul):
+    """Oracle for FiniteRing._validate: the 0/1 laws, then a plain loop
+    over every triple in lexicographic order, then every pair for
+    commutativity."""
+    n = len(add)
+    if any(add[a][0] != a or mul[a][1] != a or mul[a][0] != 0
+           for a in range(n)):
+        return "0/1 are not neutral"
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            return "addition not associative at %s" % ((a, b, c),)
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return "multiplication not associative at %s" % ((a, b, c),)
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            return "distributivity fails at %s" % ((a, b, c),)
+    for a, b in itertools.product(range(n), repeat=2):
+        if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+            return "commutativity fails at %s" % ((a, b),)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["F2", "F3", "F4", "Z4", "F5", "Z8", "F9"]), st.data())
+def test_ring_axioms_checked_exactly(spec, data):
+    # one or two table entries replaced
+    ring = copy.copy(make_ring(spec))
+    n = ring.size
+    ring.add, ring.mul = [list(r) for r in ring.add], [list(r) for r in ring.mul]
+    for _ in range(data.draw(st.integers(1, 2))):
+        table = data.draw(st.sampled_from([ring.add, ring.mul]))
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[a][b] = data.draw(st.integers(0, n - 1))
+    expected = first_failing_ring_axiom(ring.add, ring.mul)
+    if expected is None:
+        ring._validate()
+    else:
+        with pytest.raises(RingError) as info:
+            ring._validate()
+        assert str(info.value) == expected
+
+
+def test_noncommutative_ring_is_rejected():
+    # upper triangular 2 x 2 matrices over F_2, numbered with 0 = zero and
+    # 1 = one: every law holds but commutativity
+    mats = [(0, 0, 0), (1, 0, 1)] + [m for m in itertools.product(
+        range(2), repeat=3) if m not in ((0, 0, 0), (1, 0, 1))]
+    index = {m: i for i, m in enumerate(mats)}
+    add = [[index[tuple((x + y) % 2 for x, y in zip(m, n))] for n in mats]
+           for m in mats]
+    mul = [[index[(m[0] * n[0] % 2, (m[0] * n[1] + m[1] * n[2]) % 2,
+                   m[2] * n[2] % 2)] for n in mats] for m in mats]
+    ring = copy.copy(F2)
+    ring.size, ring.add, ring.mul = len(mats), add, mul
+    expected = first_failing_ring_axiom(add, mul)
+    assert expected.startswith("commutativity fails")
+    with pytest.raises(RingError) as info:
+        ring._validate()
+    assert str(info.value) == expected
 
 
 def test_default_irreducible():
