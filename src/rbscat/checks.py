@@ -60,7 +60,7 @@ class CheckReport:
     expected: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     witness: str = ""
-    seconds: float = 0.0
+    seconds: float = 0.0         # set by run_check
 
     @property
     def ok(self):
@@ -95,19 +95,16 @@ def _rbs(spec, n, guards):
 
 def check_steinberg(q, n, guards=DEFAULT):
     """Top reduced homology rank of the building equals q^{n(n-1)/2}."""
-    t0 = time.time()
     expected = q ** (n * (n - 1) // 2)
     tc = tits_building(q, n, guards)
     chi_expected = 1 + (-1) ** n * expected
     ok = tc.steinberg_rank == expected and tc.euler_characteristic == chi_expected
-    rep = _report(
+    return _report(
         "steinberg", {"q": q, "n": n}, ok,
         {"rank": tc.steinberg_rank, "chi": tc.euler_characteristic,
          "simplices": tc.simplex_counts},
         {"rank": expected, "chi": chi_expected},
         {"rank": "theorem", "chi": "derived: from simplex counts"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def check_pi1(spec, n, depth=2, guards=DEFAULT):
@@ -118,7 +115,6 @@ def check_pi1(spec, n, depth=2, guards=DEFAULT):
     The nerve is taken of a skeleton: the inclusion of a skeleton is an
     equivalence of categories, so the nerves are homotopy equivalent and
     H_1 is unchanged, while the boundaries shrink several times."""
-    t0 = time.time()
     rbs = _rbs(spec, n, guards)
     units = len(rbs.ring.units)
     expected_torsion = [] if units == 1 else [units]
@@ -137,14 +133,12 @@ def check_pi1(spec, n, depth=2, guards=DEFAULT):
     ok = (h.betti.get(1) == 0 and h.torsion.get(1) == expected_torsion
           and len(target) == units and measured["E_equals_det1"]
           and surjective)
-    rep = _report(
+    return _report(
         "pi1", {"ring": spec, "n": n, "depth": depth}, ok, measured,
         {"H1_rank": 0, "H1_torsion": expected_torsion, "GL_over_E": units,
          "E_equals_det1": True},
         {"H1_torsion": "theorem", "GL_over_E": "theorem",
          "E_equals_det1": "theorem (commutative local scope)"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT, nerve_depth=None):
@@ -153,7 +147,6 @@ def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT, nerve_depth=None):
     Uses the category-algebra resolution engine for the stated degrees
     (depth-free) plus a direct nerve cross-check at a feasible depth.
     """
-    t0 = time.time()
     rbs = _rbs(spec, n, guards)
     p = rbs.ring.p
     betti = category_homology_mod(rbs.cat, p, max_degree)
@@ -172,18 +165,15 @@ def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT, nerve_depth=None):
         ok = ok and cross == [1] + [0] * (len(cross) - 1)
     except GuardExceeded as exc:
         measured["nerve_depth"] = "guard: %s" % exc
-    rep = _report(
+    return _report(
         "fp-acyclic", {"ring": spec, "n": n, "max_degree": max_degree}, ok,
         measured, {"betti_F%d" % p: expected},
         {"betti_F%d" % p: "theorem"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def check_bgl_comparison(spec, n, ell, max_degree=3, guards=DEFAULT):
     """H_i(BGL; F_ell) = H_i(flag category; F_ell) for i <= max_degree,
     ell prime to the characteristic.  Raises ValueError for ell = p."""
-    t0 = time.time()
     if ell == make_ring(spec, guards).p:
         raise ValueError("bgl-comparison needs ell != characteristic, got "
                          "ell = %d for %s" % (ell, spec))
@@ -194,39 +184,33 @@ def check_bgl_comparison(spec, n, ell, max_degree=3, guards=DEFAULT):
     left = category_homology_mod(bg, ell, max_degree)
     right = category_homology_mod(rbs.cat, ell, max_degree)
     ok = left == right
-    rep = _report(
+    return _report(
         "bgl-comparison", {"ring": spec, "n": n, "ell": ell,
                            "max_degree": max_degree},
         ok, {"BGL": left, "RBS": right}, {"equal": True},
         {"equal": "theorem"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def check_proper_p(spec, n, depth=3, guards=DEFAULT):
     """The comparison functor is proper up to the depth and restricts to an
     isomorphism over the empty flag."""
-    t0 = time.time()
     rbs = _rbs(spec, n, guards)
     ac = gl_flag_action_category(rbs)
     p = comparison_functor(rbs, ac)
     verdict = is_proper(p, depth, guards)
     iso = comparison_iso_over_bgl(rbs, p)
     ok = verdict.ok and iso
-    rep = _report(
+    return _report(
         "proper-p", {"ring": spec, "n": n, "depth": depth}, ok,
         {"proper": verdict.ok, "iso_over_bgl": iso},
         {"proper": True, "iso_over_bgl": True},
         {"proper": "theorem", "iso_over_bgl": "theorem"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def check_inductive(spec, n, guards=DEFAULT):
     """Blockwise decomposition under every flag: category isomorphism onto
     the product of graded flag categories plus equivalence of the
     refinement inclusion."""
-    t0 = time.time()
     rbs = _rbs(spec, n, guards)
     results = {}
     ok = True
@@ -236,11 +220,9 @@ def check_inductive(spec, n, guards=DEFAULT):
                        "equivalence": dec.inclusion_is_equivalence,
                        "graded": list(rbs.graded_dims(fi))}
         ok = ok and dec.is_isomorphism and dec.inclusion_is_equivalence
-    rep = _report(
+    return _report(
         "inductive", {"ring": spec, "n": n}, ok,
         {"flags": results}, {"all": True}, {"all": "theorem"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def _named_small_category(name, guards=DEFAULT):
@@ -262,7 +244,6 @@ def check_twisted_cofinal(names=("terminal", "chain2", "BZ2", "BZ3", "RBS-F2-2")
                           depth=3, guards=DEFAULT):
     """The projection from the twisted-arrow opposite is a colim-equivalence
     (all right fibers weakly contractible up to the depth)."""
-    t0 = time.time()
     results = {}
     ok = True
     for name in names:
@@ -271,26 +252,21 @@ def check_twisted_cofinal(names=("terminal", "chain2", "BZ2", "BZ3", "RBS-F2-2")
         verdict = is_colim_equivalence(proj, depth, guards)
         results[name] = verdict.ok
         ok = ok and verdict.ok
-    rep = _report("twisted-cofinal", {"categories": list(names), "depth": depth},
-                  ok, results, {n: True for n in names},
-                  {n: "theorem" for n in names})
-    rep.seconds = time.time() - t0
-    return rep
+    return _report(
+        "twisted-cofinal", {"categories": list(names), "depth": depth}, ok,
+        results, {n: True for n in names}, {n: "theorem" for n in names})
 
 
 def check_poset_regularity(spec, n, guards=DEFAULT):
     """x <= g.x implies x = g.x for the GL action on the flag poset."""
-    t0 = time.time()
     rbs = _rbs(spec, n, guards)
     G, P, act = gl_action(rbs)
     from .fincat import check_poset_regularity as _regular
     witness = _regular(G, P, act)
     ok = witness is None
-    rep = _report("poset-regularity", {"ring": spec, "n": n}, ok,
-                  {"witness": repr(witness)}, {"witness": "None"},
-                  {"witness": "theorem"})
-    rep.seconds = time.time() - t0
-    return rep
+    return _report("poset-regularity", {"ring": spec, "n": n}, ok,
+                   {"witness": repr(witness)}, {"witness": "None"},
+                   {"witness": "theorem"})
 
 
 def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
@@ -305,7 +281,6 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
         raise ValueError("--cap must be at least --N = %d, got %d" % (N, cap))
     if depth < 1:
         raise ValueError("--depth must be at least 1, got %d" % depth)
-    t0 = time.time()
     kit = QKit(q, N, cap=cap, guards=guards)
     psi = kit.psi_functor()
     ff = is_fully_faithful(psi)
@@ -352,7 +327,7 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
                 mono_ok = False
             seen[key] = gl
     ok = ff and terminals_ok and decompositions_ok and comma_ok and mono_ok
-    rep = _report(
+    return _report(
         "q-suite", {"q": q, "N": N, "cap": cap, "depth": depth}, ok,
         {"psi_fully_faithful": ff, "terminals": terminals_ok,
          "terminal_decompositions": decompositions_ok,
@@ -360,15 +335,12 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
         {"all": True},
         {"psi_fully_faithful": "theorem", "terminals": "theorem",
          "comma": "theorem", "monomorphisms": "theorem"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 def check_infra(snf_count=1000, seed=20240601, guards=DEFAULT):
     """Infrastructure property suite: SNF postconditions on random
     matrices, the rank-oracle comparison on a fixed corpus, truncation
     stability on small nerve instances."""
-    t0 = time.time()
     state = seed
     def rnd(n):
         nonlocal state
@@ -410,15 +382,13 @@ def check_infra(snf_count=1000, seed=20240601, guards=DEFAULT):
                h1.torsion.get(k) != h2.torsion.get(k):
                 trunc_ok = False
     ok = snf_ok == snf_count and oracle_ok and rp2_torsion_ok and trunc_ok
-    rep = _report(
+    return _report(
         "infra", {"snf_count": snf_count, "seed": seed}, ok,
         {"snf_checked": snf_ok, "oracle_agreement": oracle_ok,
          "rp2_torsion": rp2_torsion_ok, "truncation_stability": trunc_ok},
         {"all": True},
         {"oracle_agreement": "derived: fraction-free rank oracle",
          "rp2_torsion": "derived: classical complex"})
-    rep.seconds = time.time() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +413,10 @@ def run_check(name, guards=DEFAULT, **params):
     if name not in CHECKS:
         raise KeyError("unknown check %r; known: %s" % (name, sorted(CHECKS)))
     fn, _sig = CHECKS[name]
-    return fn(guards=guards, **params)
+    t0 = time.perf_counter()
+    rep = fn(guards=guards, **params)
+    rep.seconds = time.perf_counter() - t0
+    return rep
 
 
 DESK_PROFILE = [

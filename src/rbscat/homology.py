@@ -19,6 +19,7 @@ cross-check.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -548,7 +549,7 @@ def chain_complex_from_facets(facets):
     for f in facets:
         f = tuple(sorted(set(f)))
         for k in range(len(f)):
-            for face in _subsets(f, k + 1):
+            for face in itertools.combinations(f, k + 1):
                 simplices.setdefault(k, set()).add(face)
     if not simplices:
         return ChainComplex([0], {}, complete=True)
@@ -569,11 +570,6 @@ def chain_complex_from_facets(facets):
     cx = ChainComplex(dims, boundaries, labels, complete=True)
     cx.verify_boundary_squared()
     return cx
-
-
-def _subsets(t, size):
-    import itertools
-    return itertools.combinations(t, size)
 
 
 def maximal_chains(less):

@@ -52,8 +52,9 @@ def fincat_to_json(C):
 
 def fincat_from_json(doc, guards=None):
     """Load a category artifact; raises ValueError for a bad schema, a
-    missing key or a malformed entry, and CategoryError (a ValueError)
-    unless the tables form a category."""
+    missing key, a malformed entry or an identity or composite given
+    twice, and CategoryError (a ValueError) unless the tables form a
+    category."""
     from .guards import DEFAULT
     if not isinstance(doc, dict) or doc.get("schema") != "fincat/1":
         raise ValueError("not a fincat artifact")
@@ -72,11 +73,24 @@ def fincat_from_json(doc, guards=None):
     objects = [_freeze(o) for o in doc["objects"]]
     morphisms = [(_freeze(m["label"]), _freeze(m["src"]), _freeze(m["tgt"]))
                  for m in doc["morphisms"]]
-    identities = {_freeze(o): _freeze(m) for o, m in doc["identities"]}
-    comp = {(_freeze(g), _freeze(f)): _freeze(h)
-            for g, f, h in doc["composition"]}
+    identities = _table(((_freeze(o), _freeze(m))
+                         for o, m in doc["identities"]), "identity of")
+    comp = _table((((_freeze(g), _freeze(f)), _freeze(h))
+                   for g, f, h in doc["composition"]), "composite of")
     return validate_category(objects, morphisms, identities, comp,
                              guards=guards or DEFAULT)
+
+
+def _table(entries, what):
+    """The dict of (key, value) entries; a key given twice is rejected,
+    not overwritten."""
+    out = {}
+    for key, value in entries:
+        if key in out:
+            raise ValueError("fincat: %s %s given twice"
+                             % (what, json.dumps(_thaw(key))))
+        out[key] = value
+    return out
 
 
 def ring_to_json(ring):

@@ -18,8 +18,15 @@ On top of it:
     the merged graded maps are isomorphisms, and returns the stored
     composite on later calls.
   * the hom 2-categories of the associated Q-construction, their
-    terminal decompositions, the collapsed 1-category, and the
+    terminal decompositions, the collapsed 1-category Q1, and the
     comparison functor from the span category with its comma categories.
+    A Q1 morphism m -> m' is the component of a triple (a, b, phi) in
+    Hom_2(m, m'), looked up by QKit.q1_class.
+
+Every constructed category (span, graded lists, Hom_2, Q1, comma) is
+built by _category from its objects, morphisms, identities and a
+compose(g, f) on labels, called once per composable pair; validation is
+fincat.validate_category's.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import astuple, dataclass
 
-from .fincat import CategoryError, FinFunctor, validate_category
+from .fincat import (
+    CategoryError,
+    FinFunctor,
+    full_subcategory,
+    validate_category,
+)
 from .guards import DEFAULT
 from .rings import (
     Mat,
@@ -127,33 +139,23 @@ class FiltCategory:
             _require(Submodule.from_rows(R, b, [list(r) for r in ker_rows]) ==
                      image_submodule(R, b, mi),
                      "mono is not the kernel of its cokernel")
-        # axioms 5/6 and the swapped forms on all pairs
+        # axioms 5/6 on all pairs, each with its swapped form (pullback of
+        # mono along epi is mono; pushout of epi along mono is epi) on the
+        # same pullback or pushout
         for (b, c, p) in epis:
             for (cp, c2, m) in monos:
-                if c2 != c:
-                    continue
-                pb_obj, to_b, to_cp = pullback(R, b, c, p, cp, m)
-                _require(self.is_epi(pb_obj, cp, to_cp), "axiom 5 fails")
+                if c2 == c:
+                    pb_obj, to_b, to_cp = pullback(R, b, c, p, cp, m)
+                    _require(self.is_epi(pb_obj, cp, to_cp), "axiom 5 fails")
+                    _require(self.is_mono(pb_obj, b, to_b),
+                             "swapped axiom 5 fails")
         for (z, b, i) in monos:
             for (z2, c, p) in epis:
-                if z2 != z:
-                    continue
-                po_obj, from_b, from_c = pushout(R, z, b, c, i, p)
-                _require(self.is_mono(c, po_obj, from_c), "axiom 6 fails")
-        # swapped: pullback of mono along epi is mono; pushout of epi along
-        # mono is epi (bicartesian consequences)
-        for (b, c, p) in epis:
-            for (cp, c2, m) in monos:
-                if c2 != c:
-                    continue
-                pb_obj, to_b, to_cp = pullback(R, b, c, p, cp, m)
-                _require(self.is_mono(pb_obj, b, to_b), "swapped axiom 5 fails")
-        for (z, b, i) in monos:
-            for (z2, c, p) in epis:
-                if z2 != z:
-                    continue
-                po_obj, from_b, from_c = pushout(R, z, b, c, i, p)
-                _require(self.is_epi(b, po_obj, from_b), "swapped axiom 6 fails")
+                if z2 == z:
+                    po_obj, from_b, from_c = pushout(R, z, b, c, i, p)
+                    _require(self.is_mono(c, po_obj, from_c), "axiom 6 fails")
+                    _require(self.is_epi(b, po_obj, from_b),
+                             "swapped axiom 6 fails")
         return True
 
 
@@ -161,6 +163,23 @@ def _require(holds, what):
     """A check that holds under python -O too."""
     if not holds:
         raise CategoryError(what)
+
+
+def _category(objects, morphisms, identities, compose, guards):
+    """The validated FinCat on label tables.
+
+    morphisms: list of (label, src, tgt); identities: object -> label;
+    compose(g, f): the label of g o f.  compose is called once per
+    composable pair, f in the order of morphisms and, for each f, g in
+    that order among the morphisms out of tgt f.
+    """
+    out_of = {}
+    for (lbl, s, _) in morphisms:
+        out_of.setdefault(s, []).append(lbl)
+    comp = {(g, f): compose(g, f)
+            for (f, _, t) in morphisms for g in out_of.get(t, ())}
+    return validate_category(objects, morphisms, identities, comp,
+                             guards=guards)
 
 
 def image_submodule(ring, ambient, m):
@@ -290,20 +309,13 @@ def quillen_q(E, guards=DEFAULT):
         ida = Mat.identity(R, x)
         lbl = span_canonical(E, x, x, x, ida, ida)
         idents[x] = lbl
-    comp = {}
-    by_src = {}
-    for (lbl, s, t) in morphs:
-        by_src.setdefault(s, []).append(lbl)
-    for (lbl1, s1, t1) in morphs:
-        z1, p1, i1 = span_of[lbl1]
-        for lbl2 in by_src.get(t1, ()):
-            z2, p2, i2 = span_of[lbl2]
-            d, to_z1, to_z2 = pullback(R, z1, t1, i1, z2, p2)
-            p_new = p1.mul(to_z1)
-            i_new = i2.mul(to_z2)
-            comp[(lbl2, lbl1)] = span_canonical(E, s1, d, lbl2[1], p_new, i_new)
-    cat = validate_category(E.objects, morphs, idents, comp, guards=guards)
-    return cat, span_of
+
+    def compose(g, f):
+        (z1, p1, i1), (z2, p2, i2) = span_of[f], span_of[g]
+        d, to_z1, to_z2 = pullback(R, z1, f[1], i1, z2, p2)
+        return span_canonical(E, f[0], d, g[1], p1.mul(to_z1), i2.mul(to_z2))
+
+    return _category(E.objects, morphs, idents, compose, guards), span_of
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +440,8 @@ class MonCalculus:
             flags.append(FlagChain(n, (full.mat,), (Mat.identity(self.ring, n),)))
         return MonMor(obj, obj, tuple(range(len(obj))), tuple(flags))
 
-    def concat_objects(self, a, b):
-        return tuple(a) + tuple(b)
-
     def concat(self, f, g):
         """f (x) g on morphisms."""
-        shift_src = len(f.src)
         shift_tgt = len(f.tgt)
         theta = tuple(f.theta) + tuple(t + shift_tgt for t in g.theta)
         return MonMor(f.src + g.src, f.tgt + g.tgt, theta, f.flags + g.flags)
@@ -472,7 +480,6 @@ class MonCalculus:
                 qd = outer_q[t]
                 pi_t = outer.isos[t]  # complement coords -> F^{n_j}
                 pi_inv = pi_t.inverse()
-                inner_q = self.quotients(n_j, inner.chain)
                 base_rows = list(prev_sub.mat)
                 for u, rows_u in enumerate(inner.chain):
                     lifted = list(base_rows)
@@ -592,17 +599,11 @@ def monoidal_category(calc, cap, max_entry, guards=DEFAULT):
                 morphs.append((lbl, s, t))
                 mor_objs[lbl] = m
     idents = {o: _monmor_label(calc.identity(o)) for o in objs}
-    comp = {}
-    by_src = {}
-    for (lbl, s, t) in morphs:
-        by_src.setdefault(s, []).append(lbl)
-    for (lbl1, s1, t1) in morphs:
-        f = mor_objs[lbl1]
-        for lbl2 in by_src.get(t1, ()):
-            g = mor_objs[lbl2]
-            comp[(lbl2, lbl1)] = _monmor_label(calc.compose(g, f))
-    cat = validate_category(objs, morphs, idents, comp, guards=guards)
-    return cat, mor_objs
+
+    def compose(g, f):
+        return _monmor_label(calc.compose(mor_objs[g], mor_objs[f]))
+
+    return _category(objs, morphs, idents, compose, guards), mor_objs
 
 
 def _monmor_label(m):
@@ -644,8 +645,6 @@ def q2_hom(calc, m, mp, cap, max_entry, guards=DEFAULT):
     for (a, b, phi) in objs:
         labels[(a, b, _monmor_label(phi))] = (a, b, phi)
     morphs = []
-    comp = {}
-    idents = {}
     obj_labels = list(labels)
     # 2-cells (alpha, beta): phi == phi' o (alpha (x) id_m (x) beta)
     id_m = calc.identity(tuple(m))
@@ -661,22 +660,18 @@ def q2_hom(calc, m, mp, cap, max_entry, guards=DEFAULT):
                         clbl = (lbl1, lbl2, _monmor_label(alpha), _monmor_label(beta))
                         morphs.append((clbl, lbl1, lbl2))
                         cell_data[clbl] = (alpha, beta)
+    idents = {}
     for lbl in obj_labels:
         a, b, phi = labels[lbl]
         ida, idb = calc.identity(a), calc.identity(b)
-        idl = (lbl, lbl, _monmor_label(ida), _monmor_label(idb))
-        idents[lbl] = idl
-    by_src = {}
-    for (clbl, s, t) in morphs:
-        by_src.setdefault(s, []).append(clbl)
-    for (c1, s1, t1) in morphs:
-        a1, b1 = cell_data[c1]
-        for c2 in by_src.get(t1, ()):
-            a2, b2 = cell_data[c2]
-            comp[(c2, c1)] = (s1, c2[1],
-                              _monmor_label(calc.compose(a2, a1)),
-                              _monmor_label(calc.compose(b2, b1)))
-    cat = validate_category(obj_labels, morphs, idents, comp, guards=guards)
+        idents[lbl] = (lbl, lbl, _monmor_label(ida), _monmor_label(idb))
+
+    def compose(c2, c1):
+        (a1, b1), (a2, b2) = cell_data[c1], cell_data[c2]
+        return (c1[0], c2[1], _monmor_label(calc.compose(a2, a1)),
+                _monmor_label(calc.compose(b2, b1)))
+
+    cat = _category(obj_labels, morphs, idents, compose, guards)
     comp_id = _components(cat)
     terminals = _component_terminals(cat, comp_id)
     return Q2Hom(tuple(m), tuple(mp), cat, labels, comp_id, terminals)
@@ -777,6 +772,12 @@ class QKit:
 
     # -- Q1 ----------------------------------------------------------------
 
+    def q1_class(self, m, a, b, phi):
+        """The Q1 morphism m -> phi.tgt of the triple (a, b, phi): its
+        component in Hom_2(m, phi.tgt)."""
+        q2 = self.q2_hom(m, phi.tgt)
+        return (m, phi.tgt, q2.components[(a, b, _monmor_label(phi))])
+
     def q1_category(self):
         """Objects: graded lists; morphisms: 2-cell components of triples."""
         if self._q1 is not None:
@@ -784,45 +785,30 @@ class QKit:
         objs = self.calc.objects_up_to(self.cap, self.max_entry)
         morphs = []
         rep_of = {}     # q1 label -> representative (a, b, phi)
-        comp_lbl = {}   # (m, mp, component id) -> q1 label
         for m in objs:
             for mp in objs:
                 q2 = self.q2_hom(m, mp)
-                chosen = {}
+                chosen = {}  # component id -> its least object label
                 for olbl, cid in q2.components.items():
-                    key = (m, mp, cid)
-                    if key not in chosen or olbl < chosen[key]:
-                        chosen[key] = olbl
-                for key, olbl in sorted(chosen.items()):
-                    lbl = (m, mp, key[2])
+                    if cid not in chosen or olbl < chosen[cid]:
+                        chosen[cid] = olbl
+                for cid, olbl in sorted(chosen.items()):
+                    lbl = (m, mp, cid)
                     morphs.append((lbl, m, mp))
                     rep_of[lbl] = q2.objects_data[olbl]
-                    comp_lbl[key] = lbl
-        idents = {}
-        for m in objs:
-            q2 = self.q2_hom(m, m)
-            id_lbl = ((), (), _monmor_label(self.calc.identity(m)))
-            idents[m] = (m, m, q2.components[id_lbl])
-        comp = {}
-        by_src = {}
-        for (lbl, s, t) in morphs:
-            by_src.setdefault(s, []).append(lbl)
-        for (lbl1, s1, t1) in morphs:
-            a1, b1, phi1 = rep_of[lbl1]
-            for lbl2 in by_src.get(t1, ()):
-                a2, b2, phi2 = rep_of[lbl2]
-                # Q2 composition: (a2 (x) a1, b1 (x) b2, phi2 o (id phi1 id))
-                mid = self.calc.concat(
-                    self.calc.concat(self.calc.identity(a2), phi1),
-                    self.calc.identity(b2))
-                phi = self.calc.compose(phi2, mid)
-                new = (self.calc.concat_objects(a2, a1),
-                       self.calc.concat_objects(b1, b2), phi)
-                q2t = self.q2_hom(s1, lbl2[1])
-                key = (new[0], new[1], _monmor_label(new[2]))
-                comp[(lbl2, lbl1)] = (s1, lbl2[1], q2t.components[key])
-        self._q1 = (validate_category(objs, morphs, idents, comp,
-                                      guards=self.guards), rep_of)
+        calc = self.calc
+        idents = {m: self.q1_class(m, (), (), calc.identity(m)) for m in objs}
+
+        def compose(lbl2, lbl1):
+            (a1, b1, phi1), (a2, b2, phi2) = rep_of[lbl1], rep_of[lbl2]
+            # Q2 composition: (a2 (x) a1, b1 (x) b2, phi2 o (id phi1 id))
+            mid = calc.concat(calc.concat(calc.identity(a2), phi1),
+                              calc.identity(b2))
+            return self.q1_class(lbl1[0], a2 + a1, b1 + b2,
+                                 calc.compose(phi2, mid))
+
+        self._q1 = (_category(objs, morphs, idents, compose, self.guards),
+                    rep_of)
         return self._q1
 
     # -- Psi ----------------------------------------------------------------
@@ -860,38 +846,24 @@ class QKit:
             return ((), (), self.calc.identity(()))
         _require(chain[-1] == full, "chain does not end at the full space")
         quots = flag_quotients(ring, y, tuple(s.mat for s in chain))
-        # solve i(u) = v for u (i is mono)
-        def solve_i(v):
-            # least-squares style solve by rref on [i | v]
-            rows = [list(i.data[r]) + [v[r]] for r in range(y)]
-            red = canonical_rowspace(ring, rows)
-            u = [0] * z
-            for rr in red:
-                piv = next(idx for idx, val in enumerate(rr) if val)
-                if piv < z:
-                    u[piv] = rr[z]
-                else:
-                    _require(rr[z] == 0, "vector not in the image")
-            _require(tuple(i.mul_vec(u)) == tuple(v), "solve of i(u) = v failed")
-            return tuple(u)
-
+        # i(u) = v has one solution u, the coordinates of v in the
+        # columns of i (i is mono)
+        i_cols = list(zip(*i.data))
         isos = []
         step = 0
         if a_dim:
             q0 = quots[step]
             cols = []
             for c in q0.section_rows:
-                u = solve_i(c)
-                coords = _coords_in_rows(ring, ker_rows, u)
-                cols.append(coords)
+                u = _coords_in_rows(ring, i_cols, c)
+                cols.append(_coords_in_rows(ring, ker_rows, u))
             isos.append(Mat(ring, [list(r) for r in zip(*cols)]))
             step += 1
         if x:
             qx = quots[step]
             cols = []
             for c in qx.section_rows:
-                u = solve_i(c)
-                cols.append(p.mul_vec(u))
+                cols.append(p.mul_vec(_coords_in_rows(ring, i_cols, c)))
             isos.append(Mat(ring, [list(r) for r in zip(*cols)]))
             step += 1
         if b_dim:
@@ -912,17 +884,11 @@ class QKit:
         return (a_obj, b_obj, phi)
 
     def psi_q1_label(self, span_label):
-        (x, y, z, _, _) = span_label
+        (x, y, _, _, _) = span_label
         if y == 0:
             # target is the zero object: Psi sends it to the empty list
-            a_obj, b_obj, phi = (), (), self.calc.identity(())
-            mp = ()
-        else:
-            a_obj, b_obj, phi = self.psi_triple(span_label)
-            mp = (y,)
-        q2 = self.q2_hom(self.psi_obj(x), mp)
-        key = (a_obj, b_obj, _monmor_label(phi))
-        return (self.psi_obj(x), mp, q2.components[key])
+            return self.q1_class((), (), (), self.calc.identity(()))
+        return self.q1_class(self.psi_obj(x), *self.psi_triple(span_label))
 
     def psi_functor(self):
         """Psi: span category -> Q1, validated."""
@@ -961,8 +927,6 @@ def comma_category(kit, target):
         for lbl in q1.hom(kit.psi_obj(x), target):
             objects.append((x, q1.mor_labels[lbl]))
     morphs = []
-    comp = {}
-    idents = {}
     span_cat = kit.span_cat
     for (x, kappa) in objects:
         for s in span_cat.morphisms_from(span_cat.obj_index[x]):
@@ -975,32 +939,24 @@ def comma_category(kit, target):
                 if q1.mor_labels[q1.compose(q1.mor_index[lam], psi_s)] == kappa:
                     lbl = ((x, kappa), (y, lam), s_lbl)
                     morphs.append((lbl, (x, kappa), (y, lam)))
+    idents = {}
     for (x, kappa) in objects:
         idx = span_cat.identity_of[span_cat.obj_index[x]]
         idents[(x, kappa)] = ((x, kappa), (x, kappa), span_cat.mor_labels[idx])
-    by_src = {}
-    for (lbl, s, t) in morphs:
-        by_src.setdefault(s, []).append(lbl)
-    for (lbl1, s1, t1) in morphs:
-        u1 = span_cat.mor_index[lbl1[2]]
-        for lbl2 in by_src.get(t1, ()):
-            u2 = span_cat.mor_index[lbl2[2]]
-            u21 = span_cat.compose(u2, u1)
-            comp[(lbl2, lbl1)] = (s1, lbl2[1], span_cat.mor_labels[u21])
-    cat = validate_category(objects, morphs, idents, comp, guards=kit.guards)
-    return cat
+
+    def compose(lbl2, lbl1):
+        u21 = span_cat.compose(span_cat.mor_index[lbl2[2]],
+                               span_cat.mor_index[lbl1[2]])
+        return (lbl1[0], lbl2[1], span_cat.mor_labels[u21])
+
+    return _category(objects, morphs, idents, compose, kit.guards)
 
 
 def _padded_identity_label(kit, target, i0):
     """The Q1 class of [m_{<i0}, m_{>i0}, id] : (m_{i0}) -> target."""
-    calc = kit.calc
     target = tuple(target)
-    a = target[:i0]
-    b = target[i0 + 1:]
-    phi = calc.identity(target)
-    q2 = kit.q2_hom((target[i0],), target)
-    key = (a, b, _monmor_label(phi))
-    return (  (target[i0],), target, q2.components[key])
+    return kit.q1_class((target[i0],), target[:i0], target[i0 + 1:],
+                        kit.calc.identity(target))
 
 
 def comma_cover_subcategories(kit, target):
@@ -1052,7 +1008,6 @@ def comma_contractibility(kit, target, depth=3, guards=None):
         pad = _padded_identity_label(kit, target, i0)
         expect = (target[i0], pad)
         sub_objs = sorted(members[i0], key=repr)
-        from .fincat import full_subcategory
         sub, _ = full_subcategory(cat, sub_objs)
         term = sub.has_terminal_object()
         details["terminal_%d" % i0] = term
@@ -1064,29 +1019,18 @@ def comma_contractibility(kit, target, depth=3, guards=None):
                 terminals_ok = False
     # pairwise intersections
     intersections_ok = True
-    inter = {}
     for i in range(len(target)):
         for j in range(i + 1, len(target)):
             got = members[i] & members[j]
-            inter[(i, j)] = got
+            expected = set()
             if j == i + 1:
                 # single object (0, [m_{<=i}, m_{>i}, id])
-                expected_obj = None
-                calc = kit.calc
-                a = target[: i + 1]
-                b = target[i + 1:]
-                phi = calc.identity(target)
-                q2 = kit.q2_hom((), target)
-                key = (a, b, _monmor_label(phi))
-                lam = ((), target, q2.components[key])
-                expected_obj = (0, lam)
-                if got != {expected_obj}:
-                    intersections_ok = False
-                    details["bad_intersection"] = (i, j, sorted(map(repr, got)))
-            else:
-                if got:
-                    intersections_ok = False
-                    details["bad_intersection"] = (i, j, sorted(map(repr, got)))
+                lam = kit.q1_class((), target[:i + 1], target[i + 1:],
+                                   kit.calc.identity(target))
+                expected = {(0, lam)}
+            if got != expected:
+                intersections_ok = False
+                details["bad_intersection"] = (i, j, sorted(map(repr, got)))
     return CommaReport(target, cat, cert, cover_ok, terminals_ok,
                        intersections_ok, details)
 

@@ -203,6 +203,24 @@ def test_homology_fincat_artifact_malformed_entries(tmp_path):
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_homology_fincat_artifact_entry_given_twice(tmp_path):
+    # BZ/2 with a.a listed as a and then as e: a loader keeping the last
+    # entry accepted it and printed H_1 = Z/2; a repeated identity entry
+    # surfaced as a misleading "left identity fails"
+    a, e = ["*", 1], ["*", 0]
+    bz2 = fincat_to_json(group_category(Group([0, 1],
+                                              lambda x, y: (x + y) % 2, 0)))
+    assert [a, a, e] in bz2["composition"]
+    for key, extra, what in (
+            ("composition", [a, a, a], 'composite of [["*", 1], ["*", 1]]'),
+            ("identities", ["*", a], 'identity of "*"')):
+        art = tmp_path / "twice.json"
+        art.write_text(json.dumps(dict(bz2, **{key: [extra] + bz2[key]})))
+        code, out, err = run_cli("homology", "--artifact", str(art))
+        assert code == 1 and out == "", key
+        assert what + " given twice" in err and len(err.splitlines()) == 1
+
+
 def test_homology_depth_below_one():
     for depth in ("-1", "0"):
         code, out, err = run_cli("homology", "rbs", "--ring", "F2", "--n",

@@ -339,6 +339,42 @@ def test_failed_exact_category_axiom_raises_category_error():
         E.validate_axioms()
 
 
+def _zero_leg(real, leg):
+    """real (pullback or pushout) with the given leg of its result, 1 or
+    2, replaced by a zero matrix of the same shape."""
+    def corrupted(ring, *args):
+        out = list(real(ring, *args))
+        out[leg] = Mat.zero(ring, out[leg].rows, out[leg].cols)
+        return tuple(out)
+    return corrupted
+
+
+@pytest.mark.parametrize("name, leg, message", [
+    ("pullback", 2, "axiom 5 fails"),          # to_cp not epi
+    ("pullback", 1, "swapped axiom 5 fails"),  # to_b not mono
+    ("pushout", 2, "axiom 6 fails"),           # from_c not mono
+    ("pushout", 1, "swapped axiom 6 fails"),   # from_b not epi
+])
+def test_failed_axiom_5_or_6_raises_category_error(monkeypatch, name, leg,
+                                                   message):
+    import rbscat.qkt as qkt
+    from rbscat.fincat import CategoryError
+    E = build_filt_category(2, 1, validate=False)
+    monkeypatch.setattr(qkt, name, _zero_leg(getattr(qkt, name), leg))
+    with pytest.raises(CategoryError, match="^%s$" % message):
+        E.validate_axioms()
+
+
+def test_q1_class_of_each_representative_is_its_morphism():
+    for kit in (KIT1, KIT2):
+        q1, rep_of = kit.q1_category()
+        for lbl in q1.mor_labels:
+            assert kit.q1_class(lbl[0], *rep_of[lbl]) == lbl
+        for m in q1.objects:
+            ident = q1.mor_labels[q1.identity_of[q1.obj_index[m]]]
+            assert kit.q1_class(m, (), (), kit.calc.identity(m)) == ident
+
+
 def test_failed_terminal_decomposition_fails_the_suite_under_optimize():
     # every component of every hom category names the terminals of the
     # next one: the decompositions fail, and under python -O this must
