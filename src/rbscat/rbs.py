@@ -191,7 +191,9 @@ class RBSCategory:
         # has the key (fi nf + fj) |GL| + rep
         act = np.array(self.flag_act, np.int64).reshape(size, nf)
         fi, gi, fj = np.nonzero(self._refines[act.T])
-        keys = np.unique((fi * nf + fj) * size + self._coset_rep[fi, gi])
+        # sorted distinct keys; np.unique would import numpy.ma
+        keys = np.sort((fi * nf + fj) * size + self._coset_rep[fi, gi])
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         ends, rep = np.divmod(keys, size)
         src, tgt = np.divmod(ends, nf)
         # (fj, fk, h) . (fi, fj, g) = (fi, fk, rep[fi, h g])

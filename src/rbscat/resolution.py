@@ -20,6 +20,14 @@ with one matrix product and its residue is echelonized with one RREF mod
 ell.  The orbit blocks of the chosen generators, transposed, are also the
 boundary matrix of the next term of the resolution.
 
+Reverse-delete is one descending pass with no span rebuilt.  The greedy
+residues form a basis of the kernel adapted to the flag of prefix spans of
+the generators; in these flag coordinates the quotient by the span of the
+generators before gens[i] is the tail of coordinates from where gens[i]
+started.  So each trial is one comparison against the leading pivots of the
+span of the kept generators' orbit blocks, taken in reversed flag
+coordinates.
+
 It is cross-validated against the nerve/Smith pipeline on a corpus of
 small categories in the test suite.
 """
@@ -93,15 +101,22 @@ class _Span:
         return (B - coef[:, used] @ self._rows[used]) % self.ell
 
     def add(self, B):
-        """Add the rows of B (entries mod ell) to the span."""
+        """Add the rows of B (entries mod ell) to the span.
+
+        The residue of B is echelonized into the new rows, and each old row
+        subtracts its entries on the new pivot columns times the new rows.
+        Returns those entries, one row per old row, one column per new row.
+        """
         R = self.residue(B)
         piv = _rref_mod(R, self.ell)
         r, k = self.rank, len(piv)
         rows = self._rows[:r]
-        hit = np.flatnonzero(rows[:, piv].any(axis=1))
-        rows[hit] = (rows[hit] - rows[hit][:, piv] @ R[:k]) % self.ell
+        back = rows[:, piv]
+        hit = np.flatnonzero(back.any(axis=1))
+        rows[hit] = (rows[hit] - back[hit] @ R[:k]) % self.ell
         self._rows[r:r + k] = R[:k]
         self.pivots += piv
+        return back
 
     @property
     def rank(self):
@@ -162,49 +177,75 @@ def _candidates(F, kernel_rows):
             yield x, v
 
 
-def _minimal_generators(F, kernel_rows, ell, minimize=True):
+def _minimal_generators(F, kernel_rows, ell):
     """Small module generating set of the kernel, as (x, v) with v on e_x.
 
     Greedy: walk the e_x components of the kernel basis in a deterministic
-    order and keep each one not yet in the span; optionally prune by
-    reverse-delete.  The span is always a submodule, the sum of the kept
-    generators' submodules.  Each kept v adds its whole submodule in one
-    step, because b·(a·v) = (b∘a)·v makes k[C]·v the span of its orbit block
-    {a·v : src a = x}; the block is reduced against the span with one
-    matrix product and its residue is echelonized with one RREF mod ell.
+    order and keep each one not yet in the span.  The span is always a
+    submodule, the sum of the kept generators' submodules.  Each kept v adds
+    its whole submodule in one step, because b·(a·v) = (b∘a)·v makes k[C]·v
+    the span of its orbit block {a·v : src a = x}; the block is reduced
+    against the span with one matrix product and its residue is echelonized
+    with one RREF mod ell.
+
+    Reverse-delete then drops, from the last generator to the first, each
+    one that the others span without.  One descending pass suffices: a
+    generator found necessary stays necessary when one tested after it is
+    dropped, since spans only shrink.  The residues the greedy phase added,
+    stacked, are a basis of the kernel V adapted to the flag of prefix spans:
+    the span P of the generators before gens[i] is spanned by the first
+    start[i] residues.  In the coordinates of this basis (flag coordinates),
+    V / P is read off from coordinate start[i] on, so gens[i] is dropped iff
+    the orbit blocks of the generators kept after it have full rank there.
+    Held in a span over the reversed flag coordinates, that tail is a
+    leading block of columns, and full rank means they are all pivots: each
+    trial is one comparison.
+
+    Flag coordinates are the echelon coordinates w[pivots] of the greedy
+    span times one unitriangular matrix.  Each add subtracts from the old
+    echelon rows their entries on the new pivots times the new rows; those
+    entries, negated, fill that matrix above its diagonal.
     """
     target_rank = len(kernel_rows)  # kernel_mod returns a basis
-
-    def span_of(gens):
-        span = _Span(F.dim, ell, target_rank)
-        for x, v in gens:
-            span.add(F.orbit(x, v, ell))
-        return span
-
-    gens = []
+    gens, start = [], []
+    to_flag = np.eye(target_rank, dtype=np.int64)
     span = _Span(F.dim, ell, target_rank)
     for x, v in _candidates(F, kernel_rows):
         if span.rank == target_rank:
             break
         if span.residue(v[None, :]).any():
-            span.add(F.orbit(x, v, ell))
+            before = span.rank
+            back = span.add(F.orbit(x, v, ell))
+            to_flag[:before, before:span.rank] = -back % ell
             gens.append((x, v))
+            start.append(before)
     if span.rank != target_rank:
         raise RuntimeError("greedy generators failed to span the kernel")
-    del span  # free its rows before the trial spans allocate theirs
-    changed = minimize
-    while changed and len(gens) > 1:
-        changed = False
-        for i in range(len(gens) - 1, -1, -1):
-            trial = gens[:i] + gens[i + 1:]
-            if span_of(trial).rank == target_rank:
-                gens = trial
-                changed = True
-                break
-    return gens
+    pivots = span.pivots
+    del span  # free its rows before the span of kept blocks allocates its own
+    kept = _Span(target_rank, ell, target_rank)
+    is_pivot = np.zeros(target_rank, dtype=bool)
+    lead = 0  # the reversed coordinates 0..lead-1 are pivots of kept
+    chosen = []
+    for i in range(len(gens) - 1, -1, -1):
+        if lead >= target_rank - start[i]:
+            continue
+        x, v = gens[i]
+        echelon = F.orbit(x, v, ell)[:, pivots]
+        used = np.flatnonzero(echelon.any(axis=0))
+        flag = echelon[:, used] @ to_flag[used] % ell
+        before = kept.rank
+        kept.add(flag[:, ::-1])
+        is_pivot[kept.pivots[before:]] = True
+        while lead < target_rank and is_pivot[lead]:
+            lead += 1
+        chosen.append(gens[i])
+    if lead != target_rank:
+        raise RuntimeError("kept generators failed to span the kernel")
+    return chosen[::-1]
 
 
-def category_homology_mod(C, ell, max_degree, minimize=True):
+def category_homology_mod(C, ell, max_degree):
     """Betti numbers of |C| over F_ell in degrees 0..max_degree.
 
     Builds a free resolution F_{max_degree+1} -> ... -> F_0 -> constant
@@ -224,7 +265,7 @@ def category_homology_mod(C, ell, max_degree, minimize=True):
     tor_mats = []  # induced matrices on coefficient sums
     kernel_rows = kernel_mod(aug, ell)
     for _deg in range(1, max_degree + 2):
-        gens = _minimal_generators(F_prev, kernel_rows, ell, minimize)
+        gens = _minimal_generators(F_prev, kernel_rows, ell)
         sources = [x for (x, _) in gens]
         # induced map on Tor coefficients: sum coefficients per summand
         t = np.zeros((len(gen_sources[-1]), len(sources)), dtype=np.int64)

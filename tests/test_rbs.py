@@ -336,6 +336,18 @@ def test_coset_well_definedness_survives_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_build_does_not_import_numpy_ma():
+    # importing numpy.ma costs tens of milliseconds and over a megabyte in
+    # every process that builds a category (np.unique imports it)
+    code = ("import sys\n"
+            "from rbscat.rbs import build_rbs\n"
+            "build_rbs('F2', 2)\n"
+            "raise SystemExit(5 if 'numpy.ma' in sys.modules else 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def corrupted(r, unipotent=None, coset_rep=None, recompute=False):
     """A shallow copy of r with its unipotent subgroups or its coset
     representatives replaced; recompute takes the least element of each

@@ -12,6 +12,7 @@ from rbscat.fincat import (
 )
 from rbscat.homology import homology, nerve_chain_complex
 from rbscat.rbs import build_rbs
+from rbscat import resolution
 from rbscat.resolution import (
     FreeModule,
     category_homology_mod,
@@ -127,6 +128,104 @@ def test_agreement_with_nerve_on_corpus():
             resolved = category_homology_mod(C, ell, 3)
             for k in range(4):
                 assert direct.betti[k] == resolved[k], (C, ell, k)
+
+
+def restart_reverse_delete(F, kernel_rows, ell):
+    """Oracle for resolution._minimal_generators: the same greedy phase,
+    then reverse-delete by restarting from the last generator after every
+    drop and rebuilding the span of the others for every trial."""
+    target_rank = len(kernel_rows)
+
+    def span_of(gens):
+        span = resolution._Span(F.dim, ell, target_rank)
+        for x, v in gens:
+            span.add(F.orbit(x, v, ell))
+        return span
+
+    gens = []
+    span = resolution._Span(F.dim, ell, target_rank)
+    for x, v in resolution._candidates(F, kernel_rows):
+        if span.rank == target_rank:
+            break
+        if span.residue(v[None, :]).any():
+            span.add(F.orbit(x, v, ell))
+            gens.append((x, v))
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for i in range(len(gens) - 1, -1, -1):
+            trial = gens[:i] + gens[i + 1:]
+            if span_of(trial).rank == target_rank:
+                gens = trial
+                changed = True
+                break
+    return gens, span_of
+
+
+def check_against_oracle(C, ell, max_degree):
+    """Resolve C, checking every generating set the engine picks against the
+    restart oracle (byte for byte) and for minimality."""
+    engine, calls = resolution._minimal_generators, []
+
+    def checked(F, kernel_rows, ell):
+        gens = engine(F, kernel_rows, ell)
+        expected, span_of = restart_reverse_delete(F, kernel_rows, ell)
+        assert [(x, v.tobytes()) for x, v in gens] == \
+            [(x, v.tobytes()) for x, v in expected]
+        assert span_of(gens).rank == len(kernel_rows)
+        for i in range(len(gens)):
+            assert span_of(gens[:i] + gens[i + 1:]).rank < len(kernel_rows)
+        calls.append(len(gens))
+        return gens
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_minimal_generators", checked)
+        category_homology_mod(C, ell, max_degree)
+    assert len(calls) == max_degree + 1
+
+
+def test_reverse_delete_matches_restart_oracle():
+    for C in corpus():
+        for ell in (2, 3, 5):
+            check_against_oracle(C, ell, 3)
+
+
+def test_reverse_delete_matches_restart_oracle_rbs_f3():
+    C = build_rbs("F3", 2).cat
+    for ell in (2, 3):
+        check_against_oracle(C, ell, 2)
+
+
+def test_reverse_delete_adds_each_block_once(monkeypatch):
+    # one add per greedy generator and one per kept generator; rebuilding a
+    # span per trial would make the count quadratic in the generators
+    calls, kept = [], []
+    engine = resolution._minimal_generators
+
+    class CountingSpan(resolution._Span):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.slot = len(calls[-1])
+            calls[-1].append(0)
+
+        def add(self, B):
+            calls[-1][self.slot] += 1
+            return super().add(B)
+
+    def counted(F, kernel_rows, ell):
+        calls.append([])
+        gens = engine(F, kernel_rows, ell)
+        kept.append(len(gens))
+        return gens
+
+    monkeypatch.setattr(resolution, "_Span", CountingSpan)
+    monkeypatch.setattr(resolution, "_minimal_generators", counted)
+    category_homology_mod(build_rbs("F3", 2).cat, 3, 1)
+    assert len(calls) == 2
+    for adds, n_kept in zip(calls, kept):
+        greedy = adds[0]  # the first span built is the greedy one
+        assert greedy > n_kept > 1
+        assert sum(adds) <= greedy + n_kept
 
 
 def test_disconnected_category():
