@@ -43,7 +43,6 @@ from .rbs import (
     gl_flag_action_category,
     inductive_decomposition,
     pi1_quotient_functor,
-    pi1_target,
     tits_building,
 )
 from .resolution import category_homology_mod
@@ -77,6 +76,23 @@ def _report(name, instance, ok, measured, expected, provenance,
     verdict = "pass" if ok else ("inconclusive" if inconclusive else "fail")
     return CheckReport(name, instance, verdict, measured, expected,
                        provenance, witness)
+
+
+def _check_depth(depth):
+    if depth < 1:
+        raise ValueError("--depth must be at least 1, got %d" % depth)
+
+
+def lcg(seed):
+    """Deterministic pseudo-random draws: rnd(n) is uniform in 0..n-1 (a
+    64-bit linear congruential generator)."""
+    state = seed
+
+    def rnd(n):
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 64)
+        return state % n
+    return rnd
 
 
 _RBS_CACHE = {}
@@ -115,23 +131,24 @@ def check_pi1(spec, n, depth=2, guards=DEFAULT):
     The nerve is taken of a skeleton: the inclusion of a skeleton is an
     equivalence of categories, so the nerves are homotopy equivalent and
     H_1 is unchanged, while the boundaries shrink several times."""
+    _check_depth(depth)
     rbs = _rbs(spec, n, guards)
     units = len(rbs.ring.units)
     expected_torsion = [] if units == 1 else [units]
     cx = nerve_chain_complex(skeleton(rbs.cat), max(2, depth), guards)
     h = homology(cx, "Z")
     sg = compute_e_group(rbs)
-    target = pi1_target(rbs, sg)
-    _functor, surjective = pi1_quotient_functor(rbs, sg)
+    functor, surjective = pi1_quotient_functor(rbs, sg)
+    gl_over_e = functor.target.n_morphisms
     measured = {
         "H1_rank": h.betti.get(1), "H1_torsion": h.torsion.get(1),
-        "GL_over_E": len(target),
+        "GL_over_E": gl_over_e,
         "E_equals_det1": tuple(sg.e_group) == tuple(sg.det_one),
         "quotient_functor_surjective": surjective,
         "depth_used": cx.depth,
     }
     ok = (h.betti.get(1) == 0 and h.torsion.get(1) == expected_torsion
-          and len(target) == units and measured["E_equals_det1"]
+          and gl_over_e == units and measured["E_equals_det1"]
           and surjective)
     return _report(
         "pi1", {"ring": spec, "n": n, "depth": depth}, ok, measured,
@@ -141,11 +158,12 @@ def check_pi1(spec, n, depth=2, guards=DEFAULT):
          "E_equals_det1": "theorem (commutative local scope)"})
 
 
-def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT, nerve_depth=None):
+def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT):
     """Reduced F_p homology of the flag category vanishes (p = char).
 
     Uses the category-algebra resolution engine for the stated degrees
-    (depth-free) plus a direct nerve cross-check at a feasible depth.
+    (depth-free) plus a direct nerve cross-check at a feasible depth: 5
+    when |GL| <= 8, else 2.
     """
     rbs = _rbs(spec, n, guards)
     p = rbs.ring.p
@@ -154,8 +172,7 @@ def check_fp_acyclic(spec, n, max_degree=3, guards=DEFAULT, nerve_depth=None):
     measured = {"betti_F%d" % p: betti, "engine": "category-algebra resolution"}
     ok = betti == expected
     # direct nerve cross-check at a depth the guard allows
-    if nerve_depth is None:
-        nerve_depth = 5 if len(rbs.gl) <= 8 else 2
+    nerve_depth = 5 if len(rbs.gl) <= 8 else 2
     try:
         cx = nerve_chain_complex(rbs.cat, nerve_depth, guards)
         hn = homology(cx, "F%d" % p)
@@ -194,6 +211,7 @@ def check_bgl_comparison(spec, n, ell, max_degree=3, guards=DEFAULT):
 def check_proper_p(spec, n, depth=3, guards=DEFAULT):
     """The comparison functor is proper up to the depth and restricts to an
     isomorphism over the empty flag."""
+    _check_depth(depth)
     rbs = _rbs(spec, n, guards)
     ac = gl_flag_action_category(rbs)
     p = comparison_functor(rbs, ac)
@@ -244,6 +262,7 @@ def check_twisted_cofinal(names=("terminal", "chain2", "BZ2", "BZ3", "RBS-F2-2")
                           depth=3, guards=DEFAULT):
     """The projection from the twisted-arrow opposite is a colim-equivalence
     (all right fibers weakly contractible up to the depth)."""
+    _check_depth(depth)
     results = {}
     ok = True
     for name in names:
@@ -275,12 +294,9 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
     intersections; all graded-list morphisms are monomorphisms."""
     from .fincat import is_fully_faithful
     from .qkt import monoidal_category
-    if N < 0:
-        raise ValueError("--N must be at least 0, got %d" % N)
     if cap < N:
         raise ValueError("--cap must be at least --N = %d, got %d" % (N, cap))
-    if depth < 1:
-        raise ValueError("--depth must be at least 1, got %d" % depth)
+    _check_depth(depth)
     kit = QKit(q, N, cap=cap, guards=guards)
     psi = kit.psi_functor()
     ff = is_fully_faithful(psi)
@@ -341,11 +357,7 @@ def check_infra(snf_count=1000, seed=20240601, guards=DEFAULT):
     """Infrastructure property suite: SNF postconditions on random
     matrices, the rank-oracle comparison on a fixed corpus, truncation
     stability on small nerve instances."""
-    state = seed
-    def rnd(n):
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 64)
-        return state % n
+    rnd = lcg(seed)
     snf_ok = 0
     for _ in range(snf_count):
         rows = 1 + rnd(6)
@@ -395,24 +407,23 @@ def check_infra(snf_count=1000, seed=20240601, guards=DEFAULT):
 # registry
 
 CHECKS = {
-    "steinberg": (check_steinberg, {"q": int, "n": int}),
-    "pi1": (check_pi1, {"spec": str, "n": int, "depth": int}),
-    "fp-acyclic": (check_fp_acyclic, {"spec": str, "n": int, "max_degree": int}),
-    "bgl-comparison": (check_bgl_comparison,
-                       {"spec": str, "n": int, "ell": int, "max_degree": int}),
-    "proper-p": (check_proper_p, {"spec": str, "n": int, "depth": int}),
-    "inductive": (check_inductive, {"spec": str, "n": int}),
-    "twisted-cofinal": (check_twisted_cofinal, {"depth": int}),
-    "poset-regularity": (check_poset_regularity, {"spec": str, "n": int}),
-    "q-suite": (check_q_suite, {"q": int, "N": int, "cap": int, "depth": int}),
-    "infra": (check_infra, {"snf_count": int}),
+    "steinberg": check_steinberg,
+    "pi1": check_pi1,
+    "fp-acyclic": check_fp_acyclic,
+    "bgl-comparison": check_bgl_comparison,
+    "proper-p": check_proper_p,
+    "inductive": check_inductive,
+    "twisted-cofinal": check_twisted_cofinal,
+    "poset-regularity": check_poset_regularity,
+    "q-suite": check_q_suite,
+    "infra": check_infra,
 }
 
 
 def run_check(name, guards=DEFAULT, **params):
     if name not in CHECKS:
         raise KeyError("unknown check %r; known: %s" % (name, sorted(CHECKS)))
-    fn, _sig = CHECKS[name]
+    fn = CHECKS[name]
     t0 = time.perf_counter()
     rep = fn(guards=guards, **params)
     rep.seconds = time.perf_counter() - t0
@@ -448,8 +459,3 @@ DESK_PROFILE = [
     ("infra", {}),
 ]
 
-
-def run_profile(guards=DEFAULT):
-    """Run the full desk profile; yields (name, params, CheckReport)."""
-    for name, params in DESK_PROFILE:
-        yield name, params, run_check(name, guards=guards, **params)

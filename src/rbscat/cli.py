@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import jsonio
-from .checks import CHECKS, DESK_PROFILE, run_check
+from .checks import CHECKS, DESK_PROFILE, lcg, run_check
 from .guards import DEFAULT, GuardExceeded, load_config
 from .homology import homology, nerve_chain_complex, smith_normal_form
 from .rings import enumerate_gl, make_ring
@@ -70,7 +70,6 @@ def _build_parser():
     v.add_argument("--list", action="store_true", help="list known checks")
     v.add_argument("--all", action="store_true",
                    help="run the full desk profile")
-    v.add_argument("--profile", default="desk")
     v.add_argument("--json", action="store_true")
     v.add_argument("--ring", dest="spec")
     v.add_argument("--n", type=int)
@@ -222,9 +221,9 @@ def _cmd_verify(args, guards):
     if getattr(args, "bigN", None) is not None:
         params["N"] = args.bigN
     # keep only parameters the check accepts
-    fn, sig = CHECKS[args.check]
+    sig = inspect.signature(CHECKS[args.check]).parameters
     params = {k: v for k, v in params.items() if k in sig}
-    for name, p in inspect.signature(fn).parameters.items():
+    for name, p in sig.items():
         if p.default is p.empty and name not in params:
             sys.stderr.write("check %s: missing required parameter %s\n"
                              % (args.check, _FLAGS.get(name, "--" + name)))
@@ -235,11 +234,11 @@ def _cmd_verify(args, guards):
 
 
 def _cmd_bench(args, guards):
-    state = args.seed
-    def rnd(n):
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) % (2 ** 64)
-        return state % n
+    for flag in ("size", "n", "depth"):
+        if getattr(args, flag) < 0:
+            raise ValueError("--%s must be at least 0, got %d"
+                             % (flag, getattr(args, flag)))
+    rnd = lcg(args.seed)
     if args.kernel == "snf":
         n = args.size
         A = [[rnd(5) - 2 for _ in range(n)] for _ in range(n)]
@@ -257,9 +256,8 @@ def _cmd_bench(args, guards):
         S3 = Group(perms, lambda a, b: tuple(a[b[i]] for i in range(3)),
                    (0, 1, 2))
         C = group_category(S3)
-        from .homology import nerve_simplex_counts
         t0 = time.time()
-        counts = nerve_simplex_counts(C, args.depth, guards)
+        counts = nerve_chain_complex(C, args.depth, guards).dims
         dt = time.time() - t0
         _emit("nerve B(S3) depth %d: counts %s, %.3fs\n"
               % (args.depth, counts, dt))

@@ -809,13 +809,13 @@ class Group:
         return len(self.elements)
 
 
-def group_category(G, base="*"):
-    """The one-object category B(G)."""
+def group_category(G):
+    """The one-object category B(G) on the object "*"."""
     n = len(G)
-    # (base, a) . (base, b) = (base, ab) for every pair
+    # ("*", a) . ("*", b) = ("*", ab) for every pair
     a, b = np.divmod(np.arange(n * n), n)
     ends = np.zeros(n, np.int64)
-    return _build([base], [(base, g) for g in G.elements], ends, ends,
+    return _build(["*"], [("*", g) for g in G.elements], ends, ends,
                   [G.index[G.identity]], a, b, np.array(G.table, np.int64),
                   DEFAULT)
 

@@ -9,7 +9,7 @@ from a single config file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 
 class GuardExceeded(RuntimeError):
@@ -55,7 +55,3 @@ def load_config(path):
     if bad:
         raise ValueError("unknown guard keys: %s" % sorted(bad))
     return GuardConfig(**raw)
-
-
-def dump_config(cfg):
-    return json.dumps(asdict(cfg), indent=2, sort_keys=True)

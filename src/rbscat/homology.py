@@ -10,10 +10,12 @@ Boundary matrices over Z and over F_ell go through one sparse kernel,
 eliminate_units: it pivots on units (+-1 over Z, any nonzero entry over
 F_ell) in Markowitz order, so over F_ell it returns the rank, and over Z
 it leaves a residual core without units whose lattice basis alone goes to
-Smith normal form.  The dense smith_normal_form with transforms checks
-its postconditions on every call and raises RuntimeError if one fails.  A
-fraction-free rank oracle over Q (Bareiss) is kept as an independent
-cross-check.
+Smith normal form; the same kernel gives the abelianization of group
+presentations.  The dense smith_normal_form with transforms runs only on
+that lattice basis (snf_diagonal), in the infra check and in `bench snf`;
+it checks its postconditions on every call and raises RuntimeError if one
+fails.  A fraction-free rank oracle over Q (Bareiss) is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -412,7 +414,7 @@ class HomologyResult:
         return b - 1 if k == 0 else b
 
 
-def homology(complex_, coefficients="Z", reduced=False):
+def homology(complex_, coefficients="Z"):
     """Homology of a truncated complex; degrees 0..depth-1 are certified.
 
     Over Z returns Betti numbers and torsion from the invariant factors of
@@ -520,24 +522,6 @@ def nerve_chain_complex(C, depth, guards=DEFAULT):
 
 def _acc(col, idx, sign):
     col[idx] = col.get(idx, 0) + sign
-
-
-def nerve_simplex_counts(C, depth, guards=DEFAULT):
-    """Per-degree counts of nondegenerate simplices (cheap, no boundaries)."""
-    non_id = C.non_identity_morphisms()
-    out_of = {}
-    for f in non_id:
-        out_of.setdefault(C.src[f], []).append(f)
-    counts = [C.n_objects]
-    chains = [(f,) for f in non_id]
-    for k in range(1, depth + 1):
-        counts.append(len(chains))
-        if len(chains) > guards.max_simplices_per_degree:
-            raise GuardExceeded("nerve count exceeds guard in degree %d" % k)
-        if k == depth:
-            break
-        chains = [ch + (g,) for ch in chains for g in out_of.get(C.tgt[ch[-1]], ())]
-    return counts
 
 
 # ---------------------------------------------------------------------------

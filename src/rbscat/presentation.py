@@ -4,8 +4,10 @@ For a connected finite category the edge-path group of the nerve has one
 generator per non-identity morphism outside a spanning tree of the
 underlying graph, and one relator g.f = (g o f) per composable pair of
 non-identity morphisms (a composite that is an identity contributes the
-trivial word).  The abelianization is computed by Smith normal form and
-must agree with H_1 of the nerve.
+trivial word).  The abelianization is read off the invariant factors of
+the relator matrix, computed by the sparse kernel that serves nerve
+homology (homology.sparse_invariant_factors), and must agree with H_1 of
+the nerve.
 
 Triviality of a presentation is decided by budgeted Tietze
 simplification; when the budget runs out without an answer the result is
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import smith_normal_form
+from .homology import sparse_invariant_factors
 
 
 @dataclass
@@ -27,35 +29,34 @@ class GroupPresentation:
                                # (indices are 1-based so the sign survives)
 
     def abelianization(self):
-        """Invariant factors (d_1 | d_2 | ...) plus free rank."""
-        n = len(self.generators)
-        rows = []
-        for w in self.relators:
-            row = [0] * n
+        """Invariant factors d > 1 (sorted) plus free rank.
+
+        The relator matrix has one row per relator and one column per
+        generator, holding the generator's exponent sum in the relator.
+        With k nonzero invariant factors d_1 | ... | d_k, the
+        abelianization is Z^(n-k) plus the sum of the Z/d_i.
+        """
+        columns = [{} for _ in self.generators]
+        for r, w in enumerate(self.relators):
             for s in w:
-                row[abs(s) - 1] += 1 if s > 0 else -1
-            rows.append(row)
-        if not rows:
-            return [], n
-        _, D, _ = smith_normal_form(rows)
-        diag = [D[i][i] for i in range(min(len(D), n)) if D[i][i] != 0]
-        torsion = [d for d in diag if abs(d) not in (0, 1)]
-        free_rank = n - len(diag)
-        return sorted(abs(d) for d in torsion), free_rank
+                col = columns[abs(s) - 1]
+                col[r] = col.get(r, 0) + (1 if s > 0 else -1)
+        factors = sparse_invariant_factors(columns)
+        torsion = sorted(abs(d) for d in factors if abs(d) != 1)
+        return torsion, len(self.generators) - len(factors)
 
 
-def pi1_presentation(C, basepoint=None):
-    """Edge-path presentation of pi_1 of (the nerve of) a connected C."""
+def pi1_presentation(C):
+    """Edge-path presentation of pi_1 of (the nerve of) a connected C,
+    based at its first object."""
     if not C.is_connected():
         raise ValueError("pi1_presentation requires a connected category")
-    if basepoint is None:
-        basepoint = C.objects[0]
     ids = set(C.identity_of)
     non_id = [i for i in range(C.n_morphisms) if i not in ids]
     # spanning tree on the underlying undirected graph
     tree = set()
-    seen = {C.obj_index[basepoint]}
-    frontier = [C.obj_index[basepoint]]
+    seen = {0}
+    frontier = [0]
     adj = {}
     for f in non_id:
         adj.setdefault(C.src[f], []).append((C.tgt[f], f))

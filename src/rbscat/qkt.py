@@ -7,7 +7,9 @@ convention), with short exact sequences the usual kernel/cokernel pairs.
 On top of it:
 
   * quillen_q(E): the span category (morphisms x <<- z >-> y up to
-    isomorphism of the middle object, composed by pullback);
+    isomorphism of the middle object, composed by pullback); each class
+    is labelled by its least representative over GL(z), read off one
+    reduced row echelon form (span_canonical);
   * the strict monoidal category of graded lists: objects are lists of
     nonzero dimensions, a morphism is an order-preserving surjection
     together with, for each target entry, a literal subspace chain with
@@ -50,6 +52,7 @@ from .rings import (
     enumerate_submodules,
     kernel_basis,
     make_ring,
+    rref,
 )
 from .toolkit import is_weakly_contractible
 
@@ -65,6 +68,8 @@ class FiltCategory:
     """Skeletal Vect(F_q)_{<= N} with its short exact sequences."""
 
     def __init__(self, q, N, guards=DEFAULT):
+        if N < 0:
+            raise ValueError("--N must be at least 0, got %d" % N)
         self.ring = make_ring("F%d" % q, guards)
         self.guards = guards
         self.N = N
@@ -101,10 +106,6 @@ class FiltCategory:
         if a and c and any(any(r) for r in comp.data):
             return False
         return True
-
-    def compose(self, g, f):
-        """(g o f) for f: a->b, g: b->c given as Mats."""
-        return g.mul(f)
 
     def validate_axioms(self):
         """Category-with-filtrations axioms on the distinguished sequences.
@@ -244,10 +245,9 @@ def pushout(ring, z, b, c, i_mono, p_epi):
     return d, from_b, from_c
 
 
-def build_filt_category(q, N, guards=DEFAULT, validate=True):
+def build_filt_category(q, N, guards=DEFAULT):
     E = FiltCategory(q, N, guards)
-    if validate:
-        E.validate_axioms()
+    E.validate_axioms()
     return E
 
 
@@ -267,14 +267,16 @@ def _gl(ring, n, guards):
 
 
 def span_canonical(E, x, z, y, p, i):
-    """Canonical representative of the span class (minimise over GL(z))."""
-    R = E.ring
-    best = None
-    for h in _gl(R, z, E.guards):
-        cand = (p.mul(h).data, i.mul(h).data)
-        if best is None or cand < best:
-            best = cand
-    return (x, y, z, best[0], best[1])
+    """Canonical representative of the span class x <<-p- z -i>-> y.
+
+    GL(z) acts by (p, i) -> (p h, i h), column operations on the stacked
+    [p; i], which has full column rank z since i is mono.  The least
+    (p h, i h) in row-major order has as columns the rows of the reduced
+    row echelon form of [p; i]^T, last row first.
+    """
+    cols = rref(E.ring, list(zip(*(p.data + i.data))))[::-1]
+    rows = tuple(zip(*cols)) if cols else ((),) * (x + y)
+    return (x, y, z, rows[:x], rows[x:])
 
 
 def quillen_q(E, guards=DEFAULT):
@@ -589,6 +591,8 @@ def monoidal_category(calc, cap, max_entry, guards=DEFAULT):
     """The graded-list category at a dimension cap, as a validated FinCat."""
     if cap < 0:
         raise ValueError("--cap must be at least 0, got %d" % cap)
+    if max_entry < 0:
+        raise ValueError("--N must be at least 0, got %d" % max_entry)
     objs = calc.objects_up_to(cap, max_entry)
     morphs = []
     mor_objs = {}
@@ -753,6 +757,8 @@ class QKit:
     """Bundle of the Q-construction data over one base category."""
 
     def __init__(self, q, N, cap=None, guards=DEFAULT):
+        if cap is not None and cap < 0:
+            raise ValueError("--cap must be at least 0, got %d" % cap)
         self.E = build_filt_category(q, N, guards)
         self.guards = guards
         self.cap = cap if cap is not None else guards.max_total_dim
@@ -816,7 +822,7 @@ class QKit:
     def psi_obj(self, x):
         return () if x == 0 else (x,)
 
-    def psi_triple(self, span_label, complement_rule="least"):
+    def psi_triple(self, span_label):
         """The triple (Psi a, Psi b, phi) attached to a canonical span."""
         ring = self.E.ring
         (x, y, z, p_data, i_data) = span_label
@@ -868,10 +874,7 @@ class QKit:
             step += 1
         if b_dim:
             qb = quots[step]
-            if complement_rule == "least":
-                proj = QuotientData(z2, full)
-            else:
-                proj = _greatest_complement(ring, z2, full)
+            proj = QuotientData(z2, full)
             cols = [proj.project(c) for c in qb.section_rows]
             isos.append(Mat(ring, [list(r) for r in zip(*cols)]))
             step += 1
@@ -1054,31 +1057,3 @@ def _coords_in_rows(ring, rows, vec):
     _require(not any(v), "vector not in the row span")
     return tuple(coords)
 
-
-def _greatest_complement(ring, small, big):
-    """Alternative complement rule (standard rows taken from the highest
-    coordinate downward) used only to check independence of the
-    kernel/cokernel choices in the comparison functor."""
-    from .rings import ResidueEchelon, _row_times_mat
-    n = big.n
-    ech = ResidueEchelon(ring)
-    for r in small.free_basis():
-        ech.add(r)
-    rows = []
-    for j in range(n - 1, -1, -1):
-        e = [1 if i == j else 0 for i in range(n)]
-        if ech.add(e) is not None:
-            rows.append(tuple(e))
-    nsmall = len(small.free_basis())
-    sq_rows = [list(r) for r in small.free_basis()] + [list(r) for r in rows]
-    inv = Mat(ring, sq_rows).inverse()
-
-    class _Alt:
-        section_rows = tuple(rows)
-
-        @staticmethod
-        def project(v):
-            yy = _row_times_mat(ring, v, inv)
-            return tuple(yy[nsmall:])
-
-    return _Alt

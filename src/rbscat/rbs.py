@@ -247,9 +247,6 @@ class RBSCategory:
                     "is not in U_{F_i} for the morphism %r and v = %d in U_F"
                     % ((int(fi[m]), f, int(g[m])), u[k]))
 
-    def morphism_labels(self):
-        return self.cat.mor_labels
-
     def hom_size(self, fi, fj):
         return len(self.cat.hom(fi, fj))
 
@@ -363,17 +360,17 @@ def pi1_target(rbs, subgroups=None):
     """GL(M)/E(M) as a finite group with multiplication table."""
     if subgroups is None:
         subgroups = compute_e_group(rbs)
-    gl = rbs.gl
-    e_set = set(subgroups.e_group)
-    cosets = {}
-    rep_of = {}
-    for gi in range(len(gl)):
-        rep = min(gl.mult[gi][e] for e in e_set)
-        rep_of[gi] = rep
-        cosets.setdefault(rep, []).append(gi)
-    reps = sorted(cosets)
-    mult = {(a, b): rep_of[gl.mult[a][b]] for a in reps for b in reps}
-    return Group(reps, lambda a, b: mult[(a, b)], rep_of[gl.one])
+    return _quotient_by_e(rbs.gl, subgroups)[1]
+
+
+def _quotient_by_e(gl, subgroups):
+    """rep[g], the least index in the coset g E(M), for every g, and
+    GL(M)/E(M) as a group on those representatives."""
+    size = len(gl)
+    mult = np.array(gl.mult, np.int64).reshape(size, size)
+    rep = mult[:, list(subgroups.e_group)].min(axis=1).tolist()
+    return rep, Group(sorted(set(rep)), lambda a, b: rep[gl.mult[a][b]],
+                      rep[gl.one])
 
 
 def pi1_quotient_functor(rbs, subgroups=None):
@@ -388,15 +385,13 @@ def pi1_quotient_functor(rbs, subgroups=None):
     if subgroups is None:
         subgroups = compute_e_group(rbs)
     gl = rbs.gl
-    e_set = set(subgroups.e_group)
-    quotient = pi1_target(rbs, subgroups)
+    rep, quotient = _quotient_by_e(gl, subgroups)
     B = group_category(quotient)
-    rep_of = {gi: min(gl.mult[gi][e] for e in e_set) for gi in range(len(gl))}
     obj_map = {o: "*" for o in rbs.cat.objects}
     mor_map = {}
     for (fi, fj, g) in rbs.cat.mor_labels:
         # independence of the coset representative: all of gU_F maps to gE
-        classes = {rep_of[gl.mult[g][u]] for u in rbs.unipotent[fi]}
+        classes = {rep[gl.mult[g][u]] for u in rbs.unipotent[fi]}
         if len(classes) != 1:
             raise RuntimeError("U_F is not contained in E(M)")
         mor_map[(fi, fj, g)] = ("*", classes.pop())

@@ -251,10 +251,12 @@ def category_homology_mod(C, ell, max_degree):
     Builds a free resolution F_{max_degree+1} -> ... -> F_0 -> constant
     module and returns the homology of the induced complex of
     coefficient sums (Tor over the category algebra).  Raises ValueError
-    when ell is not a prime.
+    when ell is not a prime or max_degree is negative.
     """
     if ell < 2 or not all(ell % d for d in range(2, ell)):
         raise ValueError("ell must be prime, got %r" % (ell,))
+    if max_degree < 0:
+        raise ValueError("--max-degree must be at least 0, got %d" % max_degree)
     # F_0 = sum of P_x over all objects, covering the constant module
     F_prev = FreeModule(C, list(range(C.n_objects)))
     # augmentation F_0 -> constant module

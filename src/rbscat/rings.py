@@ -345,12 +345,6 @@ class Mat:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self):
-        return Mat(self.ring,
-                   [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)],
-                   cols=self.rows)
-
     def det(self):
         """Determinant by permutation expansion (intended for n <= 4)."""
         if self.rows != self.cols:
@@ -370,10 +364,7 @@ class Mat:
         return total
 
     def is_invertible(self):
-        if self.rows != self.cols:
-            return False
-        return self.ring.inv[self.det()] is not None if self.rows <= 4 else \
-            self.inverse_or_none() is not None
+        return self.inverse_or_none() is not None
 
     def inverse(self):
         inv = self.inverse_or_none()
@@ -730,9 +721,6 @@ class ResidueEchelon:
         self.rows.sort(key=_leading_index)
         return j
 
-    def is_independent(self, vec):
-        return _leading_index(self._reduce(vec)) != len(vec)
-
     @property
     def rank(self):
         return len(self.rows)
@@ -1010,8 +998,14 @@ def kernel_basis(ring, mat):
 # ---------------------------------------------------------------------------
 # GL(M)
 
+def _check_gl_rank(n):
+    if n < 0:
+        raise RingError("GL rank n must be at least 0, got %d" % n)
+
+
 def enumerate_gl(ring, n, guards=DEFAULT):
     """All invertible n x n matrices, sorted by entry encoding."""
+    _check_gl_rank(n)
     if n == 0:
         return [Mat(ring, [])]
     candidates = ring.size ** (n * n)
@@ -1028,6 +1022,7 @@ def enumerate_gl(ring, n, guards=DEFAULT):
 def gl_from_generators(ring, n, guards=DEFAULT):
     """GL(R^n) as the multiplicative closure of elementary and unit-diagonal
     matrices; cross-check path for enumerate_gl."""
+    _check_gl_rank(n)
     if n == 0:
         return [Mat(ring, [])]
     gens = []
@@ -1056,3 +1051,4 @@ def gl_from_generators(ring, n, guards=DEFAULT):
                     nxt.append(prod)
         frontier = nxt
     return sorted(seen.values(), key=Mat.encode)
+

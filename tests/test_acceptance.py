@@ -81,12 +81,12 @@ def test_criterion_3_fp_acyclicity():
     details = []
     # (2,2): direct nerve at the stated depth 5 plus the resolution engine;
     # (3,2): resolution engine (exact in degrees <= 3) + depth-2 nerve check
-    rep = check_fp_acyclic("F2", 2, 3, GUARDS, nerve_depth=5)
-    ok = ok and rep.ok
+    rep = check_fp_acyclic("F2", 2, 3, GUARDS)
+    ok = ok and rep.ok and rep.measured["nerve_depth"] == 5
     details.append("F2^2: %s (nerve D=5 + resolution)" %
                    (rep.measured["betti_F2"],))
-    rep = check_fp_acyclic("F3", 2, 3, GUARDS, nerve_depth=2)
-    ok = ok and rep.ok
+    rep = check_fp_acyclic("F3", 2, 3, GUARDS)
+    ok = ok and rep.ok and rep.measured["nerve_depth"] == 2
     details.append("F3^2: %s (resolution + nerve D=2)" %
                    (rep.measured["betti_F3"],))
     dt = time.time() - t0

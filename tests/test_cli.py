@@ -250,6 +250,10 @@ def test_bad_q_parameters_exit_code():
         (("verify", "q-suite", "--q", "2", "--N", "1", "--cap", "2",
           "--depth", "0"), "--depth"),
         (("build", "mE", "--q", "2", "--N", "1", "--cap", "-2"), "--cap"),
+        # these wrote an empty or vacuous artifact with exit 0
+        (("build", "mE", "--q", "2", "--N", "-1"), "--N"),
+        (("build", "q", "--q", "2", "--N", "-1"), "--N"),
+        (("build", "q", "--q", "2", "--N", "1", "--cap", "-1"), "--cap"),
     ]
     for args, flag in cases:
         code, out, err = run_cli(*args)
@@ -425,3 +429,102 @@ def test_fast_checks_pass_under_optimize():
                                "verify", *args], capture_output=True, text=True)
         assert proc.returncode == 0, (args, proc.stderr)
         assert proc.stdout.split()[0] == args[0] and "PASS" in proc.stdout
+
+
+def test_verify_profile_flag_is_a_usage_error():
+    # --profile was accepted and never read; the desk profile is --all
+    code, out, err = run_cli("verify", "--all", "--profile", "desk")
+    assert code == 1 and out == ""
+    assert "--profile" in err
+
+
+def test_depth_and_degree_below_minimum():
+    # each used to print PASS (exit 0), FAIL (exit 3) or pass vacuously
+    cases = [
+        (("verify", "proper-p", "--ring", "F2", "--n", "2", "--depth", "0"),
+         "--depth"),
+        (("verify", "proper-p", "--ring", "F2", "--n", "2", "--depth", "-1"),
+         "--depth"),
+        (("verify", "twisted-cofinal", "--depth", "0"), "--depth"),
+        (("verify", "twisted-cofinal", "--depth", "-2"), "--depth"),
+        (("verify", "pi1", "--ring", "F2", "--n", "2", "--depth", "0"),
+         "--depth"),
+        (("verify", "fp-acyclic", "--ring", "F2", "--n", "2",
+          "--max-degree", "-1"), "--max-degree"),
+        (("verify", "bgl-comparison", "--ring", "F2", "--n", "2", "--ell", "3",
+          "--max-degree", "-1"), "--max-degree"),
+    ]
+    for args, flag in cases:
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == "", args
+        assert flag in err and len(err.splitlines()) == 1, (args, err)
+
+
+def test_bench_negative_flags():
+    # gl-enum --n -1 printed "2 matrices", snf --size -1 failed inside max()
+    for args, flag in ((("bench", "gl-enum", "--n", "-1"), "--n"),
+                       (("bench", "snf", "--size", "-1"), "--size"),
+                       (("bench", "nerve", "--depth", "-1"), "--depth")):
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == "", args
+        assert flag in err and len(err.splitlines()) == 1, (args, err)
+
+
+# ---------------------------------------------------------------------------
+# integer-flag fuzzing, run in-process
+
+# each command with the integer flags it reads
+FUZZ_COMMANDS = (
+    (("build", "rbs"), ("--n",)),
+    (("build", "poset"), ("--n",)),
+    (("build", "bgl"), ("--n",)),
+    (("build", "tits"), ("--q", "--n")),
+    (("build", "q"), ("--q", "--N", "--cap")),
+    (("build", "mE"), ("--q", "--N", "--cap")),
+    (("homology", "rbs"), ("--n", "--depth")),
+    (("homology", "bgl"), ("--n", "--depth")),
+    (("verify", "steinberg"), ("--q", "--n")),
+    (("verify", "pi1"), ("--n", "--depth")),
+    (("verify", "fp-acyclic"), ("--n", "--max-degree")),
+    (("verify", "bgl-comparison"), ("--n", "--ell", "--max-degree")),
+    (("verify", "proper-p"), ("--n", "--depth")),
+    (("verify", "inductive"), ("--n",)),
+    (("verify", "twisted-cofinal"), ("--depth",)),
+    (("verify", "poset-regularity"), ("--n",)),
+    (("verify", "q-suite"), ("--q", "--N", "--cap", "--depth")),
+    (("bench", "snf"), ("--size",)),
+    (("bench", "nerve"), ("--depth",)),
+    (("bench", "gl-enum"), ("--n",)),
+)
+# the least value each flag accepts (bench nerve takes depth 0)
+FLAG_MINIMUM = {"--n": 0, "--q": 2, "--N": 0, "--cap": 0, "--ell": 2,
+                "--depth": 1, "--max-degree": 0, "--size": 0}
+
+
+@st.composite
+def integer_invocations(draw):
+    command, flags = draw(st.sampled_from(FUZZ_COMMANDS))
+    values = [draw(st.integers(-2, 2)) for _ in flags]
+    argv = list(command) + ["--ring", "F2"]
+    minimum = dict(FLAG_MINIMUM)
+    if command[0] == "bench":
+        minimum["--depth"] = 0
+    below = any(v < minimum[f] for f, v in zip(flags, values))
+    for f, v in zip(flags, values):
+        argv += [f, str(v)]
+    return argv, below
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_invocations())
+def test_integer_flag_fuzz_exits_cleanly(invocation):
+    # every run ends with a documented exit code and prints no traceback;
+    # a flag below its minimum is a usage error
+    argv, below = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if below:
+        assert code == 1 and out.getvalue() == "", (argv, code)

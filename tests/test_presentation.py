@@ -1,3 +1,8 @@
+import itertools
+import sys
+
+from rbscat import homology as homology_module
+from rbscat.checks import _named_small_category
 from rbscat.fincat import (
     Group,
     Poset,
@@ -7,10 +12,26 @@ from rbscat.fincat import (
 )
 from rbscat.homology import homology, nerve_chain_complex
 from rbscat.presentation import GroupPresentation, pi1_presentation, tietze_trivial
+from rbscat.toolkit import is_weakly_contractible
 
 
 def bz(k):
     return group_category(Group(list(range(k)), lambda a, b: (a + b) % k, 0))
+
+
+def disk_face_poset(m=6):
+    """Face poset of the m x m grid of unit squares, each cut along its
+    diagonal into two triangles: a triangulated disk with (m + 1)^2
+    vertices, m(3m + 2) edges and 2m^2 triangles (241 faces for m = 6)."""
+    faces = set()
+    for i, j in itertools.product(range(m), repeat=2):
+        for corner in ((i + 1, j), (i, j + 1)):
+            tri = ((i, j), corner, (i + 1, j + 1))
+            for k in (1, 2, 3):
+                faces.update(itertools.combinations(sorted(tri), k))
+    faces = sorted(faces)
+    return Poset(faces, [(a, b) for a in faces for b in faces
+                         if set(a) <= set(b)])
 
 
 def test_terminal_trivial_presentation():
@@ -51,7 +72,9 @@ def test_free_group_from_circle():
 
 def test_h1_equals_abelianization_on_corpus():
     cats = [terminal_category(), bz(2), bz(3),
-            poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)]))]
+            poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)])),
+            _named_small_category("RBS-F2-2"),
+            poset_category(disk_face_poset())]
     for C in cats:
         pres = pi1_presentation(C)
         torsion, free_rank = pres.abelianization()
@@ -66,3 +89,35 @@ def test_manual_presentation_abelianization():
     torsion, free = pres.abelianization()
     assert free == 0
     assert torsion == [6]
+
+
+def test_disk_certificate_runs_the_dense_snf_only_on_the_core(monkeypatch):
+    # the abelianization of the disk's 432 x 432 relator matrix used to go
+    # to the dense Smith normal form with transforms (about 20 s); now every
+    # Smith form call is no larger than a residual core of the kernel
+    real_snf = homology_module.smith_normal_form
+    real_eliminate = homology_module.eliminate_units
+    shapes, cores = [], []
+
+    def recording_snf(A):
+        shapes.append((len(A), len(A[0]) if A else 0))
+        return real_snf(A)
+
+    def recording_eliminate(columns, ell=None):
+        pivots, core = real_eliminate(columns, ell)
+        support = {i for line in core for i in line}
+        cores.append(min(len(core), len(support)))
+        return pivots, core
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rbscat") and \
+                getattr(module, "smith_normal_form", None) is real_snf:
+            monkeypatch.setattr(module, "smith_normal_form", recording_snf)
+    monkeypatch.setattr(homology_module, "eliminate_units",
+                        recording_eliminate)
+    C = poset_category(disk_face_poset())
+    assert C.n_objects == 241
+    cert = is_weakly_contractible(C, 3)
+    assert cert.verdict == "contractible" and cert.pi1_trivial is True
+    assert shapes and cores
+    assert all(max(shape) <= max(cores) for shape in shapes), (shapes, cores)

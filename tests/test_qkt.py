@@ -1,11 +1,20 @@
 import pytest
 
 from rbscat.fincat import is_fully_faithful
-from rbscat.rings import Mat, make_ring
+from rbscat.rings import (
+    Mat,
+    ResidueEchelon,
+    Submodule,
+    _row_times_mat,
+    make_ring,
+)
 from rbscat.qkt import (
+    FiltCategory,
+    FlagChain,
     MonCalculus,
     MonMor,
     QKit,
+    _gl,
     build_filt_category,
     comma_contractibility,
     cokernel_projection,
@@ -15,7 +24,9 @@ from rbscat.qkt import (
     pushout,
     q2_hom,
     quillen_q,
+    span_canonical,
     terminal_decomposition,
+    flag_quotients,
     _monmor_label,
 )
 
@@ -99,6 +110,28 @@ def test_quillen_q_hom_sizes_n2():
     assert len(Q.hom(1, 2)) == 6
     assert len(Q.hom(2, 2)) == 6   # |GL_2(F_2)|
     assert len(Q.hom(2, 1)) == 0
+
+
+def least_over_gl(E, x, z, y, p, i):
+    """Oracle for span_canonical: the least (p h, i h) over all h in
+    GL(z), by exhaustive search."""
+    best = min((p.mul(h).data, i.mul(h).data) for h in _gl(E.ring, z, E.guards))
+    return (x, y, z) + best
+
+
+@pytest.mark.parametrize("q, N, stride", [
+    (2, 2, 1), (3, 2, 1), (4, 1, 1), (5, 1, 1), (4, 2, 25)])
+def test_span_canonical_matches_gl_search_oracle(q, N, stride):
+    # every span x <<- z >-> y of Vect(F_q)_{<=N} (every stride-th one for
+    # F_4^2, where the search runs over |GL_2(F_4)| = 180 elements)
+    E = FiltCategory(q, N)
+    spans = [(x, z, y, p, i)
+             for x in E.objects for y in E.objects for z in range(x, y + 1)
+             for (a, b, p) in E.morphisms if (a, b) == (z, x) and E.is_epi(z, x, p)
+             for (c, d, i) in E.morphisms if (c, d) == (z, y) and E.is_mono(z, y, i)]
+    assert spans
+    for x, z, y, p, i in spans[::stride]:
+        assert span_canonical(E, x, z, y, p, i) == least_over_gl(E, x, z, y, p, i)
 
 
 def test_identity_span_is_identity():
@@ -269,14 +302,52 @@ def test_psi_preserves_identities():
         assert img == q1.mor_labels[q1.identity_of[q1.obj_index[psi.obj_map[x]]]]
 
 
+def greatest_complement_projection(ring, small):
+    """Alternative complement rule, an oracle for the choice psi_triple
+    makes: standard rows are taken from the highest coordinate downward.
+    Returns the projection of F^n onto complement coordinates."""
+    n = small.n
+    ech = ResidueEchelon(ring)
+    for r in small.free_basis():
+        ech.add(r)
+    rows = []
+    for j in range(n - 1, -1, -1):
+        e = [1 if k == j else 0 for k in range(n)]
+        if ech.add(e) is not None:
+            rows.append(e)
+    nsmall = len(small.free_basis())
+    inv = Mat(ring, [list(r) for r in small.free_basis()] + rows).inverse()
+    return lambda v: tuple(_row_times_mat(ring, v, inv)[nsmall:])
+
+
+def psi_triple_greatest_complement(kit, span_label):
+    """kit.psi_triple with the graded isomorphism of the last step,
+    F^y / im i -> F^b, taken through the alternative complement."""
+    a, b, phi = kit.psi_triple(span_label)
+    if not b:
+        return a, b, phi
+    ring = kit.E.ring
+    flag = phi.flags[0]
+    y = flag.n
+    # the step before F^y is im i (the zero space when z = 0)
+    small = Submodule(ring, y, flag.chain[-2]) if len(flag.chain) > 1 \
+        else Submodule.zero(ring, y)
+    last = flag_quotients(ring, y, flag.chain)[-1]
+    project = greatest_complement_projection(ring, small)
+    cols = [project(c) for c in last.section_rows]
+    iso = Mat(ring, [list(r) for r in zip(*cols)])
+    alt = FlagChain(y, flag.chain, flag.isos[:-1] + (iso,))
+    return a, b, MonMor(phi.src, phi.tgt, phi.theta, (alt,))
+
+
 def test_psi_independent_of_complement_rule():
     kit = QKit(2, 2, cap=3)
     for lbl in kit.span_cat.mor_labels:
         (x, y, z, _, _) = lbl
         if y == 0:
             continue
-        a1, b1, phi1 = kit.psi_triple(lbl, complement_rule="least")
-        a2, b2, phi2 = kit.psi_triple(lbl, complement_rule="greatest")
+        a1, b1, phi1 = kit.psi_triple(lbl)
+        a2, b2, phi2 = psi_triple_greatest_complement(kit, lbl)
         assert (a1, b1) == (a2, b2)
         q2 = kit.q2_hom(kit.psi_obj(x), (y,))
         k1 = (a1, b1, _monmor_label(phi1))
@@ -332,7 +403,7 @@ def test_graded_list_homs_reproduce_flag_category_homs():
 
 def test_failed_exact_category_axiom_raises_category_error():
     from rbscat.fincat import CategoryError
-    E = build_filt_category(2, 1, validate=False)
+    E = FiltCategory(2, 1)
     E.validate_axioms()
     E.is_mono = lambda a, b, m: False  # no admissible monos
     with pytest.raises(CategoryError, match="axiom 2"):
@@ -359,7 +430,7 @@ def test_failed_axiom_5_or_6_raises_category_error(monkeypatch, name, leg,
                                                    message):
     import rbscat.qkt as qkt
     from rbscat.fincat import CategoryError
-    E = build_filt_category(2, 1, validate=False)
+    E = FiltCategory(2, 1)
     monkeypatch.setattr(qkt, name, _zero_leg(getattr(qkt, name), leg))
     with pytest.raises(CategoryError, match="^%s$" % message):
         E.validate_axioms()

@@ -414,6 +414,17 @@ def test_gl_guard():
         enumerate_gl(F3, 2, guards=tight)
 
 
+@pytest.mark.parametrize("spec, n", [
+    ("F4", 2), ("Z4", 2), ("F3", 2), ("F2", 3), ("Z9", 1)])
+def test_is_invertible_agrees_with_unit_determinant(spec, n):
+    # oracle: a matrix over a commutative ring is invertible exactly when
+    # its determinant (permutation expansion) is a unit
+    R = make_ring(spec)
+    for entries in itertools.product(range(R.size), repeat=n * n):
+        m = Mat(R, [entries[i * n:(i + 1) * n] for i in range(n)])
+        assert m.is_invertible() == (R.inv[m.det()] is not None), m
+
+
 def test_mat_inverse():
     m = Mat(F3, [[1, 1], [0, 1]])
     assert m.mul(m.inverse()) == Mat.identity(F3, 2)
@@ -443,9 +454,12 @@ BAD_INPUTS = (
     ("complete_to_invertible(F2, [[1, 0], [1, 0]], 2)", "not independent"),
     ("QuotientData(Submodule.full(F2, 2), Submodule.zero(F2, 2))",
      "contained in big"),
+    ("enumerate_gl(F2, -1)", "at least 0, got -1"),
+    ("gl_from_generators(F2, -1)", "at least 0, got -1"),
 )
 PRELUDE = ("from rbscat.rings import (Flag, Mat, QuotientData, RingError,"
-           " Submodule, complete_to_invertible, howell, make_ring, rref)\n"
+           " Submodule, complete_to_invertible, enumerate_gl,"
+           " gl_from_generators, howell, make_ring, rref)\n"
            "F2, Z4 = make_ring('F2'), make_ring('Z4')\n")
 
 
