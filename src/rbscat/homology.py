@@ -6,6 +6,13 @@ non-identity morphisms, and a face whose composite is an identity
 contributes zero.  Homology computed from such a truncation is trusted in
 degrees 0..D-1 only; HomologyResult records that range.
 
+Every boundary matrix is stored once, as a CSC matrix: the index arrays
+indptr, rows (ascending within each column) and vals.  Nerves, simplicial
+complexes and loaded artifacts use this one representation; the nerve is
+built degree by degree with array operations (searchsorted on chain keys
+and one composition gather per degree), and d.d = 0 is checked by a
+sparse product on the arrays.
+
 Boundary matrices over Z and over F_ell go through one sparse kernel,
 eliminate_units: it pivots on units (+-1 over Z, any nonzero entry over
 F_ell) in Markowitz order, so over F_ell it returns the rank, and over Z
@@ -22,11 +29,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .guards import DEFAULT, GuardExceeded
+from .rings import _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -212,35 +220,150 @@ def snf_diagonal(A):
 
 
 # ---------------------------------------------------------------------------
+# sparse integer matrices
+
+class CSC:
+    """Integer matrix with n_rows rows in compressed sparse column form.
+
+    Column j holds the nonzero entries rows[indptr[j]:indptr[j + 1]], in
+    ascending order, with values vals[indptr[j]:indptr[j + 1]]; the three
+    are int64 arrays.  len() is the number of columns, and iterating
+    yields the columns as dicts {row: value}.
+    """
+
+    __slots__ = ("n_rows", "indptr", "rows", "vals")
+
+    def __init__(self, n_rows, indptr, rows, vals):
+        self.n_rows = n_rows
+        self.indptr, self.rows, self.vals = indptr, rows, vals
+
+    @classmethod
+    def from_entries(cls, n_rows, n_cols, rows, cols, vals):
+        """The n_rows x n_cols matrix with the given (row, column, value)
+        entries; repeated entries are summed and zeros dropped.  Values
+        given as an object array stay Python integers."""
+        rows = np.asarray(rows, np.int64).reshape(-1)
+        cols = np.asarray(cols, np.int64).reshape(-1)
+        vals = np.asarray(vals).reshape(-1)
+        if vals.dtype != object:
+            vals = vals.astype(np.int64, copy=False)
+        key = cols * n_rows
+        key += rows
+        order = np.argsort(key)
+        key = key[order]
+        vals = vals[order]
+        del order
+        if len(key):
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, vals = key[first], np.add.reduceat(vals, first)
+            keep = vals != 0
+            key, vals = key[keep], vals[keep]
+        cols, rows = np.divmod(key, max(n_rows, 1))
+        indptr = np.zeros(n_cols + 1, np.int64)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+        return cls(n_rows, indptr, rows, vals)
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        rows, vals = self.rows.tolist(), self.vals.tolist()
+        ptr = self.indptr.tolist()
+        for a, b in zip(ptr, ptr[1:]):
+            yield dict(zip(rows[a:b], vals[a:b]))
+
+    def col_index(self):
+        """The column of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+
+# no temporary array of the d.d product holds many more entries
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _product_is_zero(a, b):
+    """Whether the product a.b of two CSC matrices is zero.
+
+    Entry (r, j, v) of b adds v times column r of a to column j of the
+    product; the terms of a chunk of b's columns are summed per entry by
+    from_entries.  Where int64 sums could overflow, the terms are Python
+    integers.
+    """
+    if not len(a.rows) or not len(b.rows):
+        return True
+    lens = a.indptr[b.rows + 1] - a.indptr[b.rows]
+    # number of terms before each column of b
+    ends = np.concatenate(([0], np.cumsum(lens)))[b.indptr]
+    bound = (int(np.abs(a.vals).max()) * int(np.abs(b.vals).max())
+             * int(np.diff(b.indptr).max()))
+    dtype = np.int64 if bound < 2 ** 62 else object
+    cols = b.col_index()
+    lo = 0
+    while lo < len(b):
+        hi = int(np.searchsorted(ends, ends[lo] + _CHUNK_ENTRIES, "right")) - 1
+        hi = max(hi, lo + 1)
+        e0, e1 = b.indptr[lo], b.indptr[hi]
+        n = lens[e0:e1]
+        at = np.repeat(a.indptr[b.rows[e0:e1]] - (np.cumsum(n) - n), n) + \
+            np.arange(ends[hi] - ends[lo])
+        terms = a.vals[at].astype(dtype) * np.repeat(b.vals[e0:e1].astype(dtype), n)
+        if len(CSC.from_entries(a.n_rows, hi - lo, a.rows[at],
+                                np.repeat(cols[e0:e1] - lo, n), terms).rows):
+            return False
+        lo = hi
+    return True
+
+
+# ---------------------------------------------------------------------------
 # sparse unit-pivot elimination (one kernel over Z and F_ell)
 
-def eliminate_units(columns, ell=None):
-    """Unit-pivot elimination of the sparse matrix given by columns (each a
-    dict row -> value), over Z (ell None) or over F_ell.
+def eliminate_units(matrix, ell=None):
+    """Unit-pivot elimination of a CSC matrix over Z (ell None) or over
+    F_ell.
 
     Repeatedly pivots on a unit entry -- +-1 over Z, any nonzero entry
     over F_ell -- of low Markowitz cost (r-1)(c-1), where r and c count the
     nonzero entries in the pivot's row and column, and replaces the matrix
     by its Schur complement.  Each pivot contributes an invariant factor 1
     (rank 1 over F_ell).  The matrix is held as sparse lines along its
-    shorter side (rows of a wide matrix, columns of a tall one), which
-    keeps the number of containers small.  Returns (pivots, core): the
-    core is the list of nonzero lines left, none of which holds a unit;
-    over F_ell it is empty, so pivots is the rank.
+    shorter side (rows when there are fewer rows than columns, else
+    columns), read straight from the index arrays, which keeps the number
+    of containers small.  Returns (pivots, core): the core is the list of
+    nonzero lines left, each a dict {index: value}, none of which holds a
+    unit; over F_ell it is empty, so pivots is the rank.
     Dumas-Heckenbach-Saunders-Welker (2003), "Computing simplicial
     homology based on efficient Smith normal form algorithms".
     """
-    n_rows = 1 + max((max(col, default=-1) for col in columns), default=-1)
-    wide = n_rows < len(columns)
+    if ell:
+        matrix = CSC.from_entries(matrix.n_rows, len(matrix), matrix.rows,
+                                  matrix.col_index(), matrix.vals % ell)
+    wide = matrix.n_rows < len(matrix)
+    if wide:
+        # lines are rows: entries by row, then (stably) by column
+        order = np.argsort(matrix.rows, kind="stable")
+        index, vals = matrix.col_index()[order], matrix.vals[order]
+        del order
+        ptr = np.zeros(matrix.n_rows + 1, np.int64)
+        np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows), out=ptr[1:])
+        n_index = len(matrix)
+    else:
+        index, vals, ptr = matrix.rows, matrix.vals, matrix.indptr
+        n_index = matrix.n_rows
+    count = np.bincount(index, minlength=n_index).tolist()  # lines meeting index
+    # one int object per index, shared by the lines: the dicts hold no
+    # copy of an index (a megabyte less at the pi1 check's peak), and a
+    # probe matches by identity
+    shared = list(range(n_index)).__getitem__
+    # lines in the order a scan of the columns meets them
+    held = np.flatnonzero(np.diff(ptr))
+    if wide:
+        held = held[np.argsort(index[ptr[held]], kind="stable")]
     lines = {}  # line -> {index: nonzero value}
-    count = [0] * (len(columns) if wide else n_rows)  # lines meeting index
-    for j, col in enumerate(columns):
-        for r, x in col.items():
-            x = x % ell if ell else x
-            if x:
-                line, index = (r, j) if wide else (j, r)
-                lines.setdefault(line, {})[index] = x
-                count[index] += 1
+    for line in held.tolist():
+        a, b = ptr[line], ptr[line + 1]
+        lines[line] = dict(zip(map(shared, index[a:b].tolist()),
+                               vals[a:b].tolist()))
+    del index, vals, shared
     version = dict.fromkeys(lines, 0)
 
     def best(line):
@@ -304,16 +427,15 @@ def eliminate_units(columns, ell=None):
     return pivots, list(lines.values())
 
 
-def sparse_invariant_factors(columns):
-    """Invariant factors of the integer matrix given by sparse columns
-    (each column a dict row->value).
+def sparse_invariant_factors(matrix):
+    """Invariant factors of the integer CSC matrix.
 
     Unit pivots give factors 1.  The residual core, which has no unit
     entry, is read as vectors of length k, its shorter side; an echelon
     basis of the lattice they span (at most k vectors) is all that goes
     to Smith normal form.
     """
-    pivots, core = eliminate_units(columns)
+    pivots, core = eliminate_units(matrix)
     support = sorted({i for line in core for i in line})
     if len(core) <= len(support):
         vectors = [[line.get(i, 0) for line in core] for i in support]
@@ -368,16 +490,23 @@ def _xgcd_int(a, b):
 class ChainComplex:
     """Non-negatively graded complex with integer boundary matrices.
 
-    dims[k] is the rank of C_k; boundaries[k] (for 1 <= k <= D) is the
-    sparse matrix of d_k: C_k -> C_{k-1}, stored column-wise as a list of
-    dicts {row: coefficient}.  Builders call verify_boundary_squared,
-    which raises ValueError unless d_{k-1} . d_k = 0.
+    dims[k] is the rank of C_k; boundaries[k] (for 1 <= k <= depth) is
+    the dims[k-1] x dims[k] matrix of d_k: C_k -> C_{k-1}, stored once as
+    a CSC matrix (index arrays indptr, rows ascending within each column,
+    vals); a degree left out is the zero map.  Builders call
+    verify_boundary_squared, which raises ValueError unless
+    d_{k-1} . d_k = 0.
     """
 
     dims: list
-    boundaries: dict  # degree -> list of sparse columns
-    labels: dict = field(default_factory=dict)  # degree -> basis labels
+    boundaries: dict  # degree -> CSC
     complete: bool = False  # True when C_{depth+1} = 0 (untruncated complex)
+
+    def __post_init__(self):
+        for k in range(1, len(self.dims)):
+            if k not in self.boundaries:
+                self.boundaries[k] = CSC.from_entries(
+                    self.dims[k - 1], self.dims[k], (), (), ())
 
     @property
     def depth(self):
@@ -385,15 +514,8 @@ class ChainComplex:
 
     def verify_boundary_squared(self):
         for k in range(2, self.depth + 1):
-            dk = self.boundaries.get(k, [])
-            dk1 = self.boundaries.get(k - 1, [])
-            for col in dk:
-                acc = {}
-                for r, c in col.items():
-                    for r2, c2 in dk1[r].items():
-                        acc[r2] = acc.get(r2, 0) + c * c2
-                if any(v != 0 for v in acc.values()):
-                    raise ValueError("d.d != 0 in degree %d" % k)
+            if not _product_is_zero(self.boundaries[k - 1], self.boundaries[k]):
+                raise ValueError("d.d != 0 in degree %d" % k)
         return True
 
 
@@ -417,38 +539,42 @@ class HomologyResult:
 def homology(complex_, coefficients="Z"):
     """Homology of a truncated complex; degrees 0..depth-1 are certified.
 
-    Over Z returns Betti numbers and torsion from the invariant factors of
-    the boundaries; over F_ell (coefficients "F2", "F3", ...) returns
-    Betti numbers from their ranks.  Both come from eliminate_units.
+    coefficients is "Z" or "F" followed by a prime in ASCII decimal digits
+    with no sign and no leading zero (ValueError otherwise).  Over Z
+    returns Betti numbers and torsion from the invariant factors of the
+    boundaries; over F_ell returns Betti numbers from their ranks.  Both
+    come from eliminate_units.
     """
+    ell = _coefficient_prime(coefficients)
     D = complex_.depth
     dims = complex_.dims
     top = D + 1 if complex_.complete else D
-    if coefficients == "Z":
-        rank = {0: 0}
-        tors = {}
-        for k in range(1, D + 1):
-            cols = complex_.boundaries.get(k, [])
-            facs = sparse_invariant_factors(cols)
+    rank = {0: 0}
+    tors = {}
+    for k in range(1, D + 1):
+        if ell is None:
+            facs = sparse_invariant_factors(complex_.boundaries[k])
             rank[k] = len(facs)
             tors[k - 1] = sorted(f for f in facs if f not in (1, -1))
-        betti = {}
-        torsion = {}
-        for k in range(0, top):
-            betti[k] = dims[k] - rank.get(k, 0) - rank.get(k + 1, 0)
-            torsion[k] = tors.get(k, [])
-        return HomologyResult("Z", betti, torsion, top - 1, list(dims))
-    if coefficients.startswith("F"):
-        ell = int(coefficients[1:])
-        if ell < 2 or any(ell % d == 0 for d in range(2, ell)):
-            raise ValueError("homology coefficients need a prime ell, got %d" % ell)
-        rank = {0: 0}
-        for k in range(1, D + 1):
-            rank[k], _ = eliminate_units(complex_.boundaries.get(k, []), ell)
-        betti = {k: dims[k] - rank.get(k, 0) - rank.get(k + 1, 0)
-                 for k in range(0, top)}
-        return HomologyResult(coefficients, betti, {}, top - 1, list(dims))
-    raise ValueError("unknown coefficients %r" % (coefficients,))
+        else:
+            rank[k], _ = eliminate_units(complex_.boundaries[k], ell)
+    betti = {k: dims[k] - rank.get(k, 0) - rank.get(k + 1, 0)
+             for k in range(0, top)}
+    torsion = {} if ell else {k: tors.get(k, []) for k in range(0, top)}
+    return HomologyResult(coefficients, betti, torsion, top - 1, list(dims))
+
+
+def _coefficient_prime(coefficients):
+    """None for "Z", ell for the canonical spelling "F<ell>" of a prime."""
+    if coefficients == "Z":
+        return None
+    digits = coefficients[1:] if isinstance(coefficients, str) and \
+        coefficients.startswith("F") else ""
+    if digits.isascii() and digits.isdigit() and digits[0] != "0" and \
+            _is_prime(int(digits)):
+        return int(digits)
+    raise ValueError("homology coefficients must be Z or F followed by a "
+                     "prime, got %r" % (coefficients,))
 
 
 # ---------------------------------------------------------------------------
@@ -458,77 +584,82 @@ def nerve_chain_complex(C, depth, guards=DEFAULT):
     """Normalized nerve chains of a finite category up to the given depth.
 
     C_k has basis the composable chains (f_1, ..., f_k) of non-identity
-    morphisms; the i-th face composes f_{i+1} . f_i (contributing zero if
-    the composite is an identity) and the outer faces drop an end.
+    morphisms, in lexicographic order; the i-th face composes
+    f_{i+1} . f_i (contributing zero if the composite is an identity) and
+    the outer faces drop an end.
+
+    Degree k is built from degree k-1 on arrays.  A k-chain x is a
+    (k-1)-chain p, its prefix, followed by g = f_k; its key is
+    index(p) |morphisms| + g, so keys ascend within a degree (a 1-chain
+    (f) has key f).  For j < k, face j of x is face j of p followed by g,
+    except that face k-1 follows face k-1 of p (the prefix of p) by
+    g . f_{k-1}.  Each face is found by searchsorted on its key; face j
+    is dropped where face j of p was, and face k-1 also where
+    g . f_{k-1} is an identity.  Face k of x is p.
     """
-    non_id = C.non_identity_morphisms()
-    out_of = {}
-    for f in non_id:
-        out_of.setdefault(C.src[f], []).append(f)
-    # degree 0: objects
-    labels = {0: list(range(C.n_objects))}
+    n_mor = C.n_morphisms
+    src, tgt = C.ends()
+    is_id = np.zeros(n_mor, bool)
+    is_id[list(C.identity_of)] = True
+    arrows = np.flatnonzero(~is_id)
+    # the non-identity morphisms out of each object, ascending
+    out_n = np.bincount(src[arrows], minlength=C.n_objects)
+    out_start = np.cumsum(out_n) - out_n
+    out_list = arrows[np.argsort(src[arrows], kind="stable")]
     dims = [C.n_objects]
     boundaries = {}
-    chains = [(f,) for f in sorted(non_id)]
-    index_prev = {}
-    k = 1
-    while k <= depth:
-        if len(chains) > guards.max_simplices_per_degree:
-            raise GuardExceeded(
-                "nerve has %d nondegenerate %d-simplices > max_simplices_per_degree=%d"
-                % (len(chains), k, guards.max_simplices_per_degree))
-        index_here = {ch: i for i, ch in enumerate(chains)}
-        cols = []
-        ids = set(C.identity_of)
-        # inner[i][c] is f_{i+1} . f_i of chain c, all read in one gather
-        arrows = np.array(chains, np.int64).reshape(len(chains), k)
-        inner = C.compose_many(arrows[:, 1:], arrows[:, :-1]).T.tolist()
-        for c, ch in enumerate(chains):
-            col = {}
-            if k == 1:
-                f = ch[0]
-                col[C.tgt[f]] = col.get(C.tgt[f], 0) + 1
-                col[C.src[f]] = col.get(C.src[f], 0) - 1
-            else:
-                # face 0: drop first arrow
-                face = ch[1:]
-                _acc(col, index_prev[face], 1)
-                sign = -1
-                for i in range(k - 1):
-                    comp = inner[i][c]
-                    if comp not in ids:
-                        face = ch[:i] + (comp,) + ch[i + 2:]
-                        _acc(col, index_prev[face], sign)
-                    sign = -sign
-                face = ch[:-1]
-                _acc(col, index_prev[face], sign)
-            cols.append({r: v for r, v in col.items() if v})
-        boundaries[k] = cols
-        labels[k] = list(chains)
-        dims.append(len(chains))
-        if k == depth:
-            break
-        nxt = []
-        for ch in chains:
-            for g in out_of.get(C.tgt[ch[-1]], ()):
-                nxt.append(ch + (g,))
-        index_prev = index_here
-        chains = nxt
-        k += 1
-    cx = ChainComplex(dims, boundaries, labels)
+    for k in range(1, depth + 1):
+        if k == 1:
+            size = len(arrows)
+            _check_simplices(size, k, guards)
+            at = np.arange(size)
+            d = CSC.from_entries(C.n_objects, size, np.r_[tgt[arrows], src[arrows]],
+                                 np.r_[at, at], np.repeat([1, -1], size))
+            last = keys = arrows
+            faces = np.zeros((size, 2), np.int64)  # the key prefix of (f) is 0
+        else:
+            counts = out_n[tgt[last]]
+            size = int(counts.sum())
+            _check_simplices(size, k, guards)
+            prefix = np.repeat(np.arange(len(last)), counts)
+            g = out_list[np.repeat(out_start[tgt[last]] - (np.cumsum(counts) - counts),
+                                   counts) + np.arange(size)]
+            composite = C.compose_many(g, last[prefix])
+            of_prefix = faces[prefix]
+            faces = np.empty((size, k + 1), np.int64)
+            faces[:, :k] = of_prefix * n_mor + g[:, None]
+            faces[:, k - 1] += composite - g
+            faces[:, :k] = np.searchsorted(keys, faces[:, :k])
+            faces[:, :k][of_prefix < 0] = -1
+            faces[is_id[composite], k - 1] = -1
+            faces[:, k] = prefix
+            del of_prefix, composite
+            # a dropped face is an entry of value 0, which from_entries drops
+            signs = np.where(faces >= 0, 1 - 2 * (np.arange(k + 1) % 2), 0)
+            d = CSC.from_entries(dims[-1], size, np.maximum(faces, 0),
+                                 np.repeat(np.arange(size), k + 1), signs)
+            del signs
+            last, keys = g, prefix * n_mor + g
+        boundaries[k] = d
+        dims.append(size)
+    cx = ChainComplex(dims, boundaries)
     cx.verify_boundary_squared()
     return cx
 
 
-def _acc(col, idx, sign):
-    col[idx] = col.get(idx, 0) + sign
+def _check_simplices(count, k, guards):
+    if count > guards.max_simplices_per_degree:
+        raise GuardExceeded(
+            "nerve has %d nondegenerate %d-simplices > max_simplices_per_degree=%d"
+            % (count, k, guards.max_simplices_per_degree))
 
 
 # ---------------------------------------------------------------------------
 # simplicial complexes (order complexes, corpus spaces)
 
 def chain_complex_from_facets(facets):
-    """Simplicial chain complex from maximal faces (vertices comparable)."""
+    """Simplicial chain complex from maximal faces (vertices comparable);
+    the simplices of each degree are in lexicographic order."""
     simplices = {}
     for f in facets:
         f = tuple(sorted(set(f)))
@@ -538,20 +669,17 @@ def chain_complex_from_facets(facets):
     if not simplices:
         return ChainComplex([0], {}, complete=True)
     top = max(simplices)
-    labels = {k: sorted(simplices.get(k, ())) for k in range(top + 1)}
-    index = {k: {s: i for i, s in enumerate(labels[k])} for k in labels}
-    dims = [len(labels[k]) for k in range(top + 1)]
+    ordered = [sorted(simplices.get(k, ())) for k in range(top + 1)]
+    dims = [len(s) for s in ordered]
     boundaries = {}
     for k in range(1, top + 1):
-        cols = []
-        for s in labels[k]:
-            col = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                col[index[k - 1][face]] = 1 if i % 2 == 0 else -1
-            cols.append(col)
-        boundaries[k] = cols
-    cx = ChainComplex(dims, boundaries, labels, complete=True)
+        index = {s: i for i, s in enumerate(ordered[k - 1])}
+        rows = [index[s[:i] + s[i + 1:]] for s in ordered[k] for i in range(k + 1)]
+        signs = np.broadcast_to(1 - 2 * (np.arange(k + 1) % 2), (dims[k], k + 1))
+        boundaries[k] = CSC.from_entries(dims[k - 1], dims[k], rows,
+                                         np.repeat(np.arange(dims[k]), k + 1),
+                                         signs)
+    cx = ChainComplex(dims, boundaries, complete=True)
     cx.verify_boundary_squared()
     return cx
 
@@ -622,12 +750,12 @@ def betti_via_rank_oracle(complex_):
     D = complex_.depth
     rank = {0: 0}
     for k in range(1, D + 1):
-        cols = complex_.boundaries.get(k, [])
-        dense = [[0] * len(cols) for _ in range(complex_.dims[k - 1])]
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                dense[r][j] = v
-        rank[k] = bareiss_rank(dense) if cols else 0
+        d = complex_.boundaries[k]
+        dense = [[0] * len(d) for _ in range(d.n_rows)]
+        for r, j, v in zip(d.rows.tolist(), d.col_index().tolist(),
+                           d.vals.tolist()):
+            dense[r][j] = v
+        rank[k] = bareiss_rank(dense) if len(d) else 0
     top = D + 1 if complex_.complete else D
     return {k: complex_.dims[k] - rank.get(k, 0) - rank.get(k + 1, 0)
             for k in range(0, top)}

@@ -107,19 +107,21 @@ def complex_to_json(cx):
         "dims": list(cx.dims),
         "complete": cx.complete,
         "boundaries": {
-            str(k): [[r, c, v] for c, col in enumerate(cols)
-                     for r, v in sorted(col.items())]
-            for k, cols in sorted(cx.boundaries.items())},
+            str(k): [list(e) for e in zip(d.rows.tolist(),
+                                          d.col_index().tolist(),
+                                          d.vals.tolist())]
+            for k, d in sorted(cx.boundaries.items())},
     }
 
 
 def complex_from_json(doc, guards=None):
     """Load a chain complex artifact; raises ValueError unless the schema,
     the dimensions (at least two degrees unless the complex is complete),
-    every (row, column) index and d.d = 0 all check out, and
-    GuardExceeded for a dimension past max_simplices_per_degree."""
+    every (row, column) index, each value (within 64 bits) and d.d = 0
+    all check out, and GuardExceeded for a dimension past
+    max_simplices_per_degree."""
     from .guards import DEFAULT
-    from .homology import ChainComplex
+    from .homology import CSC, ChainComplex
     if not isinstance(doc, dict) or doc.get("schema") != "chaincomplex/1":
         raise ValueError("not a chain complex artifact")
     dims = doc.get("dims")
@@ -141,7 +143,7 @@ def complex_from_json(doc, guards=None):
     if not isinstance(given, dict):
         raise ValueError("chain complex: boundaries must be an object")
     # a boundary left out is the zero map
-    boundaries = {k: [{} for _ in range(dims[k])] for k in range(1, len(dims))}
+    boundaries = {}
     for key, triples in given.items():
         if not (key.isascii() and key.isdigit()) or \
                 not 1 <= int(key) < len(dims) or \
@@ -149,7 +151,7 @@ def complex_from_json(doc, guards=None):
             raise ValueError("chain complex: no boundary d_%s for dims %s"
                              % (key, dims))
         k = int(key)
-        cols = boundaries[k]
+        seen = set()
         for entry in triples:
             if not (isinstance(entry, list) and len(entry) == 3
                     and all(_is_int(x) for x in entry)):
@@ -159,11 +161,15 @@ def complex_from_json(doc, guards=None):
             if not (0 <= r < dims[k - 1] and 0 <= c < dims[k]):
                 raise ValueError("chain complex: d_%d entry (%d, %d) outside "
                                  "%d x %d" % (k, r, c, dims[k - 1], dims[k]))
-            if r in cols[c]:
+            if (r, c) in seen:
                 raise ValueError("chain complex: d_%d entry (%d, %d) repeated"
                                  % (k, r, c))
-            cols[c][r] = v
-        boundaries[k] = [{r: v for r, v in col.items() if v} for col in cols]
+            if not -2 ** 63 < v < 2 ** 63:
+                raise ValueError("chain complex: d_%d entry (%d, %d) value "
+                                 "%d does not fit in 64 bits" % (k, r, c, v))
+            seen.add((r, c))
+        rows, cols, vals = zip(*triples) if triples else ((), (), ())
+        boundaries[k] = CSC.from_entries(dims[k - 1], dims[k], rows, cols, vals)
     cx = ChainComplex(dims, boundaries, complete=complete)
     cx.verify_boundary_squared()
     return cx

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import sparse_invariant_factors
+from .homology import CSC, sparse_invariant_factors
 
 
 @dataclass
@@ -36,12 +36,11 @@ class GroupPresentation:
         With k nonzero invariant factors d_1 | ... | d_k, the
         abelianization is Z^(n-k) plus the sum of the Z/d_i.
         """
-        columns = [{} for _ in self.generators]
-        for r, w in enumerate(self.relators):
-            for s in w:
-                col = columns[abs(s) - 1]
-                col[r] = col.get(r, 0) + (1 if s > 0 else -1)
-        factors = sparse_invariant_factors(columns)
+        entries = [(r, abs(s) - 1, 1 if s > 0 else -1)
+                   for r, w in enumerate(self.relators) for s in w]
+        rows, cols, signs = zip(*entries) if entries else ((), (), ())
+        factors = sparse_invariant_factors(CSC.from_entries(
+            len(self.relators), len(self.generators), rows, cols, signs))
         torsion = sorted(abs(d) for d in factors if abs(d) != 1)
         return torsion, len(self.generators) - len(factors)
 

@@ -19,6 +19,7 @@ of the subcategory under a fixed flag.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,33 @@ from .rings import (
 _CHUNK_ENTRIES = 1 << 18
 
 
+def _ring_products(ring, left, right):
+    """Yield (lo, P) with P[a, b] = left[lo + a] right[b], matrix products
+    over the ring's add/mul tables, for chunks of the stack left (shape
+    (L, n, m)); right has shape (B, m, p).  No chunk's temporary holds
+    many more than _CHUNK_ENTRIES entries."""
+    add, mul = np.array(ring.add, np.int64), np.array(ring.mul, np.int64)
+    n, m = left.shape[1:]
+    p = right.shape[2]
+    step = max(1, _CHUNK_ENTRIES // max(1, len(right) * n * m * p))
+    for lo in range(0, len(left), step):
+        # terms[a, b, i, k, j] = A[a, i, k] B[b, k, j], summed over k
+        terms = mul[left[lo:lo + step, None, :, :, None],
+                    right[None, :, None, :, :]]
+        acc = np.zeros(terms.shape[:3] + (p,), np.int64)
+        for k in range(m):
+            acc = add[acc, terms[:, :, :, k, :]]
+        yield lo, acc
+
+
+def _row_keys(rows):
+    """Each row of an int64 array as one opaque key: equal rows, equal
+    keys (sortable, for _lookup)."""
+    rows = np.ascontiguousarray(rows, np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(
+        rows.shape[:-1])
+
+
 class GLData:
     """GL(R^n) with integer-indexed multiplication tables.
 
@@ -69,21 +97,14 @@ class GLData:
         self.index = {m.data: i for i, m in enumerate(self.mats)}
         size = len(self.mats)
         guards.check(size, "max_group_order", "GL table")
-        add, mul = np.array(ring.add, np.int64), np.array(ring.mul, np.int64)
-        entries = np.array([m.data for m in self.mats], np.int64).reshape(size, n, n)
+        self.entries = np.array([m.data for m in self.mats],
+                                np.int64).reshape(size, n, n)
         weights = ring.size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        codes = entries.reshape(size, n * n) @ weights
+        codes = self.entries.reshape(size, n * n) @ weights
         table = np.empty((size, size), np.int64)
-        step = max(1, _CHUNK_ENTRIES // max(1, size * n ** 3))
-        for lo in range(0, size, step):
-            # terms[a, b, i, k, j] = A[a, i, k] B[b, k, j], summed over k
-            terms = mul[entries[lo:lo + step, None, :, :, None],
-                        entries[None, :, None, :, :]]
-            acc = np.zeros(terms.shape[:3] + (n,), np.int64)
-            for k in range(n):
-                acc = add[acc, terms[:, :, :, k, :]]
-            table[lo:lo + step] = _lookup(codes, acc.reshape(len(acc), size, n * n)
-                                          @ weights)
+        for lo, prod in _ring_products(ring, self.entries, self.entries):
+            table[lo:lo + len(prod)] = _lookup(
+                codes, prod.reshape(len(prod), size, n * n) @ weights)
         if (table < 0).any():
             raise RuntimeError("GL is not closed under multiplication")
         self.mult = table.tolist()
@@ -127,20 +148,49 @@ class RBSCategory:
     # -- group action on flags -------------------------------------------
 
     def _build_action(self):
-        gl, flags = self.gl, self.flags
-        sub_transform = {}
-        self.flag_act = [[0] * len(flags) for _ in range(len(gl))]
-        for gi, g in enumerate(gl.mats):
-            for fi, f in enumerate(flags):
-                members = []
-                for m in f.members:
-                    key = (gi, m)
-                    if key not in sub_transform:
-                        sub_transform[key] = m.transform(g)
-                    members.append(sub_transform[key])
-                members.sort(key=Submodule.sort_key)
-                image = f.__class__(self.ring, self.n, tuple(members))
-                self.flag_act[gi][fi] = self.flag_index[image]
+        """flag_act[g][f] is the index of the flag g F.
+
+        GL acts on the vectors of R^n once, as a |GL| x |R|^n table of
+        vector codes built from the ring tables.  Each flag member is
+        mapped through that table as its element set, and the image member
+        is looked up by its element set; g preserves rank and inclusion,
+        so the image flag is looked up by its tuple of members in order.
+        """
+        ring, n, gl = self.ring, self.n, self.gl
+        subs = sorted({m for f in self.flags for m in f.members},
+                      key=Submodule.sort_key)
+        # vec_act[g, v]: the code of g v, vectors coded by their entries
+        # in base |R| (row-major, the order of itertools.product)
+        vectors = np.array(list(itertools.product(range(ring.size), repeat=n)),
+                           np.int64)
+        weights = ring.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        vec_act = np.empty((len(gl), len(vectors)), np.int64)
+        for lo, prod in _ring_products(ring, gl.entries, vectors[:, :, None]):
+            vec_act[lo:lo + len(prod)] = prod[..., 0] @ weights
+        # member_act[g, s]: the index of g S; the last column stands for
+        # the missing members of a short flag
+        member_act = np.full((len(gl), len(subs) + 1), -1, np.int64)
+        by_size = {}
+        for s, m in enumerate(subs):
+            codes = np.sort(np.array(list(m.elements()), np.int64) @ weights)
+            by_size.setdefault(len(codes), []).append((s, codes))
+        for group in by_size.values():
+            ids = np.array([s for s, _ in group], np.int64)
+            sets = np.array([codes for _, codes in group], np.int64)
+            images = np.sort(vec_act[:, sets], axis=2)
+            found = _lookup(_row_keys(sets), _row_keys(images).reshape(-1))
+            member_act[:, ids] = np.where(found < 0, -1, ids[found]).reshape(
+                len(gl), len(ids))
+        sub_index = {m: s for s, m in enumerate(subs)}
+        # the members of each flag in order, padded with the last column
+        members = np.full((len(self.flags), max(1, n - 1)), len(subs), np.int64)
+        for fi, f in enumerate(self.flags):
+            members[fi, :len(f.members)] = [sub_index[m] for m in f.members]
+        act = _lookup(_row_keys(np.where(members < len(subs), members, -1)),
+                      _row_keys(member_act[:, members]).reshape(-1))
+        if (act < 0).any():
+            raise RuntimeError("GL does not permute the flags")
+        self.flag_act = act.reshape(len(gl), len(self.flags)).tolist()
 
     def refines(self, fi, fj):
         """Refinement order: fi <= fj iff members(fj) subset of members(fi)."""

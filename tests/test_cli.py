@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rbscat import cli
 from rbscat.fincat import (
     Group, Poset, group_category, poset_category, product_tuple)
-from rbscat.homology import ChainComplex
+from rbscat.homology import CSC, ChainComplex
 from rbscat.jsonio import complex_to_json, fincat_to_json
 
 
@@ -66,6 +66,26 @@ def test_homology_inline_f2():
     assert code == 0
     doc = json.loads(out)
     assert doc["betti"] == {"0": 1, "1": 0, "2": 0}
+
+
+def test_homology_coefficients_are_canonical():
+    # "F+3", "F03" and "F\u0663" (an Arabic-Indic three) once exited 0 and
+    # wrote their own spelling into the artifact, and "F" and "Fx" exited
+    # with an int() message; only Z and F<prime> in ASCII digits pass
+    for coeff in ("F+3", "F03", "F\u0663", "F", "Fx", "F4", "F1", "z", ""):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["homology", "rbs", "--ring", "F2", "--n", "2",
+                             "--depth", "2", "--coeff", coeff, "--json"])
+        assert code == 1 and out.getvalue() == "", coeff
+        assert repr(coeff) in err.getvalue(), (coeff, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["homology", "rbs", "--ring", "F2", "--n", "2",
+                         "--depth", "2", "--coeff", "F3", "--json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["coefficients"] == "F3"
 
 
 def test_verify_pass_and_fail_codes():
@@ -163,6 +183,16 @@ def test_homology_artifact_out_of_range_entry(tmp_path):
     code, _, err = run_cli("homology", "--artifact", str(art))
     assert code == 1
     assert "outside" in err and "Traceback" not in err
+
+
+def test_homology_artifact_repeated_entry(tmp_path):
+    # the two entries would sum to zero; a repeat is rejected, not summed
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps({"schema": "chaincomplex/1", "dims": [2, 1],
+                               "boundaries": {"1": [[0, 0, 1], [0, 0, -1]]}}))
+    code, out, err = run_cli("homology", "--artifact", str(art))
+    assert code == 1 and out == ""
+    assert "repeated" in err and len(err.splitlines()) == 1
 
 
 def test_homology_missing_artifact(tmp_path):
@@ -268,7 +298,8 @@ def _valid_artifacts():
     bz2 = group_category(Group([0, 1], lambda a, b: (a + b) % 2, 0))
     chain = poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)]))
     # a circle: two vertices joined by two edges
-    circle = ChainComplex([2, 2], {1: [{0: -1, 1: 1}, {0: -1, 1: 1}]})
+    circle = ChainComplex([2, 2], {1: CSC.from_entries(
+        2, 2, [0, 1, 0, 1], [0, 0, 1, 1], [-1, 1, -1, 1])})
     return [fincat_to_json(bz2), fincat_to_json(chain), complex_to_json(circle)]
 
 

@@ -1,13 +1,17 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbscat.fincat import (
-    Group, Poset, group_category, poset_category, skeleton, terminal_category)
+    Group, Poset, full_subcategory, group_category, poset_category,
+    product_tuple, skeleton, terminal_category)
 from rbscat.guards import GuardConfig, GuardExceeded
 from rbscat.homology import (
+    CSC,
+    ChainComplex,
     bareiss_rank,
     betti_via_rank_oracle,
     chain_complex_from_facets,
@@ -23,6 +27,22 @@ from rbscat.homology import (
 
 RP2_FACETS = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
               (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
+
+
+def csc(columns, n_rows=None):
+    """The CSC matrix of sparse columns {row: value}; n_rows defaults to
+    one past the largest row."""
+    entries = [(r, j, v) for j, col in enumerate(columns) for r, v in col.items()]
+    if n_rows is None:
+        n_rows = 1 + max((r for r, _, _ in entries), default=-1)
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return CSC.from_entries(n_rows, len(columns), rows, cols, vals)
+
+
+def dense_csc(rows):
+    """The CSC matrix of a dense list of rows."""
+    return csc([{i: r[j] for i, r in enumerate(rows) if r[j]}
+                for j in range(len(rows[0]))], len(rows))
 
 
 def hexagon_circle():
@@ -73,18 +93,17 @@ def test_snf_postconditions_random(rows):
 
 def test_sparse_invariant_factors_matches_dense():
     rows = [[2, 4, 0], [6, 8, 0], [0, 0, 5]]
-    cols = [{0: rows[0][j], 1: rows[1][j], 2: rows[2][j]} for j in range(3)]
-    cols = [{r: v for r, v in col.items() if v} for col in cols]
-    assert sorted(sparse_invariant_factors(cols)) == sorted(snf_diagonal(rows))
+    assert sorted(sparse_invariant_factors(dense_csc(rows))) == \
+        sorted(snf_diagonal(rows))
 
 
 def test_integer_lattice_rank():
-    cols = [{0: 2, 1: 4}, {0: 6, 1: 8}, {0: 8, 1: 12}]
+    cols = csc([{0: 2, 1: 4}, {0: 6, 1: 8}, {0: 8, 1: 12}])
     assert len(sparse_invariant_factors(cols)) == 2
 
 
 def test_sparse_rank_mod():
-    cols = [{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 2}]
+    cols = csc([{0: 1, 1: 1}, {0: 1, 1: 1}, {1: 2}])
     assert eliminate_units(cols, 2) == (1, [])
     assert eliminate_units(cols, 3) == (2, [])
 
@@ -118,8 +137,7 @@ def sparse_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_kernel_matches_dense_snf_and_rank_mod(rows):
-    cols = [{i: r[j] for i, r in enumerate(rows) if r[j]}
-            for j in range(len(rows[0]))]
+    cols = dense_csc(rows)
     assert sparse_invariant_factors(cols) == snf_diagonal(rows)
     for ell in (2, 3, 5):
         rank, core = eliminate_units(cols, ell)
@@ -129,11 +147,11 @@ def test_kernel_matches_dense_snf_and_rank_mod(rows):
 def test_kernel_core_without_units():
     # no +-1 entry: the whole matrix is the core, and a wide core goes
     # through its lattice basis (gcd 1 here, so one factor 1)
-    pivots, core = eliminate_units([{0: 2}, {0: 3}, {0: 4}])
+    pivots, core = eliminate_units(csc([{0: 2}, {0: 3}, {0: 4}]))
     assert pivots == 0
     assert sorted(x for line in core for x in line.values()) == [2, 3, 4]
-    assert sparse_invariant_factors([{0: 6}, {0: 10}, {0: 15}]) == [1]
-    assert sparse_invariant_factors([{0: 2, 1: 2}, {0: 2, 1: 6}]) == [2, 4]
+    assert sparse_invariant_factors(csc([{0: 6}, {0: 10}, {0: 15}])) == [1]
+    assert sparse_invariant_factors(csc([{0: 2, 1: 2}, {0: 2, 1: 6}])) == [2, 4]
 
 
 def test_snf_postconditions_survive_optimize():
@@ -296,7 +314,184 @@ def test_complex_from_json_validates():
         {"schema": "chaincomplex/1", "dims": [1, 1], "boundaries": {"1": [[0, 0]]}},
         {"schema": "chaincomplex/1", "dims": [1, 1, 1],
          "boundaries": {"1": [[0, 0, 1]], "2": [[0, 0, 1]]}},
+        {"schema": "chaincomplex/1", "dims": [1, 1],
+         "boundaries": {"1": [[0, 0, 2 ** 63]]}},
+        {"schema": "chaincomplex/1", "dims": [1, 1],
+         "boundaries": {"1": [[0, 0, 1], [0, 0, -1]]}},
     ]
     for doc in bad:
         with pytest.raises(ValueError):
             complex_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# array nerve and d.d check against the per-simplex dict oracles
+
+def oracle_nerve(C, depth):
+    """Per-simplex dict builder of the normalized nerve (test oracle): the
+    dims and, per degree, the boundary columns {row: value}, the chains
+    listed in lexicographic order."""
+    ids = set(C.identity_of)
+    out_of = {}
+    for f in C.non_identity_morphisms():
+        out_of.setdefault(C.src[f], []).append(f)
+    dims = [C.n_objects]
+    boundaries = {}
+    chains = [(f,) for f in sorted(C.non_identity_morphisms())]
+    index_prev = {}
+    for k in range(1, depth + 1):
+        cols = []
+        for ch in chains:
+            col = {}
+            if k == 1:
+                faces = [(C.tgt[ch[0]], 1), (C.src[ch[0]], -1)]
+            else:
+                faces = [(index_prev[ch[1:]], 1)]
+                for i in range(k - 1):
+                    comp = C.compose(ch[i + 1], ch[i])
+                    if comp not in ids:
+                        face = ch[:i] + (comp,) + ch[i + 2:]
+                        faces.append((index_prev[face], (-1) ** (i + 1)))
+                faces.append((index_prev[ch[:-1]], (-1) ** k))
+            for r, sign in faces:
+                col[r] = col.get(r, 0) + sign
+            cols.append({r: v for r, v in col.items() if v})
+        boundaries[k] = cols
+        dims.append(len(chains))
+        index_prev = {ch: i for i, ch in enumerate(chains)}
+        chains = [ch + (g,) for ch in chains
+                  for g in out_of.get(C.tgt[ch[-1]], ())]
+    return dims, boundaries
+
+
+def oracle_dd_is_zero(boundaries):
+    """d_{k-1} . d_k = 0 for every k, by a dict loop over the columns
+    (test oracle)."""
+    for k in sorted(boundaries):
+        if k - 1 not in boundaries:
+            continue
+        prev = list(boundaries[k - 1])
+        for col in boundaries[k]:
+            acc = {}
+            for r, c in col.items():
+                for r2, c2 in prev[r].items():
+                    acc[r2] = acc.get(r2, 0) + c * c2
+            if any(acc.values()):
+                return False
+    return True
+
+
+def bz(k):
+    return group_category(Group(list(range(k)), lambda a, b: (a + b) % k, 0))
+
+
+NERVE_BASES = [
+    bz(1), bz(2), bz(3), bz(4), hexagon_circle(),
+    poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)])),
+    poset_category(Poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
+                                 ("a", "b"), ("a", "c")])),
+]
+
+
+@st.composite
+def nerve_inputs(draw):
+    """A small category (a base, a product of two, a full subcategory, or
+    RBS(F2, 2) and its skeleton) and a depth up to 4, within 5,000
+    simplices per degree."""
+    from rbscat.rbs import build_rbs
+    pick = draw(st.integers(0, 3))
+    if pick == 0:
+        C = build_rbs("F2", 2).cat
+        C = skeleton(C) if draw(st.booleans()) else C
+    else:
+        C = draw(st.sampled_from(NERVE_BASES))
+        if pick > 1:
+            C = product_tuple([C, draw(st.sampled_from(NERVE_BASES))])
+        if pick > 2:
+            objs = draw(st.lists(st.sampled_from(C.objects), min_size=1,
+                                 unique=True))
+            C, _ = full_subcategory(C, objs)
+    # adj[x, y] counts the non-identity arrows x -> y, so the k-chains
+    # number the sum of the entries of adj^k
+    adj = np.zeros((C.n_objects, C.n_objects), np.int64)
+    for f in C.non_identity_morphisms():
+        adj[C.src[f], C.tgt[f]] += 1
+    depth = draw(st.integers(1, 4))
+    while depth > 1 and np.linalg.matrix_power(adj, depth).sum() > 5000:
+        depth -= 1
+    return C, depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(nerve_inputs())
+def test_array_nerve_matches_dict_oracle(case):
+    C, depth = case
+    cx = nerve_chain_complex(C, depth)
+    dims, boundaries = oracle_nerve(C, depth)
+    assert cx.dims == dims
+    for k in range(1, depth + 1):
+        d = cx.boundaries[k]
+        assert d.n_rows == dims[k - 1] and len(d) == dims[k]
+        assert list(d) == boundaries[k], k
+        for a, b in zip(d.indptr[:-1].tolist(), d.indptr[1:].tolist()):
+            assert (d.rows[a:b][1:] > d.rows[a:b][:-1]).all()
+    assert oracle_dd_is_zero(boundaries)
+
+
+def corrupt(cx, k, at):
+    """A copy of the complex with entry number `at` of d_k changed."""
+    d = cx.boundaries[k]
+    vals = d.vals.copy()
+    vals[at % len(vals)] += 1 if vals[at % len(vals)] != -1 else 2
+    out = dict(cx.boundaries)
+    out[k] = CSC(d.n_rows, d.indptr, d.rows, vals)
+    return ChainComplex(list(cx.dims), out, cx.complete)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nerve_inputs(), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_dd_check_agrees_with_dict_oracle_on_a_corrupted_entry(case, k, at):
+    C, depth = case
+    cx = nerve_chain_complex(C, depth)
+    k = min(k, depth)
+    if not len(cx.boundaries[k].vals):
+        return
+    bad = corrupt(cx, k, at)
+    if oracle_dd_is_zero({j: list(d) for j, d in bad.boundaries.items()}):
+        assert bad.verify_boundary_squared()
+    else:
+        with pytest.raises(ValueError, match="d.d != 0 in degree"):
+            bad.verify_boundary_squared()
+
+
+def test_dd_check_raises_under_optimize():
+    # a corrupted d_2 entry of the depth-2 nerve of the chain 0 < 1 < 2
+    # must raise under python -O as well, where bare asserts vanish
+    code = ("from rbscat.homology import CSC, nerve_chain_complex\n"
+            "from rbscat.fincat import Poset, poset_category\n"
+            "cx = nerve_chain_complex(poset_category(Poset([0, 1, 2], "
+            "[(i, j) for i in range(3) for j in range(3) if i <= j])), 2)\n"
+            "d = cx.boundaries[2]\n"
+            "vals = d.vals.copy()\n"
+            "vals[0] += 1\n"
+            "cx.boundaries[2] = CSC(d.n_rows, d.indptr, d.rows, vals)\n"
+            "try:\n"
+            "    cx.verify_boundary_squared()\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(5)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dd_check_is_exact_past_int64():
+    # d_1 d_2 = 2^40 * 2^40 - 2^80 sums to zero only in exact arithmetic
+    big = 2 ** 40
+    ok = ChainComplex([1, 1, 1], {1: csc([{0: big}], 1),
+                                  2: csc([{0: big}], 1)})
+    with pytest.raises(ValueError):
+        ok.verify_boundary_squared()
+    zero = ChainComplex([1, 2, 1], {1: csc([{0: big}, {0: big}], 1),
+                                    2: csc([{0: big, 1: -big}], 2)})
+    assert zero.verify_boundary_squared()

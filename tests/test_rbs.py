@@ -25,7 +25,7 @@ from rbscat.rbs import (
     steinberg_rank,
     tits_building,
 )
-from rbscat.rings import Mat, make_ring
+from rbscat.rings import Flag, Mat, Submodule, make_ring
 from rbscat.fincat import check_poset_regularity
 from rbscat.toolkit import is_colim_equivalence, is_proper
 
@@ -420,6 +420,22 @@ def test_gl_table_matches_matrix_products(spec, n):
     assert gl.one == index[Mat.identity(gl.ring, n).data]
     assert all(gl.mult[i][j] == gl.one for i, j in enumerate(gl.inv))
     assert all(isinstance(x, int) for row in gl.mult for x in row)
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
+                                     ("F4", 2), ("F2", 3)])
+def test_flag_action_matches_per_pair_transform(spec, n):
+    # oracle: one Submodule.transform, with its canonical row form, per
+    # (g, member) pair, and the flag of the sorted images
+    r = build_rbs(spec, n)
+
+    def image(g, f):
+        members = sorted((m.transform(g) for m in f.members),
+                         key=Submodule.sort_key)
+        return r.flag_index[Flag(r.ring, n, tuple(members))]
+
+    assert r.flag_act == [[image(g, f) for f in r.flags] for g in r.gl.mats]
+    assert all(isinstance(x, int) for row in r.flag_act for x in row)
 
 
 def test_rbs_cache_is_keyed_by_guards():

@@ -1,7 +1,10 @@
 """Source-level rules for the library package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rbscat"
 
@@ -16,3 +19,20 @@ def test_library_has_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert list(PACKAGE.glob("*.py"))
     assert found == [], found
+
+
+def test_checks_import_no_third_party_package_but_numpy():
+    # numpy is the one dependency (pyproject.toml); any other package
+    # imported by the library would also add to the start-up time of
+    # every command
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import rbscat.checks\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "['numpy', 'rbscat']"
