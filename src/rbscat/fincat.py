@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from .guards import DEFAULT, GuardExceeded
+from .guards import DEFAULT
 
 
 class CategoryError(ValueError):
@@ -448,9 +448,7 @@ class FinFunctor:
         if bad.any():
             raise CategoryError("functor breaks identity at %r"
                                 % (A.objects[int(np.argmax(bad))],))
-        n_pairs = len(A.flat)
-        if n_pairs > guards.max_functor_pairs:
-            raise GuardExceeded("functor validation needs %d pairs" % n_pairs)
+        guards.check(len(A.flat), "max_functor_pairs", "functor validation")
         g, f, gf = A.pairs()
         bad = B.compose_many(fm[g], fm[f]) != fm[gf]
         if bad.any():

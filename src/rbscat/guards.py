@@ -32,7 +32,7 @@ class GuardConfig:
     # rbs / groups
     max_group_order: int = 100_000
     # qkt
-    max_total_dim: int = 3
+    max_total_dim: int = 3                    # --cap on graded-list total dimension
     max_filt_morphisms: int = 20_000
 
     def check(self, value, limit_name, what):

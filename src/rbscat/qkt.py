@@ -47,7 +47,7 @@ from .rings import (
     Mat,
     QuotientData,
     Submodule,
-    canonical_rowspace,
+    _gauss_jordan,
     enumerate_gl,
     enumerate_submodules,
     kernel_basis,
@@ -55,10 +55,6 @@ from .rings import (
     rref,
 )
 from .toolkit import is_weakly_contractible
-
-
-class FiltError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +82,7 @@ class FiltCategory:
                     self.morphisms.append((a, b, m))
 
     def rank(self, m):
-        return len(canonical_rowspace(self.ring, m.data)) if m.data else 0
+        return len(_gauss_jordan(self.ring, [list(r) for r in m.data], m.cols))
 
     def is_mono(self, src, tgt, m):
         return self.rank(m) == src
@@ -564,6 +560,7 @@ class MonCalculus:
 
     def objects_up_to(self, cap, max_entry):
         """All graded lists with entries in 1..max_entry and total <= cap."""
+        self.guards.check(cap, "max_total_dim", "graded lists")
         out = [()]
         def extend(prefix, total):
             for d in range(1, max_entry + 1):
@@ -756,12 +753,12 @@ def terminal_decomposition(calc, q2, obj_label):
 class QKit:
     """Bundle of the Q-construction data over one base category."""
 
-    def __init__(self, q, N, cap=None, guards=DEFAULT):
-        if cap is not None and cap < 0:
+    def __init__(self, q, N, cap, guards=DEFAULT):
+        if cap < 0:
             raise ValueError("--cap must be at least 0, got %d" % cap)
         self.E = build_filt_category(q, N, guards)
         self.guards = guards
-        self.cap = cap if cap is not None else guards.max_total_dim
+        self.cap = cap
         self.max_entry = N
         self.calc = MonCalculus(self.E.ring, guards)
         self.span_cat, self.span_data = quillen_q(self.E, guards)
@@ -1039,21 +1036,11 @@ def comma_contractibility(kit, target, depth=3, guards=None):
 
 
 def _coords_in_rows(ring, rows, vec):
-    """Coordinates of vec in independent rows (fields)."""
-    # solve coords . rows = vec by augmented reduction
-    aug = [list(r) + [1 if k == idx else 0 for k in range(len(rows))]
-           for idx, r in enumerate(rows)]
-    red = canonical_rowspace(ring, aug)
-    v = list(vec)
-    coords = [0] * len(rows)
-    for rr in red:
-        piv = next(idx for idx, val in enumerate(rr) if val)
-        if piv < len(vec) and v[piv]:
-            c = v[piv]
-            v = [ring.add[xx][ring.neg[ring.mul[c][yy]]]
-                 for xx, yy in zip(v, rr[:len(vec)])]
-            for k in range(len(rows)):
-                coords[k] = ring.add[coords[k]][ring.mul[c][rr[len(vec) + k]]]
-    _require(not any(v), "vector not in the row span")
-    return tuple(coords)
-
+    """Coordinates of vec in independent rows (fields): the last column of
+    the reduced [rows^T | vec], which pivots on exactly the rows' columns
+    when vec lies in their span."""
+    work = [[r[j] for r in rows] + [x] for j, x in enumerate(vec)]
+    k = len(rows)
+    _require(_gauss_jordan(ring, work, k + 1) == list(range(k)),
+             "vector not in the row span")
+    return tuple(row[k] for row in work[:k])

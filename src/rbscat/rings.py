@@ -10,6 +10,16 @@ oblivious to the ring kind.
 Submodules of R^n are kept in a canonical row form (reduced row echelon
 over fields, Howell normal form over Z/p^k), which makes equality of
 submodules literal equality of the stored matrices.
+
+One elimination routine, _gauss_jordan (unit pivots, each scaled to 1
+and cleared from every other row), serves the whole ring layer: rref,
+Mat.inverse_or_none (on [A | I]), kernel_basis, and residue_independent,
+the greedy independence test over the residue field behind
+Submodule.free_basis, complete_to_invertible and the complement that
+QuotientData chooses.  qkt's rank and coordinate solver call it too.
+The Howell form and reduce_vector compute a different normal form, and
+Mat.det expands permutations, because unit-pivot elimination is wrong
+for a singular matrix over Z/p^k.
 """
 
 from __future__ import annotations
@@ -373,30 +383,16 @@ class Mat:
         return inv
 
     def inverse_or_none(self):
-        """Gauss-Jordan with unit pivots; works over fields and Z/p^k."""
+        """Gauss-Jordan on [A | I]: A is invertible iff every column of A
+        takes a unit pivot.  Works over fields and Z/p^k."""
         if self.rows != self.cols:
             return None
-        R = self.ring
         n = self.rows
-        aug = [list(self.data[i]) + [1 if j == i else 0 for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if R.inv[aug[r][col]] is not None:
-                    piv = r
-                    break
-            if piv is None:
-                return None
-            aug[col], aug[piv] = aug[piv], aug[col]
-            ipiv = R.inv[aug[col][col]]
-            aug[col] = [R.mul[ipiv][x] for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [R.add[x][R.neg[R.mul[c][y]]]
-                              for x, y in zip(aug[r], aug[col])]
-        return Mat(R, [row[n:] for row in aug])
+        aug = [list(row) + [int(i == j) for j in range(n)]
+               for i, row in enumerate(self.data)]
+        if _gauss_jordan(self.ring, aug, n) != list(range(n)):
+            return None
+        return Mat(self.ring, [row[n:] for row in aug], cols=n)
 
     def encode(self):
         """Total order key: row-major entry tuple."""
@@ -406,33 +402,41 @@ class Mat:
 # ---------------------------------------------------------------------------
 # canonical row forms
 
+def _gauss_jordan(ring, work, ncols):
+    """Reduce the rows of `work` in place and return the pivot columns.
+
+    Pivots are units in the first ncols columns, taken column by column
+    from the first unreduced row down; each pivot is scaled to 1 and its
+    column cleared in every other row.  The pivot rows end up first.
+    """
+    add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inv
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        for piv in range(r, len(work)):
+            if inv[work[piv][col]] is not None:
+                break
+        else:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        scale = mul[inv[work[r][col]]]
+        prow = work[r] = [scale[x] for x in work[r]]
+        for i, row in enumerate(work):
+            c = row[col]
+            if c and i != r:
+                times = mul[c]
+                work[i] = [add[x][neg[times[y]]] for x, y in zip(row, prow)]
+        pivots.append(col)
+    return pivots
+
+
 def rref(ring, rows):
     """Reduced row echelon form over a field; returns nonzero rows."""
     if not ring.is_field:
         raise RingError("%s is not a field" % (ring,))
     work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        ipiv = ring.inv[work[r][col]]
-        work[r] = [ring.mul[ipiv][x] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [ring.add[x][ring.neg[ring.mul[c][y]]]
-                           for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in work[:r])
+    pivots = _gauss_jordan(ring, work, len(work[0]) if work else 0)
+    return tuple(tuple(row) for row in work[:len(pivots)])
 
 
 def howell(ring, rows):
@@ -661,76 +665,20 @@ class Submodule:
         R = self.ring
         if R.is_field:
             return self.mat
-        ech = ResidueEchelon(R)
-        basis = []
-        for row in self.mat:
-            if ech.add(row) is not None:
-                basis.append(row)
-        return tuple(basis)
+        return tuple(self.mat[i] for i in residue_independent(R, self.mat))
 
     def sort_key(self):
         return (self.rank, self.mat)
 
 
-class ResidueEchelon:
-    """Incremental echelon over the residue field of the ring.
-
-    For fields this is the field itself; for Z/p^k vectors are reduced
-    mod p.  Rows are kept sorted by leading index with leading entry 1,
-    so a single forward pass decides independence.
-    """
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.rows = []  # sorted by leading index
-
-    def _reduce(self, vec):
-        ring = self.ring
-        if ring.is_field:
-            v = list(vec)
-            for row in self.rows:
-                j = _leading_index(row)
-                if v[j]:
-                    c = v[j]
-                    v = [ring.add[x][ring.neg[ring.mul[c][y]]]
-                         for x, y in zip(v, row)]
-        else:
-            p = ring.p
-            v = [x % p for x in vec]
-            for row in self.rows:
-                j = _leading_index(row)
-                if v[j]:
-                    c = v[j]
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec):
-        """Insert vec if independent; return its pivot index or None."""
-        ring = self.ring
-        v = self._reduce(vec)
-        j = _leading_index(v)
-        if j == len(v):
-            return None
-        if ring.is_field:
-            c = ring.inv[v[j]]
-            v = [ring.mul[c][y] for y in v]
-        else:
-            c = pow(v[j], ring.p - 2, ring.p)
-            v = [(c * y) % ring.p for y in v]
-        self.rows.append(v)
-        self.rows.sort(key=_leading_index)
-        return j
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
-def _leading_index(row):
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return len(row)
+def residue_independent(ring, vectors):
+    """Indices of the vectors that a greedy pass keeps as independent over
+    the residue field: the pivot columns of the RREF of the vectors taken
+    as columns.  Over Z/p^k a unit is an element nonzero mod p, so each
+    unit-pivot step commutes with reduction mod p, and eliminating over
+    the ring gives the pivots of the reduction over F_p."""
+    work = [list(row) for row in zip(*vectors)]
+    return _gauss_jordan(ring, work, len(vectors))
 
 
 def is_splittable(sub):
@@ -851,19 +799,12 @@ def enumerate_flags(ring, n, guards=DEFAULT):
 def complete_to_invertible(ring, rows, n):
     """Extend free-basis rows to an invertible n x n matrix by greedily
     appending standard basis rows (lexicographically least completion)."""
-    ech = ResidueEchelon(ring)
-    chosen = [list(r) for r in rows]
-    for r in chosen:
-        # the echelon must see every row, also under python -O
-        if ech.add(r) is None:
-            raise RingError("rows are not independent over the residue field")
-    for j in range(n):
-        if len(chosen) == n:
-            break
-        e = [1 if i == j else 0 for i in range(n)]
-        if ech.add(e) is not None:
-            chosen.append(e)
-    ext = Mat(ring, chosen)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    kept = residue_independent(ring, list(rows) + units)
+    if kept[:len(rows)] != list(range(len(rows))):
+        raise RingError("rows are not independent over the residue field")
+    ext = Mat(ring, [list(r) for r in rows] +
+              [units[j - len(rows)] for j in kept[len(rows):]])
     inv = ext.inverse_or_none() if ext.rows == n else None
     if inv is None:
         raise RingError("completion failed to be invertible")
@@ -906,16 +847,13 @@ class QuotientData:
         ext, ext_inv = complete_to_invertible(ring, B, n)
         self._ext_inv = ext_inv
         self._rb = rb
-        # small's free basis in big-coordinates; pivots over the residue field
+        # small's free basis in big-coordinates; the columns a greedy pass
+        # keeps are its pivot columns over the residue field
         small_rows = [self._coords(r) for r in small.free_basis()]
-        ech = ResidueEchelon(ring)
-        pivots = []
-        for r in small_rows:
-            j = ech.add(r)
-            if j is None:
-                raise RingError("small free basis degenerate in big coordinates")
-            pivots.append(j)
-        comp_idx = [i for i in range(rb) if i not in set(pivots)]
+        pivots = residue_independent(ring, list(zip(*small_rows)))
+        if len(pivots) != len(small_rows):
+            raise RingError("small free basis degenerate in big coordinates")
+        comp_idx = [i for i in range(rb) if i not in pivots]
         self.comp_idx = comp_idx
         self.section_rows = tuple(B[i] for i in comp_idx)
         # invert [small_rows; unit rows at comp_idx] to split coordinates
@@ -958,17 +896,6 @@ class QuotientData:
         return len(self.comp_idx)
 
 
-def quotient_map(small, big):
-    """Deterministic complement of `small` inside `big` plus the projection.
-
-    Returns (section_rows, project): rows of the chosen complement in
-    ambient coordinates and the projection of big onto complement
-    coordinates, with project(section(e_i)) = e_i.
-    """
-    qd = QuotientData(small, big)
-    return qd.section_rows, qd.project
-
-
 def kernel_basis(ring, mat):
     """Canonical basis rows of {v : mat . v = 0} (column-vector convention).
 
@@ -977,11 +904,10 @@ def kernel_basis(ring, mat):
     """
     if not ring.is_field:
         raise RingError("%s is not a field" % (ring,))
-    rows = rref(ring, mat.data) if mat.data else ()
+    work = [list(r) for r in mat.data]
     ncols = mat.cols
-    pivots = []
-    for r in rows:
-        pivots.append(next(i for i, x in enumerate(r) if x))
+    pivots = _gauss_jordan(ring, work, ncols)
+    rows = work[:len(pivots)]
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []

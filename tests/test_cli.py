@@ -5,14 +5,19 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbscat import cli
 from rbscat.fincat import (
     Group, Poset, group_category, poset_category, product_tuple)
+from rbscat.guards import GuardConfig
 from rbscat.homology import CSC, ChainComplex
 from rbscat.jsonio import complex_to_json, fincat_to_json
+from rbscat.toolkit import is_weakly_contractible
+from test_presentation import disk_face_poset
 
 
 def run_cli(*args):
@@ -449,6 +454,78 @@ def test_removed_guard_key_is_rejected(tmp_path):
                              "--q", "2", "--n", "2")
     assert code == 1 and out == ""
     assert "unknown guard keys" in err and "max_ring_axiom_exhaustive" in err
+
+
+def test_total_dim_guard_bounds_the_graded_lists(tmp_path):
+    # both ran unbounded: max_total_dim was read only when no cap was
+    # given, and every caller gives one
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"max_total_dim": 1}))
+    code, out, err = run_cli("--config", str(cfg), "verify", "q-suite",
+                             "--q", "2", "--N", "2", "--cap", "3")
+    assert code == 2 and out == ""
+    assert "requires 3 > max_total_dim=1" in err
+    proc = subprocess.run([sys.executable, "-m", "rbscat.cli", "verify",
+                           "q-suite", "--q", "2", "--N", "2", "--cap", "6"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "requires 6 > max_total_dim=3" in proc.stderr
+
+
+def _disk_verdict(guards):
+    disk = poset_category(disk_face_poset())
+    return is_weakly_contractible(disk, 3, guards).verdict
+
+
+# one invocation per guard that trips it: field -> (config, argv, exit
+# code).  The Tietze budget stops no run: spent, it turns the disk's
+# contractibility certificate inconclusive.
+GUARD_TRIPS = {
+    "max_ring_size": ({"max_ring_size": 2},
+                      ("build", "rbs", "--ring", "F4", "--n", "2"), 2),
+    "max_gl_candidates": ({"max_gl_candidates": 10},
+                          ("build", "rbs", "--ring", "F3", "--n", "2"), 2),
+    "max_vector_enum": ({"max_vector_enum": 3},
+                        ("build", "rbs", "--ring", "F2", "--n", "2"), 2),
+    "max_simplices_per_degree": (
+        {"max_simplices_per_degree": 3},
+        ("homology", "rbs", "--ring", "F2", "--n", "2", "--depth", "2"), 2),
+    "max_assoc_triples": ({"max_assoc_triples": 3},
+                          ("build", "rbs", "--ring", "F2", "--n", "2"), 2),
+    "max_functor_pairs": ({"max_functor_pairs": 3},
+                          ("verify", "proper-p", "--ring", "F2", "--n", "2"),
+                          2),
+    "tietze_budget": ({"tietze_budget": 0}, _disk_verdict, "inconclusive"),
+    "max_group_order": ({"max_group_order": 3},
+                        ("build", "rbs", "--ring", "F2", "--n", "2"), 2),
+    "max_total_dim": ({"max_total_dim": 2},
+                      ("verify", "q-suite", "--q", "2", "--N", "2",
+                       "--cap", "3"), 2),
+    # the base category of Vect(F2)_{<=2} has 31 morphisms
+    "max_filt_morphisms": ({"max_filt_morphisms": 30},
+                           ("build", "q", "--q", "2", "--N", "2"), 2),
+}
+
+
+def test_guard_table_covers_every_guard():
+    # a guard that nothing enforces has no row here and fails the suite
+    assert set(GUARD_TRIPS) == {f.name for f in fields(GuardConfig)}
+
+
+@pytest.mark.parametrize("field", sorted(GUARD_TRIPS))
+def test_guard_trips(field, tmp_path):
+    config, invocation, expected = GUARD_TRIPS[field]
+    if callable(invocation):
+        assert invocation(GuardConfig()) != expected
+        assert invocation(GuardConfig(**config)) == expected
+        return
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(cfg), *invocation])
+    assert code == expected and out.getvalue() == "", (code, err.getvalue())
+    assert "guard exceeded" in err.getvalue() and field in err.getvalue()
 
 
 def test_fast_checks_pass_under_optimize():

@@ -3,10 +3,10 @@ import pytest
 from rbscat.fincat import is_fully_faithful
 from rbscat.rings import (
     Mat,
-    ResidueEchelon,
     Submodule,
     _row_times_mat,
     make_ring,
+    residue_independent,
 )
 from rbscat.qkt import (
     FiltCategory,
@@ -307,16 +307,13 @@ def greatest_complement_projection(ring, small):
     makes: standard rows are taken from the highest coordinate downward.
     Returns the projection of F^n onto complement coordinates."""
     n = small.n
-    ech = ResidueEchelon(ring)
-    for r in small.free_basis():
-        ech.add(r)
-    rows = []
-    for j in range(n - 1, -1, -1):
-        e = [1 if k == j else 0 for k in range(n)]
-        if ech.add(e) is not None:
-            rows.append(e)
-    nsmall = len(small.free_basis())
-    inv = Mat(ring, [list(r) for r in small.free_basis()] + rows).inverse()
+    basis = [list(r) for r in small.free_basis()]
+    nsmall = len(basis)
+    units = [[1 if k == j else 0 for k in range(n)]
+             for j in range(n - 1, -1, -1)]
+    kept = residue_independent(ring, basis + units)
+    rows = [units[i - nsmall] for i in kept[nsmall:]]
+    inv = Mat(ring, basis + rows).inverse()
     return lambda v: tuple(_row_times_mat(ring, v, inv)[nsmall:])
 
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from rbscat.guards import GuardConfig, GuardExceeded
 from rbscat.rings import (
     Flag,
     Mat,
+    QuotientData,
     RingError,
     Submodule,
     canonical_rowspace,
@@ -23,8 +25,8 @@ from rbscat.rings import (
     gl_from_generators,
     is_splittable,
     make_ring,
-    quotient_map,
     reduce_vector,
+    residue_independent,
 )
 
 F2 = make_ring("F2")
@@ -52,6 +54,70 @@ def gl_order(q, n):
     for i in range(n):
         out *= q ** n - q ** i
     return out
+
+
+class ResidueEchelon:
+    """Oracle for residue_independent: an incremental echelon over the
+    residue field, fed one vector at a time.
+
+    For fields this is the field itself; for Z/p^k vectors are reduced
+    mod p.  Rows are kept sorted by leading index with leading entry 1,
+    so a single forward pass decides independence.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.rows = []  # sorted by leading index
+
+    def _reduce(self, vec):
+        ring = self.ring
+        if ring.is_field:
+            v = list(vec)
+            for row in self.rows:
+                j = _leading_index(row)
+                if v[j]:
+                    c = v[j]
+                    v = [ring.add[x][ring.neg[ring.mul[c][y]]]
+                         for x, y in zip(v, row)]
+        else:
+            p = ring.p
+            v = [x % p for x in vec]
+            for row in self.rows:
+                j = _leading_index(row)
+                if v[j]:
+                    c = v[j]
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        """Insert vec if independent; return its pivot index or None."""
+        ring = self.ring
+        v = self._reduce(vec)
+        j = _leading_index(v)
+        if j == len(v):
+            return None
+        if ring.is_field:
+            c = ring.inv[v[j]]
+            v = [ring.mul[c][y] for y in v]
+        else:
+            c = pow(v[j], ring.p - 2, ring.p)
+            v = [(c * y) % ring.p for y in v]
+        self.rows.append(v)
+        self.rows.sort(key=_leading_index)
+        return j
+
+
+def _leading_index(row):
+    for i, x in enumerate(row):
+        if x:
+            return i
+    return len(row)
+
+
+def greedy_kept(ring, vectors, ech=None):
+    """Indices of the vectors the oracle echelon accepts, in order."""
+    ech = ech or ResidueEchelon(ring)
+    return [i for i, v in enumerate(vectors) if ech.add(v) is not None]
 
 
 def brute_force_complement_exists(sub, all_subs):
@@ -320,48 +386,48 @@ def test_flag_lengths():
 
 def test_quotient_map_identity_on_zero():
     full = Submodule.full(F2, 2)
-    sec, proj = quotient_map(Submodule.zero(F2, 2), full)
-    assert len(sec) == 2
-    for i, row in enumerate(sec):
-        out = proj(row)
+    qd = QuotientData(Submodule.zero(F2, 2), full)
+    assert len(qd.section_rows) == 2
+    for i, row in enumerate(qd.section_rows):
+        out = qd.project(row)
         assert out[i] == 1 and sum(1 for x in out if x) == 1
 
 
 def test_quotient_map_kills_submodule():
     full = Submodule.full(F2, 2)
     s = Submodule.from_rows(F2, 2, [[1, 0]])
-    sec, proj = quotient_map(s, full)
-    assert proj((1, 0)) == (0,)
-    assert len(sec) == 1
+    qd = QuotientData(s, full)
+    assert qd.project((1, 0)) == (0,)
+    assert len(qd.section_rows) == 1
 
 
 def test_quotient_map_projection_section_identity():
     full = Submodule.full(F3, 2)
     s = Submodule.from_rows(F3, 2, [[1, 1]])
-    sec, proj = quotient_map(s, full)
-    assert len(sec) == 1
-    assert proj(sec[0]) == (1,)
+    qd = QuotientData(s, full)
+    assert len(qd.section_rows) == 1
+    assert qd.project(qd.section_rows[0]) == (1,)
     for v in s.elements():
-        assert proj(v) == (0,)
+        assert qd.project(v) == (0,)
 
 
 def test_quotient_map_inside_proper_submodule():
     big = Submodule.from_rows(F2, 3, [[1, 0, 0], [0, 1, 0]])
     small = Submodule.from_rows(F2, 3, [[1, 1, 0]])
-    sec, proj = quotient_map(small, big)
-    assert len(sec) == 1
-    assert proj(sec[0]) == (1,)
-    assert proj((1, 1, 0)) == (0,)
+    qd = QuotientData(small, big)
+    assert len(qd.section_rows) == 1
+    assert qd.project(qd.section_rows[0]) == (1,)
+    assert qd.project((1, 1, 0)) == (0,)
 
 
 def test_quotient_map_over_z4():
     big = Submodule.full(Z4, 2)
     s = Submodule.from_rows(Z4, 2, [[2, 1]])
-    sec, proj = quotient_map(s, big)
-    assert len(sec) == 1
-    assert proj(sec[0]) == (1,)
+    qd = QuotientData(s, big)
+    assert len(qd.section_rows) == 1
+    assert qd.project(qd.section_rows[0]) == (1,)
     for v in s.elements():
-        assert proj(v) == (0,)
+        assert qd.project(v) == (0,)
 
 
 def test_complete_to_invertible():
@@ -369,6 +435,57 @@ def test_complete_to_invertible():
     assert ext.mul(inv) == Mat.identity(Z4, 2)
     ext2, _ = complete_to_invertible(F3, [(1, 2), (0, 1)], 2)
     assert ext2.rows == 2
+
+
+def random_vector_sets(ring, count=150):
+    """Seeded random vector lists of length 0..4, half of them padded with
+    residue-dependent combinations of earlier vectors."""
+    rng = random.Random(repr(ring))
+    out = []
+    for t in range(count):
+        n = rng.randint(0, 4)
+        vecs = [[rng.randrange(ring.size) for _ in range(n)]
+                for _ in range(rng.randint(0, 5))]
+        if t % 2 and vecs:
+            c, d = rng.randrange(ring.size), rng.choice(ring.units)
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            vecs.insert(rng.randint(0, len(vecs)), [
+                ring.add[ring.mul[c][x]][ring.mul[d][y]] for x, y in zip(a, b)])
+        out.append((n, [tuple(v) for v in vecs]))
+    return out
+
+
+ORACLE_RINGS = ["F2", "F3", "F4", "Z4", "Z8", "Z9"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS)
+def test_residue_independent_matches_incremental_echelon(spec):
+    R = make_ring(spec)
+    for n, vecs in random_vector_sets(R):
+        assert residue_independent(R, vecs) == greedy_kept(R, vecs), vecs
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS)
+def test_free_basis_and_completion_match_incremental_echelon(spec):
+    R = make_ring(spec)
+    for n, vecs in random_vector_sets(R):
+        sub = Submodule.from_rows(R, n, [list(v) for v in vecs])
+        basis = sub.free_basis()
+        assert basis == tuple(sub.mat[i] for i in greedy_kept(R, sub.mat))
+        # the completion appends the unit rows the echelon accepts, in order
+        ech = ResidueEchelon(R)
+        greedy_kept(R, basis, ech)
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        ext, inv = complete_to_invertible(R, basis, n)
+        assert ext.data[len(basis):] == tuple(
+            units[j] for j in greedy_kept(R, units, ech))
+        assert ext.mul(inv) == Mat.identity(R, n)
+        # QuotientData complements the pivots of the echelon of small
+        if n:
+            qd = QuotientData(sub, Submodule.full(R, n))
+            ech = ResidueEchelon(R)
+            pivots = {ech.add(qd.coords(r)) for r in basis}
+            assert qd.comp_idx == [i for i in range(n) if i not in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +532,17 @@ def test_gl_guard():
 
 
 @pytest.mark.parametrize("spec, n", [
-    ("F4", 2), ("Z4", 2), ("F3", 2), ("F2", 3), ("Z9", 1)])
+    ("F4", 2), ("Z4", 2), ("F3", 2), ("F2", 3), ("Z9", 1), ("Z9", 2)])
 def test_is_invertible_agrees_with_unit_determinant(spec, n):
     # oracle: a matrix over a commutative ring is invertible exactly when
     # its determinant (permutation expansion) is a unit
     R = make_ring(spec)
+    ident = Mat.identity(R, n)
     for entries in itertools.product(range(R.size), repeat=n * n):
         m = Mat(R, [entries[i * n:(i + 1) * n] for i in range(n)])
-        assert m.is_invertible() == (R.inv[m.det()] is not None), m
+        inv = m.inverse_or_none()
+        assert (inv is not None) == (R.inv[m.det()] is not None), m
+        assert inv is None or m.mul(inv) == ident == inv.mul(m), m
 
 
 def test_mat_inverse():
