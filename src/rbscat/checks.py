@@ -14,9 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, asdict, astuple
 
+import numpy as np
+
 from .fincat import (
     CategoryError,
     Group,
+    check_poset_regularity as _regular,
     group_category,
     poset_category,
     Poset,
@@ -39,7 +42,7 @@ from .rbs import (
     comparison_functor,
     comparison_iso_over_bgl,
     compute_e_group,
-    gl_action,
+    flag_poset,
     gl_flag_action_category,
     inductive_decomposition,
     pi1_quotient_functor,
@@ -73,6 +76,8 @@ class CheckReport:
 
 def _report(name, instance, ok, measured, expected, provenance,
             witness="", inconclusive=False):
+    """inconclusive: no certificate failed, but one could not decide (the
+    verdict is then "inconclusive", not "fail")."""
     verdict = "pass" if ok else ("inconclusive" if inconclusive else "fail")
     return CheckReport(name, instance, verdict, measured, expected,
                        provenance, witness)
@@ -195,9 +200,7 @@ def check_bgl_comparison(spec, n, ell, max_degree=3, guards=DEFAULT):
         raise ValueError("bgl-comparison needs ell != characteristic, got "
                          "ell = %d for %s" % (ell, spec))
     rbs = _rbs(spec, n, guards)
-    G = Group(list(range(len(rbs.gl))), lambda a, b: rbs.gl.mult[a][b],
-              rbs.gl.one)
-    bg = group_category(G)
+    bg = group_category(Group(range(len(rbs.gl)), rbs.gl.mult, rbs.gl.one))
     left = category_homology_mod(bg, ell, max_degree)
     right = category_homology_mod(rbs.cat, ell, max_degree)
     ok = left == right
@@ -222,7 +225,8 @@ def check_proper_p(spec, n, depth=3, guards=DEFAULT):
         "proper-p", {"ring": spec, "n": n, "depth": depth}, ok,
         {"proper": verdict.ok, "iso_over_bgl": iso},
         {"proper": True, "iso_over_bgl": True},
-        {"proper": "theorem", "iso_over_bgl": "theorem"})
+        {"proper": "theorem", "iso_over_bgl": "theorem"},
+        inconclusive=iso and verdict.inconclusive)
 
 
 def check_inductive(spec, n, guards=DEFAULT):
@@ -247,12 +251,11 @@ def _named_small_category(name, guards=DEFAULT):
     if name == "terminal":
         return terminal_category()
     if name == "chain2":
-        P = Poset([0, 1], [(0, 0), (1, 1), (0, 1)])
-        return poset_category(P)
+        return poset_category(Poset([0, 1], [[True, True], [False, True]]))
     if name in ("BZ2", "BZ3"):
         k = 2 if name == "BZ2" else 3
-        G = Group(list(range(k)), lambda a, b: (a + b) % k, 0)
-        return group_category(G)
+        return group_category(
+            Group(range(k), np.add.outer(range(k), range(k)) % k, 0))
     if name == "RBS-F2-2":
         return _rbs("F2", 2, guards).cat
     raise ValueError("unknown category name %r" % name)
@@ -265,23 +268,24 @@ def check_twisted_cofinal(names=("terminal", "chain2", "BZ2", "BZ3", "RBS-F2-2")
     _check_depth(depth)
     results = {}
     ok = True
+    failed = False
     for name in names:
         C = _named_small_category(name, guards)
         tw, proj = twisted_arrow_op(C)
         verdict = is_colim_equivalence(proj, depth, guards)
         results[name] = verdict.ok
         ok = ok and verdict.ok
+        failed = failed or not (verdict.ok or verdict.inconclusive)
     return _report(
         "twisted-cofinal", {"categories": list(names), "depth": depth}, ok,
-        results, {n: True for n in names}, {n: "theorem" for n in names})
+        results, {n: True for n in names}, {n: "theorem" for n in names},
+        inconclusive=not failed)
 
 
 def check_poset_regularity(spec, n, guards=DEFAULT):
     """x <= g.x implies x = g.x for the GL action on the flag poset."""
     rbs = _rbs(spec, n, guards)
-    G, P, act = gl_action(rbs)
-    from .fincat import check_poset_regularity as _regular
-    witness = _regular(G, P, act)
+    witness = _regular(flag_poset(rbs), rbs.flag_act)
     ok = witness is None
     return _report("poset-regularity", {"ring": spec, "n": n}, ok,
                    {"witness": repr(witness)}, {"witness": "None"},
@@ -318,11 +322,16 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
                     decompositions_ok = False
     # comma categories over every object
     comma_ok = True
+    comma_failed = False
     comma_details = {}
     for mp in objs:
         repc = comma_contractibility(kit, mp, depth, guards)
-        ok_here = (repc.contractibility.ok and repc.cover_ok
-                   and repc.terminals_ok and repc.intersections_ok)
+        structure_ok = (repc.cover_ok and repc.terminals_ok
+                        and repc.intersections_ok)
+        ok_here = repc.contractibility.ok and structure_ok
+        if not structure_ok or \
+                repc.contractibility.verdict == "not-contractible":
+            comma_failed = True
         comma_details[str(mp)] = {
             "contractible": repc.contractibility.verdict,
             "cover": repc.cover_ok, "terminals": repc.terminals_ok,
@@ -342,7 +351,8 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
             if key in seen and seen[key] != gl:
                 mono_ok = False
             seen[key] = gl
-    ok = ff and terminals_ok and decompositions_ok and comma_ok and mono_ok
+    decided_ok = ff and terminals_ok and decompositions_ok and mono_ok
+    ok = decided_ok and comma_ok
     return _report(
         "q-suite", {"q": q, "N": N, "cap": cap, "depth": depth}, ok,
         {"psi_fully_faithful": ff, "terminals": terminals_ok,
@@ -350,7 +360,8 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
          "comma": comma_details, "monomorphisms": mono_ok},
         {"all": True},
         {"psi_fully_faithful": "theorem", "terminals": "theorem",
-         "comma": "theorem", "monomorphisms": "theorem"})
+         "comma": "theorem", "monomorphisms": "theorem"},
+        inconclusive=decided_ok and not comma_failed)
 
 
 def check_infra(snf_count=1000, seed=20240601, guards=DEFAULT):
@@ -457,5 +468,6 @@ DESK_PROFILE = [
     ("q-suite", {"q": 2, "N": 1, "cap": 2}),
     ("q-suite", {"q": 2, "N": 2, "cap": 3}),
     ("infra", {}),
+    ("poset-regularity", {"spec": "F3", "n": 3}),
 ]
 

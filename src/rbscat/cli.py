@@ -7,7 +7,8 @@
 
 Exit codes: 0 success/pass, 1 usage error or invalid input (bad
 parameters, an unreadable file, a malformed artifact), 2 resource guard
-exceeded, 3 check failure.  Guards are configured by a single JSON file
+exceeded or an inconclusive verdict (a certificate that a guard kept from
+deciding), 3 check failure.  Guards are configured by a single JSON file
 passed via --config; there is no environment-variable configuration.
 Output is byte-stable for identical invocations.
 """
@@ -191,6 +192,10 @@ def _print_report(rep, as_json):
                rep.verdict.upper(), rep.seconds))
 
 
+# exit code of each verdict; verify --all exits with the largest
+_VERDICT_EXIT = {"pass": EXIT_OK, "inconclusive": EXIT_GUARD,
+                 "fail": EXIT_CHECKFAIL}
+
 # command-line flag of each check parameter whose name differs from it
 _FLAGS = {"spec": "--ring", "max_degree": "--max-degree"}
 
@@ -201,13 +206,12 @@ def _cmd_verify(args, guards):
             _emit("%s\n" % name)
         return EXIT_OK
     if args.all:
-        worst = EXIT_OK
+        codes = [EXIT_OK]
         for name, params in DESK_PROFILE:
             rep = run_check(name, guards=guards, **params)
             _print_report(rep, args.json)
-            if not rep.ok:
-                worst = EXIT_CHECKFAIL
-        return worst
+            codes.append(_VERDICT_EXIT[rep.verdict])
+        return max(codes)
     if not args.check:
         raise SystemExit(EXIT_USAGE)
     if args.check not in CHECKS:
@@ -230,7 +234,7 @@ def _cmd_verify(args, guards):
             return EXIT_USAGE
     rep = run_check(args.check, guards=guards, **params)
     _print_report(rep, args.json)
-    return EXIT_OK if rep.ok else EXIT_CHECKFAIL
+    return _VERDICT_EXIT[rep.verdict]
 
 
 def _cmd_bench(args, guards):
@@ -253,8 +257,8 @@ def _cmd_bench(args, guards):
         from .fincat import Group, group_category
         import itertools
         perms = list(itertools.permutations(range(3)))
-        S3 = Group(perms, lambda a, b: tuple(a[b[i]] for i in range(3)),
-                   (0, 1, 2))
+        S3 = Group(perms, [[perms.index(tuple(a[i] for i in b)) for b in perms]
+                           for a in perms], (0, 1, 2))
         C = group_category(S3)
         t0 = time.time()
         counts = nerve_chain_complex(C, args.depth, guards).dims

@@ -18,9 +18,12 @@ skeletons, action categories and functor checks are array operations on
 the index arrays and table gathers, with no label round trip.
 
 Also here: functors, the basic category calculus (opposites, products,
-full subcategories, isomorphism/equivalence tests), comma-style fibers,
-the twisted arrow category, group actions on posets and action
-categories.
+full subcategories, isomorphism and full-faithfulness tests), comma-style
+fibers, the twisted arrow category, and groups, posets and actions.  A
+Group holds its multiplication as one |G| x |G| index table and a Poset
+its order as one bool matrix; an action is the |G| x |P| table
+moved[g, p] of the index of g.p.  Their axioms, the action category and
+poset regularity are array operations on those tables.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class FinCat:
 
     __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
                  "src", "tgt", "identity_of", "flat", "row", "ipos",
-                 "_hom", "_iso_cache")
+                 "_hom")
 
     def __init__(self, objects, mor_labels, src, tgt, identity_of, table):
         self.objects = tuple(objects)
@@ -57,7 +60,6 @@ class FinCat:
         for i in range(len(self.mor_labels)):
             hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
         self._hom = hom
-        self._iso_cache = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -99,23 +101,6 @@ class FinCat:
         g = np.repeat(by_row, in_n[src[by_row]])
         column = np.arange(len(g)) - self.row[g]
         return g, in_order[in_start[src[g]] + column], self.flat
-
-    def is_iso(self, f):
-        """f invertible: exists g with g.f and f.g identities."""
-        if f in self._iso_cache:
-            return self._iso_cache[f]
-        out = None
-        for g in self.hom_idx(self.tgt[f], self.src[f]):
-            if self.compose(g, f) == self.identity_of[self.src[f]] and \
-               self.compose(f, g) == self.identity_of[self.tgt[f]]:
-                out = g
-                break
-        self._iso_cache[f] = out
-        return out
-
-    def non_identity_morphisms(self):
-        ids = set(self.identity_of)
-        return [i for i in range(self.n_morphisms) if i not in ids]
 
     def morphisms_from(self, xi):
         return [i for i in range(self.n_morphisms) if self.src[i] == xi]
@@ -464,11 +449,6 @@ class FinFunctor:
         return int(self.obj_idx[i])
 
 
-def identity_functor(C):
-    return FinFunctor(C, C, {o: o for o in C.objects},
-                      {m: m for m in C.mor_labels})
-
-
 # ---------------------------------------------------------------------------
 # category calculus
 
@@ -555,22 +535,6 @@ def is_fully_faithful(F):
             if len(images) != len(dom) or images != set(cod):
                 return False
     return True
-
-
-def is_essentially_surjective(F):
-    A, B = F.source, F.target
-    image = {F.obj_image_idx(i) for i in range(A.n_objects)}
-    for yi in range(B.n_objects):
-        if yi in image:
-            continue
-        if not any(B.is_iso(f) is not None and B.tgt[f] == yi
-                   for xi in image for f in B.hom_idx(xi, yi)):
-            return False
-    return True
-
-
-def is_equivalence(F):
-    return is_fully_faithful(F) and is_essentially_surjective(F)
 
 
 def skeleton(C, guards=DEFAULT):
@@ -722,31 +686,25 @@ def twisted_arrow_op(C):
 # posets, groups, actions
 
 class Poset:
-    """Finite poset with validated order relation."""
+    """Finite poset: rel[i, j] holds when elements[i] <= elements[j]."""
 
-    def __init__(self, elements, leq_pairs):
+    def __init__(self, elements, rel):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        rel = [[False] * n for _ in range(n)]
-        for (a, b) in leq_pairs:
-            rel[self.index[a]][self.index[b]] = True
-        for i in range(n):
-            if not rel[i][i]:
-                raise CategoryError("poset relation is not reflexive at %r"
-                                    % (self.elements[i],))
-        for i in range(n):
-            for j in range(n):
-                if rel[i][j] and rel[j][i] and i != j:
-                    raise CategoryError("poset relation is not antisymmetric")
-                if rel[i][j]:
-                    for k in range(n):
-                        if rel[j][k] and not rel[i][k]:
-                            raise CategoryError("poset relation is not transitive")
+        rel = np.array(rel, bool).reshape(n, n)
+        reflexive = np.diagonal(rel)
+        if not reflexive.all():
+            raise CategoryError("poset relation is not reflexive at %r"
+                                % (self.elements[int(np.argmin(reflexive))],))
+        if (rel & rel.T & ~np.eye(n, dtype=bool)).any():
+            raise CategoryError("poset relation is not antisymmetric")
+        if (np.matmul(rel, rel) & ~rel).any():
+            raise CategoryError("poset relation is not transitive")
         self.rel = rel
 
     def leq(self, a, b):
-        return self.rel[self.index[a]][self.index[b]]
+        return bool(self.rel[self.index[a], self.index[b]])
 
     def __len__(self):
         return len(self.elements)
@@ -756,7 +714,7 @@ def poset_category(P):
     """The poset viewed as a category (one morphism per related pair)."""
     n = len(P)
     # the morphism (a, b), a <= b, has the key a n + b
-    a, b = np.nonzero(np.array(P.rel, bool).reshape(n, n))
+    a, b = np.nonzero(P.rel)
     keys = a * n + b
     # (b, c) . (a, b) = (a, c)
     first, second = _join(b, a)
@@ -769,39 +727,28 @@ def poset_category(P):
 
 
 class Group:
-    """Finite group given by element labels and a multiplication map."""
+    """Finite group: table[i, j] is the index of elements[i] elements[j]."""
 
-    def __init__(self, elements, mult, identity):
+    def __init__(self, elements, table, identity):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.identity = identity
         n = len(self.elements)
-        table = [[None] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                c = mult(a, b)
-                table[i][j] = self.index[c]
-        self.table = table
+        table = np.asarray(table)
+        if table.shape != (n, n) or table.dtype.kind not in "iu" or \
+                ((table < 0) | (table >= n)).any():
+            raise CategoryError("group table is not a %d x %d table of "
+                                "element indices" % (n, n))
+        every = np.arange(n)
         e = self.index[identity]
-        for i in range(n):
-            if table[e][i] != i or table[i][e] != i:
-                raise CategoryError("group identity fails")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == e and table[j][i] == e:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise CategoryError("group element %r has no inverse"
-                                    % (self.elements[i],))
-        self.inv = inv
-
-    def mul(self, a, b):
-        return self.elements[self.table[self.index[a]][self.index[b]]]
-
-    def inverse(self, a):
-        return self.elements[self.inv[self.index[a]]]
+        if (table[e] != every).any() or (table[:, e] != every).any():
+            raise CategoryError("group identity fails")
+        unit = table == e
+        missing = ~(unit & unit.T).any(axis=1)
+        if missing.any():
+            raise CategoryError("group element %r has no inverse"
+                                % (self.elements[int(np.argmax(missing))],))
+        self.table = table
 
     def __len__(self):
         return len(self.elements)
@@ -814,28 +761,24 @@ def group_category(G):
     a, b = np.divmod(np.arange(n * n), n)
     ends = np.zeros(n, np.int64)
     return _build(["*"], [("*", g) for g in G.elements], ends, ends,
-                  [G.index[G.identity]], a, b, np.array(G.table, np.int64),
-                  DEFAULT)
+                  [G.index[G.identity]], a, b, G.table, DEFAULT)
 
 
-def action_category(G, P, act, guards=DEFAULT):
+def action_category(G, P, moved, guards=DEFAULT):
     """Action category G\\\\P: objects the poset elements, morphisms p -> p'
-    the group elements g with g.p <= p'."""
+    the group elements g with g.p <= p'.  moved[g, p] is the index of g.p,
+    for element indices g of G and p of P."""
     n = len(P)
-    moved = np.array([[P.index[act(g, p)] for p in P.elements]
-                      for g in G.elements], np.int64).reshape(len(G), n)
-    leq = np.array(P.rel, bool).reshape(n, n)
-    for image in moved:
-        if (leq & ~leq[image[:, None], image[None, :]]).any():
-            raise CategoryError("group does not act by poset automorphisms")
+    leq = P.rel
+    if (leq & ~leq[moved[:, :, None], moved[:, None, :]]).any():
+        raise CategoryError("group does not act by poset automorphisms")
     # the morphism (g, p, q), g.p <= q, has the key (g n + p) n + q
     g, p, q = np.nonzero(leq[moved])
     keys = (g * n + p) * n + q
     # (h, q, r) . (g, p, q) = (hg, p, r)
     first, second = _join(q, p)
-    mult = np.array(G.table, np.int64).reshape(len(G), len(G))
-    composite = _lookup(keys, (mult[g[second], g[first]] * n + p[first]) * n +
-                        q[second])
+    hg = G.table[g[second], g[first]].astype(np.int64)
+    composite = _lookup(keys, (hg * n + p[first]) * n + q[second])
     e = G.index[G.identity]
     identity_of = _lookup(keys, e * n * n + np.arange(n) * (n + 1))
     labels = list(zip([G.elements[i] for i in g.tolist()],
@@ -845,41 +788,13 @@ def action_category(G, P, act, guards=DEFAULT):
                   composite, guards)
 
 
-class RegularityError(ValueError):
-    """The poset action violates x <= gx => x = gx; carries a witness."""
-
-    def __init__(self, g, x):
-        super().__init__("regularity fails: x <= g.x but x != g.x for g=%r, x=%r"
-                         % (g, x))
-        self.witness = (g, x)
-
-
-def check_poset_regularity(G, P, act):
-    """Exhaustively verify x <= g.x implies x = g.x; return a witness or None."""
-    for g in G.elements:
-        for x in P.elements:
-            gx = act(g, x)
-            if P.leq(x, gx) and x != gx:
-                return (g, x)
-    return None
-
-
-def poset_quotient(G, P, act):
-    """Quotient poset G\\P under the regularity hypothesis."""
-    witness = check_poset_regularity(G, P, act)
-    if witness is not None:
-        raise RegularityError(*witness)
-    orbits = {}
-    for x in P.elements:
-        orbit = frozenset(act(g, x) for g in G.elements)
-        orbits[x] = orbit
-    classes = sorted({o for o in orbits.values()}, key=lambda o: sorted(map(repr, o)))
-    reps = [min(o, key=repr) for o in classes]
-    leq_pairs = []
-    for i, oi in enumerate(classes):
-        for j, oj in enumerate(classes):
-            if any(P.leq(x, y) for x in oi for y in oj):
-                leq_pairs.append((reps[i], reps[j]))
-    quotient = Poset(reps, leq_pairs)  # validation checks antisymmetry etc.
-    class_of = {x: reps[classes.index(orbits[x])] for x in P.elements}
-    return quotient, class_of
+def check_poset_regularity(P, moved):
+    """Exhaustively verify x <= g.x implies x = g.x, where moved[g, x] is
+    the index of g.x.  Returns None, or the witness (g, x) that comes first
+    in row-major order of moved: the row index g and the element x."""
+    x = np.arange(len(P))
+    bad = P.rel[x, moved] & (moved != x)
+    if not bad.any():
+        return None
+    g, i = np.unravel_index(np.argmax(bad), bad.shape)
+    return (int(g), P.elements[i])

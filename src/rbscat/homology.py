@@ -706,13 +706,6 @@ def maximal_chains(less):
     return chains
 
 
-def order_complex(poset):
-    """Order complex of a poset: simplices are the chains."""
-    n = len(poset)
-    less = np.array(poset.rel, bool).reshape(n, n) & ~np.eye(n, dtype=bool)
-    return chain_complex_from_facets(maximal_chains(less))
-
-
 # ---------------------------------------------------------------------------
 # independent rank oracle (fraction-free over Q)
 

@@ -571,12 +571,6 @@ class MonCalculus:
         extend((), 0)
         return sorted(set(out), key=lambda t: (len(t), t))
 
-    def restriction(self, mor, j):
-        """The factor of mor over target entry j (complete decomposition)."""
-        fib = [i for i in range(len(mor.src)) if mor.theta[i] == j]
-        return MonMor(tuple(mor.src[i] for i in fib), (mor.tgt[j],),
-                      tuple(0 for _ in fib), (mor.flags[j],))
-
 
 def _fiber_index(theta, j, u):
     """Global source index of the u-th element of the fiber over j."""

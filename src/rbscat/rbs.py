@@ -10,6 +10,14 @@ be independent of the coset representatives; morphisms are stored as
 canonical minimal coset representatives so equality and composition are
 table lookups.
 
+GL data is held as arrays: GLData.mult is one int32 table of product
+indices and RBSCategory.flag_act the |GL| x |flags| table of the action
+on flags.  Construction enumerates the flags and GL and tabulates that
+action; the multiplication table, the parabolic and unipotent subgroups
+and the category are built the first time something reads them, so a
+check that needs only the action on the flag poset never allocates the
+|GL|^2 table.
+
 Also here: the flag poset with its GL action, the action category
 GL\\\\P with the comparison functor to the flag category, the subgroup
 E(M) generated by all U_F with the determinant cross-check, Tits
@@ -20,7 +28,8 @@ of the subcategory under a fixed flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +92,11 @@ def _row_keys(rows):
 
 
 class GLData:
-    """GL(R^n) with integer-indexed multiplication tables.
+    """GL(R^n) with an integer-indexed multiplication table.
 
-    mult[i][j] is the index of mats[i] mats[j].  The products are computed
-    for all pairs at once from the ring's add/mul tables, and found by
+    mult[i, j] is the index of mats[i] mats[j], one C-contiguous int32
+    table built the first time it is read.  The products are computed a
+    chunk of rows at a time from the ring's add/mul tables, and found by
     their row-major entry code, the order enumerate_gl sorts by.
     """
 
@@ -99,17 +109,26 @@ class GLData:
         guards.check(size, "max_group_order", "GL table")
         self.entries = np.array([m.data for m in self.mats],
                                 np.int64).reshape(size, n, n)
-        weights = ring.size ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        codes = self.entries.reshape(size, n * n) @ weights
-        table = np.empty((size, size), np.int64)
-        for lo, prod in _ring_products(ring, self.entries, self.entries):
-            table[lo:lo + len(prod)] = _lookup(
-                codes, prod.reshape(len(prod), size, n * n) @ weights)
-        if (table < 0).any():
-            raise RuntimeError("GL is not closed under multiplication")
-        self.mult = table.tolist()
         self.one = self.index[Mat.identity(ring, n).data]
-        self.inv = np.argmax(table == self.one, axis=1).tolist()
+
+    @cached_property
+    def mult(self):
+        size, n = len(self.mats), self.n
+        weights = self.ring.size ** np.arange(n * n - 1, -1, -1,
+                                              dtype=np.int64)
+        codes = self.entries.reshape(size, n * n) @ weights
+        table = np.empty((size, size), np.int32)
+        for lo, prod in _ring_products(self.ring, self.entries, self.entries):
+            found = _lookup(codes, prod.reshape(len(prod), size, n * n) @ weights)
+            if (found < 0).any():
+                raise RuntimeError("GL is not closed under multiplication")
+            table[lo:lo + len(prod)] = found
+        return table
+
+    @cached_property
+    def inv(self):
+        """inv[i] is the index of the inverse of mats[i]."""
+        return np.argmax(self.mult == self.one, axis=1)
 
     def __len__(self):
         return len(self.mats)
@@ -126,7 +145,12 @@ class SubgroupData:
 
 
 class RBSCategory:
-    """The flag category together with its construction data."""
+    """The flag category together with its construction data.
+
+    Construction enumerates the flags and GL and tabulates the action;
+    the subgroups, the coset representatives and the category are cached
+    properties, built the first time they are read.
+    """
 
     def __init__(self, ring, n, guards=DEFAULT):
         if not isinstance(n, int) or n < 0:
@@ -141,14 +165,12 @@ class RBSCategory:
         self._refines = np.array([[mj <= mi for mj in members] for mi in members],
                                  bool).reshape(len(members), len(members))
         self.gl = GLData(ring, n, guards)
-        self._build_action()
-        self._build_subgroups()
-        self._build_category()
+        self.flag_act = self._flag_action()
 
     # -- group action on flags -------------------------------------------
 
-    def _build_action(self):
-        """flag_act[g][f] is the index of the flag g F.
+    def _flag_action(self):
+        """The |GL| x |flags| table whose entry [g, f] is the index of g F.
 
         GL acts on the vectors of R^n once, as a |GL| x |R|^n table of
         vector codes built from the ring tables.  Each flag member is
@@ -190,7 +212,7 @@ class RBSCategory:
                       _row_keys(member_act[:, members]).reshape(-1))
         if (act < 0).any():
             raise RuntimeError("GL does not permute the flags")
-        self.flag_act = act.reshape(len(gl), len(self.flags)).tolist()
+        return act.reshape(len(gl), len(self.flags))
 
     def refines(self, fi, fj):
         """Refinement order: fi <= fj iff members(fj) subset of members(fi)."""
@@ -198,24 +220,32 @@ class RBSCategory:
 
     # -- parabolic and unipotent subgroups --------------------------------
 
-    def _build_subgroups(self):
-        gl, flags = self.gl, self.flags
-        self.parabolic = {}
-        self.unipotent = {}
-        self._quotients = {}
-        for fi, f in enumerate(flags):
+    @cached_property
+    def _quotients(self):
+        """The graded pieces of each flag, as QuotientData, by flag index."""
+        out = []
+        for f in self.flags:
             chain = f.full_chain()
-            quots = [QuotientData(chain[i], chain[i + 1])
-                     for i in range(len(chain) - 1)]
-            self._quotients[fi] = quots
-            pf = [gi for gi in range(len(gl)) if self.flag_act[gi][fi] == fi]
-            uf = []
-            for gi in pf:
-                g = gl.mats[gi]
-                if all(self._acts_as_identity(g, q) for q in quots):
-                    uf.append(gi)
-            self.parabolic[fi] = tuple(pf)
-            self.unipotent[fi] = tuple(sorted(uf))
+            out.append([QuotientData(chain[i], chain[i + 1])
+                        for i in range(len(chain) - 1)])
+        return out
+
+    @cached_property
+    def parabolic(self):
+        """Flag index -> the sorted indices g with g F = F (P_F)."""
+        fixed = self.flag_act == np.arange(len(self.flags))
+        return {fi: tuple(np.flatnonzero(fixed[:, fi]).tolist())
+                for fi in range(len(self.flags))}
+
+    @cached_property
+    def unipotent(self):
+        """Flag index -> the sorted indices in P_F acting as the identity
+        on every graded piece (U_F)."""
+        mats = self.gl.mats
+        return {fi: tuple(gi for gi in pf
+                          if all(self._acts_as_identity(mats[gi], q)
+                                 for q in self._quotients[fi]))
+                for fi, pf in self.parabolic.items()}
 
     @staticmethod
     def _acts_as_identity(g, quot):
@@ -230,19 +260,25 @@ class RBSCategory:
         """Canonical representative index of the coset g U_{F_i}."""
         return int(self._coset_rep[fi][gi])
 
-    def _build_category(self):
-        gl, nf, size = self.gl, len(self.flags), len(self.gl)
-        mult = np.array(gl.mult, np.int64).reshape(size, size)
-        # _coset_rep[fi, gi]: the least index in the coset g U_{F_i}
-        self._coset_rep = np.array(
+    @cached_property
+    def _coset_rep(self):
+        """_coset_rep[fi, gi]: the least index in the coset g U_{F_i}."""
+        nf, size, mult = len(self.flags), len(self.gl), self.gl.mult
+        return np.array(
             [mult[:, list(self.unipotent[fi])].min(axis=1) for fi in range(nf)],
             np.int64).reshape(nf, size)
+
+    @cached_property
+    def cat(self):
+        """The flag category; every build checks that coset composition
+        does not depend on the representatives."""
+        gl, nf, size = self.gl, len(self.flags), len(self.gl)
+        coset_rep = self._coset_rep
         # the morphism (fi, fj, rep), a coset g U_{F_i} with g F_i <= F_j,
         # has the key (fi nf + fj) |GL| + rep
-        act = np.array(self.flag_act, np.int64).reshape(size, nf)
-        fi, gi, fj = np.nonzero(self._refines[act.T])
+        fi, gi, fj = np.nonzero(self._refines[self.flag_act.T])
         # sorted distinct keys; np.unique would import numpy.ma
-        keys = np.sort((fi * nf + fj) * size + self._coset_rep[fi, gi])
+        keys = np.sort((fi * nf + fj) * size + coset_rep[fi, gi])
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         ends, rep = np.divmod(keys, size)
         src, tgt = np.divmod(ends, nf)
@@ -250,17 +286,18 @@ class RBSCategory:
         first, second = _join(tgt, src)
         s1 = src[first]
         composite = _lookup(keys, (s1 * nf + tgt[second]) * size +
-                            self._coset_rep[s1, mult[rep[second], rep[first]]])
+                            coset_rep[s1, gl.mult[rep[second], rep[first]]])
         flags = np.arange(nf)
         identity_of = _lookup(keys, flags * (nf + 1) * size +
-                              self._coset_rep[flags, gl.one])
+                              coset_rep[flags, gl.one])
         labels = list(zip(src.tolist(), tgt.tolist(), rep.tolist()))
-        self.cat = _build(list(range(nf)), labels, src, tgt, identity_of,
-                          second, first, composite, self.guards)
-        self._check_coset_composition()
+        cat = _build(list(range(nf)), labels, src, tgt, identity_of,
+                     second, first, composite, self.guards)
+        self._check_coset_composition(cat)
+        return cat
 
-    def _check_coset_composition(self):
-        """Composing cosets does not depend on the representatives.
+    def _check_coset_composition(self, cat):
+        """Composing the cosets of cat does not depend on the representatives.
 
         For morphisms (F_i, F_j, g) and (F_j, F_k, h), u in U_{F_i} and
         v in U_{F_j}, (h v)(g u) = h g (g^-1 v g) u lies in h g U_{F_i}
@@ -270,13 +307,12 @@ class RBSCategory:
         are checked exactly, one flag at a time.
         """
         gl, nf, size = self.gl, len(self.flags), len(self.gl)
-        mult = np.array(gl.mult, np.int64).reshape(size, size)
-        inv = np.array(gl.inv, np.int64)
+        mult, inv = gl.mult, gl.inv
         unipotent = [np.array(self.unipotent[f], np.int64) for f in range(nf)]
         in_u = np.zeros((nf, size), bool)
         for f, u in enumerate(unipotent):
             in_u[f, u] = True
-        labels = np.array(self.cat.mor_labels, np.int64).reshape(-1, 3)
+        labels = np.array(cat.mor_labels, np.int64).reshape(-1, 3)
         for f, u in enumerate(unipotent):
             rep = np.asarray(self._coset_rep[f], np.int64)
             moved = rep[mult[:, u]] != rep[:, None]
@@ -300,14 +336,6 @@ class RBSCategory:
     def hom_size(self, fi, fj):
         return len(self.cat.hom(fi, fj))
 
-    def aut_size(self, fi):
-        return self.hom_size(fi, fi)
-
-    def transporter_size(self, fi, fj):
-        gl = self.gl
-        return sum(1 for gi in range(len(gl))
-                   if self.refines(self.flag_act[gi][fi], fj))
-
     @property
     def empty_flag_index(self):
         return next(i for i, f in enumerate(self.flags) if not f.members)
@@ -327,27 +355,13 @@ def build_rbs(ring_spec, n, guards=DEFAULT):
 
 def flag_poset(rbs):
     """Poset of splittable flags under refinement ([empty] is the maximum)."""
-    n = len(rbs.flags)
-    pairs = [(i, j) for i in range(n) for j in range(n) if rbs.refines(i, j)]
-    return Poset(list(range(n)), pairs)
-
-
-def gl_action(rbs):
-    """(Group, Poset, action) triple for the GL action on the flag poset."""
-    P = flag_poset(rbs)
-    G = Group(list(range(len(rbs.gl))),
-              lambda a, b: rbs.gl.mult[a][b], rbs.gl.one)
-
-    def act(gi, fi):
-        return rbs.flag_act[gi][fi]
-
-    return G, P, act
+    return Poset(range(len(rbs.flags)), rbs._refines)
 
 
 def gl_flag_action_category(rbs):
     """The action category GL\\\\P of the GL action on the flag poset."""
-    G, P, act = gl_action(rbs)
-    return action_category(G, P, act, rbs.guards)
+    G = Group(range(len(rbs.gl)), rbs.gl.mult, rbs.gl.one)
+    return action_category(G, flag_poset(rbs), rbs.flag_act, rbs.guards)
 
 
 def comparison_functor(rbs, action_cat=None):
@@ -384,25 +398,28 @@ def comparison_iso_over_bgl(rbs, p):
 # E(M) and pi_1 target
 
 def compute_e_group(rbs):
-    """E(M) = multiplicative closure of all U_F; with det = 1 cross-check."""
+    """E(M) = multiplicative closure of all U_F; with det = 1 cross-check.
+
+    The closure grows by whole rows of the multiplication table: each
+    round multiplies the elements reached in the last round by every
+    generator."""
     gl = rbs.gl
-    gens = sorted({u for uf in rbs.unipotent.values() for u in uf})
-    seen = set(gens) | {gl.one}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = gl.mult[a][b]
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    gens = np.array(sorted({u for uf in rbs.unipotent.values() for u in uf}),
+                    np.int64)
+    seen = np.zeros(len(gl), bool)
+    seen[gens] = True
+    seen[gl.one] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        reached = np.zeros(len(gl), bool)
+        reached[gl.mult[np.ix_(frontier, gens)]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
     det_one = tuple(sorted(i for i, m in enumerate(gl.mats) if m.det() == 1))
     return SubgroupData(
         parabolic=dict(rbs.parabolic),
         unipotent=dict(rbs.unipotent),
-        e_group=tuple(sorted(seen)),
+        e_group=tuple(np.flatnonzero(seen).tolist()),
         det_one=det_one)
 
 
@@ -415,12 +432,12 @@ def pi1_target(rbs, subgroups=None):
 
 def _quotient_by_e(gl, subgroups):
     """rep[g], the least index in the coset g E(M), for every g, and
-    GL(M)/E(M) as a group on those representatives."""
-    size = len(gl)
-    mult = np.array(gl.mult, np.int64).reshape(size, size)
-    rep = mult[:, list(subgroups.e_group)].min(axis=1).tolist()
-    return rep, Group(sorted(set(rep)), lambda a, b: rep[gl.mult[a][b]],
-                      rep[gl.one])
+    GL(M)/E(M) as a group on those representatives (the g with
+    rep[g] = g), in index order."""
+    rep = gl.mult[:, list(subgroups.e_group)].min(axis=1)
+    reps = np.flatnonzero(rep == np.arange(len(gl)))
+    table = np.searchsorted(reps, rep[gl.mult[np.ix_(reps, reps)]])
+    return rep, Group(reps.tolist(), table, int(rep[gl.one]))
 
 
 def pi1_quotient_functor(rbs, subgroups=None):
@@ -438,15 +455,20 @@ def pi1_quotient_functor(rbs, subgroups=None):
     rep, quotient = _quotient_by_e(gl, subgroups)
     B = group_category(quotient)
     obj_map = {o: "*" for o in rbs.cat.objects}
-    mor_map = {}
-    for (fi, fj, g) in rbs.cat.mor_labels:
+    labels = np.array(rbs.cat.mor_labels, np.int64).reshape(-1, 3)
+    classes = np.empty(len(labels), np.int64)
+    for f, u in rbs.unipotent.items():
+        into = labels[:, 0] == f
         # independence of the coset representative: all of gU_F maps to gE
-        classes = {rep[gl.mult[g][u]] for u in rbs.unipotent[fi]}
-        if len(classes) != 1:
+        of_coset = rep[gl.mult[labels[into, 2][:, None],
+                               np.array(u, np.int64)[None, :]]]
+        if (of_coset != of_coset[:, :1]).any():
             raise RuntimeError("U_F is not contained in E(M)")
-        mor_map[(fi, fj, g)] = ("*", classes.pop())
+        classes[into] = of_coset[:, 0]
+    classes = classes.tolist()
+    mor_map = {m: ("*", c) for m, c in zip(rbs.cat.mor_labels, classes)}
     functor = FinFunctor(rbs.cat, B, obj_map, mor_map)
-    surjective = {mor_map[m] for m in rbs.cat.mor_labels} == set(B.mor_labels)
+    surjective = set(classes) == set(quotient.elements)
     return functor, surjective
 
 
@@ -545,7 +567,7 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT):
     for lbl in ref_sub.mor_labels:
         (src, tgt, rep) = lbl
         g = rbs.gl.mats[rep]
-        if rbs.flag_act[rep][fi] != fi:
+        if rbs.flag_act[rep, fi] != fi:
             raise CategoryError(
                 "transporter between refinements must stabilise the flag")
         piece_labels = []
@@ -574,14 +596,11 @@ def ref_incl_to_le(rbs, ref_objs, le_objs, le_sub, ref_sub):
 
 
 def _essentially_surjective_on_le(rbs, fi, le_objs, ref_objs, le_sub):
-    """Every object with a map to F is isomorphic to a refinement of F."""
-    ref_set = set(ref_objs)
-    for gj in le_objs:
-        if gj in ref_set:
-            continue
-        if not any(rbs.flag_act[gi][gj] in ref_set for gi in range(len(rbs.gl))):
-            return False
-    return True
+    """Every object with a map to F is isomorphic to a refinement of F:
+    some g carries it to a refinement."""
+    is_ref = np.zeros(len(rbs.flags), bool)
+    is_ref[ref_objs] = True
+    return bool(is_ref[rbs.flag_act[:, le_objs]].any(axis=0).all())
 
 
 def _graded_flags(rbs, gj, fi, quots, graded):

@@ -40,24 +40,23 @@ class RingError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (coefficient lists, low degree first)
 
-def _poly_mulmod(a, b, mod, p):
-    deg = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo the monic polynomial `mod`
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(deg):
-                out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
-    out = out[:deg]
-    while len(out) < deg:
-        out.append(0)
-    return out
+def _fq_tables(p, k, poly):
+    """Addition and multiplication tables of F_p[x]/(poly), poly monic of
+    degree k, on the codes of the residues: digit i of a code in base p is
+    the coefficient of x^i."""
+    weights = p ** np.arange(k)
+    digits = np.arange(p ** k)[:, None] // weights % p
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
+    # coefficients of the product, then x^d = x^(d-k) (x^k - poly) reduced
+    # from the top degree down
+    prod = np.zeros((p ** k, p ** k, 2 * k - 1), np.int64)
+    for i in range(k):
+        for j in range(k):
+            prod[:, :, i + j] += np.multiply.outer(digits[:, i], digits[:, j])
+    low = np.array(poly[:k], np.int64)
+    for d in range(2 * k - 2, k - 1, -1):
+        prod[:, :, d - k:d] -= prod[:, :, d, None] % p * low
+    return add, prod[:, :, :k] % p @ weights
 
 
 def _poly_is_irreducible(poly, p):
@@ -133,45 +132,26 @@ class FiniteRing:
         self.size = p ** k
         self.poly = poly
         guards.check(self.size, "max_ring_size", "ring construction")
-        n = self.size
         if kind in ("Fp", "Zpk"):
-            self.add = [[(a + b) % n for b in range(n)] for a in range(n)]
-            self.mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+            elements = np.arange(self.size)
+            add = np.add.outer(elements, elements) % self.size
+            mul = np.multiply.outer(elements, elements) % self.size
         elif kind == "Fq":
             if poly is None or len(poly) != k + 1 or poly[-1] != 1:
                 raise RingError("Fq needs a monic degree-k polynomial")
             if not _poly_is_irreducible(list(poly), p):
                 raise RingError("polynomial %s is reducible over F_%d" % (list(poly), p))
-            vecs = [self._decode(a) for a in range(n)]
-            self.add = [[self._encode([(x + y) % p for x, y in zip(vecs[a], vecs[b])])
-                         for b in range(n)] for a in range(n)]
-            self.mul = [[self._encode(_poly_mulmod(vecs[a], vecs[b], list(poly), p))
-                         for b in range(n)] for a in range(n)]
+            add, mul = _fq_tables(p, k, poly)
         else:
             raise RingError("unknown ring kind %r" % kind)
-        self.neg = [self.add[a].index(0) for a in range(n)]
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv = inv
-        self.units = tuple(a for a in range(n) if inv[a] is not None)
+        # the first b with a + b = 0, and with a b = 1 where there is one
+        self.add, self.mul = add.tolist(), mul.tolist()
+        self.neg = np.argmax(add == 0, axis=1).tolist()
+        unit = mul == 1
+        self.inv = [b if found else None for b, found in
+                    zip(np.argmax(unit, axis=1).tolist(), unit.any(axis=1).tolist())]
+        self.units = tuple(a for a, b in enumerate(self.inv) if b is not None)
         self._validate()
-
-    def _decode(self, a):
-        vec = []
-        for _ in range(self.k):
-            vec.append(a % self.p)
-            a //= self.p
-        return vec
-
-    def _encode(self, vec):
-        a = 0
-        for c in reversed(vec[: self.k]):
-            a = a * self.p + c
-        return a
 
     def _validate(self):
         """The ring axioms, exactly: one n x n slice of table gathers per
@@ -751,10 +731,6 @@ class Flag:
 
     def member_set(self):
         return frozenset(self.members)
-
-    def refines_to(self, other):
-        """self <= other in refinement order: other's members are a subset."""
-        return other.member_set() <= self.member_set()
 
     def transform(self, g):
         return Flag(self.ring, self.n, tuple(m.transform(g) for m in self.members))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -10,14 +11,18 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbscat import cli
+from rbscat import checks, cli
 from rbscat.fincat import (
     Group, Poset, group_category, poset_category, product_tuple)
 from rbscat.guards import GuardConfig
 from rbscat.homology import CSC, ChainComplex
 from rbscat.jsonio import complex_to_json, fincat_to_json
 from rbscat.toolkit import is_weakly_contractible
-from test_presentation import disk_face_poset
+from test_presentation import disk_face_poset, poset
+
+
+def bz2():
+    return group_category(Group([0, 1], [[0, 1], [1, 0]], 0))
 
 
 def run_cli(*args):
@@ -243,14 +248,14 @@ def test_homology_fincat_artifact_entry_given_twice(tmp_path):
     # entry accepted it and printed H_1 = Z/2; a repeated identity entry
     # surfaced as a misleading "left identity fails"
     a, e = ["*", 1], ["*", 0]
-    bz2 = fincat_to_json(group_category(Group([0, 1],
-                                              lambda x, y: (x + y) % 2, 0)))
-    assert [a, a, e] in bz2["composition"]
+    bz2_doc = fincat_to_json(bz2())
+    assert [a, a, e] in bz2_doc["composition"]
     for key, extra, what in (
             ("composition", [a, a, a], 'composite of [["*", 1], ["*", 1]]'),
             ("identities", ["*", a], 'identity of "*"')):
         art = tmp_path / "twice.json"
-        art.write_text(json.dumps(dict(bz2, **{key: [extra] + bz2[key]})))
+        art.write_text(json.dumps(dict(bz2_doc,
+                                       **{key: [extra] + bz2_doc[key]})))
         code, out, err = run_cli("homology", "--artifact", str(art))
         assert code == 1 and out == "", key
         assert what + " given twice" in err and len(err.splitlines()) == 1
@@ -300,12 +305,12 @@ def test_bad_q_parameters_exit_code():
 # loader fuzzing: random and truncated artifacts, run in-process
 
 def _valid_artifacts():
-    bz2 = group_category(Group([0, 1], lambda a, b: (a + b) % 2, 0))
-    chain = poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)]))
+    chain = poset_category(Poset([0, 1], [[True, True], [False, True]]))
     # a circle: two vertices joined by two edges
     circle = ChainComplex([2, 2], {1: CSC.from_entries(
         2, 2, [0, 1, 0, 1], [0, 0, 1, 1], [-1, 1, -1, 1])})
-    return [fincat_to_json(bz2), fincat_to_json(chain), complex_to_json(circle)]
+    return [fincat_to_json(bz2()), fincat_to_json(chain),
+            complex_to_json(circle)]
 
 
 VALID_ARTIFACTS = _valid_artifacts()
@@ -420,9 +425,7 @@ def non_associative_artifact():
     leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
     leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
     leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
-    doc = fincat_to_json(product_tuple([
-        group_category(Group([0, 1], lambda a, b: (a + b) % 2, 0)),
-        poset_category(Poset(elems, leq))]))
+    doc = fincat_to_json(product_tuple([bz2(), poset_category(poset(elems, leq))]))
     g, f = [["*", 1], ["x", "y"]], [["*", 1], ["w", "x"]]
     entry = next(e for e in doc["composition"] if e[:2] == [g, f])
     entry[2] = [["*", 1], ["w", "y"]]  # should be [["*", 0], ["w", "y"]]
@@ -526,6 +529,52 @@ def test_guard_trips(field, tmp_path):
         code = cli.main(["--config", str(cfg), *invocation])
     assert code == expected and out.getvalue() == "", (code, err.getvalue())
     assert "guard exceeded" in err.getvalue() and field in err.getvalue()
+
+
+def test_inconclusive_certificate_is_not_a_failure(tmp_path):
+    # with no Tietze budget the RBS(F2, 2) fiber certificate cannot decide;
+    # this printed "fail" and exited 3, as if the theorem were false
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"tietze_budget": 0}))
+    code, out, _ = run_cli("--config", str(cfg), "verify", "twisted-cofinal",
+                           "--json")
+    doc = json.loads(out)
+    assert code == 2 and doc["verdict"] == "inconclusive"
+    assert doc["measured"] == {"terminal": True, "chain2": True, "BZ2": True,
+                               "BZ3": True, "RBS-F2-2": False}
+
+
+@pytest.mark.parametrize("verdicts, expected", [
+    (["pass", "pass"], 0), (["pass", "inconclusive"], 2),
+    (["inconclusive", "fail", "pass"], 3)])
+def test_verify_all_exit_code_is_the_worst_verdict(verdicts, expected,
+                                                  monkeypatch):
+    profile = [("check%d" % i, {}) for i in range(len(verdicts))]
+    reports = {name: checks.CheckReport(name, {}, v)
+               for (name, _), v in zip(profile, verdicts)}
+    monkeypatch.setattr(cli, "DESK_PROFILE", profile)
+    monkeypatch.setattr(cli, "run_check",
+                        lambda name, guards, **params: reports[name])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--all"]) == expected
+
+
+def test_poset_regularity_f3_3_within_an_address_space_limit():
+    # the check reads only the GL action on the 79 flags (an 11,232 x 79
+    # table); building the 11,232^2 product table first took > 3 GB.  One
+    # BLAS thread keeps the address space of the numpy import small.
+    limit = 1536 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbscat.cli", "verify", "poset-regularity",
+         "--ring", "F3", "--n", "3"], capture_output=True, text=True,
+        preexec_fn=cap, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
 
 
 def test_fast_checks_pass_under_optimize():

@@ -14,14 +14,11 @@ from rbscat.fincat import (
     check_poset_regularity,
     full_subcategory,
     group_category,
-    identity_functor,
-    is_equivalence,
     is_fully_faithful,
     is_isomorphism_of_categories,
     left_fiber,
     opposite,
     poset_category,
-    poset_quotient,
     product_tuple,
     right_fiber,
     skeleton,
@@ -40,14 +37,75 @@ from rbscat.toolkit import (
 )
 
 
+def poset(elements, pairs):
+    """The poset on elements whose relation holds exactly on the pairs."""
+    pairs = set(pairs)
+    return Poset(elements, [[(a, b) in pairs for b in elements]
+                            for a in elements])
+
+
+def group(elements, mul, identity):
+    """The group on elements with the multiplication rule mul, as a table."""
+    elements = list(elements)
+    return Group(elements, [[elements.index(mul(a, b)) for b in elements]
+                            for a in elements], identity)
+
+
+def cyclic(k):
+    return Group(range(k), np.add.outer(range(k), range(k)) % k, 0)
+
+
+CHAIN = poset([0, 1], [(0, 0), (1, 1), (0, 1)])
+
+
 def chain_category():
-    P = Poset([0, 1], [(0, 0), (1, 1), (0, 1)])
-    return poset_category(P)
+    return poset_category(CHAIN)
 
 
 def bz(k):
-    G = Group(list(range(k)), lambda a, b: (a + b) % k, 0)
-    return group_category(G)
+    return group_category(cyclic(k))
+
+
+# test-only category calculus, kept here as helpers
+
+def identity_functor(C):
+    return FinFunctor(C, C, {o: o for o in C.objects},
+                      {m: m for m in C.mor_labels})
+
+
+def is_iso(C, f):
+    """f invertible: some g has g.f and f.g identities."""
+    return any(C.compose(g, f) == C.identity_of[C.src[f]] and
+               C.compose(f, g) == C.identity_of[C.tgt[f]]
+               for g in C.hom_idx(C.tgt[f], C.src[f]))
+
+
+def is_essentially_surjective(F):
+    A, B = F.source, F.target
+    image = {F.obj_image_idx(i) for i in range(A.n_objects)}
+    return all(yi in image or any(is_iso(B, f) for xi in image
+                                  for f in B.hom_idx(xi, yi))
+               for yi in range(B.n_objects))
+
+
+def is_equivalence(F):
+    return is_fully_faithful(F) and is_essentially_surjective(F)
+
+
+def poset_quotient(P, moved):
+    """The quotient poset G\\P of a regular action, moved[g, p] the index
+    of g.p, and the class of each element: orbits ordered as their least
+    elements are, each named by its least element's label."""
+    if check_poset_regularity(P, moved) is not None:
+        raise ValueError("the action is not regular")
+    orbits = sorted({tuple(sorted(set(moved[:, x].tolist())))
+                     for x in range(len(P))})
+    reps = [orbit[0] for orbit in orbits]
+    rel = [[P.rel[np.ix_(oi, oj)].any() for oj in orbits] for oi in orbits]
+    quotient = Poset([P.elements[r] for r in reps], rel)
+    class_of = {P.elements[x]: P.elements[reps[i]]
+                for i, orbit in enumerate(orbits) for x in orbit}
+    return quotient, class_of
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +183,7 @@ def oracle_is_category(morphs, idents, comp):
 
 
 def v_poset_category():
-    P = Poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
+    P = poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
                       ("a", "b"), ("a", "c")])
     return poset_category(P)
 
@@ -305,7 +363,7 @@ def z2_times_wide_poset():
     leq = [(e, e) for e in elems] + [("w", "x"), ("x", "y"), ("w", "y")]
     leq += [(a, "L%d" % i) for i in range(20) for a in ("w", "x")]
     leq += [(a, "M%d" % i) for i in range(20) for a in ("w", "x", "y")]
-    C = product_tuple([bz(2), poset_category(Poset(elems, leq))])
+    C = product_tuple([bz(2), poset_category(poset(elems, leq))])
     objs, morphs, idents, comp = tables(C)
     g, f = (("*", 1), ("x", "y")), (("*", 1), ("w", "x"))
     comp[(g, f)] = (("*", 1), ("w", "y"))  # should be (("*", 0), ("w", "y"))
@@ -653,8 +711,8 @@ def oracle_poset_category(P):
 
 def oracle_group_category(G):
     morphs = [(("*", g), "*", "*") for g in G.elements]
-    comp = {(("*", a), ("*", b)): ("*", G.mul(a, b))
-            for a in G.elements for b in G.elements}
+    comp = {(("*", a), ("*", b)): ("*", G.elements[G.table[i, j]])
+            for i, a in enumerate(G.elements) for j, b in enumerate(G.elements)}
     return validate_category(["*"], morphs, {"*": ("*", G.identity)}, comp)
 
 
@@ -753,7 +811,7 @@ def posets(draw):
     for k in range(n):
         rel |= rel[:, k:k + 1] & rel[k:k + 1, :]
     names = draw(st.permutations(["p%d" % i for i in range(n)]))
-    return Poset(names, [(names[a], names[b]) for a, b in zip(*np.nonzero(rel))])
+    return Poset(names, rel)
 
 
 @settings(max_examples=60, deadline=None)
@@ -763,11 +821,11 @@ def test_poset_category_agrees_with_label_oracle(P):
 
 
 @pytest.mark.parametrize("G", [
-    Group(list(range(k)), lambda a, b, k=k: (a + b) % k, 0) for k in (1, 2, 5)
+    cyclic(k) for k in (1, 2, 5)
 ] + [
-    Group(list(itertools.permutations(range(3))),
+    group(itertools.permutations(range(3)),
           lambda a, b: tuple(a[i] for i in b), (0, 1, 2)),
-    Group([(a, b) for a in range(2) for b in range(2)],
+    group([(a, b) for a in range(2) for b in range(2)],
           lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2), (0, 0)),
 ])
 def test_group_category_agrees_with_label_oracle(G):
@@ -800,43 +858,64 @@ def test_twisted_projection_cofinal():
 # actions, quotients
 
 def test_action_category_trivial_group():
-    P = Poset([0, 1], [(0, 0), (1, 1), (0, 1)])
-    G = Group(["e"], lambda a, b: "e", "e")
-    A = action_category(G, P, lambda g, p: p)
+    G = Group(["e"], [[0]], "e")
+    A = action_category(G, CHAIN, np.array([[0, 1]]))
     assert A.n_objects == 2 and A.n_morphisms == 3
 
 
 def test_action_category_rejects_non_automorphisms():
-    P = Poset([0, 1], [(0, 0), (1, 1), (0, 1)])
-    G = Group([0, 1], lambda a, b: (a + b) % 2, 0)
-    swap = lambda g, p: p if g == 0 else 1 - p
+    swap = np.array([[0, 1], [1, 0]])
     with pytest.raises(CategoryError):
-        action_category(G, P, swap)  # swapping 0<1 breaks the order
+        action_category(cyclic(2), CHAIN, swap)  # swapping 0<1 breaks the order
 
 
 def test_poset_quotient_regular_swap():
-    P = Poset(["a", "b"], [("a", "a"), ("b", "b")])
-    G = Group([0, 1], lambda a, b: (a + b) % 2, 0)
-    swap = lambda g, p: p if g == 0 else ("b" if p == "a" else "a")
-    assert check_poset_regularity(G, P, swap) is None
-    Q, cls = poset_quotient(G, P, swap)
+    P = poset(["a", "b"], [("a", "a"), ("b", "b")])
+    swap = np.array([[0, 1], [1, 0]])
+    assert check_poset_regularity(P, swap) is None
+    Q, cls = poset_quotient(P, swap)
     assert len(Q) == 1
 
 
 def test_poset_quotient_regularity_violation():
-    # Z/2 acting on {a < b, b' } with a fixed, swapping b and c where a<b, a<c
-    # build instead: action sending x to a strictly larger element
-    P = Poset([0, 1], [(0, 0), (1, 1), (0, 1)])
-    G = Group([0, 1], lambda a, b: (a + b) % 2, 0)
-    # a non-automorphism cannot be used; use a 3-chain with a middle swap
-    P3 = Poset(["a", "b1", "b2"],
+    # Z/2 acting on a < b1, a < b2, fixing a and swapping b1 and b2
+    P3 = poset(["a", "b1", "b2"],
                [("a", "a"), ("b1", "b1"), ("b2", "b2"),
                 ("a", "b1"), ("a", "b2")])
-    swap = lambda g, p: p if g == 0 or p == "a" else ("b2" if p == "b1" else "b1")
-    assert check_poset_regularity(G, P3, swap) is None
-    Q, cls = poset_quotient(G, P3, swap)
+    swap = np.array([[0, 1, 2], [0, 2, 1]])
+    assert check_poset_regularity(P3, swap) is None
+    Q, cls = poset_quotient(P3, swap)
     assert len(Q) == 2
     assert Q.leq(cls["a"], cls["b1"])
+
+
+def test_regularity_witness_is_the_first_in_row_major_order():
+    # on the chain 0 < 1, the map g = 1 sends 0 to 1 and 1 to 1: 0 <= g.0
+    # but 0 != g.0; the witness is reported with Python ints
+    moved = np.array([[0, 1], [1, 1]])
+    assert repr(check_poset_regularity(CHAIN, moved)) == "(1, 0)"
+    assert check_poset_regularity(CHAIN, moved[:1]) is None
+
+
+def test_group_table_is_validated():
+    with pytest.raises(CategoryError, match="group identity fails"):
+        Group([0, 1], [[1, 0], [0, 1]], 0)
+    # 0 is the identity, but nothing multiplies 1 back to it
+    with pytest.raises(CategoryError, match="group element 1 has no inverse"):
+        Group([0, 1], [[0, 1], [1, 1]], 0)
+    for table in ([[0, 1], [1, 2]], [[0, 1]], [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(CategoryError, match="table of element indices"):
+            Group([0, 1], table, 0)
+
+
+def test_poset_relation_is_validated():
+    with pytest.raises(CategoryError, match="not reflexive at 'b'"):
+        Poset("ab", [[True, False], [False, False]])
+    with pytest.raises(CategoryError, match="not antisymmetric"):
+        Poset("ab", [[True, True], [True, True]])
+    with pytest.raises(CategoryError, match="not transitive"):
+        poset("abc", [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"),
+                      ("b", "c")])
 
 
 # ---------------------------------------------------------------------------

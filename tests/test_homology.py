@@ -19,11 +19,32 @@ from rbscat.homology import (
     homology,
     maximal_chains,
     nerve_chain_complex,
-    order_complex,
     smith_normal_form,
     snf_diagonal,
     sparse_invariant_factors,
 )
+
+def poset(elements, pairs):
+    """The poset on elements whose relation holds exactly on the pairs."""
+    pairs = set(pairs)
+    return Poset(elements, [[(a, b) in pairs for b in elements]
+                            for a in elements])
+
+
+def cyclic(k):
+    return Group(range(k), np.add.outer(range(k), range(k)) % k, 0)
+
+
+def order_complex(P):
+    """Order complex of a poset: simplices are the chains."""
+    return chain_complex_from_facets(
+        maximal_chains(P.rel & ~np.eye(len(P), dtype=bool)))
+
+
+def non_identity_morphisms(C):
+    ids = set(C.identity_of)
+    return [i for i in range(C.n_morphisms) if i not in ids]
+
 
 RP2_FACETS = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
               (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
@@ -50,7 +71,7 @@ def hexagon_circle():
     pairs = [(x, x) for x in els] + \
         [("v1", "e1"), ("v2", "e1"), ("v2", "e2"), ("v3", "e2"),
          ("v3", "e3"), ("v1", "e3")]
-    return poset_category(Poset(els, pairs))
+    return poset_category(poset(els, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +199,7 @@ def test_terminal_nerve():
 
 
 def test_bz2_nerve_one_simplex_per_degree():
-    G = Group([0, 1], lambda a, b: (a + b) % 2, 0)
-    cx = nerve_chain_complex(group_category(G), 3)
+    cx = nerve_chain_complex(group_category(cyclic(2)), 3)
     assert cx.dims == [1, 1, 1, 1]
 
 
@@ -191,8 +211,7 @@ def test_circle_nerve():
 
 
 def test_bz2_homology_torsion():
-    G = Group([0, 1], lambda a, b: (a + b) % 2, 0)
-    cx = nerve_chain_complex(group_category(G), 5)
+    cx = nerve_chain_complex(group_category(cyclic(2)), 5)
     h = homology(cx, "Z")
     assert h.betti == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
     assert h.torsion[1] == [2] and h.torsion[3] == [2]
@@ -203,13 +222,14 @@ def test_bz2_homology_torsion():
 def test_nerve_counts_bs3():
     import itertools
     perms = list(itertools.permutations(range(3)))
-    S3 = Group(perms, lambda a, b: tuple(a[b[i]] for i in range(3)), (0, 1, 2))
+    S3 = Group(perms, [[perms.index(tuple(a[i] for i in b)) for b in perms]
+                       for a in perms], (0, 1, 2))
     cx = nerve_chain_complex(group_category(S3), 4)
     assert cx.dims == [1, 5, 25, 125, 625]
 
 
 def test_nerve_guard():
-    G = Group(list(range(5)), lambda a, b: (a + b) % 5, 0)
+    G = cyclic(5)
     tight = GuardConfig(max_simplices_per_degree=10)
     with pytest.raises(GuardExceeded, match="2-simplices"):
         nerve_chain_complex(group_category(G), 3, tight)
@@ -217,7 +237,7 @@ def test_nerve_guard():
 
 def test_skeleton_nerve_keeps_h1():
     from rbscat.rbs import build_rbs
-    bz4 = group_category(Group([0, 1, 2, 3], lambda a, b: (a + b) % 4, 0))
+    bz4 = group_category(cyclic(4))
     for C in (build_rbs("F2", 2).cat, build_rbs("F3", 2).cat, bz4):
         full = homology(nerve_chain_complex(C, 2), "Z")
         skel = homology(nerve_chain_complex(skeleton(C), 2), "Z")
@@ -227,7 +247,7 @@ def test_skeleton_nerve_keeps_h1():
 
 def test_truncation_stability():
     for C in (terminal_category(), hexagon_circle(),
-              group_category(Group([0, 1], lambda a, b: (a + b) % 2, 0))):
+              group_category(cyclic(2))):
         for D in (2, 3):
             h1 = homology(nerve_chain_complex(C, D), "Z")
             h2 = homology(nerve_chain_complex(C, D + 1), "Z")
@@ -270,7 +290,7 @@ def test_maximal_chains_step_along_covers():
 
 
 def test_order_complex_of_chain_is_contractible():
-    P = Poset([0, 1, 2], [(i, j) for i in range(3) for j in range(3) if i <= j])
+    P = Poset([0, 1, 2], [[i <= j for j in range(3)] for i in range(3)])
     cx = order_complex(P)
     h = homology(cx, "Z")
     assert h.betti[0] == 1 and all(h.betti[k] == 0 for k in h.betti if k > 0)
@@ -285,8 +305,7 @@ def test_rank_oracle_agreement_corpus():
         chain_complex_from_facets([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
         chain_complex_from_facets(RP2_FACETS),
         nerve_chain_complex(hexagon_circle(), 3),
-        nerve_chain_complex(group_category(
-            Group([0, 1, 2], lambda a, b: (a + b) % 3, 0)), 3),
+        nerve_chain_complex(group_category(cyclic(3)), 3),
     ]
     for cx in corpus:
         hz = homology(cx, "Z")
@@ -333,11 +352,11 @@ def oracle_nerve(C, depth):
     listed in lexicographic order."""
     ids = set(C.identity_of)
     out_of = {}
-    for f in C.non_identity_morphisms():
+    for f in non_identity_morphisms(C):
         out_of.setdefault(C.src[f], []).append(f)
     dims = [C.n_objects]
     boundaries = {}
-    chains = [(f,) for f in sorted(C.non_identity_morphisms())]
+    chains = [(f,) for f in sorted(non_identity_morphisms(C))]
     index_prev = {}
     for k in range(1, depth + 1):
         cols = []
@@ -382,13 +401,13 @@ def oracle_dd_is_zero(boundaries):
 
 
 def bz(k):
-    return group_category(Group(list(range(k)), lambda a, b: (a + b) % k, 0))
+    return group_category(cyclic(k))
 
 
 NERVE_BASES = [
     bz(1), bz(2), bz(3), bz(4), hexagon_circle(),
-    poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)])),
-    poset_category(Poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
+    poset_category(poset([0, 1], [(0, 0), (1, 1), (0, 1)])),
+    poset_category(poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
                                  ("a", "b"), ("a", "c")])),
 ]
 
@@ -414,7 +433,7 @@ def nerve_inputs(draw):
     # adj[x, y] counts the non-identity arrows x -> y, so the k-chains
     # number the sum of the entries of adj^k
     adj = np.zeros((C.n_objects, C.n_objects), np.int64)
-    for f in C.non_identity_morphisms():
+    for f in non_identity_morphisms(C):
         adj[C.src[f], C.tgt[f]] += 1
     depth = draw(st.integers(1, 4))
     while depth > 1 and np.linalg.matrix_power(adj, depth).sum() > 5000:
@@ -470,7 +489,7 @@ def test_dd_check_raises_under_optimize():
     code = ("from rbscat.homology import CSC, nerve_chain_complex\n"
             "from rbscat.fincat import Poset, poset_category\n"
             "cx = nerve_chain_complex(poset_category(Poset([0, 1, 2], "
-            "[(i, j) for i in range(3) for j in range(3) if i <= j])), 2)\n"
+            "[[i <= j for j in range(3)] for i in range(3)])), 2)\n"
             "d = cx.boundaries[2]\n"
             "vals = d.vals.copy()\n"
             "vals[0] += 1\n"

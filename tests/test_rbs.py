@@ -1,6 +1,7 @@
 import copy
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from rbscat.rbs import (
     comparison_iso_over_bgl,
     compute_e_group,
     flag_poset,
-    gl_action,
     gl_flag_action_category,
     inductive_decomposition,
+    pi1_quotient_functor,
     pi1_target,
     steinberg_rank,
     tits_building,
@@ -41,15 +42,21 @@ def lines_of(rbs):
     return [i for i in range(len(rbs.flags)) if i != e], e
 
 
+def transporter_size(rbs, fi, fj):
+    """Oracle: the number of g with g F_i <= F_j, one g at a time."""
+    return sum(1 for gi in range(len(rbs.gl))
+               if rbs.refines(int(rbs.flag_act[gi, fi]), fj))
+
+
 # ---------------------------------------------------------------------------
 # construction
 
 def test_rbs_f2_2_shape():
     lines, e = lines_of(R22)
     assert R22.cat.n_objects == 4
-    assert R22.aut_size(e) == 6
+    assert R22.hom_size(e, e) == 6
     assert R22.hom_size(lines[0], e) == 3
-    assert R22.aut_size(lines[0]) == 1
+    assert R22.hom_size(lines[0], lines[0]) == 1
     assert R22.hom_size(lines[0], lines[1]) == 1
     assert R22.hom_size(e, lines[0]) == 0
 
@@ -57,15 +64,15 @@ def test_rbs_f2_2_shape():
 def test_rbs_f3_2_shape():
     lines, e = lines_of(R32)
     assert R32.cat.n_objects == 5
-    assert R32.aut_size(e) == 48
+    assert R32.hom_size(e, e) == 48
     assert R32.hom_size(lines[0], e) == 16
-    assert R32.aut_size(lines[0]) == 4
+    assert R32.hom_size(lines[0], lines[0]) == 4
 
 
 def test_rbs_z4_shape():
     lines, e = lines_of(RZ4)
     assert RZ4.cat.n_objects == 7
-    assert RZ4.aut_size(e) == 96
+    assert RZ4.hom_size(e, e) == 96
     assert RZ4.hom_size(lines[0], e) == 24
 
 
@@ -86,7 +93,7 @@ def test_hom_sizes_are_coset_counts():
         for fi in range(nf):
             for fj in range(nf):
                 assert r.hom_size(fi, fj) * len(r.unipotent[fi]) == \
-                    r.transporter_size(fi, fj)
+                    transporter_size(r, fi, fj)
 
 
 def test_unipotent_inclusions_reverse_refinement():
@@ -131,7 +138,6 @@ def test_unipotent_agrees_with_intrinsic_oracle():
 
 
 def test_pi1_quotient_functor_surjective():
-    from rbscat.rbs import pi1_quotient_functor
     for r in (R22, R32, RZ4):
         functor, surjective = pi1_quotient_functor(r)
         assert surjective
@@ -186,15 +192,21 @@ def test_flag_poset_empty_is_maximum():
 
 def test_poset_regularity_exhaustive():
     for r in (R22, R32, RZ4):
-        G, P, act = gl_action(r)
-        assert check_poset_regularity(G, P, act) is None
+        assert check_poset_regularity(flag_poset(r), r.flag_act) is None
 
 
 def test_quotient_poset_f2_is_chain():
-    from rbscat.fincat import poset_quotient
-    G, P, act = gl_action(R22)
-    Q, cls = poset_quotient(G, P, act)
-    assert len(Q) == 2  # [line] < [empty]
+    # two GL orbits of flags: [line] < [empty]
+    orbits = {frozenset(R22.flag_act[:, f].tolist()) for f in range(len(R22.flags))}
+    assert len(orbits) == 2
+
+
+def test_poset_regularity_builds_neither_category_nor_product_table():
+    key = ("F2", 3, astuple(DEFAULT))
+    checks._RBS_CACHE.pop(key, None)
+    assert checks.check_poset_regularity("F2", 3).ok
+    rbs = checks._RBS_CACHE[key]
+    assert "cat" not in rbs.__dict__ and "mult" not in rbs.gl.__dict__
 
 
 def test_action_category_and_comparison():
@@ -304,10 +316,10 @@ def representatives_independent(r):
         for (fj2, fk, h) in r.cat.mor_labels:
             if fj2 != fj:
                 continue
-            expected = r.coset_min(fi, gl.mult[h][g])
+            expected = r.coset_min(fi, gl.mult[h, g])
             for u in r.unipotent[fi]:
                 for v in r.unipotent[fj]:
-                    prod = gl.mult[gl.mult[h][v]][gl.mult[g][u]]
+                    prod = gl.mult[gl.mult[h, v], gl.mult[g, u]]
                     if r.coset_min(fi, prod) != expected:
                         return False
     return True
@@ -324,9 +336,10 @@ def test_coset_well_definedness_survives_optimize():
     code = ("from rbscat.fincat import CategoryError\n"
             "from rbscat.rbs import build_rbs\n"
             "rbs = build_rbs('F2', 2)\n"
+            "cat = rbs.cat\n"
             "rbs._coset_rep = [list(range(len(rbs.gl))) for _ in rbs.flags]\n"
             "try:\n"
-            "    rbs._check_coset_composition()\n"
+            "    rbs._check_coset_composition(cat)\n"
             "except CategoryError as exc:\n"
             "    assert 'depends on representatives' in str(exc)\n"
             "    raise SystemExit(0)\n"
@@ -354,11 +367,11 @@ def corrupted(r, unipotent=None, coset_rep=None, recompute=False):
     coset g U_F of the new U_F as its representative, as construction
     does."""
     c = copy.copy(r)
+    c.cat = r.cat
     c.unipotent = dict(r.unipotent) if unipotent is None else unipotent
     c._coset_rep = r._coset_rep if coset_rep is None else coset_rep
     if recompute:
-        mult = np.array(r.gl.mult, np.int64)
-        c._coset_rep = np.array([mult[:, list(c.unipotent[f])].min(axis=1)
+        c._coset_rep = np.array([r.gl.mult[:, list(c.unipotent[f])].min(axis=1)
                                  for f in range(len(r.flags))])
     return c
 
@@ -372,7 +385,7 @@ def test_corrupted_unipotent_subgroup_is_caught():
     c = corrupted(R32, {**R32.unipotent, f: R32.unipotent[f] + (outside,)})
     assert not representatives_independent(c)
     with pytest.raises(CategoryError, match="different representatives"):
-        c._check_coset_composition()
+        c._check_coset_composition(c.cat)
     # U_F of a line replaced by the U_F of another line, with the
     # representatives computed from it: they are constant on its cosets,
     # but conjugation no longer carries U_F into the U_F of the source
@@ -380,7 +393,7 @@ def test_corrupted_unipotent_subgroup_is_caught():
                   recompute=True)
     assert not representatives_independent(c)
     with pytest.raises(CategoryError, match=r"g\^-1 v g is not in"):
-        c._check_coset_composition()
+        c._check_coset_composition(c.cat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,7 +421,17 @@ def test_well_definedness_check_rejects_what_the_oracle_rejects(r, data):
     if representatives_independent(c):
         return
     with pytest.raises(CategoryError, match="depends on representatives"):
-        c._check_coset_composition()
+        c._check_coset_composition(c.cat)
+
+
+def python_ints(x):
+    """x is built from tuples, lists, dicts, strings and Python ints only
+    (numpy scalars would print as np.int32(3) in labels and payloads)."""
+    if isinstance(x, (tuple, list)):
+        return all(python_ints(y) for y in x)
+    if isinstance(x, dict):
+        return python_ints(list(x.items()))
+    return type(x) in (int, str, bool)
 
 
 @pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
@@ -416,10 +439,19 @@ def test_well_definedness_check_rejects_what_the_oracle_rejects(r, data):
 def test_gl_table_matches_matrix_products(spec, n):
     gl = GLData(make_ring(spec), n)
     index = {m.data: i for i, m in enumerate(gl.mats)}
-    assert gl.mult == [[index[a.mul(b).data] for b in gl.mats] for a in gl.mats]
+    assert gl.mult.tolist() == [[index[a.mul(b).data] for b in gl.mats]
+                                for a in gl.mats]
+    assert gl.mult.dtype == np.int32 and gl.mult.flags.c_contiguous
     assert gl.one == index[Mat.identity(gl.ring, n).data]
-    assert all(gl.mult[i][j] == gl.one for i, j in enumerate(gl.inv))
-    assert all(isinstance(x, int) for row in gl.mult for x in row)
+    assert (gl.mult[np.arange(len(gl)), gl.inv] == gl.one).all()
+    # labels and payloads read from the tables are Python ints
+    r = build_rbs(spec, n)
+    sg = compute_e_group(r)
+    functor, _ = pi1_quotient_functor(r, sg)
+    assert python_ints(r.cat.mor_labels)
+    assert python_ints([sg.e_group, sg.parabolic, sg.unipotent])
+    assert python_ints(list(functor.mor_map.values()))
+    assert python_ints(pi1_target(r, sg).elements)
 
 
 @pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
@@ -434,8 +466,8 @@ def test_flag_action_matches_per_pair_transform(spec, n):
                          key=Submodule.sort_key)
         return r.flag_index[Flag(r.ring, n, tuple(members))]
 
-    assert r.flag_act == [[image(g, f) for f in r.flags] for g in r.gl.mats]
-    assert all(isinstance(x, int) for row in r.flag_act for x in row)
+    assert r.flag_act.tolist() == [[image(g, f) for f in r.flags]
+                                   for g in r.gl.mats]
 
 
 def test_rbs_cache_is_keyed_by_guards():

@@ -24,13 +24,22 @@ import numpy as np
 
 
 def bz(k):
-    return group_category(Group(list(range(k)), lambda a, b: (a + b) % k, 0))
+    return group_category(
+        Group(range(k), np.add.outer(range(k), range(k)) % k, 0))
 
 
 def bs3():
     perms = list(itertools.permutations(range(3)))
-    S3 = Group(perms, lambda a, b: tuple(a[b[i]] for i in range(3)), (0, 1, 2))
+    S3 = Group(perms, [[perms.index(tuple(a[i] for i in b)) for b in perms]
+                       for a in perms], (0, 1, 2))
     return group_category(S3)
+
+
+def poset(elements, pairs):
+    """The poset on elements whose relation holds exactly on the pairs."""
+    pairs = set(pairs)
+    return Poset(elements, [[(a, b) in pairs for b in elements]
+                            for a in elements])
 
 
 def hexagon_circle():
@@ -38,7 +47,7 @@ def hexagon_circle():
     pairs = [(x, x) for x in els] + \
         [("v1", "e1"), ("v2", "e1"), ("v2", "e2"), ("v3", "e2"),
          ("v3", "e3"), ("v1", "e3")]
-    return poset_category(Poset(els, pairs))
+    return poset_category(poset(els, pairs))
 
 
 def test_kernel_mod():
@@ -51,7 +60,7 @@ def test_kernel_mod():
 
 def test_point_and_interval():
     assert category_homology_mod(terminal_category(), 2, 3) == [1, 0, 0, 0]
-    P = poset_category(Poset([0, 1], [(0, 0), (1, 1), (0, 1)]))
+    P = poset_category(poset([0, 1], [(0, 0), (1, 1), (0, 1)]))
     assert category_homology_mod(P, 3, 3) == [1, 0, 0, 0]
 
 
@@ -229,7 +238,7 @@ def test_reverse_delete_adds_each_block_once(monkeypatch):
 
 
 def test_disconnected_category():
-    C = poset_category(Poset(["a", "b"], [("a", "a"), ("b", "b")]))
+    C = poset_category(poset(["a", "b"], [("a", "a"), ("b", "b")]))
     assert category_homology_mod(C, 2, 2) == [2, 0, 0]
 
 
@@ -240,8 +249,9 @@ def test_agreement_with_nerve_gl2f3():
     from rbscat.guards import GuardConfig
     F3 = make_ring("F3")
     gl = enumerate_gl(F3, 2)
-    mats = {m.data: m for m in gl}
-    G = Group([m.data for m in gl], lambda a, b: mats[a].mul(mats[b]).data,
+    index = {m.data: i for i, m in enumerate(gl)}
+    G = Group([m.data for m in gl],
+              [[index[a.mul(b).data] for b in gl] for a in gl],
               Mat.identity(F3, 2).data)
     BG = group_category(G)
     cx = nerve_chain_complex(BG, 3, GuardConfig(max_simplices_per_degree=200000))

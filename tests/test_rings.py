@@ -250,6 +250,47 @@ def test_default_irreducible():
     assert len(poly) == 4 and poly[-1] == 1
 
 
+def poly_mulmod(a, b, mod, p):
+    """Oracle: a b modulo the monic polynomial mod over F_p, coefficient
+    lists low degree first, by schoolbook product and division."""
+    deg = len(mod) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(len(out) - 1, deg - 1, -1):
+        c, out[i] = out[i], 0
+        for j in range(deg):
+            out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
+    return (out + [0] * deg)[:deg]
+
+
+def fq_tables_oracle(p, k, poly):
+    """Oracle: the add, mul, neg and inv tables of F_p[x]/(poly), one pair
+    of residues at a time, on the base-p codes of the coefficient lists."""
+    n = p ** k
+    decode = [[a // p ** i % p for i in range(k)] for a in range(n)]
+
+    def encode(vec):
+        return sum(c * p ** i for i, c in enumerate(vec))
+
+    add = [[encode([(x + y) % p for x, y in zip(decode[a], decode[b])])
+            for b in range(n)] for a in range(n)]
+    mul = [[encode(poly_mulmod(decode[a], decode[b], list(poly), p))
+            for b in range(n)] for a in range(n)]
+    neg = [row.index(0) for row in add]
+    inv = [row.index(1) if 1 in row else None for row in mul]
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121,
+                               125, 128, 169, 243, 256])
+def test_fq_tables_agree_with_per_pair_oracle(q):
+    R = make_ring("F%d" % q)
+    assert (R.add, R.mul, R.neg, R.inv) == fq_tables_oracle(R.p, R.k, R.poly)
+    assert R.units == tuple(range(1, q))
+
+
 def test_f8_f9_construct():
     F8 = make_ring("F8")
     F9 = make_ring("F9")
@@ -352,19 +393,24 @@ def test_flag_counts():
     assert len(enumerate_flags(Z4, 2)) == 7
 
 
+def refines_to(f, g):
+    """f <= g in refinement order: the members of g are members of f."""
+    return g.member_set() <= f.member_set()
+
+
 def test_flag_refinement_is_partial_order():
     flags = enumerate_flags(F2, 2)
     for f in flags:
-        assert f.refines_to(f)
+        assert refines_to(f, f)
     empty = next(f for f in flags if not f.members)
     for f in flags:
-        assert f.refines_to(empty)  # empty flag is the maximum
+        assert refines_to(f, empty)  # empty flag is the maximum
         if f.members and f != empty:
-            assert not empty.refines_to(f)
+            assert not refines_to(empty, f)
     # antisymmetry + transitivity on the (F2,3) poset
     flags3 = enumerate_flags(F2, 3)
     rel = {(i, j) for i, f in enumerate(flags3) for j, g in enumerate(flags3)
-           if f.refines_to(g)}
+           if refines_to(f, g)}
     for (i, j) in rel:
         if (j, i) in rel:
             assert i == j
