@@ -10,7 +10,9 @@ parameters, an unreadable file, a malformed artifact), 2 resource guard
 exceeded or an inconclusive verdict (a certificate that a guard kept from
 deciding), 3 check failure.  Guards are configured by a single JSON file
 passed via --config; there is no environment-variable configuration.
-Output is byte-stable for identical invocations.
+Output on stdout is byte-stable for identical invocations, except the
+"seconds" field of `verify --json`; human `verify` output prints each
+check's seconds on stderr.
 """
 
 from __future__ import annotations
@@ -187,9 +189,12 @@ def _print_report(rep, as_json):
     if as_json:
         _emit(jsonio.dumps(rep.to_dict()))
     else:
-        _emit("%-18s %-40s %s  (%.2fs)\n" %
-              (rep.name, json.dumps(rep.instance, sort_keys=True),
-               rep.verdict.upper(), rep.seconds))
+        # the verdict line is deterministic; the seconds are not, so they
+        # go to stderr
+        instance = json.dumps(rep.instance, sort_keys=True)
+        _emit("%-18s %-40s %s\n" % (rep.name, instance, rep.verdict.upper()))
+        sys.stderr.write("%-18s %-40s %.2fs\n"
+                         % (rep.name, instance, rep.seconds))
 
 
 # exit code of each verdict; verify --all exits with the largest

@@ -106,15 +106,23 @@ class FinCat:
         return [i for i in range(self.n_morphisms) if self.src[i] == xi]
 
     def has_terminal_object(self):
-        for yi in range(self.n_objects):
-            if all(len(self.hom_idx(xi, yi)) == 1 for xi in range(self.n_objects)):
-                return self.objects[yi]
-        return None
+        """The first object that every object maps to exactly once, or None."""
+        return self._cone_point(1)
 
     def has_initial_object(self):
-        for xi in range(self.n_objects):
-            if all(len(self.hom_idx(xi, yi)) == 1 for yi in range(self.n_objects)):
-                return self.objects[xi]
+        """The first object that maps to every object exactly once, or None."""
+        return self._cone_point(0)
+
+    def _cone_point(self, end):
+        # y is a cone point when all n pairs (x, y) (end 1) or (y, x) (end 0)
+        # hold exactly one morphism; one pass over the hom-set sizes
+        singles = [0] * self.n_objects
+        for pair, mors in self._hom.items():
+            if len(mors) == 1:
+                singles[pair[end]] += 1
+        for i, count in enumerate(singles):
+            if count == self.n_objects:
+                return self.objects[i]
         return None
 
     def is_connected(self):

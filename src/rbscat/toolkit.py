@@ -38,20 +38,21 @@ class ContractibilityCertificate:
 def is_weakly_contractible(C, depth=3, guards=DEFAULT):
     """Certificate that |C| is contractible through the stated depth.
 
-    The category is first replaced by a skeleton (an equivalence, so the
-    homotopy type is unchanged); a terminal or initial object settles the
-    question at every depth, otherwise reduced integer nerve homology
-    through depth-1 plus a Tietze run on the edge-path group decide.
+    A terminal or initial object settles the question at every depth.
+    Otherwise the category is replaced by a skeleton (an equivalence, so
+    the homotopy type is unchanged, and a skeleton has a cone point exactly
+    when the category has one), and reduced integer nerve homology through
+    depth-1 plus a Tietze run on the edge-path group decide.
     """
     if C.n_objects == 0:
         return ContractibilityCertificate("not-contractible", depth,
                                           witness="empty category")
-    C = skeleton(C, guards)
     if C.has_terminal_object() is not None or C.has_initial_object() is not None:
         # a cone point contracts the nerve at every depth
         return ContractibilityCertificate("contractible", depth, connected=True,
                                           pi1_trivial=True,
                                           witness="terminal or initial object")
+    C = skeleton(C, guards)
     if not C.is_connected():
         return ContractibilityCertificate("not-contractible", depth,
                                           witness="disconnected")

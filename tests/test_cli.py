@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -575,6 +576,16 @@ def test_poset_regularity_f3_3_within_an_address_space_limit():
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_human_verify_stdout_is_byte_identical_across_runs():
+    # the seconds of a check vary from run to run, so they go to stderr
+    args = ("verify", "steinberg", "--q", "2", "--n", "3")
+    (code1, out1, err1), (code2, out2, err2) = run_cli(*args), run_cli(*args)
+    assert code1 == code2 == 0
+    assert out1 == out2 and out1.split()[-1] == "PASS"
+    assert not re.search(r"\d\.\d+s", out1)
+    assert re.search(r"\d\.\d\ds$", err1.strip())
 
 
 def test_fast_checks_pass_under_optimize():

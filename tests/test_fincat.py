@@ -28,6 +28,7 @@ from rbscat.fincat import (
     validate_category,
 )
 from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
+from rbscat import toolkit
 from rbscat.rbs import build_rbs, comparison_functor
 from rbscat.toolkit import (
     is_colim_equivalence,
@@ -442,15 +443,17 @@ def test_isomorphism_detection():
     assert is_equivalence(F)
 
 
+def indiscrete(n):
+    """The indiscrete category on n objects: one morphism between any pair."""
+    objs = list(range(n))
+    return validate_category(
+        objs, [((a, b), a, b) for a in objs for b in objs],
+        {a: (a, a) for a in objs},
+        {((b, c), (a, b)): (a, c) for a in objs for b in objs for c in objs})
+
+
 def test_skeleton_collapses_indiscrete():
-    # indiscrete category on 3 objects: unique morphism between any pair
-    objs = list(range(3))
-    morphs = [((a, b), a, b) for a in objs for b in objs]
-    comp = {(((b, c)), ((a, b))): (a, c)
-            for a in objs for b in objs for c in objs}
-    idents = {a: (a, a) for a in objs}
-    C = validate_category(objs, morphs, idents, comp)
-    S = skeleton(C)
+    S = skeleton(indiscrete(3))
     assert S.n_objects == 1 and S.n_morphisms == 1
 
 
@@ -616,6 +619,40 @@ def test_fibers_and_subcategories_agree_with_label_oracle(F, data):
     sub, incl = full_subcategory(C, objs)
     assert_same_category(sub, oracle_subcategory(C, objs, lambda i: True))
     assert is_fully_faithful(incl)
+
+
+def cone_point_loops(C, end):
+    """Oracle for FinCat.has_terminal_object (end 1) and has_initial_object
+    (end 0): the first object y with exactly one morphism x -> y (end 1) or
+    y -> x (end 0) for every object x, by one hom-set lookup per pair."""
+    n = C.n_objects
+    for yi in range(n):
+        if all(len(C.hom_idx(xi, yi) if end else C.hom_idx(yi, xi)) == 1
+               for xi in range(n)):
+            return C.objects[yi]
+    return None
+
+
+def assert_cone_points_agree(C):
+    assert C.has_terminal_object() == cone_point_loops(C, 1)
+    assert C.has_initial_object() == cone_point_loops(C, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_functors(), st.data())
+def test_cone_points_agree_with_pairwise_oracle(F, data):
+    d = data.draw(st.sampled_from(F.target.objects))
+    for C in (F.source, opposite(F.source), left_fiber(F, d),
+              right_fiber(F, d)):
+        assert_cone_points_agree(C)
+
+
+def test_cone_points_of_rbs_and_indiscrete_categories_agree_with_oracle():
+    assert indiscrete(3).has_terminal_object() == 0
+    for C in (indiscrete(3), validate_category([], [], {}, {}),
+              build_rbs("F2", 2).cat, build_rbs("F3", 2).cat):
+        assert_cone_points_agree(C)
+        assert_cone_points_agree(opposite(C))
 
 
 @pytest.mark.parametrize("spec", ["F2", "F3"])
@@ -925,6 +962,18 @@ def test_terminal_object_contractible_any_depth():
     C = chain_category()
     for depth in (1, 2, 5):
         assert is_weakly_contractible(C, depth).ok
+
+
+def test_cone_point_is_found_before_a_skeleton_is_built(monkeypatch):
+    # an equivalence preserves terminal and initial objects, so the skeleton
+    # is needed only when there is neither
+    def no_skeleton(C, guards):
+        raise AssertionError("skeleton built for a category with a cone point")
+
+    monkeypatch.setattr(toolkit, "skeleton", no_skeleton)
+    for C in (chain_category(), opposite(chain_category())):
+        cert = is_weakly_contractible(C, 3)
+        assert cert.ok and cert.witness == "terminal or initial object"
 
 
 def test_discrete_two_objects_not_contractible():

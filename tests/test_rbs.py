@@ -474,3 +474,35 @@ def test_rbs_cache_is_keyed_by_guards():
     checks._rbs("F2", 2, DEFAULT)
     with pytest.raises(GuardExceeded, match="max_group_order"):
         checks._rbs("F2", 2, GuardConfig(max_group_order=5))
+
+
+@pytest.mark.parametrize("spec, ell", [("F2", 3), ("F3", 2), ("Z4", 3)])
+def test_resolution_checks_on_skeleton_match_full_category(spec, ell,
+                                                           monkeypatch):
+    # the full flag category is the oracle for the skeleton both checks use
+    fp = checks.check_fp_acyclic(spec, 2).measured
+    bgl = checks.check_bgl_comparison(spec, 2, ell).measured
+    monkeypatch.setattr(checks, "skeleton", lambda C, guards: C)
+    assert checks.check_fp_acyclic(spec, 2).measured == fp
+    assert checks.check_bgl_comparison(spec, 2, ell).measured == bgl
+
+
+def test_resolution_checks_run_their_engines_on_the_skeleton(monkeypatch):
+    rbs = checks._rbs("F3", 2, DEFAULT)
+    n_skeleton = checks.skeleton(rbs.cat, DEFAULT).n_objects
+    assert n_skeleton < rbs.cat.n_objects
+    seen = []
+
+    def recording(engine):
+        def run(C, *args):
+            seen.append(C.n_objects)
+            return engine(C, *args)
+        return run
+
+    for name in ("category_homology_mod", "nerve_chain_complex"):
+        monkeypatch.setattr(checks, name, recording(getattr(checks, name)))
+    assert checks.check_fp_acyclic("F3", 2).ok
+    assert seen == [n_skeleton, n_skeleton]  # resolution, nerve cross-check
+    seen.clear()
+    assert checks.check_bgl_comparison("F3", 2, 2).ok
+    assert seen == [1, n_skeleton]  # BGL, then the flag category

@@ -7,6 +7,7 @@ from rbscat.fincat import (
     Poset,
     group_category,
     poset_category,
+    skeleton,
     terminal_category,
     validate_category,
 )
@@ -137,6 +138,16 @@ def test_agreement_with_nerve_on_corpus():
             resolved = category_homology_mod(C, ell, 3)
             for k in range(4):
                 assert direct.betti[k] == resolved[k], (C, ell, k)
+
+
+def test_skeleton_has_the_betti_numbers_of_the_category():
+    # the checks resolve skeleta; the full category is the oracle
+    cats = corpus() + [build_rbs("F3", 2).cat, build_rbs("Z4", 2).cat]
+    for C in cats:
+        sk = skeleton(C)
+        for ell in (2, 3, 5):
+            assert category_homology_mod(sk, ell, 3) == \
+                category_homology_mod(C, ell, 3), (C, ell)
 
 
 def restart_reverse_delete(F, kernel_rows, ell):
