@@ -36,7 +36,6 @@ from .homology import (
     smith_normal_form,
 )
 from .qkt import QKit, comma_contractibility, terminal_decomposition
-from .qkt import _monmor_label  # canonical labels for report details
 from .rbs import (
     build_rbs,
     comparison_functor,
@@ -349,20 +348,11 @@ def check_q_suite(q=2, N=1, cap=2, depth=3, guards=DEFAULT):
             "cover": repc.cover_ok, "terminals": repc.terminals_ok,
             "intersections": repc.intersections_ok}
         comma_ok = comma_ok and ok_here
-    # monomorphism property, exhaustively at the cap
-    Mcat, mor_objs = monoidal_category(kit.calc, cap, N, guards)
-    mono_ok = True
-    mors = list(mor_objs.values())
-    for f in mors:
-        seen = {}
-        for g in mors:
-            if g.tgt != f.src:
-                continue
-            key = _monmor_label(kit.calc.compose(f, g))
-            gl = _monmor_label(g)
-            if key in seen and seen[key] != gl:
-                mono_ok = False
-            seen[key] = gl
+    # monomorphism property, exhaustively at the cap: for every f, the
+    # composites f o g of the composable pairs (f, g) are distinct
+    Mcat, _ = monoidal_category(kit.calc, cap, N, guards)
+    f, _, fg = Mcat.pairs()
+    mono_ok = len(np.unique(f * Mcat.n_morphisms + fg)) == len(f)
     decided_ok = ff and terminals_ok and decompositions_ok and mono_ok
     ok = decided_ok and comma_ok
     return _report(

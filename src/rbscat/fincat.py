@@ -11,11 +11,14 @@ every composable h, f and every g in S only, which implies it for every
 g.  The guard max_assoc_triples bounds the triples this test compares;
 past it construction raises GuardExceeded.
 
-validate_category takes label tables; _build, which it calls, takes
-index arrays.  Opposites, products, poset and group categories, the
-twisted arrow category, fibers, full and strict subcategories,
-skeletons, action categories and functor checks are array operations on
-the index arrays and table gathers, with no label round trip.
+validate_category takes label tables, for JSON artifacts and tables
+written by hand; _build, which it calls, takes index arrays.  Opposites,
+products, poset and group categories, the twisted arrow category,
+fibers, full and strict subcategories, skeletons, action categories and
+functor checks are array operations on the index arrays and table
+gathers, with no label round trip.  A FiberFamily holds all left or
+right fibers of a functor at once; it tells which have a cone point
+before any is built, and builds any set of them as one category.
 
 Also here: functors, the basic category calculus (opposites, products,
 full subcategories, isomorphism and full-faithfulness tests), comma-style
@@ -45,7 +48,7 @@ class FinCat:
 
     __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
                  "src", "tgt", "identity_of", "flat", "row", "ipos",
-                 "_hom")
+                 "_hom", "_ends")
 
     def __init__(self, objects, mor_labels, src, tgt, identity_of, table):
         self.objects = tuple(objects)
@@ -60,6 +63,11 @@ class FinCat:
         for i in range(len(self.mor_labels)):
             hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
         self._hom = hom
+        ends = (np.array(self.src, np.int64).reshape(-1),
+                np.array(self.tgt, np.int64).reshape(-1))
+        for end in ends:
+            end.flags.writeable = False
+        self._ends = ends
 
     # -- basic queries ------------------------------------------------------
 
@@ -72,9 +80,9 @@ class FinCat:
         return len(self.mor_labels)
 
     def ends(self):
-        """Source and target object index of every morphism, as arrays."""
-        return (np.array(self.src, np.int64).reshape(-1),
-                np.array(self.tgt, np.int64).reshape(-1))
+        """Source and target object index of every morphism, as read-only
+        arrays built once per category."""
+        return self._ends
 
     def hom(self, x, y):
         """Morphism indices x -> y (objects given as labels)."""
@@ -113,14 +121,19 @@ class FinCat:
         """The first object that maps to every object exactly once, or None."""
         return self._cone_point(0)
 
-    def _cone_point(self, end):
-        # y is a cone point when all n pairs (x, y) (end 1) or (y, x) (end 0)
-        # hold exactly one morphism; one pass over the hom-set sizes
+    def single_arrow_counts(self, end):
+        """For each object y, how many objects x have exactly one morphism
+        x -> y (end 1) or y -> x (end 0); one pass over the hom-set sizes."""
         singles = [0] * self.n_objects
         for pair, mors in self._hom.items():
             if len(mors) == 1:
                 singles[pair[end]] += 1
-        for i, count in enumerate(singles):
+        return singles
+
+    def _cone_point(self, end):
+        # y is a cone point when all n pairs (x, y) (end 1) or (y, x) (end 0)
+        # hold exactly one morphism
+        for i, count in enumerate(self.single_arrow_counts(end)):
             if count == self.n_objects:
                 return self.objects[i]
         return None
@@ -202,7 +215,8 @@ def validate_category(objects, morphisms, identities, composition,
     return _build(objects, labels, src, tgt, identity_of, a, b, ab, guards)
 
 
-def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards):
+def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards,
+           mor_rank=None):
     """The FinCat given by index arrays, in canonical order, validated.
 
     src, tgt: object index of each morphism; identity_of: morphism index
@@ -210,7 +224,10 @@ def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards):
     composition a.b = ab, with ab = -1 for a composite that is not a
     morphism.  Objects are ordered by _canon_key and morphisms by the keys
     of (source, target, label), exactly as sorting the labels would; the
-    keys are computed once per object and once per morphism.
+    keys are computed once per object and once per morphism.  A builder
+    whose labels share their source and target parts may pass mor_rank
+    instead, integers that order each set of parallel morphisms as their
+    labels' keys do.
     """
     if len(set(objects)) != len(objects):
         raise CategoryError("duplicate object labels")
@@ -221,7 +238,9 @@ def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards):
         for v in (src, tgt, identity_of, a, b, ab))
     obj_rank = _dense_rank(objects)
     obj_order = np.argsort(obj_rank, kind="stable")
-    mor_order = np.lexsort((_dense_rank(labels), obj_rank[tgt], obj_rank[src]))
+    if mor_rank is None:
+        mor_rank = _dense_rank(labels)
+    mor_order = np.lexsort((mor_rank, obj_rank[tgt], obj_rank[src]))
     new_obj = np.empty(len(objects), np.int64)
     new_obj[obj_order] = np.arange(len(objects))
     new_mor = np.empty(len(labels), np.int64)
@@ -254,9 +273,9 @@ def _canon_key(label):
     return (str(type(label)), repr(label))
 
 
-def _dense_rank(labels):
-    """Rank of each label's _canon_key among the distinct keys."""
-    keys = [_canon_key(x) for x in labels]
+def _dense_rank(labels, key=_canon_key):
+    """Rank of each label's key among the distinct keys."""
+    keys = [key(x) for x in labels]
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
     return np.array([rank[k] for k in keys], np.int64).reshape(-1)
 
@@ -583,55 +602,132 @@ def is_isomorphism_of_categories(F):
 
 def left_fiber(F, d, guards=DEFAULT):
     """Left fiber of F over target object d: objects (c, F(c) -> d)."""
-    return _fiber(F, d, "left", guards)
+    return FiberFamily(F, "left", [F.target.obj_index[d]], guards).build([0])
 
 
 def right_fiber(F, d, guards=DEFAULT):
     """Right fiber: objects (c, d -> F(c))."""
-    return _fiber(F, d, "right", guards)
+    return FiberFamily(F, "right", [F.target.obj_index[d]], guards).build([0])
 
 
-def _fiber(F, d, side, guards):
-    A, B = F.source, F.target
-    di = B.obj_index[d]
-    fo, fm = F.obj_idx, F.mor_idx
-    a_src, a_tgt = A.ends()
-    b_src, b_tgt = B.ends()
-    # objects x = (c[x], m[x]) with m: F(c) -> d (left) or d -> F(c) (right)
-    near, far = (b_tgt, b_src) if side == "left" else (b_src, b_tgt)
-    ms = np.flatnonzero(near == di)
-    c, k = _join(fo, far[ms])
-    m = ms[k]
-    # a morphism x -> y is u: c[x] -> c[y] with
-    # (left)  m[x] == m[y] . F(u)      (right)  m[y] == F(u) . m[x]
-    x, u = _join(c, a_src)
-    if side == "left":
-        i, y = _join(a_tgt[u], c)
-        x, u = x[i], u[i]
-        hit = B.compose_many(m[y], fm[u]) == m[x]
-        x, y, u = x[hit], y[hit], u[hit]
-    else:
-        y = _lookup(c * B.n_morphisms + m,
-                    a_tgt[u] * B.n_morphisms + B.compose_many(fm[u], m[x]))
-    # (y2, u2) . (y1, u1) from x1 is (y2, u2 . u1), one entry per
-    # composable pair, counted before the join builds them
-    guards.check(int((np.bincount(y, minlength=len(c)) *
-                      np.bincount(x, minlength=len(c))).sum()),
-                 "max_functor_pairs", "%s fiber composition" % side)
-    first, second = _join(y, x)
-    width = len(c) * A.n_morphisms
-    composite = _lookup(x * width + y * A.n_morphisms + u,
-                        x[first] * width + y[second] * A.n_morphisms +
-                        A.compose_many(u[second], u[first]))
-    identity_of = np.full(len(c), -1, np.int64)
-    loop = u == np.array(A.identity_of, np.int64)[c[x]]
-    identity_of[x[loop]] = np.flatnonzero(loop)
-    objects = list(zip([A.objects[i] for i in c.tolist()],
-                       [B.mor_labels[i] for i in m.tolist()]))
-    labels = [(objects[s], objects[t], A.mor_labels[w])
-              for s, t, w in zip(x.tolist(), y.tolist(), u.tolist())]
-    return _build(objects, labels, x, y, identity_of, second, first, composite,
-                  guards)
+class FiberFamily:
+    """The left or right fibers of a functor F: A -> B over the target
+    object indices ``over``, side by side as index arrays, before any of
+    them is built.
+
+    An object x is (c[x], m[x]) with m: F(c) -> d (left) or d -> F(c)
+    (right); ``fiber[x]`` is the position of d in ``over``, and each
+    fiber's objects and morphisms are contiguous.  A morphism x -> y is
+    u: c[x] -> c[y] with m[x] == m[y].F(u) (left) or m[y] == F(u).m[x]
+    (right).  It is determined by its near end, y (left) or x (right), and
+    u, which runs over the morphisms of A into (out of) the near end's
+    object; it is numbered ``start[near] + upos[u]``, u's position among
+    those morphisms.  So the composite (y2, u2).(y1, u1), whose near end is
+    y2 (left) or x1 (right), is numbered by arithmetic from u2.u1, and
+    each object's identity from its object's identity in A.
+
+    The pairs of each fiber are checked against max_functor_pairs, in the
+    order of ``over``, when the family is made.
+    """
+
+    def __init__(self, F, side, over, guards=DEFAULT):
+        A, B = F.source, F.target
+        self.F, self.side, self.guards = F, side, guards
+        left = side == "left"
+        fo, fm = F.obj_idx, F.mor_idx
+        a_src, a_tgt = A.ends()
+        b_src, b_tgt = B.ends()
+        near_b, far_b = (b_tgt, b_src) if left else (b_src, b_tgt)
+        place = np.full(B.n_objects, -1, np.int64)
+        place[np.asarray(over, np.int64)] = np.arange(len(over))
+        ms = np.flatnonzero(place[near_b] >= 0)
+        ms = ms[np.argsort(place[near_b[ms]], kind="stable")]
+        k, c = _join(far_b[ms], fo)
+        m = ms[k]
+        self.c, self.m = c, m
+        self.fiber = place[near_b[m]]
+        # the morphisms of A at each object: into it (left), out of it (right)
+        at, other = (a_tgt, a_src) if left else (a_src, a_tgt)
+        at_n = np.bincount(at, minlength=A.n_objects)
+        self.upos, at_order, at_start = _positions(at, at_n)
+        deg = at_n[c]
+        self.start = np.cumsum(deg) - deg
+        near = np.repeat(np.arange(len(c)), deg)
+        u = at_order[np.repeat(at_start[c] - self.start, deg) +
+                      np.arange(len(near))]
+        # the far end (c', m') with m' = m.F(u) (left), F(u).m (right)
+        m_far = B.compose_many(m[near], fm[u]) if left else \
+            B.compose_many(fm[u], m[near])
+        far = _lookup(c * B.n_morphisms + m,
+                      other[u] * B.n_morphisms + m_far)
+        self.x, self.y = (far, near) if left else (near, far)
+        self.u = u
+        self.near = near
+        self.identity_of = self.start + self.upos[
+            np.array(A.identity_of, np.int64)[c]]
+        # (y2, u2) . (y1, u1) with x2 == y1, one per composable pair,
+        # counted fiber by fiber before any pair is built
+        per_object = np.bincount(self.y, minlength=len(c)) * \
+            np.bincount(self.x, minlength=len(c))
+        per_fiber = np.zeros(len(over), np.int64)
+        np.add.at(per_fiber, self.fiber, per_object)
+        for pairs in per_fiber.tolist():
+            guards.check(pairs, "max_functor_pairs",
+                         "%s fiber composition" % side)
+        self.obj_start = np.searchsorted(self.fiber, np.arange(len(over) + 1))
+        self.mor_start = np.searchsorted(self.fiber[near],
+                                         np.arange(len(over) + 1))
+
+    def has_cone_point(self):
+        """Whether each fiber has a terminal or an initial object, read
+        from the hom-set sizes: y is terminal (x initial) when every object
+        of its fiber has exactly one morphism to y (from x)."""
+        n = len(self.c)
+        pair, count = np.unique(self.x * n + self.y, return_counts=True)
+        single = pair[count == 1]
+        size = np.diff(self.obj_start)[self.fiber]
+        cone = (np.bincount(single % n, minlength=n) == size) | \
+            (np.bincount(single // n, minlength=n) == size)
+        hit = np.zeros(len(self.obj_start) - 1, bool)
+        hit[self.fiber[cone]] = True
+        return hit
+
+    def build(self, which):
+        """The fibers at the positions ``which`` of ``over``, validated
+        together as one category, their disjoint union: its Light triples
+        are those of the fibers, and max_assoc_triples bounds their sum."""
+        A, B = self.F.source, self.F.target
+        which = np.asarray(which, np.int64).reshape(-1)
+        objs = _ranges(self.obj_start, which)
+        mors = _ranges(self.mor_start, which)
+        local = np.full(len(self.c), -1, np.int64)
+        local[objs] = np.arange(len(objs))
+        x, y, u = local[self.x[mors]], local[self.y[mors]], self.u[mors]
+        f, g = _join(y, x)
+        # the composite's near end is that of g (left) or of f (right)
+        composite = self.start[self.near[mors][g if self.side == "left" else f]]
+        composite += self.upos[A.compose_many(u[g], u[f])]
+        numbered = np.full(len(self.near), -1, np.int64)
+        numbered[mors] = np.arange(len(mors))
+        composite = numbered[composite]
+        c, m = self.c[objs].tolist(), self.m[objs].tolist()
+        objects = list(zip([A.objects[i] for i in c],
+                           [B.mor_labels[i] for i in m]))
+        labels = [(objects[s], objects[t], A.mor_labels[w])
+                  for s, t, w in zip(x.tolist(), y.tolist(), u.tolist())]
+        # parallel labels (x, y, u) differ in u only, and repr(label) ends
+        # with repr(u) + ")", so that string orders them
+        u_rank = _dense_rank(A.mor_labels, lambda w: repr(w) + ")")
+        return _build(objects, labels, x, y,
+                      numbered[self.identity_of[objs]], g, f, composite,
+                      self.guards, u_rank[u])
+
+
+def _ranges(start, which):
+    """The indices start[w] <= i < start[w + 1] for each w in which."""
+    lo, hi = start[which], start[which + 1]
+    n = hi - lo
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
 
 
 def strict_fiber(F, d, guards=DEFAULT):

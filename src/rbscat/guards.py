@@ -25,8 +25,12 @@ class GuardConfig:
     # fincat
     max_simplices_per_degree: int = 2_000_000
     # composable triples that the exact associativity check (Light's
-    # test) compares; past it validation raises
+    # test) compares; past it validation raises.  Fibers with a terminal
+    # or initial object are validated together as one category, so for
+    # them the bound is on the sum of their triples
     max_assoc_triples: int = 20_000_000
+    # composable pairs of one functor check, and of each fiber, checked
+    # fiber by fiber in target order before any pair is built
     max_functor_pairs: int = 20_000_000
     tietze_budget: int = 200_000
     # rbs / groups

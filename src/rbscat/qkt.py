@@ -16,19 +16,20 @@ On top of it:
     explicit graded isomorphisms onto the source entries; composition
     merges chains through the quotient maps.  Storing literal chains
     makes the usual equivalence classes collapse to strict equality.
-    A MonCalculus merges each (second, first) pair once, checking that
-    the merged graded maps are isomorphisms, and returns the stored
-    composite on later calls.
+    A MonCalculus interns morphisms as integer codes and merges each
+    (second, first) pair of codes once, checking that the merged graded
+    maps are isomorphisms; a MonTable lists the morphisms between given
+    graded lists with their composites as index arrays.
   * the hom 2-categories of the associated Q-construction, their
     terminal decompositions, the collapsed 1-category Q1, and the
-    comparison functor from the span category with its comma categories.
-    A Q1 morphism m -> m' is the component of a triple (a, b, phi) in
-    Hom_2(m, m'), looked up by QKit.q1_class.
+    comparison functor from the span category with its comma categories
+    (the left fibers of that functor).  The 2-cells into a triple are
+    found by looking up their sources, and numbered so that composites
+    are index arithmetic.  A Q1 morphism m -> m' is the component of a
+    triple (a, b, phi) in Hom_2(m, m'), looked up by QKit.q1_class.
 
 Every constructed category (span, graded lists, Hom_2, Q1, comma) is
-built by _category from its objects, morphisms, identities and a
-compose(g, f) on labels, called once per composable pair; validation is
-fincat.validate_category's.
+passed to fincat._build as index arrays, and validated there.
 """
 
 from __future__ import annotations
@@ -36,11 +37,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import astuple, dataclass
 
+import numpy as np
+
 from .fincat import (
     CategoryError,
     FinFunctor,
+    _build,
+    _dense_rank,
+    _join,
+    _positions,
     full_subcategory,
-    validate_category,
+    left_fiber,
 )
 from .guards import DEFAULT
 from .rings import (
@@ -160,23 +167,6 @@ def _require(holds, what):
     """A check that holds under python -O too."""
     if not holds:
         raise CategoryError(what)
-
-
-def _category(objects, morphisms, identities, compose, guards):
-    """The validated FinCat on label tables.
-
-    morphisms: list of (label, src, tgt); identities: object -> label;
-    compose(g, f): the label of g o f.  compose is called once per
-    composable pair, f in the order of morphisms and, for each f, g in
-    that order among the morphisms out of tgt f.
-    """
-    out_of = {}
-    for (lbl, s, _) in morphisms:
-        out_of.setdefault(s, []).append(lbl)
-    comp = {(g, f): compose(g, f)
-            for (f, _, t) in morphisms for g in out_of.get(t, ())}
-    return validate_category(objects, morphisms, identities, comp,
-                             guards=guards)
 
 
 def image_submodule(ring, ambient, m):
@@ -308,12 +298,22 @@ def quillen_q(E, guards=DEFAULT):
         lbl = span_canonical(E, x, x, x, ida, ida)
         idents[x] = lbl
 
-    def compose(g, f):
-        (z1, p1, i1), (z2, p2, i2) = span_of[f], span_of[g]
-        d, to_z1, to_z2 = pullback(R, z1, f[1], i1, z2, p2)
-        return span_canonical(E, f[0], d, g[1], p1.mul(to_z1), i2.mul(to_z2))
-
-    return _category(E.objects, morphs, idents, compose, guards), span_of
+    labels = [lbl for lbl, _, _ in morphs]
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    src = np.array([x for _, x, _ in morphs], np.int64).reshape(-1)
+    tgt = np.array([y for _, _, y in morphs], np.int64).reshape(-1)
+    f, g = _join(tgt, src)
+    composite = []
+    for fi, gi in zip(f.tolist(), g.tolist()):
+        (x, y, _, _, _), (_, w, _, _, _) = labels[fi], labels[gi]
+        (z1, p1, i1), (z2, p2, i2) = span_of[labels[fi]], span_of[labels[gi]]
+        d, to_z1, to_z2 = pullback(R, z1, y, i1, z2, p2)
+        composite.append(index.get(span_canonical(
+            E, x, d, w, p1.mul(to_z1), i2.mul(to_z2)), -1))
+    cat = _build(E.objects, labels, src, tgt,
+                 [index[idents[x]] for x in E.objects], g, f, composite,
+                 guards)
+    return cat, span_of
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +414,36 @@ class MonMor:
 
 
 class MonCalculus:
-    """Operations on graded lists over a fixed field."""
+    """Operations on graded lists over a fixed field.
+
+    Morphisms are interned as integer codes: code(m) numbers each distinct
+    MonMor once, and mors[c] and labels[c] are its morphism and label.
+    Identities, concatenations and composites are computed once per code
+    or pair of codes and then looked up, so a MonMor is hashed only when
+    it is interned or passed in from outside.
+    """
 
     def __init__(self, ring, guards=DEFAULT):
         self.ring = ring
         self.guards = guards
+        self.mors = []          # code -> MonMor
+        self.labels = []        # code -> _monmor_label
+        self._codes = {}        # MonMor -> code
         self._quot_cache = {}
-        self._hom_cache = {}
-        self._comp_cache = {}  # (second, first) -> second o first
+        self._hom_cache = {}    # (src, tgt) -> codes
+        self._comp_cache = {}   # (second, first) codes -> code of second o first
+        self._identity = {}     # graded list -> code of its identity
+        self._concat = {}       # (f, g) codes -> code of f (x) g
+        self._tables = {}       # graded lists -> MonTable
+
+    def code(self, m):
+        """The code of the morphism m, interning it on first sight."""
+        c = self._codes.get(m)
+        if c is None:
+            c = self._codes[m] = len(self.mors)
+            self.mors.append(m)
+            self.labels.append(_monmor_label(m))
+        return c
 
     def quotients(self, n, chain):
         key = (n, chain)
@@ -432,11 +454,19 @@ class MonCalculus:
     # -- identities and concatenation ------------------------------------
 
     def identity(self, obj):
-        flags = []
-        for n in obj:
-            full = Submodule.full(self.ring, n)
-            flags.append(FlagChain(n, (full.mat,), (Mat.identity(self.ring, n),)))
-        return MonMor(obj, obj, tuple(range(len(obj))), tuple(flags))
+        return self.mors[self.identity_code(obj)]
+
+    def identity_code(self, obj):
+        c = self._identity.get(obj)
+        if c is None:
+            flags = []
+            for n in obj:
+                full = Submodule.full(self.ring, n)
+                flags.append(FlagChain(n, (full.mat,),
+                                       (Mat.identity(self.ring, n),)))
+            c = self._identity[obj] = self.code(
+                MonMor(obj, obj, tuple(range(len(obj))), tuple(flags)))
+        return c
 
     def concat(self, f, g):
         """f (x) g on morphisms."""
@@ -444,18 +474,29 @@ class MonCalculus:
         theta = tuple(f.theta) + tuple(t + shift_tgt for t in g.theta)
         return MonMor(f.src + g.src, f.tgt + g.tgt, theta, f.flags + g.flags)
 
+    def concat_code(self, f, g):
+        """The code of f (x) g, for codes f and g."""
+        c = self._concat.get((f, g))
+        if c is None:
+            c = self._concat[(f, g)] = self.code(
+                self.concat(self.mors[f], self.mors[g]))
+        return c
+
     # -- composition by merging -------------------------------------------
 
     def compose(self, second, first):
-        """second o first (first: src -> mid, second: mid -> tgt).
+        """second o first (first: src -> mid, second: mid -> tgt)."""
+        return self.mors[self.compose_code(self.code(second),
+                                           self.code(first))]
 
-        Each distinct (second, first) pair is merged once; later calls
-        return the stored composite.
-        """
+    def compose_code(self, second, first):
+        """The code of second o first, for codes.  Each distinct pair is
+        merged once; later calls return the stored composite."""
         key = (second, first)
         out = self._comp_cache.get(key)
         if out is None:
-            out = self._comp_cache[key] = self._merge(second, first)
+            out = self._comp_cache[key] = self.code(
+                self._merge(self.mors[second], self.mors[first]))
         return out
 
     def _merge(self, second, first):
@@ -518,12 +559,24 @@ class MonCalculus:
 
     def hom(self, src, tgt):
         """All morphisms src -> tgt."""
+        return [self.mors[c] for c in self.hom_codes(src, tgt)]
+
+    def hom_codes(self, src, tgt):
+        """The codes of all morphisms src -> tgt, in enumeration order."""
         key = (tuple(src), tuple(tgt))
-        if key in self._hom_cache:
-            return self._hom_cache[key]
-        out = self._hom_uncached(src, tgt)
-        self._hom_cache[key] = out
+        out = self._hom_cache.get(key)
+        if out is None:
+            out = self._hom_cache[key] = [
+                self.code(m) for m in self._hom_uncached(*key)]
         return out
+
+    def table(self, objs):
+        """The morphisms between the graded lists objs, with identities and
+        composites, as a MonTable; built once per tuple of lists."""
+        objs = tuple(objs)
+        if objs not in self._tables:
+            self._tables[objs] = MonTable(self, objs)
+        return self._tables[objs]
 
     def _hom_uncached(self, src, tgt):
         out = []
@@ -578,6 +631,48 @@ def _fiber_index(theta, j, u):
     return fib[u]
 
 
+class MonTable:
+    """Every morphism between the graded lists objs, as index arrays.
+
+    The local morphisms are numbered by source, then target (both in the
+    order of objs), then hom_codes order; codes[i] is the calculus code of
+    morphism i, text[i] the repr of its label, and src[i], tgt[i] are
+    positions in objs.  identity[o] is the identity of objs[o]; a.b = ab
+    lists every composable pair, b in index order and then a, and
+    comp[a, b] holds the same composites (-1 where a and b do not
+    compose).  into[o] lists the morphisms into objs[o] in index order,
+    and ipos[i] is the position of i there.
+    """
+
+    def __init__(self, calc, objs):
+        codes, src, tgt = [], [], []
+        for s, x in enumerate(objs):
+            for t, y in enumerate(objs):
+                hom = calc.hom_codes(x, y)
+                codes += hom
+                src += [s] * len(hom)
+                tgt += [t] * len(hom)
+        local = {c: i for i, c in enumerate(codes)}
+        n = len(codes)
+        self.codes = codes
+        self.text = [repr(calc.labels[c]) for c in codes]
+        self.src = np.array(src, np.int64).reshape(-1)
+        self.tgt = np.array(tgt, np.int64).reshape(-1)
+        self.identity = np.array([local[calc.identity_code(o)] for o in objs],
+                                 np.int64).reshape(-1)
+        n_into = np.bincount(self.tgt, minlength=len(objs))
+        self.ipos, order, start = _positions(self.tgt, n_into)
+        self.into = [order[i:i + k].tolist()
+                     for i, k in zip(start.tolist(), n_into.tolist())]
+        self.b, self.a = _join(self.tgt, self.src)
+        self.ab = np.array(
+            [local.get(calc.compose_code(codes[g], codes[f]), -1)
+             for g, f in zip(self.a.tolist(), self.b.tolist())],
+            np.int64).reshape(-1)
+        self.comp = np.full((n, n), -1, np.int64)
+        self.comp[self.a, self.b] = self.ab
+
+
 def monoidal_category(calc, cap, max_entry, guards=DEFAULT):
     """The graded-list category at a dimension cap, as a validated FinCat."""
     if cap < 0:
@@ -585,20 +680,11 @@ def monoidal_category(calc, cap, max_entry, guards=DEFAULT):
     if max_entry < 0:
         raise ValueError("--N must be at least 0, got %d" % max_entry)
     objs = calc.objects_up_to(cap, max_entry)
-    morphs = []
-    mor_objs = {}
-    for s in objs:
-        for t in objs:
-            for m in calc.hom(s, t):
-                lbl = _monmor_label(m)
-                morphs.append((lbl, s, t))
-                mor_objs[lbl] = m
-    idents = {o: _monmor_label(calc.identity(o)) for o in objs}
-
-    def compose(g, f):
-        return _monmor_label(calc.compose(mor_objs[g], mor_objs[f]))
-
-    return _category(objs, morphs, idents, compose, guards), mor_objs
+    table = calc.table(objs)
+    labels = [calc.labels[c] for c in table.codes]
+    cat = _build(objs, labels, table.src, table.tgt, table.identity,
+                 table.a, table.b, table.ab, guards)
+    return cat, {lbl: calc.mors[c] for lbl, c in zip(labels, table.codes)}
 
 
 def _monmor_label(m):
@@ -619,60 +705,92 @@ class Q2Hom:
     objects_data: dict     # label -> (a, b, MonMor)
     components: dict       # label -> component id
     terminals: dict        # component id -> list of terminal object labels
+    by_code: dict          # (a, b, code of phi) -> component id
 
 
 def q2_hom(calc, m, mp, cap, max_entry, guards=DEFAULT):
-    """Build Hom_2(m, m') as a finite category of triples and 2-cells."""
-    total_needed = sum(mp) - sum(m)
-    if total_needed < 0:
-        objs = []
-    else:
-        lists = calc.objects_up_to(cap, max_entry)
-        objs = []
-        for a in lists:
-            for b in lists:
-                if sum(a) + sum(b) != total_needed:
-                    continue
-                src = tuple(a) + tuple(m) + tuple(b)
-                for phi in calc.hom(src, mp):
-                    objs.append((a, b, phi))
-    labels = {}
-    for (a, b, phi) in objs:
-        labels[(a, b, _monmor_label(phi))] = (a, b, phi)
-    morphs = []
-    obj_labels = list(labels)
-    # 2-cells (alpha, beta): phi == phi' o (alpha (x) id_m (x) beta)
-    id_m = calc.identity(tuple(m))
-    cell_data = {}
-    for lbl1 in obj_labels:
-        a, b, phi = labels[lbl1]
-        for lbl2 in obj_labels:
-            ap, bp, phip = labels[lbl2]
-            for alpha in calc.hom(a, ap):
-                for beta in calc.hom(b, bp):
-                    middle = calc.concat(calc.concat(alpha, id_m), beta)
-                    if calc.compose(phip, middle) == phi:
-                        clbl = (lbl1, lbl2, _monmor_label(alpha), _monmor_label(beta))
-                        morphs.append((clbl, lbl1, lbl2))
-                        cell_data[clbl] = (alpha, beta)
-    idents = {}
-    for lbl in obj_labels:
-        a, b, phi = labels[lbl]
-        ida, idb = calc.identity(a), calc.identity(b)
-        idents[lbl] = (lbl, lbl, _monmor_label(ida), _monmor_label(idb))
+    """Build Hom_2(m, m') as a finite category of triples and 2-cells.
 
-    def compose(c2, c1):
-        (a1, b1), (a2, b2) = cell_data[c1], cell_data[c2]
-        return (c1[0], c2[1], _monmor_label(calc.compose(a2, a1)),
-                _monmor_label(calc.compose(b2, b1)))
+    A 2-cell (alpha, beta): (a, b, phi) -> (a', b', phi') is a pair alpha:
+    a -> a', beta: b -> b' with phi == phi' o (alpha (x) id_m (x) beta).
+    So each object (a', b', phi') receives one 2-cell per such pair, and
+    its source is looked up as (a, b, phi' o (alpha (x) id_m (x) beta)).
+    The 2-cells into an object are numbered alpha-major by the positions
+    of alpha and beta among the morphisms into a' and b', so the
+    composite (alpha2 alpha1, beta2 beta1) is numbered by arithmetic.
+    """
+    m, mp = tuple(m), tuple(mp)
+    total = sum(mp) - sum(m)
+    lists = [x for x in calc.objects_up_to(cap, max_entry)
+             if sum(x) <= total] if total >= 0 else []
+    table = calc.table(lists)
+    place = {x: i for i, x in enumerate(lists)}
+    objects = [(a, b, phi) for a in lists for b in lists
+               if sum(a) + sum(b) == total
+               for phi in calc.hom_codes(a + m + b, mp)]
+    index = {o: i for i, o in enumerate(objects)}
+    id_m = calc.identity_code(m)
+    into = table.into
+    # per shape (a', b'): the pairs (alpha, beta) into it, alpha-major, and
+    # the sources a, b and the code of alpha (x) id_m (x) beta of each
+    shapes = {}
+    src, tgt, alpha, beta, n_b = [], [], [], [], []
+    for y, (ap, bp, phip) in enumerate(objects):
+        shape = shapes.get((ap, bp))
+        if shape is None:
+            shape = shapes[(ap, bp)] = [
+                (i, j, lists[table.src[i]], lists[table.src[j]],
+                 calc.concat_code(calc.concat_code(table.codes[i], id_m),
+                                  table.codes[j]))
+                for i in into[place[ap]] for j in into[place[bp]]]
+        n_b.append(len(into[place[bp]]))
+        for i, j, a, b, mid in shape:
+            x = index.get((a, b, calc.compose_code(phip, mid)))
+            _require(x is not None, "a 2-cell into an object of Hom_2 "
+                     "starts outside it")
+            src.append(x)
+            alpha.append(i)
+            beta.append(j)
+        tgt += [y] * len(shape)
+    src, tgt, alpha, beta, n_b = (np.array(v, np.int64).reshape(-1)
+                                  for v in (src, tgt, alpha, beta, n_b))
+    in_start = np.searchsorted(tgt, np.arange(len(objects)))
 
-    cat = _category(obj_labels, morphs, idents, compose, guards)
-    comp_id = _components(cat)
-    terminals = _component_terminals(cat, comp_id)
-    return Q2Hom(tuple(m), tuple(mp), cat, labels, comp_id, terminals)
+    def number(z, a, b):
+        # the 2-cell (a, b) into object z
+        return in_start[z] + table.ipos[a] * n_b[z] + table.ipos[b]
+
+    ends = np.array([(place[a], place[b]) for a, b, _ in objects],
+                    np.int64).reshape(-1, 2)
+    identity_of = number(np.arange(len(objects)), table.identity[ends[:, 0]],
+                         table.identity[ends[:, 1]])
+    f, g = _join(tgt, src)
+    composite = number(tgt[g], table.comp[alpha[g], alpha[f]],
+                       table.comp[beta[g], beta[f]])
+    obj_labels = [(a, b, calc.labels[phi]) for a, b, phi in objects]
+    mor_labels = [(obj_labels[x], obj_labels[y],
+                   calc.labels[table.codes[i]], calc.labels[table.codes[j]])
+                  for x, y, i, j in zip(src.tolist(), tgt.tolist(),
+                                        alpha.tolist(), beta.tolist())]
+    # parallel 2-cells differ in (alpha, beta) only, and the repr of a
+    # label ends with repr(alpha) + ", " + repr(beta) + ")"
+    n, text = len(table.codes), table.text
+    pair, which = np.unique(alpha * n + beta, return_inverse=True)
+    rank = _dense_rank([text[p // n] + ", " + text[p % n] + ")"
+                        for p in pair.tolist()], str)
+    cat = _build(obj_labels, mor_labels, src, tgt, identity_of, g, f,
+                 composite, guards, rank[which.reshape(-1)])
+    roots = _components(cat)
+    components = dict(zip(cat.objects, roots))
+    return Q2Hom(m, mp, cat,
+                 {lbl: (a, b, calc.mors[phi])
+                  for lbl, (a, b, phi) in zip(obj_labels, objects)},
+                 components, _component_terminals(cat, roots),
+                 {o: components[lbl] for o, lbl in zip(objects, obj_labels)})
 
 
 def _components(cat):
+    """The component id of each object: its union-find root index."""
     parent = list(range(cat.n_objects))
 
     def find(i):
@@ -685,20 +803,21 @@ def _components(cat):
         a, b = find(cat.src[f]), find(cat.tgt[f])
         if a != b:
             parent[a] = b
-    return {cat.objects[i]: find(i) for i in range(cat.n_objects)}
+    return [find(i) for i in range(cat.n_objects)]
 
 
-def _component_terminals(cat, comp_id):
-    members = {}
-    for i, o in enumerate(cat.objects):
-        members.setdefault(comp_id[o], []).append(i)
-    terminals = {}
-    for cid, idxs in members.items():
-        term = []
-        for t in idxs:
-            if all(len(cat.hom_idx(s, t)) == 1 for s in idxs):
-                term.append(cat.objects[t])
-        terminals[cid] = term
+def _component_terminals(cat, roots):
+    """The terminal objects of each component, in index order: t is
+    terminal when every object of its component has exactly one morphism
+    to t."""
+    size = {}
+    for r in roots:
+        size[r] = size.get(r, 0) + 1
+    singles = cat.single_arrow_counts(1)
+    terminals = {r: [] for r in roots}
+    for t, r in enumerate(roots):
+        if singles[t] == size[r]:
+            terminals[r].append(cat.objects[t])
     return terminals
 
 
@@ -735,10 +854,9 @@ def terminal_decomposition(calc, q2, obj_label):
                 and (len(J3) == 0 or t[1][len(t[1]) - len(J3):] == expected_b)]
     _require(matching, "no terminal object of the decomposed shape")
     term = matching[0]
-    cells_from = [m for m in q2.cat.mor_labels
-                  if m[0] == obj_label and m[1] == term]
-    _require(len(cells_from) == 1, "2-cell to the terminal form is not unique")
-    return term, cells_from[0], (tuple(J1), tuple(J2), tuple(J3))
+    cells = q2.cat.hom(obj_label, term)
+    _require(len(cells) == 1, "2-cell to the terminal form is not unique")
+    return term, q2.cat.mor_labels[cells[0]], (tuple(J1), tuple(J2), tuple(J3))
 
 
 # ---------------------------------------------------------------------------
@@ -773,17 +891,21 @@ class QKit:
         """The Q1 morphism m -> phi.tgt of the triple (a, b, phi): its
         component in Hom_2(m, phi.tgt)."""
         q2 = self.q2_hom(m, phi.tgt)
-        return (m, phi.tgt, q2.components[(a, b, _monmor_label(phi))])
+        return (m, phi.tgt, q2.by_code[(a, b, self.calc.code(phi))])
 
     def q1_category(self):
-        """Objects: graded lists; morphisms: 2-cell components of triples."""
+        """Objects: graded lists; morphisms: 2-cell components of triples.
+
+        The composite of [a1, b1, phi1] and [a2, b2, phi2] is the
+        component of (a2 (x) a1, b1 (x) b2, phi2 o (id (x) phi1 (x) id))."""
         if self._q1 is not None:
             return self._q1
+        calc = self.calc
         objs = self.calc.objects_up_to(self.cap, self.max_entry)
-        morphs = []
+        labels, src, tgt, reps = [], [], [], []
         rep_of = {}     # q1 label -> representative (a, b, phi)
-        for m in objs:
-            for mp in objs:
+        for i, m in enumerate(objs):
+            for j, mp in enumerate(objs):
                 q2 = self.q2_hom(m, mp)
                 chosen = {}  # component id -> its least object label
                 for olbl, cid in q2.components.items():
@@ -791,21 +913,31 @@ class QKit:
                         chosen[cid] = olbl
                 for cid, olbl in sorted(chosen.items()):
                     lbl = (m, mp, cid)
-                    morphs.append((lbl, m, mp))
-                    rep_of[lbl] = q2.objects_data[olbl]
-        calc = self.calc
-        idents = {m: self.q1_class(m, (), (), calc.identity(m)) for m in objs}
+                    a, b, phi = rep_of[lbl] = q2.objects_data[olbl]
+                    labels.append(lbl)
+                    src.append(i)
+                    tgt.append(j)
+                    reps.append((a, b, calc.code(phi)))
+        index = {lbl: i for i, lbl in enumerate(labels)}
 
-        def compose(lbl2, lbl1):
-            (a1, b1, phi1), (a2, b2, phi2) = rep_of[lbl1], rep_of[lbl2]
-            # Q2 composition: (a2 (x) a1, b1 (x) b2, phi2 o (id phi1 id))
-            mid = calc.concat(calc.concat(calc.identity(a2), phi1),
-                              calc.identity(b2))
-            return self.q1_class(lbl1[0], a2 + a1, b1 + b2,
-                                 calc.compose(phi2, mid))
+        def component(m, mp, a, b, phi):
+            return index[(m, mp, self.q2_hom(m, mp).by_code[(a, b, phi)])]
 
-        self._q1 = (_category(objs, morphs, idents, compose, self.guards),
-                    rep_of)
+        f, g = _join(np.array(tgt, np.int64).reshape(-1),
+                     np.array(src, np.int64).reshape(-1))
+        composite = []
+        for fi, gi in zip(f.tolist(), g.tolist()):
+            (a1, b1, phi1), (a2, b2, phi2) = reps[fi], reps[gi]
+            mid = calc.concat_code(
+                calc.concat_code(calc.identity_code(a2), phi1),
+                calc.identity_code(b2))
+            composite.append(component(
+                objs[src[fi]], objs[tgt[gi]], a2 + a1, b1 + b2,
+                calc.compose_code(phi2, mid)))
+        identity_of = [component(m, m, (), (), calc.identity_code(m))
+                       for m in objs]
+        self._q1 = (_build(objs, labels, src, tgt, identity_of, g, f,
+                           composite, self.guards), rep_of)
         return self._q1
 
     # -- Psi ----------------------------------------------------------------
@@ -912,38 +1044,10 @@ class CommaReport:
 
 
 def comma_category(kit, target):
-    """The comma category Psi | target: objects (x, kappa: Psi(x) -> target)."""
-    q1, _ = kit.q1_category()
-    psi = kit.psi_functor()
-    target = tuple(target)
-    objects = []
-    for x in kit.span_cat.objects:
-        for lbl in q1.hom(kit.psi_obj(x), target):
-            objects.append((x, q1.mor_labels[lbl]))
-    morphs = []
-    span_cat = kit.span_cat
-    for (x, kappa) in objects:
-        for s in span_cat.morphisms_from(span_cat.obj_index[x]):
-            y = span_cat.objects[span_cat.tgt[s]]
-            s_lbl = span_cat.mor_labels[s]
-            psi_s = psi.mor_image_idx(s)
-            for (y2, lam) in objects:
-                if y2 != y:
-                    continue
-                if q1.mor_labels[q1.compose(q1.mor_index[lam], psi_s)] == kappa:
-                    lbl = ((x, kappa), (y, lam), s_lbl)
-                    morphs.append((lbl, (x, kappa), (y, lam)))
-    idents = {}
-    for (x, kappa) in objects:
-        idx = span_cat.identity_of[span_cat.obj_index[x]]
-        idents[(x, kappa)] = ((x, kappa), (x, kappa), span_cat.mor_labels[idx])
-
-    def compose(lbl2, lbl1):
-        u21 = span_cat.compose(span_cat.mor_index[lbl2[2]],
-                               span_cat.mor_index[lbl1[2]])
-        return (lbl1[0], lbl2[1], span_cat.mor_labels[u21])
-
-    return _category(objects, morphs, idents, compose, kit.guards)
+    """The comma category Psi | target: objects (x, kappa: Psi(x) ->
+    target), morphisms the spans s: x -> y with lambda o Psi(s) = kappa.
+    This is the left fiber of Psi over target."""
+    return left_fiber(kit.psi_functor(), tuple(target), kit.guards)
 
 
 def _padded_identity_label(kit, target, i0):

@@ -8,13 +8,20 @@ lim-equivalence (up to depth D) when all its left fibers are weakly
 contractible; it is proper when, over every target object, the inclusion
 of the strict fiber into the right fiber is a lim-equivalence.  Dually, a
 colim-equivalence has weakly contractible right fibers.
+
+The fibers of a functor are computed together as index arrays
+(fincat.FiberFamily).  A fiber with a terminal or initial object is
+contractible at every depth; all such fibers are validated together, as
+one category, and the others are built and certified one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import left_fiber, right_fiber, strict_fiber, skeleton
+import numpy as np
+
+from .fincat import FiberFamily, strict_fiber, skeleton
 from .guards import DEFAULT
 from .homology import homology, nerve_chain_complex
 from .presentation import pi1_presentation, tietze_trivial
@@ -48,10 +55,7 @@ def is_weakly_contractible(C, depth=3, guards=DEFAULT):
         return ContractibilityCertificate("not-contractible", depth,
                                           witness="empty category")
     if C.has_terminal_object() is not None or C.has_initial_object() is not None:
-        # a cone point contracts the nerve at every depth
-        return ContractibilityCertificate("contractible", depth, connected=True,
-                                          pi1_trivial=True,
-                                          witness="terminal or initial object")
+        return _cone_point_certificate(depth)
     C = skeleton(C, guards)
     if not C.is_connected():
         return ContractibilityCertificate("not-contractible", depth,
@@ -78,6 +82,13 @@ def is_weakly_contractible(C, depth=3, guards=DEFAULT):
                                       witness="" if triv else "Tietze budget exhausted")
 
 
+def _cone_point_certificate(depth):
+    # a cone point contracts the nerve at every depth
+    return ContractibilityCertificate("contractible", depth, connected=True,
+                                      pi1_trivial=True,
+                                      witness="terminal or initial object")
+
+
 @dataclass
 class FiberwiseVerdict:
     ok: bool
@@ -101,13 +112,23 @@ def is_colim_equivalence(F, depth=3, guards=DEFAULT):
 
 
 def _fiber_check(F, depth, guards, side):
+    """Every fiber's certificate.  The fibers are computed together as
+    index arrays; those with a terminal or initial object are validated
+    together, as one category, and certified by that cone point, and the
+    others are built and certified one by one."""
+    objects = F.target.objects
+    family = FiberFamily(F, side, np.arange(len(objects)), guards)
+    cone = family.has_cone_point()
+    if cone.any():
+        family.build(np.flatnonzero(cone))
     per = {}
     failure = None
     ok = True
-    for d in F.target.objects:
-        fiber = left_fiber if side == "left" else right_fiber
-        fib = fiber(F, d, guards)
-        cert = is_weakly_contractible(fib, depth, guards)
+    for i, d in enumerate(objects):
+        if cone[i]:
+            per[d] = _cone_point_certificate(depth)
+            continue
+        cert = is_weakly_contractible(family.build([i]), depth, guards)
         per[d] = cert
         if not cert.ok:
             ok = False

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbscat.fincat import (
     CategoryError,
+    FiberFamily,
     FinFunctor,
     Group,
     Poset,
@@ -674,6 +675,112 @@ def test_fiber_pairs_are_guarded_before_they_are_joined(spec):
             with pytest.raises(GuardExceeded,
                                match="requires %d > max_functor_pairs" % p):
                 build(F, d, GuardConfig(max_functor_pairs=p - 1))
+
+
+def has_cone_point(C):
+    return C.has_terminal_object() is not None or \
+        C.has_initial_object() is not None
+
+
+def assert_family_agrees(F, side, oracle=True):
+    """Every fiber of F's family on one side, built alone, equals
+    left_fiber / right_fiber and (with oracle) the label-space oracle; the
+    cone flags equal the FinCat tests; and the joint build of the fibers
+    with a cone point holds each of them as a full subcategory."""
+    objects = F.target.objects
+    family = FiberFamily(F, side, np.arange(len(objects)))
+    cone = family.has_cone_point()
+    single = left_fiber if side == "left" else right_fiber
+    fibers = [family.build([i]) for i in range(len(objects))]
+    for i, d in enumerate(objects):
+        assert_same_category(fibers[i], single(F, d))
+        if oracle:
+            assert_same_category(fibers[i], oracle_fiber(F, d, side))
+        assert cone[i] == has_cone_point(fibers[i])
+    with_cone = np.flatnonzero(cone).tolist()
+    joint = family.build(with_cone)
+    assert joint.n_objects == sum(fibers[i].n_objects for i in with_cone)
+    assert joint.n_morphisms == sum(fibers[i].n_morphisms for i in with_cone)
+    for i in with_cone:
+        sub, _ = full_subcategory(joint, fibers[i].objects)
+        assert_same_category(sub, fibers[i])
+    return cone
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "Z4"])
+def test_fiber_families_of_proper_p_agree_with_label_oracle(spec):
+    # the families proper-p certifies: right fibers of the comparison
+    # functor and left fibers of each strict-fiber inclusion.  The single
+    # fibers of the comparison functor are compared with the label oracle
+    # in test_comparison_functor_fibers_agree_with_label_oracle, and not
+    # at all on Z4^2: its right fibers hold 6.2 M composable pairs and its
+    # left fibers exceed max_assoc_triples
+    P = comparison_functor(build_rbs(spec, 2))
+    assert_family_agrees(P, "right", oracle=False)
+    if spec != "Z4":
+        assert_family_agrees(P, "left", oracle=False)
+    for d in P.target.objects:
+        _, _, incl = strict_fiber(P, d)
+        assert assert_family_agrees(incl, "left").all()
+
+
+@pytest.mark.parametrize("name", ["terminal", "chain2", "BZ2", "BZ3",
+                                  "RBS-F2-2"])
+def test_fiber_families_of_twisted_projections_agree_with_label_oracle(name):
+    from rbscat.checks import _named_small_category
+    _, proj = twisted_arrow_op(_named_small_category(name))
+    for side in ("left", "right"):
+        assert_family_agrees(proj, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_functors())
+def test_fiber_families_of_small_functors_agree_with_label_oracle(F):
+    for side in ("left", "right"):
+        assert_family_agrees(F, side)
+
+
+def test_joint_fiber_build_is_guarded_by_the_sum_of_light_triples():
+    # the six left fibers of a strict-fiber inclusion of the F2^2
+    # comparison functor (8 Light triples each) all have a terminal object;
+    # they are validated as one category, so max_assoc_triples bounds the
+    # sum of their Light triples
+    _, _, incl = strict_fiber(RBS_F2_P, RBS_F2_P.target.objects[1])
+    fibers = [left_fiber(incl, d) for d in incl.target.objects]
+    assert all(has_cone_point(C) for C in fibers)
+    triples = [light_triples(C, generators(C)) for C in fibers]
+    total, largest = sum(triples), max(triples)
+    assert largest < total
+    assert is_lim_equivalence(incl, 3, GuardConfig(max_assoc_triples=total)).ok
+    with pytest.raises(GuardExceeded, match="requires %d > max_assoc_triples"
+                       % total):
+        is_lim_equivalence(incl, 3, GuardConfig(max_assoc_triples=largest))
+
+
+def test_ends_are_built_once_and_read_only():
+    C = RBS_F2
+    src, tgt = C.ends()
+    assert C.ends()[0] is src and C.ends()[1] is tgt
+    assert src.tolist() == list(C.src) and tgt.tolist() == list(C.tgt)
+    for end in (src, tgt):
+        with pytest.raises(ValueError, match="read-only"):
+            end[0] = 1
+
+
+def test_proper_p_validates_fibers_in_few_builds(monkeypatch):
+    # one joint build per family of fibers with a cone point: check_proper_p
+    # on F3^2 made 189 builds when each fiber was built on its own
+    import rbscat.fincat as fincat
+    from rbscat.checks import check_proper_p
+    real, builds = fincat._build, []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fincat, "_build", counting)
+    assert check_proper_p("F3", 2).ok
+    assert len(builds) <= 20
 
 
 def test_empty_left_fiber_agrees_with_label_oracle():

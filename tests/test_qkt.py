@@ -254,6 +254,38 @@ def test_q2_terminals_exist_everywhere():
                     assert q2.terminals[cid], (m, mp, cid)
 
 
+def oracle_two_cells(calc, q2):
+    """Oracle for the 2-cells of q2_hom: the exhaustive search over every
+    pair of objects (a, b, phi), (a', b', phi') and every alpha: a -> a',
+    beta: b -> b', keeping those with phi == phi' o (alpha (x) id_m (x)
+    beta), labelled as q2.cat labels its 2-cells."""
+    id_m = calc.identity(q2.source)
+    cells = set()
+    for lbl1, (a, b, phi) in q2.objects_data.items():
+        for lbl2, (ap, bp, phip) in q2.objects_data.items():
+            for alpha in calc.hom(a, ap):
+                for beta in calc.hom(b, bp):
+                    middle = calc.concat(calc.concat(alpha, id_m), beta)
+                    if calc.compose(phip, middle) == phi:
+                        cells.add((lbl1, lbl2, _monmor_label(alpha),
+                                   _monmor_label(beta)))
+    return cells
+
+
+@pytest.mark.parametrize("q, N, cap", [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                       (2, 2, 2), (2, 2, 3), (3, 1, 1),
+                                       (3, 1, 2)])
+def test_two_cells_agree_with_exhaustive_search_oracle(q, N, cap):
+    kit = QKit(q, N, cap)
+    objs = kit.calc.objects_up_to(cap, N)
+    for m in objs:
+        for mp in objs:
+            q2 = kit.q2_hom(m, mp)
+            cells = oracle_two_cells(kit.calc, q2)
+            assert len(cells) == q2.cat.n_morphisms
+            assert cells == set(q2.cat.mor_labels)
+
+
 def test_terminal_decomposition_identity_case():
     q2 = KIT2.q2_hom((1, 1), (1, 1))
     lbl = ((), (), _monmor_label(KIT2.calc.identity((1, 1))))
@@ -481,23 +513,27 @@ def test_failed_terminal_decomposition_fails_the_suite_under_optimize():
 # composition store: each composite is merged once per calculus
 
 def test_each_composite_is_merged_once_during_the_q_suite(monkeypatch):
+    # the suite composes codes only: one compose_code lookup per composable
+    # pair of each MonTable, per 2-cell (its source) and per Q1 pair; the
+    # MonMor-level compose is left to callers outside the library
     from rbscat.checks import check_q_suite
-    real_compose, real_merge = MonCalculus.compose, MonCalculus._merge
-    composes, merged = [], []
+    real = {name: getattr(MonCalculus, name)
+            for name in ("compose", "compose_code", "_merge")}
+    calls = {name: [] for name in real}
 
-    def counting_compose(self, second, first):
-        composes.append(1)
-        return real_compose(self, second, first)
+    def counting(name):
+        def count(self, second, first):
+            calls[name].append((second, first))
+            return real[name](self, second, first)
+        return count
 
-    def counting_merge(self, second, first):
-        merged.append((second, first))
-        return real_merge(self, second, first)
-
-    monkeypatch.setattr(MonCalculus, "compose", counting_compose)
-    monkeypatch.setattr(MonCalculus, "_merge", counting_merge)
+    for name in real:
+        monkeypatch.setattr(MonCalculus, name, counting(name))
     assert check_q_suite(2, 2, 3).ok
+    merged = calls["_merge"]
     assert len(merged) == len(set(merged)) == 175
-    assert len(composes) == 11631
+    assert len(calls["compose_code"]) == 1957
+    assert calls["compose"] == []
 
 
 def _composable_pairs(mor_objs):

@@ -36,3 +36,20 @@ def test_checks_import_no_third_party_package_but_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0] == "['numpy', 'rbscat']"
+
+
+def test_only_fincat_and_jsonio_call_validate_category():
+    # validate_category is the label-table front for outside input (JSON
+    # artifacts) and hand-written tables; every builder in the library
+    # passes index arrays to fincat._build instead
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else \
+                    getattr(fn, "id", None)
+                if name == "validate_category":
+                    callers.add(path.stem)
+    assert callers == {"fincat", "jsonio"}, callers
