@@ -536,7 +536,11 @@ def full_subcategory(C, objs, guards=DEFAULT):
 
 def _subcategory(C, objs, keep, guards):
     """The subcategory of C on the object indices objs and the morphisms
-    where keep is set, with the composition of C."""
+    where keep is set, with the composition of C.
+
+    C is in canonical order, so its indices already order each set of
+    parallel morphisms by their labels' keys; they are passed as mor_rank,
+    and no label is keyed again."""
     src, tgt = C.ends()
     mors = np.flatnonzero(keep)
     local_obj = np.full(C.n_objects, -1, np.int64)
@@ -549,7 +553,7 @@ def _subcategory(C, objs, keep, guards):
                   local_obj[src[mors]], local_obj[tgt[mors]],
                   local[np.array(C.identity_of, np.int64)[objs]],
                   g, f, local[C.compose_many(mors[g], mors[f])],
-                  guards)
+                  guards, mors)
 
 
 def is_fully_faithful(F):

@@ -18,7 +18,13 @@ eliminate_units: it pivots on units (+-1 over Z, any nonzero entry over
 F_ell) in Markowitz order, so over F_ell it returns the rank, and over Z
 it leaves a residual core without units whose lattice basis alone goes to
 Smith normal form; the same kernel gives the abelianization of group
-presentations.  The dense smith_normal_form with transforms runs only on
+presentations.  The kernel holds each line as two arrays, indices and
+values, in insertion order, so one argmin over a line's counts finds its
+cheapest unit and its first minimum is the oldest entry; the lines that
+hold a pivot's index come from the input's other orientation and from
+records of fill-in, not from a scan of every line; and a Schur update is
+one vectorised merge.  Only the distinct core vectors, up to sign, go to
+the lattice basis.  The dense smith_normal_form with transforms runs only on
 that lattice basis (snf_diagonal), in the infra check and in `bench snf`;
 it checks its postconditions on every call and raises RuntimeError if one
 fails.  A fraction-free rank oracle over Q (Bareiss) is kept as an
@@ -27,8 +33,10 @@ independent cross-check.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +325,10 @@ def _product_is_zero(a, b):
 # ---------------------------------------------------------------------------
 # sparse unit-pivot elimination (one kernel over Z and F_ell)
 
+# above every count: the key of an entry that is not a unit
+_NO_UNIT = 1 << 62
+
+
 def eliminate_units(matrix, ell=None):
     """Unit-pivot elimination of a CSC matrix over Z (ell None) or over
     F_ell.
@@ -327,104 +339,199 @@ def eliminate_units(matrix, ell=None):
     by its Schur complement.  Each pivot contributes an invariant factor 1
     (rank 1 over F_ell).  The matrix is held as sparse lines along its
     shorter side (rows when there are fewer rows than columns, else
-    columns), read straight from the index arrays, which keeps the number
-    of containers small.  Returns (pivots, core): the core is the list of
-    nonzero lines left, each a dict {index: value}, none of which holds a
-    unit; over F_ell it is empty, so pivots is the rank.
+    columns).  Returns (pivots, core): the core is the list of nonzero
+    lines left, each a dict {index: value}, none of which holds a unit;
+    over F_ell it is empty, so pivots is the rank.
     Dumas-Heckenbach-Saunders-Welker (2003), "Computing simplicial
     homology based on efficient Smith normal form algorithms".
+
+    A line is two arrays, its indices and their values (int64, or Python
+    integers once a Schur update could pass 2^63), in insertion order:
+    first by index, then the entries gained by fill-in, in the order of
+    the pivot line that brought them.  A line's cheapest entry is one
+    argmin over the counts of its units' indices, and the first minimum
+    is the oldest entry.  The lines that hold a pivot's index are those
+    that met it in the input and those that gained it by fill-in (a
+    chain of records per index), so no line is scanned for it; each is
+    updated by one vectorised merge that maps its indices to the pivot
+    line's.  Lines are updated, and the core listed, in the order in
+    which a scan of the columns meets them.
     """
     if ell:
         matrix = CSC.from_entries(matrix.n_rows, len(matrix), matrix.rows,
                                   matrix.col_index(), matrix.vals % ell)
+    cols = matrix.col_index()
+    # a stable sort of 16-bit keys is a radix sort
+    by_row = np.argsort(matrix.rows.astype(np.min_scalar_type(matrix.n_rows)),
+                        kind="stable")
+    row_ptr = np.zeros(matrix.n_rows + 1, np.int64)
+    np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows), out=row_ptr[1:])
     wide = matrix.n_rows < len(matrix)
     if wide:
         # lines are rows: entries by row, then (stably) by column
-        order = np.argsort(matrix.rows, kind="stable")
-        index, vals = matrix.col_index()[order], matrix.vals[order]
-        del order
-        ptr = np.zeros(matrix.n_rows + 1, np.int64)
-        np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows), out=ptr[1:])
-        n_index = len(matrix)
+        ptr, index, vals = row_ptr, cols[by_row], matrix.vals[by_row]
+        meet_ptr, meet = matrix.indptr, matrix.rows
     else:
-        index, vals, ptr = matrix.rows, matrix.vals, matrix.indptr
-        n_index = matrix.n_rows
-    count = np.bincount(index, minlength=n_index).tolist()  # lines meeting index
-    # one int object per index, shared by the lines: the dicts hold no
-    # copy of an index (a megabyte less at the pi1 check's peak), and a
-    # probe matches by identity
-    shared = list(range(n_index)).__getitem__
-    # lines in the order a scan of the columns meets them
-    held = np.flatnonzero(np.diff(ptr))
+        ptr, index, vals = matrix.indptr, matrix.rows, matrix.vals
+        meet_ptr, meet = row_ptr, cols[by_row]
+    del cols, by_row
+    if ell and ell >> 31:
+        vals = vals.astype(object)  # products of residues could pass 2^63
+    n_index = len(meet_ptr) - 1
+    count = np.bincount(index, minlength=n_index)  # lines meeting index
+    lens = np.diff(ptr)
+    stored = np.flatnonzero(lens)
+    lens = lens[stored]
+    # a line is named by its place in the order in which a scan of the
+    # columns meets the lines; held[place] is its row or column
+    held = stored
     if wide:
-        held = held[np.argsort(index[ptr[held]], kind="stable")]
-    lines = {}  # line -> {index: nonzero value}
-    for line in held.tolist():
-        a, b = ptr[line], ptr[line + 1]
-        lines[line] = dict(zip(map(shared, index[a:b].tolist()),
-                               vals[a:b].tolist()))
-    del index, vals, shared
-    version = dict.fromkeys(lines, 0)
-
-    def best(line):
-        # cheapest unit entry of the line, as (cost, index), or None
-        v = lines[line]
-        c = len(v) - 1
-        out = None
-        for i, x in v.items():
-            if ell or x in (1, -1):
-                cost = (count[i] - 1) * c
-                if out is None or cost < out[0]:
-                    out = (cost, i)
-        return out
-
-    heap = []
-    for line in lines:
-        b = best(line)
-        if b is not None:
-            heap.append((b[0], line, 0))
+        held = stored[np.argsort(index[ptr[stored]], kind="stable")]
+    place = np.zeros(len(ptr) - 1, np.int64)
+    place[held] = np.arange(len(held))
+    meet = place[meet]
+    places = place[stored].tolist()
+    line_index, line_vals = [None] * len(held), [None] * len(held)
+    for p, a, b in zip(places, ptr[stored].tolist(), ptr[stored + 1].tolist()):
+        line_index[p], line_vals[p] = index[a:b], vals[a:b]
+    version = [0] * len(held)  # -1 once the line is gone
+    # over Z, an upper bound on the absolute values of each line
+    mag = [0 if ell else _magnitude(vals)] * len(held)
+    # queued (cost, row or column, place, version): equal costs go by the
+    # row or column number
+    heap = [(c, line, p, 0) for c, line, p in
+            zip(_first_costs(index, vals, count, lens, ell),
+                stored.tolist(), places) if c is not None]
     heapq.heapify(heap)
+    held = held.tolist()
+    del index, vals, stored, places, lens
+    # fill-in records.  A line gains an index only from a pivot line
+    # that holds it, so each pivot with holders is an event: its holders
+    # are events[e], and it leaves one record per index of its line,
+    # records starts[e], starts[e] + 1, ...  head[i] is the last record
+    # of index i, rec_next[r] the one before r of the same index, and -1
+    # ends a chain; the first n_rec entries of rec_next are in use
+    head = np.full(n_index, -1, np.int64)
+    rec_next, n_rec = np.empty(0, np.int64), 0
+    events, starts = [], []
+    column = np.full(n_index, -1, np.int64)  # index -> its pivot line entry
+    ones = np.ones(n_index, bool)
     pivots = 0
     while heap:
-        cost, line, ver = heapq.heappop(heap)
-        if version.get(line) != ver:
+        cost, line, p, ver = heapq.heappop(heap)
+        if version[p] != ver:
             continue  # line eliminated or changed since it was queued
-        b = best(line)  # not None: the line is unchanged since queued
-        if b[0] > cost:
-            heapq.heappush(heap, (b[0], line, ver))
+        I, V = line_index[p], line_vals[p]
+        key = count[I]
+        if not ell:
+            key[np.abs(V) != 1] = _NO_UNIT
+        j = int(key.argmin())  # a unit: the line is unchanged since queued
+        c = (int(key[j]) - 1) * (len(I) - 1)
+        if c > cost:
+            heapq.heappush(heap, (c, line, p, ver))
             continue
-        i = b[1]
-        pl = lines.pop(line)
-        del version[line]
-        for k in pl:
-            count[k] -= 1
-        inv = pow(pl[i], -1, ell) if ell else pl[i]  # +-1 is its own inverse
-        for other in [o for o, v in lines.items() if i in v]:
-            v = lines[other]
-            q = v.pop(i) * inv
-            count[i] -= 1
-            for k, x in pl.items():
-                if k == i:
-                    continue
-                y = v.get(k, 0) - q * x
-                if ell:
-                    y %= ell
-                if y:
-                    if k not in v:
-                        count[k] += 1
-                    v[k] = y
-                elif k in v:
-                    del v[k]
-                    count[k] -= 1
-            if not v:
-                del lines[other], version[other]
-                continue
-            version[other] += 1
-            b = best(other)
-            if b is not None:
-                heapq.heappush(heap, (b[0], other, version[other]))
+        k = int(I[j])
+        line_index[p] = line_vals[p] = None
+        version[p] = -1
+        count[I] -= 1
         pivots += 1
-    return pivots, list(lines.values())
+        # the live lines holding k, in line order: those that met k in
+        # the input or gained it by fill-in
+        holders = set(meet[meet_ptr[k]:meet_ptr[k + 1]].tolist())
+        r = int(head[k])
+        while r >= 0:
+            holders.update(events[bisect.bisect(starts, r) - 1])
+            r = rec_next.item(r)
+        holders = [o for o in sorted(holders) if version[o] >= 0]
+        if not holders:
+            continue
+        inv = pow(int(V[j]), -1, ell) if ell else int(V[j])  # +-1 inverts itself
+        column[I] = np.arange(len(I))
+        updated = []
+        for o in holders:
+            hI, hV = line_index[o], line_vals[o]
+            at = column[hI]
+            met = (at >= 0).nonzero()[0]  # the holder's entries on the pivot line
+            at = at[met]
+            s = met[at == j]
+            if not len(s):
+                continue  # o lost k to a cancellation
+            q = int(hV[s[0]]) * inv
+            Vo = V
+            if ell:
+                q %= ell
+            else:
+                # every value of the updated line is at most bound
+                bound = mag[o] + abs(q) * mag[p]
+                if bound >> 63 and hV.dtype == V.dtype != object:
+                    bound = _magnitude(hV) + abs(q) * _magnitude(V)
+                if hV.dtype != V.dtype or bound >> 63 and V.dtype != object:
+                    hV, Vo = hV.astype(object), V.astype(object)
+                mag[o] = bound
+            # row o -= q row p: k cancels, and the pivot line's indices
+            # that o lacks are appended in the pivot line's order
+            y = hV[met] - q * Vo[at]
+            gained = ones[:len(I)].copy()
+            gained[at] = False
+            nI = I[gained]
+            nV = Vo[gained] * -q
+            if ell:
+                y %= ell
+                nV %= ell
+            oI = np.concatenate((hI, nI))
+            oV = np.concatenate((hV, nV))
+            oV[met] = y
+            gone = (y == 0).nonzero()[0]  # k, and any entry that cancelled
+            if len(gone) > 1:
+                count[hI[met[gone]]] -= 1
+            else:
+                count[k] -= 1
+            keep = oV != 0
+            oI, oV = oI[keep], oV[keep]
+            count[nI] += 1
+            updated.append(o)
+            if not len(oI):
+                line_index[o] = line_vals[o] = None
+                version[o] = -1
+                continue
+            line_index[o], line_vals[o] = oI, oV
+            version[o] += 1
+            key = count[oI]
+            if not ell:
+                key[np.abs(oV) != 1] = _NO_UNIT
+            t = int(key[key.argmin()])
+            if t < _NO_UNIT:
+                heapq.heappush(heap, ((t - 1) * (len(oI) - 1), held[o], o, version[o]))
+        column[I] = -1
+        if updated:
+            starts.append(n_rec)
+            events.append(updated)
+            if n_rec + len(I) > len(rec_next):
+                rec_next = np.resize(rec_next, 2 * (n_rec + len(I)))
+            rec_next[n_rec:n_rec + len(I)] = head[I]
+            head[I] = np.arange(n_rec, n_rec + len(I))
+            n_rec += len(I)
+        head[k] = -1  # no line holds k any more
+    core = [dict(zip(I.tolist(), V.tolist()))
+            for I, V in zip(line_index, line_vals) if I is not None]
+    return pivots, core
+
+
+def _first_costs(index, vals, count, lens, ell):
+    """The Markowitz cost of the cheapest unit in each line, None for a
+    line without units, in one pass over the concatenated entries of the
+    lines, which have the given nonzero lengths."""
+    key = count[index]
+    if not ell:
+        key[np.abs(vals) != 1] = _NO_UNIT
+    low = np.minimum.reduceat(key, np.cumsum(lens) - lens)
+    return [None if u >= _NO_UNIT else (u - 1) * (n - 1)
+            for u, n in zip(low.tolist(), lens.tolist())]
+
+
+def _magnitude(a):
+    """The largest absolute value in an integer array, as a Python int."""
+    return max(int(a.max()), -int(a.min())) if len(a) else 0
 
 
 def sparse_invariant_factors(matrix):
@@ -433,15 +540,19 @@ def sparse_invariant_factors(matrix):
     Unit pivots give factors 1.  The residual core, which has no unit
     entry, is read as vectors of length k, its shorter side; an echelon
     basis of the lattice they span (at most k vectors) is all that goes
-    to Smith normal form.
+    to Smith normal form.  A lattice is spanned by its distinct
+    generators up to sign, so only those go to the basis.
     """
     pivots, core = eliminate_units(matrix)
     support = sorted({i for line in core for i in line})
-    if len(core) <= len(support):
-        vectors = [[line.get(i, 0) for line in core] for i in support]
-    else:
-        vectors = [[line.get(i, 0) for i in support] for line in core]
-    return [1] * pivots + snf_diagonal(_lattice_basis(vectors))
+    rows = [[line.get(i, 0) for i in support] for line in core]
+    vectors = list(zip(*rows)) if len(core) <= len(support) else \
+        [tuple(r) for r in rows]
+    # a tuple is above zero when its first nonzero entry is positive
+    zero = (0,) * len(vectors[0]) if vectors else ()
+    distinct = dict.fromkeys(v if v > zero else tuple(map(operator.neg, v))
+                             for v in dict.fromkeys(vectors) if v != zero)
+    return [1] * pivots + snf_diagonal(_lattice_basis(list(distinct)))
 
 
 def _lattice_basis(vectors):

@@ -270,6 +270,16 @@ def test_homology_depth_below_one():
         assert "--depth" in err and len(err.splitlines()) == 1
 
 
+def test_pi1_rank_below_one():
+    # RBS(0) is a point, so H_1 = 0 while the units are not trivial; n = 0
+    # printed FAIL and exited 3, a failed theorem for a statement that is
+    # made only for n >= 1
+    for n in ("0", "-1"):
+        code, out, err = run_cli("verify", "pi1", "--ring", "F3", "--n", n)
+        assert code == 1 and out == "", n
+        assert "--n" in err and len(err.splitlines()) == 1, (n, err)
+
+
 def test_ring_size_guard_exit_code(tmp_path):
     # the ring cache builds rings under the default guards, so the size
     # check must not depend on it

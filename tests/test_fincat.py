@@ -661,6 +661,38 @@ def test_comparison_functor_fibers_agree_with_label_oracle(spec):
     assert_fibers_agree(comparison_functor(build_rbs(spec, 2)))
 
 
+@pytest.mark.parametrize("spec", ["F2", "F3", "Z4", "F4"])
+def test_subcategories_rank_parallel_morphisms_by_parent_index(spec,
+                                                               monkeypatch):
+    # _subcategory passes the parent's morphism indices to _build as
+    # mor_rank instead of keying the labels: the skeleton and the strict
+    # fibers of the comparison functor (the subcategory part of
+    # strict_fiber) have the same artifact bytes as when _build ranks the
+    # labels itself
+    from rbscat import fincat
+    from rbscat.jsonio import fincat_to_json
+    rbs = build_rbs(spec, 2)
+    P = comparison_functor(rbs)
+    src, tgt = P.source.ends()
+
+    def artifacts():
+        cats = [skeleton(rbs.cat)]
+        for d in P.target.objects:
+            di = P.target.obj_index[d]
+            over = P.obj_idx == di
+            cats.append(fincat._subcategory(
+                P.source, np.flatnonzero(over),
+                over[src] & over[tgt] & (P.mor_idx == P.target.identity_of[di]),
+                DEFAULT))
+        return [fincat_to_json(C) for C in cats]
+
+    ranked_by_index = artifacts()
+    build = fincat._build
+    # the first nine arguments: everything but mor_rank
+    monkeypatch.setattr(fincat, "_build", lambda *args: build(*args[:9]))
+    assert artifacts() == ranked_by_index
+
+
 @pytest.mark.parametrize("spec", ["F2", "F3"])
 def test_fiber_pairs_are_guarded_before_they_are_joined(spec):
     # a fiber with p composable pairs builds under max_functor_pairs=p,

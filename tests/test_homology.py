@@ -1,3 +1,5 @@
+import heapq
+import random
 import subprocess
 import sys
 
@@ -9,9 +11,11 @@ from rbscat.fincat import (
     Group, Poset, full_subcategory, group_category, poset_category,
     product_tuple, skeleton, terminal_category)
 from rbscat.guards import GuardConfig, GuardExceeded
+from rbscat import homology as homology_module
 from rbscat.homology import (
     CSC,
     ChainComplex,
+    _lattice_basis,
     bareiss_rank,
     betti_via_rank_oracle,
     chain_complex_from_facets,
@@ -173,6 +177,196 @@ def test_kernel_core_without_units():
     assert sorted(x for line in core for x in line.values()) == [2, 3, 4]
     assert sparse_invariant_factors(csc([{0: 6}, {0: 10}, {0: 15}])) == [1]
     assert sparse_invariant_factors(csc([{0: 2, 1: 2}, {0: 2, 1: 6}])) == [2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the dict-of-lines oracle
+
+def oracle_eliminate_units(matrix, ell=None):
+    """Dict-of-lines unit-pivot elimination (test oracle): the same pivot
+    rule as eliminate_units, with each line a dict {index: value} kept in
+    insertion order, best() walking a whole line, and the holders of a
+    pivot's index found by scanning every line."""
+    if ell:
+        matrix = CSC.from_entries(matrix.n_rows, len(matrix), matrix.rows,
+                                  matrix.col_index(), matrix.vals % ell)
+    wide = matrix.n_rows < len(matrix)
+    if wide:
+        order = np.argsort(matrix.rows, kind="stable")
+        index, vals = matrix.col_index()[order], matrix.vals[order]
+        ptr = np.zeros(matrix.n_rows + 1, np.int64)
+        np.cumsum(np.bincount(matrix.rows, minlength=matrix.n_rows), out=ptr[1:])
+        n_index = len(matrix)
+    else:
+        index, vals, ptr = matrix.rows, matrix.vals, matrix.indptr
+        n_index = matrix.n_rows
+    count = np.bincount(index, minlength=n_index).tolist()
+    # lines in the order a scan of the columns meets them
+    held = np.flatnonzero(np.diff(ptr))
+    if wide:
+        held = held[np.argsort(index[ptr[held]], kind="stable")]
+    lines = {}
+    for line in held.tolist():
+        a, b = ptr[line], ptr[line + 1]
+        lines[line] = dict(zip(index[a:b].tolist(), vals[a:b].tolist()))
+    version = dict.fromkeys(lines, 0)
+
+    def best(line):
+        # cheapest unit entry of the line, as (cost, index), or None
+        v = lines[line]
+        c = len(v) - 1
+        out = None
+        for i, x in v.items():
+            if ell or x in (1, -1):
+                cost = (count[i] - 1) * c
+                if out is None or cost < out[0]:
+                    out = (cost, i)
+        return out
+
+    heap = []
+    for line in lines:
+        b = best(line)
+        if b is not None:
+            heap.append((b[0], line, 0))
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        cost, line, ver = heapq.heappop(heap)
+        if version.get(line) != ver:
+            continue
+        b = best(line)
+        if b[0] > cost:
+            heapq.heappush(heap, (b[0], line, ver))
+            continue
+        i = b[1]
+        pl = lines.pop(line)
+        del version[line]
+        for k in pl:
+            count[k] -= 1
+        inv = pow(pl[i], -1, ell) if ell else pl[i]
+        for other in [o for o, v in lines.items() if i in v]:
+            v = lines[other]
+            q = v.pop(i) * inv
+            count[i] -= 1
+            for k, x in pl.items():
+                if k == i:
+                    continue
+                y = v.get(k, 0) - q * x
+                if ell:
+                    y %= ell
+                if y:
+                    if k not in v:
+                        count[k] += 1
+                    v[k] = y
+                elif k in v:
+                    del v[k]
+                    count[k] -= 1
+            if not v:
+                del lines[other], version[other]
+                continue
+            version[other] += 1
+            b = best(other)
+            if b is not None:
+                heapq.heappush(heap, (b[0], other, version[other]))
+        pivots += 1
+    return pivots, list(lines.values())
+
+
+def assert_kernel_matches_oracle(matrix, ell=None):
+    """eliminate_units and the oracle give the same pivot count and the
+    same core: the same lines, in the same order, each with the same
+    entries in the same order."""
+    def items(result):
+        pivots, core = result
+        return pivots, [list(line.items()) for line in core]
+    got = items(eliminate_units(matrix, ell))
+    want = items(oracle_eliminate_units(matrix, ell))
+    if got != want:  # a short message: a diff of long cores takes minutes
+        pytest.fail("over %s the kernel gives %d pivots and %d core lines, "
+                    "the oracle %d and %d, or the lines differ"
+                    % (ell or "Z", got[0], len(got[1]), want[0], len(want[1])))
+    return got
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Sparse integer matrices up to 12 x 12, wide or tall, of any
+    density, with units, non-units and entries past 2^31."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(0), st.sampled_from([1, -1]),
+                      st.integers(-5, 5), st.sampled_from([2 ** 40, -3 ** 30]))
+    rows = [[draw(entry) if draw(st.integers(0, 4)) >= zeros else 0
+             for _ in range(n)] for _ in range(m)]
+    return dense_csc(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices())
+def test_kernel_matches_dict_oracle(matrix):
+    for ell in (None, 2, 3, 5):
+        assert_kernel_matches_oracle(matrix, ell)
+
+
+def test_kernel_matches_dict_oracle_on_a_seeded_corpus():
+    # dense corners with small non-units leave large cores over Z, where
+    # the order in which a pivot's holders are updated decides the pivots
+    rng = random.Random(20261019)
+    for _ in range(600):
+        m, n, density = rng.randint(1, 12), rng.randint(1, 12), rng.random()
+        matrix = dense_csc([[rng.choice([1, -1, 1, -1, 2, -2, 3, 5, 7])
+                             if rng.random() < density else 0
+                             for _ in range(n)] for _ in range(m)])
+        for ell in (None, 2, 3, 5):
+            assert_kernel_matches_oracle(matrix, ell)
+
+
+def test_kernel_matches_dict_oracle_on_nerve_and_building_boundaries():
+    # the boundaries pi1 eliminates (skeleton nerves at depth 2) and those
+    # of a Tits building, lines long and short, over Z and F_ell
+    from rbscat.rbs import build_rbs, tits_building
+    boundaries = [nerve_chain_complex(skeleton(build_rbs(spec, 2).cat), 2)
+                  .boundaries[2] for spec in ("F2", "F3", "Z4")]
+    boundaries += tits_building(2, 4).complex.boundaries.values()
+    for d in boundaries:
+        for ell in (None, 2, 3):
+            assert_kernel_matches_oracle(d, ell)
+
+
+def test_kernel_is_exact_past_int64():
+    # pivoting on the 1 leaves 3 - 2^80 in the other column; int64 would
+    # wrap, the kernel moves to Python integers as the oracle holds them
+    big = 2 ** 40
+    d = dense_csc([[1, big], [big, 3]])
+    assert assert_kernel_matches_oracle(d) == (1, [[(1, 3 - 2 ** 80)]])
+    assert sparse_invariant_factors(d) == [1, 2 ** 80 - 3]
+    # values past 2^63 in the input stay Python integers too
+    huge = csc([{0: 1, 1: 2 ** 70}, {0: 2 ** 70, 1: 5}, {1: 2 ** 65}])
+    assert eliminate_units(huge)[1][0][1] == 5 - 2 ** 140
+    assert_kernel_matches_oracle(huge)
+    for ell in (2, 3, 2 ** 61 - 1):
+        assert_kernel_matches_oracle(huge, ell)
+
+
+def test_core_vectors_are_deduplicated_up_to_sign(monkeypatch):
+    # no unit: the whole 2 x 5 matrix is the core, read as its five
+    # columns, of which (2, 4) appears three times up to sign; the
+    # lattice basis gets the two distinct ones and the invariant factors
+    # are those of the full list
+    columns = [{0: 2, 1: 4}, {0: -2, 1: -4}, {0: 2, 1: 4}, {0: 6, 1: 2},
+               {0: -6, 1: -2}]
+    full = [[c.get(0, 0), c.get(1, 0)] for c in columns]
+    seen = []
+
+    def recording_basis(vectors):
+        seen.append(len(vectors))
+        return _lattice_basis(vectors)
+
+    monkeypatch.setattr(homology_module, "_lattice_basis", recording_basis)
+    factors = sparse_invariant_factors(csc(columns))
+    assert seen == [2]
+    assert factors == snf_diagonal(_lattice_basis(full)) == [2, 10]
 
 
 def test_snf_postconditions_survive_optimize():

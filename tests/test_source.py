@@ -38,6 +38,23 @@ def test_checks_import_no_third_party_package_but_numpy():
     assert proc.stdout.split("\n")[0] == "['numpy', 'rbscat']"
 
 
+def test_q_suite_and_pi1_do_not_import_numpy_ma():
+    # in numpy 2.x, np.unique without return options imports numpy.ma,
+    # about 20 ms of CPU, a quarter of the q-suite instance; the checks
+    # count distinct keys on a sort instead
+    code = ("import sys\n"
+            "from rbscat.checks import check_pi1, check_q_suite\n"
+            "check_q_suite(2, 2, 3)\n"
+            "check_pi1('F3', 2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_only_fincat_and_jsonio_call_validate_category():
     # validate_category is the label-table front for outside input (JSON
     # artifacts) and hand-written tables; every builder in the library
