@@ -483,5 +483,7 @@ DESK_PROFILE = [
     ("steinberg", {"q": 2, "n": 4}),
     ("steinberg", {"q": 3, "n": 4}),
     ("inductive", {"spec": "F2", "n": 3}),
+    ("proper-p", {"spec": "Z4", "n": 2}),
+    ("proper-p", {"spec": "F4", "n": 2}),
 ]
 

@@ -630,15 +630,16 @@ class FiberFamily:
     y2 (left) or x1 (right), is numbered by arithmetic from u2.u1, and
     each object's identity from its object's identity in A.
 
-    The pairs of each fiber are checked against max_functor_pairs, in the
-    order of ``over``, when the family is made.
+    ``source`` is A, and an object's label is (c, label of m), read from
+    ``source.objects`` and ``m_labels``.  The pairs of each fiber are
+    checked against max_functor_pairs, in the order of ``over``, when the
+    family is made.
     """
 
     def __init__(self, F, side, over, guards=DEFAULT):
         A, B = F.source, F.target
-        self.F, self.side, self.guards = F, side, guards
         left = side == "left"
-        fo, fm = F.obj_idx, F.mor_idx
+        fo = F.obj_idx
         a_src, a_tgt = A.ends()
         b_src, b_tgt = B.ends()
         near_b, far_b = (b_tgt, b_src) if left else (b_src, b_tgt)
@@ -648,39 +649,115 @@ class FiberFamily:
         ms = ms[np.argsort(place[near_b[ms]], kind="stable")]
         k, c = _join(far_b[ms], fo)
         m = ms[k]
-        self.c, self.m = c, m
-        self.fiber = place[near_b[m]]
+        self.side, self.source, self.m_labels = side, A, B.mor_labels
+        self.c, self.m, self.fiber = c, m, place[near_b[m]]
         # the morphisms of A at each object: into it (left), out of it (right)
-        at, other = (a_tgt, a_src) if left else (a_src, a_tgt)
-        at_n = np.bincount(at, minlength=A.n_objects)
-        self.upos, at_order, at_start = _positions(at, at_n)
-        deg = at_n[c]
-        self.start = np.cumsum(deg) - deg
-        near = np.repeat(np.arange(len(c)), deg)
-        u = at_order[np.repeat(at_start[c] - self.start, deg) +
-                      np.arange(len(near))]
+        self._arrows(a_tgt if left else a_src)
+        near, u = self.near, self.u
         # the far end (c', m') with m' = m.F(u) (left), F(u).m (right)
+        fm = F.mor_idx
         m_far = B.compose_many(m[near], fm[u]) if left else \
             B.compose_many(fm[u], m[near])
         far = _lookup(c * B.n_morphisms + m,
-                      other[u] * B.n_morphisms + m_far)
+                      (a_src if left else a_tgt)[u] * B.n_morphisms + m_far)
         self.x, self.y = (far, near) if left else (near, far)
-        self.u = u
-        self.near = near
+        self._close(len(over), guards)
+
+    @classmethod
+    def strict_inclusion(cls, F, di, guards=DEFAULT):
+        """The left fibers of the inclusion of the strict fiber of F over
+        the target object index di into the right fiber F/d (as
+        strict_fiber makes them), over each object of F/d in its canonical
+        order, and the labels of those objects; neither F/d nor the
+        inclusion is built.
+
+        An object of F/d is y = (c', m') with m': d -> F(c').  The left
+        fiber over y has as objects the morphisms w: c -> c' of A with
+        F(c) = d and F(w) = m', so the family's objects are the morphisms
+        of A out of the strict fiber, each in the fiber over (tgt w, F(w)).
+        A morphism w.s -> w is a morphism s of the strict fiber into the
+        source of w (F(s) = id_d): here the near end is w and u = s.  An
+        object's label is (c, ((c, id_d), y, w)), the labels of the right
+        fiber's morphism w and of the inclusion's object c.
+        """
+        self = cls.__new__(cls)
+        A, B = F.source, F.target
+        fo, fm = F.obj_idx, F.mor_idx
+        a_src, a_tgt = A.ends()
+        b_src, b_tgt = B.ends()
+        # the objects of F/d in canonical order, as keys c' |B| + m'
+        ms = np.flatnonzero(b_src == di)
+        k, cp = _join(b_tgt[ms], fo)
+        over = list(zip([A.objects[i] for i in cp.tolist()],
+                        [B.mor_labels[i] for i in ms[k].tolist()]))
+        order = np.argsort(_dense_rank(over), kind="stable")
+        over = [over[i] for i in order.tolist()]
+        keys = (cp * B.n_morphisms + ms[k])[order]
+        w = np.flatnonzero(fo[a_src] == di)
+        fiber = _lookup(keys, a_tgt[w] * B.n_morphisms + fm[w])
+        if (fiber < 0).any():
+            raise CategoryError(
+                "the image of %r is no object of the right fiber over %r"
+                % (A.mor_labels[w[np.argmax(fiber < 0)]], B.objects[di]))
+        by_fiber = np.argsort(fiber, kind="stable")
+        w, fiber = w[by_fiber], fiber[by_fiber]
+        self.side, self.source = "left", A
+        self.c, self.m, self.fiber = a_src[w], np.arange(len(w)), fiber
+        id_d = B.mor_labels[B.identity_of[di]]
+        self.m_labels = [((A.objects[c], id_d), over[f], A.mor_labels[x])
+                         for c, f, x in zip(self.c.tolist(), fiber.tolist(),
+                                            w.tolist())]
+        # the morphisms s of the strict fiber into each object's source
+        self._arrows(a_tgt, fm == B.identity_of[di])
+        number = np.full(A.n_morphisms, -1, np.int64)
+        number[w] = np.arange(len(w))
+        self.x = number[A.compose_many(w[self.near], self.u)]
+        self.y = self.near
+        self._close(len(over), guards)
+        return self, over
+
+    def _arrows(self, at, usable=None):
+        """The morphisms u of A where ``usable`` holds (every one when it
+        is None) at each object's c, by at[u] == c: sets upos, start, near
+        and u."""
+        n_objects = self.source.n_objects
+        ok = np.arange(len(at)) if usable is None else np.flatnonzero(usable)
+        at_n = np.bincount(at[ok], minlength=n_objects)
+        pos, at_order, at_start = _positions(at[ok], at_n)
+        self.upos = np.full(len(at), -1, np.int64)
+        self.upos[ok] = pos
+        deg = at_n[self.c]
+        self.start = np.cumsum(deg) - deg
+        self.near = np.repeat(np.arange(len(self.c)), deg)
+        self.u = ok[at_order[np.repeat(at_start[self.c] - self.start, deg) +
+                             np.arange(len(self.near))]]
+
+    def _close(self, n_fibers, guards):
+        """Identities, the ranges of each fiber, the ranks that order
+        parallel morphisms, and the pairs guard."""
+        A = self.source
+        self.guards = guards
         self.identity_of = self.start + self.upos[
-            np.array(A.identity_of, np.int64)[c]]
+            np.array(A.identity_of, np.int64)[self.c]]
         # (y2, u2) . (y1, u1) with x2 == y1, one per composable pair,
         # counted fiber by fiber before any pair is built
-        per_object = np.bincount(self.y, minlength=len(c)) * \
-            np.bincount(self.x, minlength=len(c))
-        per_fiber = np.zeros(len(over), np.int64)
+        n = len(self.c)
+        per_object = np.bincount(self.y, minlength=n) * \
+            np.bincount(self.x, minlength=n)
+        per_fiber = np.zeros(n_fibers, np.int64)
         np.add.at(per_fiber, self.fiber, per_object)
         for pairs in per_fiber.tolist():
             guards.check(pairs, "max_functor_pairs",
-                         "%s fiber composition" % side)
-        self.obj_start = np.searchsorted(self.fiber, np.arange(len(over) + 1))
-        self.mor_start = np.searchsorted(self.fiber[near],
-                                         np.arange(len(over) + 1))
+                         "%s fiber composition" % self.side)
+        self.obj_start = np.searchsorted(self.fiber, np.arange(n_fibers + 1))
+        self.mor_start = np.searchsorted(self.fiber[self.near],
+                                         np.arange(n_fibers + 1))
+        # parallel labels (x, y, u) differ in u only, and repr(label) ends
+        # with repr(u) + ")", so that string orders them
+        us = np.flatnonzero(np.bincount(self.u, minlength=A.n_morphisms))
+        self.u_rank = np.zeros(A.n_morphisms, np.int64)
+        self.u_rank[us] = _dense_rank([A.mor_labels[i] for i in us.tolist()],
+                                      lambda w: repr(w) + ")")
 
     def has_cone_point(self):
         """Whether each fiber has a terminal or an initial object, read
@@ -700,7 +777,7 @@ class FiberFamily:
         """The fibers at the positions ``which`` of ``over``, validated
         together as one category, their disjoint union: its Light triples
         are those of the fibers, and max_assoc_triples bounds their sum."""
-        A, B = self.F.source, self.F.target
+        A = self.source
         which = np.asarray(which, np.int64).reshape(-1)
         objs = _ranges(self.obj_start, which)
         mors = _ranges(self.mor_start, which)
@@ -714,17 +791,13 @@ class FiberFamily:
         numbered = np.full(len(self.near), -1, np.int64)
         numbered[mors] = np.arange(len(mors))
         composite = numbered[composite]
-        c, m = self.c[objs].tolist(), self.m[objs].tolist()
-        objects = list(zip([A.objects[i] for i in c],
-                           [B.mor_labels[i] for i in m]))
+        objects = list(zip([A.objects[i] for i in self.c[objs].tolist()],
+                           [self.m_labels[i] for i in self.m[objs].tolist()]))
         labels = [(objects[s], objects[t], A.mor_labels[w])
                   for s, t, w in zip(x.tolist(), y.tolist(), u.tolist())]
-        # parallel labels (x, y, u) differ in u only, and repr(label) ends
-        # with repr(u) + ")", so that string orders them
-        u_rank = _dense_rank(A.mor_labels, lambda w: repr(w) + ")")
         return _build(objects, labels, x, y,
                       numbered[self.identity_of[objs]], g, f, composite,
-                      self.guards, u_rank[u])
+                      self.guards, self.u_rank[u])
 
 
 def _ranges(start, which):
@@ -783,11 +856,29 @@ def twisted_arrow_op(C):
     labels = [tuple(C.mor_labels[x] for x in t)
               for t in zip(f.tolist(), fp.tolist(), a.tolist(), b.tolist())]
     tw = _build(C.mor_labels, labels, f, fp, identity_of, second, first,
-                composite, DEFAULT)
+                composite, DEFAULT, _pair_rank(C.mor_labels, a, b))
     proj = FinFunctor(tw, C,
                       {C.mor_labels[x]: C.objects[C.src[x]] for x in range(n)},
                       {lbl: lbl[2] for lbl in labels})
     return tw, proj
+
+
+def _pair_rank(parts, a, b):
+    """mor_rank for labels (..., parts[a], parts[b]) whose leading entries
+    are fixed by source and target, from one key per part, or None.
+
+    repr(label) ends with repr(parts[a]) + ", " + repr(parts[b]) + ")", and
+    the ranks of those two strings order it, unless one first string is a
+    proper prefix of another: then the second string would decide, and
+    None lets _build key the labels.  Sorted, a string that is a prefix of
+    another is followed by one that starts with it."""
+    head = [repr(w) + ", " for w in parts]
+    ordered = sorted(set(head))
+    if any(t.startswith(s) for s, t in zip(ordered, ordered[1:])):
+        return None
+    a_rank = _dense_rank(head, lambda k: k)
+    b_rank = _dense_rank(parts, lambda w: repr(w) + ")")
+    return a_rank[a] * len(parts) + b_rank[b]
 
 
 # ---------------------------------------------------------------------------

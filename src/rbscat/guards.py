@@ -30,7 +30,9 @@ class GuardConfig:
     # them the bound is on the sum of their triples
     max_assoc_triples: int = 20_000_000
     # composable pairs of one functor check, and of each fiber, checked
-    # fiber by fiber in target order before any pair is built
+    # fiber by fiber in target order before any pair is built; proper-p
+    # builds no right fiber, so there it bounds the left fibers of each
+    # strict-fiber inclusion only
     max_functor_pairs: int = 20_000_000
     tietze_budget: int = 200_000
     # rbs / groups

@@ -498,9 +498,7 @@ def tits_building(q, n, guards=DEFAULT):
     ring = make_ring("F%d" % q, guards)
     subs = [s for s in enumerate_submodules(ring, n, guards)
             if 0 < s.rank < n]
-    less = np.array([[s < t for t in subs] for s in subs],
-                    bool).reshape(len(subs), len(subs))
-    facets = maximal_chains(less)
+    facets = maximal_chains(_proper_inclusions(subs, q, n))
     cx = chain_complex_from_facets(facets)
     hz = homology(cx, "Z")
     top = n - 2
@@ -515,6 +513,26 @@ def tits_building(q, n, guards=DEFAULT):
                            % chi)
     return TitsComplex(q, n, len(subs), list(cx.dims), cx, hz,
                        reduced_top, chi)
+
+
+def _proper_inclusions(subs, q, n):
+    """less[i, j] when subs[i] is a proper subspace of subs[j]: one array
+    test per pair of dimensions r < r', which looks up the rows of every
+    r-dimensional subspace in the membership vectors over F_q^n of the
+    r'-dimensional ones (vectors numbered in base q)."""
+    radix = q ** np.arange(n - 1, -1, -1)
+    member = np.zeros((len(subs), q ** n), bool)
+    for i, s in enumerate(subs):
+        member[i, np.array(list(s.elements())) @ radix] = True
+    rank = np.array([s.rank for s in subs])
+    less = np.zeros((len(subs), len(subs)), bool)
+    for r in range(1, n):
+        low = np.flatnonzero(rank == r)
+        rows = np.array([subs[i].mat for i in low.tolist()]).reshape(
+            len(low), r, n) @ radix
+        for high in (np.flatnonzero(rank == t) for t in range(r + 1, n)):
+            less[np.ix_(low, high)] = member[high][:, rows].all(axis=2).T
+    return less
 
 
 def steinberg_rank(q, n, guards=DEFAULT):

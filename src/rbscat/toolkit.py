@@ -13,6 +13,11 @@ The fibers of a functor are computed together as index arrays
 (fincat.FiberFamily).  A fiber with a terminal or initial object is
 contractible at every depth; all such fibers are validated together, as
 one category, and the others are built and certified one at a time.
+For properness the left fibers of each strict-fiber inclusion come
+straight from the functor (FiberFamily.strict_inclusion): their objects
+are the morphisms out of the strict fiber, so no right fiber and no
+inclusion functor is built, and max_functor_pairs and max_assoc_triples
+bound those left fibers only.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fincat import FiberFamily, strict_fiber, skeleton
+from .fincat import FiberFamily, skeleton
 from .guards import DEFAULT
 from .homology import homology, nerve_chain_complex
 from .presentation import pi1_presentation, tietze_trivial
@@ -103,21 +108,23 @@ class FiberwiseVerdict:
 
 def is_lim_equivalence(F, depth=3, guards=DEFAULT):
     """All left fibers weakly contractible up to the depth."""
-    return _fiber_check(F, depth, guards, side="left")
+    objects = F.target.objects
+    return _fiber_check(FiberFamily(F, "left", np.arange(len(objects)), guards),
+                        objects, depth, guards)
 
 
 def is_colim_equivalence(F, depth=3, guards=DEFAULT):
     """All right fibers weakly contractible (the functor is cofinal)."""
-    return _fiber_check(F, depth, guards, side="right")
-
-
-def _fiber_check(F, depth, guards, side):
-    """Every fiber's certificate.  The fibers are computed together as
-    index arrays; those with a terminal or initial object are validated
-    together, as one category, and certified by that cone point, and the
-    others are built and certified one by one."""
     objects = F.target.objects
-    family = FiberFamily(F, side, np.arange(len(objects)), guards)
+    return _fiber_check(FiberFamily(F, "right", np.arange(len(objects)), guards),
+                        objects, depth, guards)
+
+
+def _fiber_check(family, objects, depth, guards):
+    """Every fiber's certificate, keyed by the objects, one per fiber of
+    the family in its order.  Those with a terminal or initial object are
+    validated together, as one category, and certified by that cone point,
+    and the others are built and certified one by one."""
     cone = family.has_cone_point()
     if cone.any():
         family.build(np.flatnonzero(cone))
@@ -138,14 +145,19 @@ def _fiber_check(F, depth, guards, side):
 
 
 def is_proper(F, depth=3, guards=DEFAULT):
-    """For every target object, strict fiber -> right fiber is a
-    lim-equivalence up to the depth."""
+    """For every target object d, the inclusion of the strict fiber over d
+    into the right fiber F/d is a lim-equivalence up to the depth.
+
+    Its left fibers are computed straight from F
+    (FiberFamily.strict_inclusion), so neither F/d nor the inclusion is
+    built; the pairs guard and Light's test bound those left fibers only.
+    """
     per = {}
     failure = None
     ok = True
-    for d in F.target.objects:
-        _, _, incl = strict_fiber(F, d, guards)
-        verdict = is_lim_equivalence(incl, depth, guards)
+    for di, d in enumerate(F.target.objects):
+        family, over = FiberFamily.strict_inclusion(F, di, guards)
+        verdict = _fiber_check(family, over, depth, guards)
         per[d] = verdict
         if not verdict.ok:
             ok = False

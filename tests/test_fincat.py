@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -693,6 +694,48 @@ def test_subcategories_rank_parallel_morphisms_by_parent_index(spec,
     assert artifacts() == ranked_by_index
 
 
+class Shown:
+    """A label whose repr is the given text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+
+@pytest.mark.parametrize("name", ["terminal", "chain2", "BZ2", "BZ3",
+                                  "RBS-F2-2"])
+def test_twisted_arrows_rank_parallel_morphisms_by_label_parts(name,
+                                                               monkeypatch):
+    # twisted_arrow_op ranks the two varying parts of its labels once per
+    # morphism of C instead of keying every 4-tuple label: the same
+    # artifact bytes as when _build ranks the labels itself
+    from rbscat import fincat
+    from rbscat.checks import _named_small_category
+    from rbscat.jsonio import fincat_to_json
+    C = _named_small_category(name)
+    ranked_by_parts = fincat_to_json(twisted_arrow_op(C)[0])
+    build = fincat._build
+    monkeypatch.setattr(fincat, "_build", lambda *args: build(*args[:9]))
+    assert fincat_to_json(twisted_arrow_op(C)[0]) == ranked_by_parts
+
+
+def test_twisted_arrows_key_labels_when_a_part_prefixes_another():
+    # in BZ/2 labelled so that repr(e) + ", " is a prefix of repr(g) + ", ",
+    # the first parts' ranks misorder 4 hom-sets of Tw; _build keys the
+    # labels instead
+    e, g = Shown("x"), Shown("x, a")
+    C = validate_category(["*"], [(e, "*", "*"), (g, "*", "*")], {"*": e},
+                          {(e, e): e, (e, g): g, (g, e): g, (g, g): e})
+    from rbscat.fincat import _pair_rank
+    assert _pair_rank(C.mor_labels, np.array([0]), np.array([1])) is None
+    tw = twisted_arrow_op(C)[0]
+    for x, y in itertools.product(range(tw.n_objects), repeat=2):
+        keys = [repr(tw.mor_labels[i]) for i in tw.hom_idx(x, y)]
+        assert keys == sorted(keys)
+
+
 @pytest.mark.parametrize("spec", ["F2", "F3"])
 def test_fiber_pairs_are_guarded_before_they_are_joined(spec):
     # a fiber with p composable pairs builds under max_functor_pairs=p,
@@ -741,7 +784,8 @@ def assert_family_agrees(F, side, oracle=True):
 
 @pytest.mark.parametrize("spec", ["F2", "F3", "Z4"])
 def test_fiber_families_of_proper_p_agree_with_label_oracle(spec):
-    # the families proper-p certifies: right fibers of the comparison
+    # the families of the route proper-p took through the right fibers
+    # (now oracle_strict_inclusion_family): right fibers of the comparison
     # functor and left fibers of each strict-fiber inclusion.  The single
     # fibers of the comparison functor are compared with the label oracle
     # in test_comparison_functor_fibers_agree_with_label_oracle, and not
@@ -813,6 +857,100 @@ def test_proper_p_validates_fibers_in_few_builds(monkeypatch):
     monkeypatch.setattr(fincat, "_build", counting)
     assert check_proper_p("F3", 2).ok
     assert len(builds) <= 20
+
+
+def oracle_strict_inclusion_family(F, di):
+    """Oracle for FiberFamily.strict_inclusion: the route through the right
+    fiber.  strict_fiber builds F/d and the inclusion of the strict fiber
+    into it, and the inclusion's left fibers are taken over F/d's objects."""
+    _, rf, incl = strict_fiber(F, F.target.objects[di])
+    return FiberFamily(incl, "left", np.arange(rf.n_objects)), rf.objects
+
+
+def digest(C):
+    """sha256 of a category: objects, labels, ends, identities and table."""
+    h = hashlib.sha256(repr((C.objects, C.mor_labels, C.src, C.tgt,
+                             C.identity_of)).encode())
+    for part in (C.flat, C.row, C.ipos):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+def assert_strict_inclusion_families_agree(F, monkeypatch):
+    """Over every target object: the same fibers in the same order, the
+    same cone flags, the same fiber digests and joint cone build, and the
+    same FiberwiseVerdict from is_proper as through the oracle."""
+    for di in range(F.target.n_objects):
+        family, over = FiberFamily.strict_inclusion(F, di)
+        oracle, oracle_over = oracle_strict_inclusion_family(F, di)
+        assert over == list(oracle_over)
+        cone = family.has_cone_point()
+        assert cone.tolist() == oracle.has_cone_point().tolist()
+        for i in range(len(over)):
+            assert digest(family.build([i])) == digest(oracle.build([i]))
+        with_cone = np.flatnonzero(cone)
+        assert digest(family.build(with_cone)) == \
+            digest(oracle.build(with_cone))
+    verdict = repr(is_proper(F, 3))
+    monkeypatch.setattr(FiberFamily, "strict_inclusion", classmethod(
+        lambda cls, F, di, guards=DEFAULT: oracle_strict_inclusion_family(
+            F, di)))
+    assert repr(is_proper(F, 3)) == verdict
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "Z4"])
+def test_strict_inclusion_family_matches_right_fiber_oracle(spec,
+                                                            monkeypatch):
+    assert_strict_inclusion_families_agree(
+        comparison_functor(build_rbs(spec, 2)), monkeypatch)
+
+
+def test_strict_inclusion_family_matches_oracle_on_small_functors(
+        monkeypatch):
+    # the functors of the proper tests above, the failing {1} in {0<1}
+    # among them
+    C = chain_category()
+    functors = [identity_functor(C), identity_functor(bz(2)),
+                full_subcategory(C, [0])[1], full_subcategory(C, [1])[1]]
+    for F in functors:
+        assert_strict_inclusion_families_agree(F, monkeypatch)
+    assert not is_proper(functors[3], 3).ok
+    assert is_proper(functors[3], 3).failure is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_functors())
+def test_strict_inclusion_family_matches_oracle_on_random_functors(F):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_strict_inclusion_families_agree(F, monkeypatch)
+
+
+def test_strict_inclusion_rejects_a_morphism_outside_the_right_fiber():
+    # a functor whose index map sends 0 -> 1 to the identity of 1 (which
+    # validation would refuse): that image is no object of F/0
+    C = chain_category()
+    F = identity_functor(C)
+    F.mor_idx = F.mor_idx.copy()
+    F.mor_idx[C.mor_index[(0, 1)]] = C.identity_of[1]
+    with pytest.raises(CategoryError, match="no object of the right fiber"):
+        FiberFamily.strict_inclusion(F, 0)
+
+
+def test_proper_p_builds_no_right_fiber(monkeypatch):
+    from rbscat.checks import check_proper_p
+    init, sides = FiberFamily.__init__, []
+
+    def counting(self, F, side, *args, **kwargs):
+        sides.append(side)
+        init(self, F, side, *args, **kwargs)
+
+    monkeypatch.setattr(FiberFamily, "__init__", counting)
+    right_fiber(RBS_F2_P, RBS_F2_P.target.objects[0])
+    assert sides == ["right"]       # the count sees a right fiber
+    del sides[:]
+    assert check_proper_p("F3", 2).ok
+    assert sides.count("right") == 0
 
 
 def test_empty_left_fiber_agrees_with_label_oracle():

@@ -263,6 +263,20 @@ def test_tits_ranks():
     assert steinberg_rank(3, 3) == 27
 
 
+@pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 3), (4, 3), (2, 4),
+                                  (3, 4)])
+def test_subspace_inclusions_agree_with_pairwise_oracle(q, n):
+    # the building's order relation, one array test per pair of dimensions,
+    # against one Submodule.__lt__ per pair of subspaces
+    from rbscat.rbs import _proper_inclusions
+    from rbscat.rings import enumerate_submodules
+    subs = [s for s in enumerate_submodules(make_ring("F%d" % q), n)
+            if 0 < s.rank < n]
+    oracle = np.array([[s < t for t in subs] for s in subs],
+                      bool).reshape(len(subs), len(subs))
+    assert np.array_equal(_proper_inclusions(subs, q, n), oracle)
+
+
 def test_tits_requires_n_at_least_2():
     with pytest.raises(ValueError):
         tits_building(2, 1)
