@@ -10,13 +10,16 @@ be independent of the coset representatives; morphisms are stored as
 canonical minimal coset representatives so equality and composition are
 table lookups.
 
-GL data is held as arrays: GLData.mult is one int32 table of product
-indices and RBSCategory.flag_act the |GL| x |flags| table of the action
-on flags.  Construction enumerates the flags and GL and tabulates that
-action; the multiplication table, the parabolic and unipotent subgroups
-and the category are built the first time something reads them, so a
-check that needs only the action on the flag poset never allocates the
-|GL|^2 table.
+GL data is held as arrays.  GLData.act is the action of GL on the vector
+codes of R^n, the table from which rings.gl_tables picked the invertible
+matrices; GLData.mult, the int32 table of product indices, and
+RBSCategory.flag_act, the |GL| x |flags| table of the action on flags,
+are read from it by gathers, and so is U_F: g x - x in M_{i-1} for the
+canonical rows x of each M_i.  Construction enumerates the flags and GL
+and tabulates the flag action; the multiplication table, the parabolic
+and unipotent subgroups and the category are built the first time
+something reads them, so a check that needs only the action on the flag
+poset never allocates the |GL|^2 table.
 
 Also here: the flag poset with its GL action, the action category
 GL\\\\P with the comparison functor to the flag category, the subgroup
@@ -27,7 +30,6 @@ of the subcategory under a fixed flag.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,34 +55,16 @@ from .rings import (
     Mat,
     QuotientData,
     Submodule,
+    _CHUNK_ENTRIES,
+    _code_weights,
+    _vector_digits,
+    determinants,
     enumerate_flags,
-    enumerate_gl,
     enumerate_submodules,
+    gl_tables,
     make_ring,
+    membership,
 )
-
-
-# no temporary array of the GL product holds more entries
-_CHUNK_ENTRIES = 1 << 18
-
-
-def _ring_products(ring, left, right):
-    """Yield (lo, P) with P[a, b] = left[lo + a] right[b], matrix products
-    over the ring's add/mul tables, for chunks of the stack left (shape
-    (L, n, m)); right has shape (B, m, p).  No chunk's temporary holds
-    many more than _CHUNK_ENTRIES entries."""
-    add, mul = np.array(ring.add, np.int64), np.array(ring.mul, np.int64)
-    n, m = left.shape[1:]
-    p = right.shape[2]
-    step = max(1, _CHUNK_ENTRIES // max(1, len(right) * n * m * p))
-    for lo in range(0, len(left), step):
-        # terms[a, b, i, k, j] = A[a, i, k] B[b, k, j], summed over k
-        terms = mul[left[lo:lo + step, None, :, :, None],
-                    right[None, :, None, :, :]]
-        acc = np.zeros(terms.shape[:3] + (p,), np.int64)
-        for k in range(m):
-            acc = add[acc, terms[:, :, :, k, :]]
-        yield lo, acc
 
 
 def _row_keys(rows):
@@ -92,37 +76,58 @@ def _row_keys(rows):
 
 
 class GLData:
-    """GL(R^n) with an integer-indexed multiplication table.
+    """GL(R^n) as arrays, in the code order of rings.gl_tables.
 
-    mult[i, j] is the index of mats[i] mats[j], one C-contiguous int32
-    table built the first time it is read.  The products are computed a
-    chunk of rows at a time from the ring's add/mul tables, and found by
-    their row-major entry code, the order enumerate_gl sorts by.
+    entries[g] is the matrix g and act[g, v] the code of g v for every
+    vector code v (int32), the table from which gl_tables picked the
+    invertible candidates (a matrix is invertible exactly when its action
+    permutes the vector codes).  The flag action, the unipotent subgroups
+    and the product table read act.  mult[i, j] is the index of g_i g_j,
+    one C-contiguous int32 table built the first time it is read, a chunk
+    of rows at a time.  mats wraps entries as Mat objects, also on first
+    read.
     """
 
     def __init__(self, ring, n, guards=DEFAULT):
         self.ring = ring
         self.n = n
-        self.mats = enumerate_gl(ring, n, guards)
-        self.index = {m.data: i for i, m in enumerate(self.mats)}
-        size = len(self.mats)
-        guards.check(size, "max_group_order", "GL table")
-        self.entries = np.array([m.data for m in self.mats],
-                                np.int64).reshape(size, n, n)
-        self.one = self.index[Mat.identity(ring, n).data]
+        self.entries, self.act = gl_tables(ring, n, guards)
+        guards.check(len(self.entries), "max_group_order", "GL table")
+        weights = _code_weights(ring, n * n)
+        codes = self.entries.reshape(len(self.entries), n * n) @ weights
+        self.one = int(np.searchsorted(
+            codes, np.eye(n, dtype=np.int64).reshape(n * n) @ weights))
+
+    @cached_property
+    def mats(self):
+        return [Mat(self.ring, m, cols=self.n) for m in self.entries.tolist()]
+
+    @cached_property
+    def index(self):
+        """The index of each matrix, by its entry tuple."""
+        return {m.data: i for i, m in enumerate(self.mats)}
 
     @cached_property
     def mult(self):
-        size, n = len(self.mats), self.n
-        weights = self.ring.size ** np.arange(n * n - 1, -1, -1,
-                                              dtype=np.int64)
-        codes = self.entries.reshape(size, n * n) @ weights
+        """mult[i, j], the index of g_i g_j, from act alone: column k of
+        g h is g (h e_k), the vector code act[g, act[h, e_k]], and g h is
+        found by its column codes in a table over all candidates."""
+        size, n, act = len(self), self.n, self.act
+        vectors = act.shape[1]
+        # columns[h, k], the code of h e_k; e_k has the code q^(n-1-k)
+        columns = act[:, _code_weights(self.ring, n)].astype(np.int64)
+        position = np.full(vectors ** n, -1, np.int32)
+        position[columns @ vectors ** np.arange(n - 1, -1, -1)] = np.arange(size)
         table = np.empty((size, size), np.int32)
-        for lo, prod in _ring_products(self.ring, self.entries, self.entries):
-            found = _lookup(codes, prod.reshape(len(prod), size, n * n) @ weights)
-            if (found < 0).any():
-                raise RuntimeError("GL is not closed under multiplication")
-            table[lo:lo + len(prod)] = found
+        step = max(1, _CHUNK_ENTRIES // size)
+        for lo in range(0, size, step):
+            rows = act[lo:lo + step].astype(np.int64)
+            key = np.zeros((len(rows), size), np.int64)
+            for k in range(n):
+                key = key * vectors + rows[:, columns[:, k]]
+            table[lo:lo + step] = position[key]
+        if (table < 0).any():
+            raise RuntimeError("GL is not closed under multiplication")
         return table
 
     @cached_property
@@ -131,7 +136,7 @@ class GLData:
         return np.argmax(self.mult == self.one, axis=1)
 
     def __len__(self):
-        return len(self.mats)
+        return len(self.entries)
 
 
 @dataclass
@@ -172,40 +177,31 @@ class RBSCategory:
     def _flag_action(self):
         """The |GL| x |flags| table whose entry [g, f] is the index of g F.
 
-        GL acts on the vectors of R^n once, as a |GL| x |R|^n table of
-        vector codes built from the ring tables.  Each flag member is
-        mapped through that table as its element set, and the image member
-        is looked up by its element set; g preserves rank and inclusion,
-        so the image flag is looked up by its tuple of members in order.
+        Each flag member is mapped through gl.act as its set of element
+        codes, and the image member is looked up by its element set; g
+        preserves rank and inclusion, so the image flag is looked up by
+        its tuple of members in order.
         """
-        ring, n, gl = self.ring, self.n, self.gl
-        subs = sorted({m for f in self.flags for m in f.members},
-                      key=Submodule.sort_key)
-        # vec_act[g, v]: the code of g v, vectors coded by their entries
-        # in base |R| (row-major, the order of itertools.product)
-        vectors = np.array(list(itertools.product(range(ring.size), repeat=n)),
-                           np.int64)
-        weights = ring.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        vec_act = np.empty((len(gl), len(vectors)), np.int64)
-        for lo, prod in _ring_products(ring, gl.entries, vectors[:, :, None]):
-            vec_act[lo:lo + len(prod)] = prod[..., 0] @ weights
+        gl = self.gl
+        subs = [m for m in self._member_rows if m.rank]
         # member_act[g, s]: the index of g S; the last column stands for
         # the missing members of a short flag
         member_act = np.full((len(gl), len(subs) + 1), -1, np.int64)
         by_size = {}
         for s, m in enumerate(subs):
-            codes = np.sort(np.array(list(m.elements()), np.int64) @ weights)
+            codes = np.flatnonzero(self._member_rows[m])
             by_size.setdefault(len(codes), []).append((s, codes))
         for group in by_size.values():
             ids = np.array([s for s, _ in group], np.int64)
             sets = np.array([codes for _, codes in group], np.int64)
-            images = np.sort(vec_act[:, sets], axis=2)
+            images = np.sort(gl.act[:, sets], axis=2)
             found = _lookup(_row_keys(sets), _row_keys(images).reshape(-1))
             member_act[:, ids] = np.where(found < 0, -1, ids[found]).reshape(
                 len(gl), len(ids))
         sub_index = {m: s for s, m in enumerate(subs)}
         # the members of each flag in order, padded with the last column
-        members = np.full((len(self.flags), max(1, n - 1)), len(subs), np.int64)
+        members = np.full((len(self.flags), max(1, self.n - 1)), len(subs),
+                          np.int64)
         for fi, f in enumerate(self.flags):
             members[fi, :len(f.members)] = [sub_index[m] for m in f.members]
         act = _lookup(_row_keys(np.where(members < len(subs), members, -1)),
@@ -213,6 +209,15 @@ class RBSCategory:
         if (act < 0).any():
             raise RuntimeError("GL does not permute the flags")
         return act.reshape(len(gl), len(self.flags))
+
+    @cached_property
+    def _member_rows(self):
+        """The membership row over the vector codes of 0 and of every flag
+        member, by submodule."""
+        zero = Submodule.zero(self.ring, self.n)
+        members = {m for f in self.flags for m in f.members}
+        return {m: membership(self.ring, self.n, m.mat)
+                for m in [zero] + sorted(members, key=Submodule.sort_key)}
 
     def refines(self, fi, fj):
         """Refinement order: fi <= fj iff members(fj) subset of members(fi)."""
@@ -239,20 +244,27 @@ class RBSCategory:
 
     @cached_property
     def unipotent(self):
-        """Flag index -> the sorted indices in P_F acting as the identity
-        on every graded piece (U_F)."""
-        mats = self.gl.mats
-        return {fi: tuple(gi for gi in pf
-                          if all(self._acts_as_identity(mats[gi], q)
-                                 for q in self._quotients[fi]))
-                for fi, pf in self.parabolic.items()}
+        """Flag index -> the sorted indices g in P_F with g x - x in
+        M_{i-1} for every canonical row x of every M_i (U_F).
 
-    @staticmethod
-    def _acts_as_identity(g, quot):
-        for row in quot.section_rows:
-            if quot.project(g.mul_vec(row)) != quot.project(row):
-                return False
-        return True
+        The rows generate M_i and x -> g x - x is linear, so these are the
+        g in P_F that act as the identity on every graded piece.  Each
+        flag step is one gather from gl.act, a difference on the ring
+        tables and one read of the membership row of M_{i-1}."""
+        ring, n, act = self.ring, self.n, self.gl.act
+        add, neg = ring.add_array, ring.neg_array
+        weights = _code_weights(ring, n)
+        out = {}
+        for fi, pf in self.parabolic.items():
+            g = np.array(pf, np.int64)
+            chain = self.flags[fi].full_chain()
+            for lower, upper in zip(chain, chain[1:]):
+                x = np.array(upper.mat, np.int64).reshape(len(upper.mat), n)
+                gx = _vector_digits(ring, n, act[np.ix_(g, x @ weights)])
+                diff = add[gx, neg[x]] @ weights
+                g = g[self._member_rows[lower][diff].all(axis=1)]
+            out[fi] = tuple(g.tolist())
+        return out
 
     # -- morphisms ---------------------------------------------------------
 
@@ -415,12 +427,12 @@ def compute_e_group(rbs):
         reached[gl.mult[np.ix_(frontier, gens)]] = True
         frontier = np.flatnonzero(reached & ~seen)
         seen[frontier] = True
-    det_one = tuple(sorted(i for i, m in enumerate(gl.mats) if m.det() == 1))
+    det_one = np.flatnonzero(determinants(gl.ring, gl.entries) == 1)
     return SubgroupData(
         parabolic=dict(rbs.parabolic),
         unipotent=dict(rbs.unipotent),
         e_group=tuple(np.flatnonzero(seen).tolist()),
-        det_one=det_one)
+        det_one=tuple(det_one.tolist()))
 
 
 def pi1_target(rbs, subgroups=None):
@@ -521,9 +533,9 @@ def _proper_inclusions(subs, q, n):
     r-dimensional subspace in the membership vectors over F_q^n of the
     r'-dimensional ones (vectors numbered in base q)."""
     radix = q ** np.arange(n - 1, -1, -1)
-    member = np.zeros((len(subs), q ** n), bool)
-    for i, s in enumerate(subs):
-        member[i, np.array(list(s.elements())) @ radix] = True
+    ring = subs[0].ring
+    member = np.array([membership(ring, n, s.mat) for s in subs],
+                      bool).reshape(len(subs), q ** n)
     rank = np.array([s.rank for s in subs])
     less = np.zeros((len(subs), len(subs)), bool)
     for r in range(1, n):
@@ -553,13 +565,17 @@ class InductiveDecomposition:
     inclusion_is_equivalence: bool
 
 
-def inductive_decomposition(rbs, fi, guards=DEFAULT):
+def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
     """Blockwise description of the subcategory under the flag F_i.
 
     The full subcategory on objects admitting a map to F deformation
     retracts onto the full subcategory on refinements of F, and the
     latter is isomorphic to the product of the flag categories of the
     graded pieces of F (morphisms decompose blockwise through P_F).
+
+    built maps a rank d to the flag category of R^d already built; the
+    ones this call builds are added to it, so a caller that passes the
+    same dict for every flag builds each rank once.  Rank n is rbs.
     """
     cat = rbs.cat
     nf = len(rbs.flags)
@@ -572,7 +588,12 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT):
 
     quots = rbs._quotients[fi]
     dims = rbs.graded_dims(fi)
-    graded = [RBSCategory(rbs.ring, d, guards) for d in dims]
+    built = {} if built is None else built
+    built.setdefault(rbs.n, rbs)
+    for d in dims:
+        if d not in built:
+            built[d] = RBSCategory(rbs.ring, d, guards)
+    graded = [built[d] for d in dims]
     # object map: refinement G -> tuple of graded flags
     obj_map = {}
     piece_flag_idx = {}

@@ -5,11 +5,22 @@ residues modulo a fixed irreducible polynomial), and the local rings Z/p^k.
 Elements are encoded as integers 0..|R|-1; for F_{p^k} the integer encodes
 the coefficient vector of the residue polynomial in base p.  Addition and
 multiplication go through precomputed tables, so all higher layers are
-oblivious to the ring kind.
+oblivious to the ring kind.  Each ring holds its tables twice, as lists
+for scalar lookups and as int64 arrays for array code.
 
 Submodules of R^n are kept in a canonical row form (reduced row echelon
 over fields, Howell normal form over Z/p^k), which makes equality of
 submodules literal equality of the stored matrices.
+
+The enumerations run on arrays.  A vector of R^n is numbered by its
+code, its entries read as digits in base |R|.  gl_tables keeps the
+candidate matrices whose action on the vector codes is a permutation,
+and returns that action table with them; GL(M) in rbs reads it for the
+action on flags, the unipotent subgroups and the product table.
+enumerate_submodules is a breadth-first search that forms each span
+S + R v as a membership row over the vector codes, deduplicates spans
+by that row, and computes one canonical form per distinct submodule.
+determinants expands permutations over a whole stack of matrices.
 
 One elimination routine, _gauss_jordan (unit pivots, each scaled to 1
 and cleared from every other row), serves the whole ring layer: rref,
@@ -18,8 +29,8 @@ the greedy independence test over the residue field behind
 Submodule.free_basis, complete_to_invertible and the complement that
 QuotientData chooses.  qkt's rank and coordinate solver call it too.
 The Howell form and reduce_vector compute a different normal form, and
-Mat.det expands permutations, because unit-pivot elimination is wrong
-for a singular matrix over Z/p^k.
+determinants expand permutations, because unit-pivot elimination is
+wrong for a singular matrix over Z/p^k.
 """
 
 from __future__ import annotations
@@ -116,6 +127,25 @@ def _is_prime(n):
     return True
 
 
+def _generators(table):
+    """A generating set of the operation with this table: each element,
+    in order, that the closure of those kept so far does not reach."""
+    n = len(table)
+    reached = np.zeros(n, bool)
+    kept = []
+    for a in range(n):
+        if reached[a]:
+            continue
+        kept.append(a)
+        reached[a] = True
+        while True:
+            members = np.flatnonzero(reached)
+            reached[table[np.ix_(members, members)]] = True
+            if reached.sum() == len(members):
+                break
+    return np.array(kept, np.int64)
+
+
 # ---------------------------------------------------------------------------
 
 class FiniteRing:
@@ -144,9 +174,13 @@ class FiniteRing:
             add, mul = _fq_tables(p, k, poly)
         else:
             raise RingError("unknown ring kind %r" % kind)
-        # the first b with a + b = 0, and with a b = 1 where there is one
+        # the tables twice: int64 arrays for array code, lists for scalar
+        # lookups; neg[a] is the first b with a + b = 0, inv[a] the first b
+        # with a b = 1 where there is one
+        self.add_array, self.mul_array = add, mul
+        self.neg_array = np.argmax(add == 0, axis=1)
         self.add, self.mul = add.tolist(), mul.tolist()
-        self.neg = np.argmax(add == 0, axis=1).tolist()
+        self.neg = self.neg_array.tolist()
         unit = mul == 1
         self.inv = [b if found else None for b, found in
                     zip(np.argmax(unit, axis=1).tolist(), unit.any(axis=1).tolist())]
@@ -154,15 +188,36 @@ class FiniteRing:
         self._validate()
 
     def _validate(self):
-        """The ring axioms, exactly: one n x n slice of table gathers per
-        element a holds the triples (a, b, c).  A failure names the first
-        failing triple in lexicographic order."""
+        """The ring axioms, exactly, on the list tables.
+
+        Associativity of + and of x is Light's test over a generating set
+        G of the operation: (x g) y = x (g y) for all x, y and every g in
+        G implies it for every g, because the g that pass are closed under
+        the operation.  Once + is associative, a (b + c) = a b + a c for
+        every c in G_+ implies it for every c, by the same closure.  Only
+        when one of these fails are all triples scanned, so that a failure
+        names the first failing triple in lexicographic order."""
         n = self.size
         add, mul = self.add, self.mul
         if any(add[a][0] != a or mul[a][1] != a or mul[a][0] != 0 for a in range(n)):
             raise RingError("0/1 are not neutral")
         A = np.array(add, np.int64).reshape(n, n)
         M = np.array(mul, np.int64).reshape(n, n)
+        plus, times = _generators(A), _generators(M)
+        if not ((A[A[:, plus]] == A[:, A[plus]]).all()
+                and (M[M[:, times]] == M[:, M[times]]).all()
+                and (M[:, A[:, plus]] == A[M[:, :, None], M[:, None, plus]]).all()):
+            self._first_failing_triple(A, M)
+        bad = (A != A.T) | (M != M.T)
+        if bad.any():
+            a, b = np.unravel_index(np.argmax(bad), bad.shape)
+            raise RingError("commutativity fails at %s" % ((int(a), int(b)),))
+
+    @staticmethod
+    def _first_failing_triple(A, M):
+        """Raise for the first triple (a, b, c) that fails associativity
+        or distributivity: one n x n slice of table gathers per a."""
+        n = len(A)
         for a in range(n):
             bad = (A[A[a]] != A[a][A],
                    M[M[a]] != M[a][M],
@@ -174,10 +229,47 @@ class FiniteRing:
                     ("addition not associative", "multiplication not "
                      "associative", "distributivity fails"), bad) if fails[b, c])
                 raise RingError("%s at %s" % (what, (a, int(b), int(c))))
-        bad = (A != A.T) | (M != M.T)
-        if bad.any():
-            a, b = np.unravel_index(np.argmax(bad), bad.shape)
-            raise RingError("commutativity fails at %s" % ((int(a), int(b)),))
+        raise RuntimeError("Light's test failed, yet no triple fails")
+
+    def unit_invariant_factors(self):
+        """The invariant factors d_1 | d_2 | ... of the unit group, each
+        above 1, ascending: the abelian group R^x is the product of the
+        cyclic groups of these orders.
+
+        For each prime p, #{u : u^(p^j) = 1} = p^(c_1 + ... + c_j), where
+        c_j is the number of cyclic factors of the p-part whose order is
+        at least p^j; the orders of the units come from the table."""
+        mul, units = self.mul, self.units
+        orders = []
+        for u in units:
+            x, k = u, 1
+            while x != 1:
+                x, k = mul[x][u], k + 1
+            orders.append(k)
+        rest, parts = len(units), []
+        for p in range(2, len(units) + 1):
+            if rest % p:
+                continue
+            while rest % p == 0:
+                rest //= p
+            # at_least[j - 1] = c_j; the exponents of the p-part, largest first
+            at_least, below = [], 1
+            while True:
+                count = sum(1 for o in orders if p ** (len(at_least) + 1) % o == 0)
+                c = 0
+                while below * p ** (c + 1) <= count:
+                    c += 1
+                if c == 0:
+                    break
+                at_least.append(c)
+                below *= p ** c
+            parts.append([p ** sum(1 for c in at_least if c > t)
+                          for t in range(at_least[0])])
+        factors = [1] * max(map(len, parts), default=0)
+        for part in parts:
+            for t, power in enumerate(part):
+                factors[t] *= power
+        return sorted(factors)
 
     @property
     def is_field(self):
@@ -260,6 +352,88 @@ def _prime_power(n):
 
 
 # ---------------------------------------------------------------------------
+# array arithmetic on the ring tables
+
+# no temporary array of a chunked table computation holds many more entries
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _ring_products(ring, left, right):
+    """Yield (lo, P) with P[a, b] = left[lo + a] right[b], matrix products
+    over the ring's add/mul tables, for chunks of the stack left (shape
+    (L, n, m)); right has shape (B, m, p).  No chunk's temporary holds
+    many more than _CHUNK_ENTRIES entries."""
+    add, mul = ring.add_array, ring.mul_array
+    n, m = left.shape[1:]
+    p = right.shape[2]
+    step = max(1, _CHUNK_ENTRIES // max(1, len(right) * n * m * p))
+    for lo in range(0, len(left), step):
+        # terms[a, b, i, k, j] = A[a, i, k] B[b, k, j], summed over k
+        terms = mul[left[lo:lo + step, None, :, :, None],
+                    right[None, :, None, :, :]]
+        acc = np.zeros(terms.shape[:3] + (p,), np.int64)
+        for k in range(m):
+            acc = add[acc, terms[:, :, :, k, :]]
+        yield lo, acc
+
+
+def determinants(ring, stack):
+    """The determinant of every matrix of the stack (shape (L, n, n)): one
+    permutation expansion over the whole stack, on the ring tables.  It
+    divides by nothing, so it is exact for singular matrices over Z/p^k,
+    where unit-pivot elimination is not."""
+    add, mul, neg = ring.add_array, ring.mul_array, ring.neg_array
+    n = stack.shape[1]
+    total = np.zeros(len(stack), np.int64)
+    for perm in itertools.permutations(range(n)):
+        prod = np.ones(len(stack), np.int64)
+        for i, j in enumerate(perm):
+            prod = mul[prod, stack[:, i, j]]
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        total = add[total, neg[prod] if inversions % 2 else prod]
+    return total
+
+
+# Vectors of R^n are numbered by their codes: the entries read as the
+# digits of a number in base |R|, the first entry most significant (the
+# order of itertools.product).
+
+def _code_weights(ring, n):
+    """The place value of each of the n entries of a vector code."""
+    return ring.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _vector_digits(ring, n, codes):
+    """The entries of the vectors with these codes (one more axis, n)."""
+    return np.asarray(codes, np.int64)[..., None] // \
+        _code_weights(ring, n) % ring.size
+
+
+def _spans(ring, n, elems, vs):
+    """Membership rows over the vector codes of the submodules S + R v,
+    one for each vector code v in vs, where elems are the codes of the
+    elements of S: every s + c v, added entrywise on the ring tables."""
+    multiples = ring.mul_array[np.arange(ring.size)[:, None, None],
+                               _vector_digits(ring, n, vs)]
+    sums = ring.add_array[_vector_digits(ring, n, elems)[:, None, None, :],
+                          multiples] @ _code_weights(ring, n)
+    rows = np.zeros((len(vs), ring.size ** n), bool)
+    rows[np.arange(len(vs)), sums] = True
+    return rows
+
+
+def membership(ring, n, rows):
+    """The membership row over the vector codes of the span of rows."""
+    member = np.zeros(ring.size ** n, bool)
+    member[0] = True
+    codes = np.array(rows, np.int64).reshape(len(rows), n) @ _code_weights(ring, n)
+    for code in codes:
+        member = _spans(ring, n, np.flatnonzero(member), [code])[0]
+    return member
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
 class Mat:
@@ -339,19 +513,8 @@ class Mat:
         """Determinant by permutation expansion (intended for n <= 4)."""
         if self.rows != self.cols:
             raise RingError("determinant of a non-square matrix")
-        R = self.ring
-        n = self.rows
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            prod = 1
-            for i in range(n):
-                prod = R.mul[prod][self.data[i][perm[i]]]
-                if prod == 0:
-                    break
-            inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                             if perm[i] > perm[j])
-            total = R.add[total][prod if inversions % 2 == 0 else R.neg[prod]]
-        return total
+        stack = np.array(self.data, np.int64).reshape(1, self.rows, self.cols)
+        return int(determinants(self.ring, stack)[0])
 
     def is_invertible(self):
         return self.inverse_or_none() is not None
@@ -602,18 +765,6 @@ class Submodule:
     def __lt__(self, other):
         return self != other and other.contains_sub(self)
 
-    def elements(self):
-        """All vectors of the submodule (intended for small instances)."""
-        R = self.ring
-        out = set()
-        for coeffs in itertools.product(range(R.size), repeat=len(self.mat)):
-            v = [0] * self.n
-            for c, row in zip(coeffs, self.mat):
-                if c:
-                    v = [R.add[x][R.mul[c][y]] for x, y in zip(v, row)]
-            out.add(tuple(v))
-        return out
-
     def size(self):
         R = self.ring
         if R.is_field:
@@ -676,24 +827,57 @@ def is_splittable(sub):
 
 
 def enumerate_submodules(ring, n, guards=DEFAULT):
-    """All submodules of R^n (BFS closure under adding generators)."""
-    guards.check(ring.size ** n, "max_vector_enum", "submodule enumeration")
-    vectors = [v for v in itertools.product(range(ring.size), repeat=n) if any(v)]
-    zero = Submodule.zero(ring, n)
-    seen = {zero}
-    frontier = [zero]
+    """All submodules of R^n, sorted by Submodule.sort_key.
+
+    A breadth-first search from 0 forms S + R v for every submodule S it
+    reaches and vectors v outside S, as membership rows over the vector
+    codes (_spans).  Spans are deduplicated by that row, and
+    Submodule.from_rows runs once per distinct submodule.
+
+    S + R v depends only on the coset v + S, and every coset holds a v
+    whose entry in the leading column of each canonical row of S is below
+    that row's leading entry: subtract multiples of the echelon rows from
+    the left.  Only such v are tried.  Over a field they are the v with
+    zeros there, a set that unit multiples keep, and u v spans the same
+    S + R v for a unit u, so only the least code of each class of unit
+    multiples is tried; then every v tried gives a different span."""
+    size = guards.check(ring.size ** n, "max_vector_enum",
+                        "submodule enumeration")
+    codes = np.arange(size)
+    digits = _vector_digits(ring, n, codes)
+    candidates = codes > 0
+    if ring.is_field:
+        for u in ring.units:
+            candidates &= ring.mul_array[u, digits] @ _code_weights(ring, n) >= codes
+    zero = codes == 0
+    zero_key = np.packbits(zero).tobytes()
+    seen = {zero_key: Submodule.zero(ring, n)}
+    frontier = [(zero, seen[zero_key])]
     while frontier:
         nxt = []
-        for sub in frontier:
-            for v in vectors:
-                if sub.contains(v):
-                    continue
-                bigger = Submodule.from_rows(ring, n, list(sub.mat) + [list(v)])
-                if bigger not in seen:
-                    seen.add(bigger)
-                    nxt.append(bigger)
+        for member, sub in frontier:
+            tried = candidates & ~member
+            for row in sub.mat:
+                lead = next(j for j, x in enumerate(row) if x)
+                tried &= digits[:, lead] < row[lead]
+            elems, tried = np.flatnonzero(member), np.flatnonzero(tried)
+            step = max(1, _CHUNK_ENTRIES // (len(elems) * ring.size * n + size))
+            for lo in range(0, len(tried), step):
+                vs = tried[lo:lo + step]
+                rows = _spans(ring, n, elems, vs)
+                keys = np.packbits(rows, axis=1)
+                # the first v of each distinct span in the chunk
+                flat = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+                order = np.argsort(flat, kind="stable")
+                ordered = flat[order]
+                for i in order[np.r_[True, ordered[1:] != ordered[:-1]]].tolist():
+                    key = keys[i].tobytes()
+                    if key not in seen:
+                        v = digits[vs[i]].tolist()
+                        seen[key] = Submodule.from_rows(ring, n, list(sub.mat) + [v])
+                        nxt.append((rows[i], seen[key]))
         frontier = nxt
-    return sorted(seen, key=Submodule.sort_key)
+    return sorted(seen.values(), key=Submodule.sort_key)
 
 
 def enumerate_splittable_submodules(ring, n, guards=DEFAULT):
@@ -905,20 +1089,46 @@ def _check_gl_rank(n):
         raise RingError("GL rank n must be at least 0, got %d" % n)
 
 
-def enumerate_gl(ring, n, guards=DEFAULT):
-    """All invertible n x n matrices, sorted by entry encoding."""
+def gl_tables(ring, n, guards=DEFAULT):
+    """GL(R^n) as arrays: entries[g], the invertible n x n matrices in
+    code order (row-major entries as digits in base |R|, the order
+    enumerate_gl returns), and act[g, v], the code of g v for every vector
+    code v (int32; the codes are below max_vector_enum).
+
+    A candidate A is kept when v -> A v permutes the vector codes.  That
+    map is linear and R^n is finite, so it is a permutation exactly when
+    A v != 0 for every v != 0.  Row i of A, numbered by its own vector
+    code r_i, puts dot[r_i, v] = r_i . v at place i of the code of A v,
+    so act is a sum of gathers from the table dot, a chunk of candidates
+    at a time."""
     _check_gl_rank(n)
-    if n == 0:
-        return [Mat(ring, [])]
-    candidates = ring.size ** (n * n)
-    guards.check(candidates, "max_gl_candidates", "GL enumeration")
-    out = []
-    for entries in itertools.product(range(ring.size), repeat=n * n):
-        m = Mat(ring, [entries[i * n:(i + 1) * n] for i in range(n)])
-        if m.is_invertible():
-            out.append(m)
-    out.sort(key=Mat.encode)
-    return out
+    candidates = guards.check(ring.size ** (n * n), "max_gl_candidates",
+                              "GL enumeration")
+    size = guards.check(ring.size ** n, "max_vector_enum", "GL action")
+    vectors = _vector_digits(ring, n, np.arange(size))
+    dot = np.empty((size, size), np.int64)
+    for lo, prod in _ring_products(ring, vectors[:, None, :],
+                                   vectors[:, :, None]):
+        dot[lo:lo + len(prod)] = prod[:, :, 0, 0]
+    weights = _code_weights(ring, n)[:, None]
+    row_weights = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (size * max(1, n)))
+    entries, act = [], []
+    for lo in range(0, candidates, step):
+        codes = np.arange(lo, min(lo + step, candidates), dtype=np.int64)
+        rows = codes[:, None] // row_weights % size
+        images = (dot[rows] * weights).sum(axis=1)
+        kept = (images[:, 1:] != 0).all(axis=1)
+        entries.append(vectors[rows[kept]])
+        act.append(images[kept].astype(np.int32))
+    return np.concatenate(entries), np.concatenate(act)
+
+
+def enumerate_gl(ring, n, guards=DEFAULT):
+    """All invertible n x n matrices, sorted by entry encoding (the
+    matrices of gl_tables)."""
+    entries, _ = gl_tables(ring, n, guards)
+    return [Mat(ring, m, cols=n) for m in entries.tolist()]
 
 
 def gl_from_generators(ring, n, guards=DEFAULT):

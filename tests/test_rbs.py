@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbscat import checks
+from rbscat import rbs as rbs_module
 from rbscat.fincat import CategoryError, is_fully_faithful, twisted_arrow_op
 from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
 from rbscat.homology import homology, nerve_chain_complex
@@ -26,7 +27,8 @@ from rbscat.rbs import (
     steinberg_rank,
     tits_building,
 )
-from rbscat.rings import Flag, Mat, Submodule, make_ring
+from rbscat.rings import Flag, Mat, Submodule, determinants, make_ring
+from test_rings import det_oracle, elements
 from rbscat.fincat import check_poset_regularity
 from rbscat.toolkit import is_colim_equivalence, is_proper
 
@@ -110,31 +112,52 @@ def test_unipotent_of_empty_flag_is_trivial():
         assert r.unipotent[r.empty_flag_index] == (r.gl.one,)
 
 
+def unipotent_oracle(r, fi):
+    """Oracle for RBSCategory.unipotent, free of complements: the g in
+    P_F with g v - v in M_{i-1} for every element v of every M_i, one
+    element at a time."""
+    ring = r.ring
+    chain = r.flags[fi].full_chain()
+    oracle = []
+    for gi in r.parabolic[fi]:
+        g = r.gl.mats[gi]
+        if all(chain[i - 1].contains(tuple(
+                ring.add[x][ring.neg[y]] for x, y in zip(g.mul_vec(v), v)))
+               for i in range(1, len(chain)) for v in elements(chain[i])):
+            oracle.append(gi)
+    return tuple(oracle)
+
+
+# every flag category of the front-end corpus small enough to build
+RBS_CORPUS = [("F2", 1), ("F2", 2), ("F2", 3), ("F3", 1), ("F3", 2),
+              ("F4", 2), ("F5", 2), ("Z4", 1), ("Z4", 2), ("Z8", 2),
+              ("Z9", 2)]
+
+
 def test_unipotent_agrees_with_intrinsic_oracle():
     # complement-free oracle: g acts as the identity on every graded piece
     # iff g*v - v lies in M_{i-1} for every v in M_i
-    for r in (R22, R32, RZ4):
-        ring = r.ring
-        for fi, flag in enumerate(r.flags):
-            chain = flag.full_chain()
-            oracle = []
-            for gi in r.parabolic[fi]:
-                g = r.gl.mats[gi]
-                good = True
-                for i in range(1, len(chain)):
-                    lower = chain[i - 1]
-                    for v in chain[i].elements():
-                        gv = g.mul_vec(v)
-                        diff = tuple(ring.add[x][ring.neg[y]]
-                                     for x, y in zip(gv, v))
-                        if not lower.contains(diff):
-                            good = False
-                            break
-                    if not good:
-                        break
-                if good:
-                    oracle.append(gi)
-            assert tuple(sorted(oracle)) == r.unipotent[fi], (r.ring, fi)
+    for spec, n in RBS_CORPUS:
+        r = build_rbs(spec, n)
+        for fi in range(len(r.flags)):
+            assert unipotent_oracle(r, fi) == r.unipotent[fi], (spec, n, fi)
+
+
+@pytest.mark.parametrize("spec, n", RBS_CORPUS)
+def test_det_one_matches_permutation_expansion(spec, n):
+    gl = GLData(make_ring(spec), n)
+    assert tuple(i for i, m in enumerate(gl.mats)
+                 if det_oracle(gl.ring, m.data) == 1) == \
+        tuple(np.flatnonzero(determinants(gl.ring, gl.entries) == 1).tolist())
+
+
+@pytest.mark.parametrize("spec, torsion", [("Z8", [2, 2]), ("Z16", [2, 4])])
+def test_pi1_h1_is_a_non_cyclic_unit_group(spec, torsion):
+    # Z/2^k has a non-cyclic unit group for k >= 3: H_1 is the group, not
+    # the cyclic group of its order
+    rep = checks.check_pi1(spec, 1)
+    assert rep.ok, rep.measured
+    assert rep.measured["H1_torsion"] == rep.expected["H1_torsion"] == torsion
 
 
 def test_pi1_quotient_functor_surjective():
@@ -291,6 +314,39 @@ def test_inductive_decomposition_all_flags():
             dec = inductive_decomposition(r, fi)
             assert dec.is_isomorphism, fi
             assert dec.inclusion_is_equivalence, fi
+
+
+def test_inductive_check_builds_each_graded_rank_once(monkeypatch):
+    # RBS(F3, 2) and RBS(F3, 1) once each; a fresh build per graded piece
+    # of every flag is the oracle for the report
+    rbs = checks._rbs("F3", 2, DEFAULT)
+    oracle = {}
+    for fi in range(len(rbs.flags)):
+        dec = inductive_decomposition(rbs, fi, built={2: build_rbs("F3", 2)})
+        assert all(g is not rbs for g in dec.graded_cats)
+        oracle[fi] = (dec.is_isomorphism, dec.inclusion_is_equivalence,
+                      [g.cat.n_morphisms for g in dec.graded_cats])
+    built = []
+
+    class Counting(rbs_module.RBSCategory):
+        def __init__(self, ring, n, guards=DEFAULT):
+            built.append(n)
+            super().__init__(ring, n, guards)
+
+    monkeypatch.setattr(rbs_module, "RBSCategory", Counting)
+    monkeypatch.setattr(checks, "_RBS_CACHE", {})
+    rep = checks.check_inductive("F3", 2)
+    assert sorted(built) == [1, 2]
+    assert rep.ok
+    assert {fi: (v["iso"], v["equivalence"]) for fi, v in
+            rep.measured["flags"].items()} == \
+        {fi: v[:2] for fi, v in oracle.items()}
+    rbs = checks._rbs("F3", 2, DEFAULT)
+    shared = {}
+    assert {fi: [g.cat.n_morphisms for g in inductive_decomposition(
+        rbs, fi, built=shared).graded_cats] for fi in range(len(rbs.flags))} \
+        == {fi: v[2] for fi, v in oracle.items()}
+    assert shared[2] is rbs
 
 
 def test_inductive_decomposition_empty_flag_is_whole():

@@ -1,10 +1,12 @@
 import copy
 import itertools
+import math
 import random
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,13 +20,16 @@ from rbscat.rings import (
     canonical_rowspace,
     complete_to_invertible,
     default_irreducible,
+    determinants,
     enumerate_flags,
     enumerate_gl,
     enumerate_splittable_submodules,
     enumerate_submodules,
     gl_from_generators,
+    gl_tables,
     is_splittable,
     make_ring,
+    membership,
     reduce_vector,
     residue_independent,
 )
@@ -120,12 +125,82 @@ def greedy_kept(ring, vectors, ech=None):
     return [i for i, v in enumerate(vectors) if ech.add(v) is not None]
 
 
+def elements(sub):
+    """Oracle for membership: every vector of the submodule, as a sum of
+    multiples of its canonical rows."""
+    R = sub.ring
+    out = set()
+    for coeffs in itertools.product(range(R.size), repeat=len(sub.mat)):
+        v = [0] * sub.n
+        for c, row in zip(coeffs, sub.mat):
+            if c:
+                v = [R.add[x][R.mul[c][y]] for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+def enumerate_gl_oracle(ring, n):
+    """Oracle for enumerate_gl: every candidate matrix in code order, kept
+    when Gauss-Jordan on [A | I] takes a unit pivot in every column."""
+    out = []
+    for entries in itertools.product(range(ring.size), repeat=n * n):
+        m = Mat(ring, [entries[i * n:(i + 1) * n] for i in range(n)], cols=n)
+        if m.inverse_or_none() is not None:
+            out.append(m)
+    return out
+
+
+def enumerate_submodules_oracle(ring, n):
+    """Oracle for enumerate_submodules: a breadth-first search from 0
+    that adds each vector outside a submodule as a new generator, with one
+    canonical form (Submodule.from_rows) per (submodule, vector) pair."""
+    vectors = [v for v in itertools.product(range(ring.size), repeat=n) if any(v)]
+    zero = Submodule.zero(ring, n)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for v in vectors:
+                if sub.contains(v):
+                    continue
+                bigger = Submodule.from_rows(ring, n, list(sub.mat) + [list(v)])
+                if bigger not in seen:
+                    seen.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(seen, key=Submodule.sort_key)
+
+
+def det_oracle(ring, rows):
+    """Oracle for determinants: the permutation expansion, one scalar
+    table lookup at a time."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        prod = 1
+        for i in range(n):
+            prod = ring.mul[prod][rows[i][perm[i]]]
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        total = ring.add[total][prod if inversions % 2 == 0 else ring.neg[prod]]
+    return total
+
+
+# the rings and ranks the array front end is compared with its oracles on
+FRONT_END_CORPUS = ([("F2", n) for n in range(1, 6)]
+                    + [("F3", n) for n in range(1, 5)]
+                    + [("F4", 2), ("F5", 2)]
+                    + [("Z4", n) for n in range(1, 4)]
+                    + [("Z8", 2), ("Z9", 2)])
+
+
 def brute_force_complement_exists(sub, all_subs):
     """Exhaustive search for a complement: S + T = R^n, S cap T = 0."""
     whole = Submodule.full(sub.ring, sub.n)
-    elems = sub.elements()
+    elems = elements(sub)
     for t in all_subs:
-        if len(elems & t.elements()) == 1:
+        if len(elems & elements(t)) == 1:
             joined = Submodule.from_rows(sub.ring, sub.n,
                                          list(sub.mat) + list(t.mat))
             if joined == whole:
@@ -308,7 +383,7 @@ def test_howell_idempotent_and_membership(rows):
     canon = canonical_rowspace(Z4, rows)
     assert canonical_rowspace(Z4, canon) == canon
     # membership test agrees with brute-force span
-    span = Submodule.from_rows(Z4, 3, rows).elements()
+    span = elements(Submodule.from_rows(Z4, 3, rows))
     for v in itertools.product(range(4), repeat=3):
         in_span = v in span
         assert (not any(reduce_vector(Z4, canon, v))) == in_span
@@ -343,7 +418,7 @@ def test_canonical_equal_iff_equal_span():
     seen = {}
     for rows in itertools.product(itertools.product(range(4), repeat=2), repeat=2):
         sub = Submodule.from_rows(Z4, 2, [list(r) for r in rows])
-        key = frozenset(sub.elements())
+        key = frozenset(elements(sub))
         if key in seen:
             assert seen[key] == sub.mat
         else:
@@ -362,6 +437,21 @@ def test_subspace_counts_match_gaussian_binomial():
         q = R.size
         for k in range(n + 1):
             assert by_rank.get(k, 0) == gaussian_binomial(n, k, q), (q, n, k)
+
+
+@pytest.mark.parametrize("spec, n", FRONT_END_CORPUS)
+def test_submodules_match_bfs_oracle(spec, n):
+    R = make_ring(spec)
+    assert [s.mat for s in enumerate_submodules(R, n)] == \
+        [s.mat for s in enumerate_submodules_oracle(R, n)]
+
+
+def test_membership_rows_match_element_sets():
+    for R, n in ((Z4, 2), (F4, 2), (Z9, 2), (F3, 3)):
+        for s in enumerate_submodules(R, n):
+            codes = {sum(x * R.size ** (n - 1 - i) for i, x in enumerate(v))
+                     for v in elements(s)}
+            assert set(np.flatnonzero(membership(R, n, s.mat)).tolist()) == codes
 
 
 def test_splittable_counts():
@@ -453,7 +543,7 @@ def test_quotient_map_projection_section_identity():
     qd = QuotientData(s, full)
     assert len(qd.section_rows) == 1
     assert qd.project(qd.section_rows[0]) == (1,)
-    for v in s.elements():
+    for v in elements(s):
         assert qd.project(v) == (0,)
 
 
@@ -472,7 +562,7 @@ def test_quotient_map_over_z4():
     qd = QuotientData(s, big)
     assert len(qd.section_rows) == 1
     assert qd.project(qd.section_rows[0]) == (1,)
-    for v in s.elements():
+    for v in elements(s):
         assert qd.project(v) == (0,)
 
 
@@ -589,6 +679,70 @@ def test_is_invertible_agrees_with_unit_determinant(spec, n):
         inv = m.inverse_or_none()
         assert (inv is not None) == (R.inv[m.det()] is not None), m
         assert inv is None or m.mul(inv) == ident == inv.mul(m), m
+
+
+@pytest.mark.parametrize("spec, n", [
+    (spec, n) for spec, n in FRONT_END_CORPUS
+    if make_ring(spec).size ** (n * n) <= 20_000])
+def test_gl_tables_match_per_matrix_oracle(spec, n):
+    # the invertible candidates in code order, and act[g, v] = g v
+    R = make_ring(spec)
+    entries, act = gl_tables(R, n)
+    oracle = enumerate_gl_oracle(R, n)
+    assert entries.tolist() == [[list(r) for r in m.data] for m in oracle]
+    assert [m.data for m in enumerate_gl(R, n)] == [m.data for m in oracle]
+    assert act.dtype == np.int32
+    vectors = list(itertools.product(range(R.size), repeat=n))
+    code = {v: i for i, v in enumerate(vectors)}
+    assert act.tolist() == [[code[m.mul_vec(v)] for v in vectors]
+                            for m in oracle]
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5", "Z4", "Z8", "Z9",
+                                  "Z16"])
+def test_determinants_match_permutation_expansion(spec):
+    R = make_ring(spec)
+    rnd = random.Random(spec)
+    for n in range(0, 5):
+        stack = [[[rnd.randrange(R.size) for _ in range(n)] for _ in range(n)]
+                 for _ in range(40)]
+        if R.kind == "Zpk":
+            # singular over Z/p^k: every entry of some row a non-unit
+            stack += [[[R.p * rnd.randrange(R.size // R.p) if i == 0
+                        else rnd.randrange(R.size) for _ in range(n)]
+                       for i in range(n)] for _ in range(20)]
+        got = determinants(R, np.array(stack, np.int64).reshape(len(stack), n, n))
+        assert got.tolist() == [det_oracle(R, m) for m in stack], (spec, n)
+        assert [Mat(R, m, cols=n).det() for m in stack] == got.tolist()
+
+
+def test_guards_fire_before_any_array(monkeypatch):
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError("numpy.%s used before the guard" % name)
+
+    import rbscat.rings as rings
+    monkeypatch.setattr(rings, "np", NoArrays())
+    cases = [
+        (lambda g: enumerate_gl(F3, 2, g), GuardConfig(max_gl_candidates=10)),
+        (lambda g: enumerate_gl(F3, 2, g), GuardConfig(max_vector_enum=3)),
+        (lambda g: gl_tables(F2, 6, g), GuardConfig()),
+        (lambda g: enumerate_submodules(F3, 2, g), GuardConfig(max_vector_enum=3)),
+        (lambda g: enumerate_submodules(F2, 21, g), GuardConfig()),
+    ]
+    for call, guards in cases:
+        with pytest.raises(GuardExceeded):
+            call(guards)
+
+
+@pytest.mark.parametrize("spec, factors", [
+    ("F2", []), ("F3", [2]), ("F4", [3]), ("F5", [4]), ("F9", [8]),
+    ("Z4", [2]), ("Z8", [2, 2]), ("Z9", [6]), ("Z16", [2, 4]),
+    ("Z27", [18]), ("Z32", [2, 8])])
+def test_unit_invariant_factors(spec, factors):
+    R = make_ring(spec)
+    assert R.unit_invariant_factors() == factors
+    assert math.prod(factors) == len(R.units)
 
 
 def test_mat_inverse():
