@@ -264,7 +264,7 @@ def _cmd_bench(args, guards):
         perms = list(itertools.permutations(range(3)))
         S3 = Group(perms, [[perms.index(tuple(a[i] for i in b)) for b in perms]
                            for a in perms], (0, 1, 2))
-        C = group_category(S3)
+        C = group_category(S3, guards)
         t0 = time.time()
         counts = nerve_chain_complex(C, args.depth, guards).dims
         dt = time.time() - t0

@@ -9,7 +9,8 @@ neutrality, then associativity exactly by Light's test over a
 generating set S (see _generators): h.(g.f) == (h.g).f is compared for
 every composable h, f and every g in S only, which implies it for every
 g.  The guard max_assoc_triples bounds the triples this test compares;
-past it construction raises GuardExceeded.
+past it construction raises GuardExceeded.  The category keeps S, read
+only, as ``generators``: the nerve's S-reduced 2-complex reads it.
 
 validate_category takes label tables, for JSON artifacts and tables
 written by hand; _build, which it calls, takes index arrays.  Opposites,
@@ -44,11 +45,15 @@ class CategoryError(ValueError):
 
 class FinCat:
     """A validated finite category (see the module docstring); g.f is
-    ``flat[row[g] + ipos[f]]`` whenever src g == tgt f."""
+    ``flat[row[g] + ipos[f]]`` whenever src g == tgt f.
+
+    ``generators`` is the read-only mask of the set S that validation
+    picked for Light's test (see _generators): no identity is in S, and
+    every non-identity morphism is a composite of members of S."""
 
     __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
                  "src", "tgt", "identity_of", "flat", "row", "ipos",
-                 "_hom", "_ends")
+                 "generators", "_hom", "_ends")
 
     def __init__(self, objects, mor_labels, src, tgt, identity_of, table):
         self.objects = tuple(objects)
@@ -58,7 +63,8 @@ class FinCat:
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.identity_of = tuple(identity_of)
-        self.flat, self.row, self.ipos = table
+        self.flat, self.row, self.ipos, self.generators = table
+        self.generators.flags.writeable = False
         hom = {}
         for i in range(len(self.mor_labels)):
             hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
@@ -318,7 +324,7 @@ def _positions(ends, counts):
 def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards):
     """Composition a.b = ab is total on composable pairs, unital and
     associative (by Light's test, within max_assoc_triples); returns the
-    table (flat, row, ipos).
+    table (flat, row, ipos) and the mask of Light's generating set S.
 
     The table is one int32 block per object y, of shape out(y) x in(y):
     g.f sits in the row of g among the morphisms out of y and the column
@@ -386,7 +392,7 @@ def _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards):
                 r, c = np.unravel_index(np.argmax(bad), bad.shape)
                 _associativity_fails(labels, in_order[in_start[x] + c],
                                      b[rows[r]], a[rows[r]])
-    return flat, row, ipos
+    return flat, row, ipos, gen
 
 
 def _generators(n_morphisms, identity_of, a, b, ab):
@@ -397,12 +403,13 @@ def _generators(n_morphisms, identity_of, a, b, ab):
     The morphisms are ordered identities first, then by how many pairs
     compose to them (fewest first), then by index.  A morphism is left out
     of S when it is an identity or the composite of a pair that both come
-    earlier, so by induction on the order each morphism is a composite of
-    members of S and identities.  Once the identity laws hold, h.(g.f) ==
-    (h.g).f for every g in S and all composable h, f implies
-    associativity: the g for which it holds contain the identities and
-    are closed under composition (Clifford-Preston, The Algebraic Theory
-    of Semigroups I, section 1.2).
+    earlier; neither member of that pair is an identity, since i.m = m
+    does not come before m.  So by induction on the order each
+    non-identity morphism is a composite of members of S.  Once the
+    identity laws hold, h.(g.f) == (h.g).f for every g in S and all
+    composable h, f implies associativity: the g for which it holds
+    contain the identities and are closed under composition
+    (Clifford-Preston, The Algebraic Theory of Semigroups I, section 1.2).
     """
     gen = np.ones(n_morphisms, bool)
     gen[identity_of] = False
@@ -479,15 +486,15 @@ class FinFunctor:
 # ---------------------------------------------------------------------------
 # category calculus
 
-def opposite(C):
+def opposite(C, guards=DEFAULT):
     """C^op: g.f in C^op is f.g in C (associativity is inherited)."""
     src, tgt = C.ends()
     g, f, gf = C.pairs()
     return _build(C.objects, C.mor_labels, tgt, src, C.identity_of, f, g, gf,
-                  DEFAULT)
+                  guards)
 
 
-def product_tuple(cats):
+def product_tuple(cats, guards=DEFAULT):
     """n-ary product with flat tuple labels (objects and morphisms).
 
     A tuple of indices is numbered in mixed radix, the last factor
@@ -504,7 +511,7 @@ def product_tuple(cats):
                     for x, y in ((g, c_g), (f, c_f), (gf, c_gf)))
     return _build(list(itertools.product(*[c.objects for c in cats])),
                   list(itertools.product(*[c.mor_labels for c in cats])),
-                  src, tgt, identity_of, g, f, gf, DEFAULT)
+                  src, tgt, identity_of, g, f, gf, guards)
 
 
 def _radix(high, low, base):
@@ -833,7 +840,7 @@ def strict_fiber(F, d, guards=DEFAULT):
 # ---------------------------------------------------------------------------
 # twisted arrows
 
-def twisted_arrow_op(C):
+def twisted_arrow_op(C, guards=DEFAULT):
     """The category Tw(C)^op: objects are morphisms of C, a map f -> f' is a
     factorisation f = b . f' . a, together with the projection to C sending
     f: x -> y to x (a colim-equivalence)."""
@@ -856,10 +863,10 @@ def twisted_arrow_op(C):
     labels = [tuple(C.mor_labels[x] for x in t)
               for t in zip(f.tolist(), fp.tolist(), a.tolist(), b.tolist())]
     tw = _build(C.mor_labels, labels, f, fp, identity_of, second, first,
-                composite, DEFAULT, _pair_rank(C.mor_labels, a, b))
+                composite, guards, _pair_rank(C.mor_labels, a, b))
     proj = FinFunctor(tw, C,
                       {C.mor_labels[x]: C.objects[C.src[x]] for x in range(n)},
-                      {lbl: lbl[2] for lbl in labels})
+                      {lbl: lbl[2] for lbl in labels}, guards)
     return tw, proj
 
 
@@ -909,7 +916,7 @@ class Poset:
         return len(self.elements)
 
 
-def poset_category(P):
+def poset_category(P, guards=DEFAULT):
     """The poset viewed as a category (one morphism per related pair)."""
     n = len(P)
     # the morphism (a, b), a <= b, has the key a n + b
@@ -922,7 +929,7 @@ def poset_category(P):
     labels = list(zip([P.elements[i] for i in a.tolist()],
                       [P.elements[i] for i in b.tolist()]))
     return _build(list(P.elements), labels, a, b, identity_of, second, first,
-                  composite, DEFAULT)
+                  composite, guards)
 
 
 class Group:
@@ -953,14 +960,17 @@ class Group:
         return len(self.elements)
 
 
-def group_category(G):
-    """The one-object category B(G) on the object "*"."""
+def group_category(G, guards=DEFAULT):
+    """The one-object category B(G) on the object "*"; its |G|^2
+    composable pairs are checked against max_composable_pairs before any
+    is listed."""
     n = len(G)
+    guards.check(n * n, "max_composable_pairs", "group category")
     # ("*", a) . ("*", b) = ("*", ab) for every pair
     a, b = np.divmod(np.arange(n * n), n)
     ends = np.zeros(n, np.int64)
     return _build(["*"], [("*", g) for g in G.elements], ends, ends,
-                  [G.index[G.identity]], a, b, G.table, DEFAULT)
+                  [G.index[G.identity]], a, b, G.table, guards)
 
 
 def action_category(G, P, moved, guards=DEFAULT):

@@ -34,6 +34,9 @@ class GuardConfig:
     # builds no right fiber, so there it bounds the left fibers of each
     # strict-fiber inclusion only
     max_functor_pairs: int = 20_000_000
+    # composable pairs of a flag or group category, counted from the
+    # hom-set sizes before the pair arrays are allocated
+    max_composable_pairs: int = 20_000_000
     tietze_budget: int = 200_000
     # rbs / groups
     max_group_order: int = 100_000

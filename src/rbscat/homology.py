@@ -4,7 +4,9 @@ The nerve of a finite category is truncated at a stated depth D: the
 normalized chain groups C_0..C_D have bases the composable chains of
 non-identity morphisms, and a face whose composite is an identity
 contributes zero.  Homology computed from such a truncation is trusted in
-degrees 0..D-1 only; HomologyResult records that range.
+degrees 0..D-1 only; HomologyResult records that range.  For H_0 and H_1
+the S-reduced 2-complex suffices: its 2-chains start in the generating
+set S that validation picked (see nerve_chain_complex).
 
 Every boundary matrix is stored once, as a CSC matrix: the index arrays
 indptr, rows (ascending within each column) and vals.  Nerves, simplicial
@@ -221,7 +223,8 @@ def _check_snf(A, U, D, V, rank):
 
 
 def snf_diagonal(A):
-    """Invariant factors of a dense integer matrix (no transforms)."""
+    """Invariant factors of a dense integer matrix, the nonzero diagonal
+    of smith_normal_form, whose transforms U and V certify them."""
     U, D, V = smith_normal_form(A)
     k = min(len(D), len(D[0]) if D else 0)
     return [D[i][i] for i in range(k) if D[i][i] != 0]
@@ -691,7 +694,7 @@ def _coefficient_prime(coefficients):
 # ---------------------------------------------------------------------------
 # nerves
 
-def nerve_chain_complex(C, depth, guards=DEFAULT):
+def nerve_chain_complex(C, depth, guards=DEFAULT, reduced=False):
     """Normalized nerve chains of a finite category up to the given depth.
 
     C_k has basis the composable chains (f_1, ..., f_k) of non-identity
@@ -707,7 +710,19 @@ def nerve_chain_complex(C, depth, guards=DEFAULT):
     g . f_{k-1}.  Each face is found by searchsorted on its key; face j
     is dropped where face j of p was, and face k-1 also where
     g . f_{k-1} is an identity.  Face k of x is p.
+
+    reduced (depth 2 only, else ValueError): C_2 keeps only the chains
+    (s, g) whose first morphism s is in the generating set S of C
+    (``C.generators``); C_0, C_1, d_1, the faces and their signs are the
+    nerve's.  This 2-complex has the nerve's H_0 and H_1, as groups,
+    torsion included.  Write R(h, k) = [h] + [k] - [h.k] for the boundary
+    of the chain (k, h), with [id] = 0.  If k = k'.s with s in S, then
+    R(h, k) = R(h, k') + R(h.k', s) - R(k', s), and every non-identity k
+    is a word in S, so induction on the word gives every R(h, k) from the
+    R(., s): the image of d_2 is the same.
     """
+    if reduced and depth != 2:
+        raise ValueError("the reduced nerve has depth 2, got %d" % depth)
     n_mor = C.n_morphisms
     src, tgt = C.ends()
     is_id = np.zeros(n_mor, bool)
@@ -729,11 +744,15 @@ def nerve_chain_complex(C, depth, guards=DEFAULT):
             last = keys = arrows
             faces = np.zeros((size, 2), np.int64)  # the key prefix of (f) is 0
         else:
-            counts = out_n[tgt[last]]
+            heads = np.arange(len(last))
+            if reduced:
+                heads = heads[C.generators[last]]
+            ends = tgt[last[heads]]
+            counts = out_n[ends]
             size = int(counts.sum())
             _check_simplices(size, k, guards)
-            prefix = np.repeat(np.arange(len(last)), counts)
-            g = out_list[np.repeat(out_start[tgt[last]] - (np.cumsum(counts) - counts),
+            prefix = np.repeat(heads, counts)
+            g = out_list[np.repeat(out_start[ends] - (np.cumsum(counts) - counts),
                                    counts) + np.arange(size)]
             composite = C.compose_many(g, last[prefix])
             of_prefix = faces[prefix]

@@ -283,7 +283,9 @@ class RBSCategory:
     @cached_property
     def cat(self):
         """The flag category; every build checks that coset composition
-        does not depend on the representatives."""
+        does not depend on the representatives.  Its composable pairs,
+        the sum over flags of in-degree times out-degree, are checked
+        against max_composable_pairs before any is listed."""
         gl, nf, size = self.gl, len(self.flags), len(self.gl)
         coset_rep = self._coset_rep
         # the morphism (fi, fj, rep), a coset g U_{F_i} with g F_i <= F_j,
@@ -294,6 +296,8 @@ class RBSCategory:
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
         ends, rep = np.divmod(keys, size)
         src, tgt = np.divmod(ends, nf)
+        pairs = np.bincount(tgt, minlength=nf) @ np.bincount(src, minlength=nf)
+        self.guards.check(int(pairs), "max_composable_pairs", "flag category")
         # (fj, fk, h) . (fi, fj, g) = (fi, fk, rep[fi, h g])
         first, second = _join(tgt, src)
         s1 = src[first]
@@ -465,7 +469,7 @@ def pi1_quotient_functor(rbs, subgroups=None):
         subgroups = compute_e_group(rbs)
     gl = rbs.gl
     rep, quotient = _quotient_by_e(gl, subgroups)
-    B = group_category(quotient)
+    B = group_category(quotient, rbs.guards)
     obj_map = {o: "*" for o in rbs.cat.objects}
     labels = np.array(rbs.cat.mor_labels, np.int64).reshape(-1, 3)
     classes = np.empty(len(labels), np.int64)
@@ -479,7 +483,7 @@ def pi1_quotient_functor(rbs, subgroups=None):
         classes[into] = of_coset[:, 0]
     classes = classes.tolist()
     mor_map = {m: ("*", c) for m, c in zip(rbs.cat.mor_labels, classes)}
-    functor = FinFunctor(rbs.cat, B, obj_map, mor_map)
+    functor = FinFunctor(rbs.cat, B, obj_map, mor_map, rbs.guards)
     surjective = set(classes) == set(quotient.elements)
     return functor, surjective
 
@@ -618,7 +622,7 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
             rep_piece = graded[i].coset_min(src_piece, gi_idx)
             piece_labels.append((src_piece, tgt_piece, rep_piece))
         mor_map[lbl] = tuple(piece_labels)
-    prod = product_tuple([g.cat for g in graded])
+    prod = product_tuple([g.cat for g in graded], guards)
     functor = FinFunctor(ref_sub, prod, obj_map, mor_map)
     iso = is_isomorphism_of_categories(functor)
     # the inclusion of refinements into the <=[F] subcategory is an equivalence

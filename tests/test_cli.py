@@ -506,6 +506,9 @@ GUARD_TRIPS = {
         ("homology", "rbs", "--ring", "F2", "--n", "2", "--depth", "2"), 2),
     "max_assoc_triples": ({"max_assoc_triples": 3},
                           ("build", "rbs", "--ring", "F2", "--n", "2"), 2),
+    # RBS(F2, 2) has 144 composable pairs
+    "max_composable_pairs": ({"max_composable_pairs": 143},
+                             ("build", "rbs", "--ring", "F2", "--n", "2"), 2),
     "max_functor_pairs": ({"max_functor_pairs": 3},
                           ("verify", "proper-p", "--ring", "F2", "--n", "2"),
                           2),
@@ -540,6 +543,17 @@ def test_guard_trips(field, tmp_path):
         code = cli.main(["--config", str(cfg), *invocation])
     assert code == expected and out.getvalue() == "", (code, err.getvalue())
     assert "guard exceeded" in err.getvalue() and field in err.getvalue()
+
+
+def test_config_reaches_bgl_in_bgl_comparison(tmp_path):
+    # BGL_2(F2) has 36 composable pairs, and was built under the default
+    # guards whatever --config said
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"max_composable_pairs": 35}))
+    code, out, err = run_cli("--config", str(cfg), "verify", "bgl-comparison",
+                             "--ring", "F2", "--n", "2", "--ell", "3")
+    assert code == 2 and out == ""
+    assert "group category requires 36 > max_composable_pairs=35" in err
 
 
 def test_inconclusive_certificate_is_not_a_failure(tmp_path):

@@ -185,10 +185,12 @@ def oracle_is_category(morphs, idents, comp):
     return True
 
 
+V_POSET = poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
+                        ("a", "b"), ("a", "c")])
+
+
 def v_poset_category():
-    P = poset("abc", [("a", "a"), ("b", "b"), ("c", "c"),
-                      ("a", "b"), ("a", "c")])
-    return poset_category(P)
+    return poset_category(V_POSET)
 
 
 BASES = [bz(1), bz(2), bz(3), bz(4), chain_category(), v_poset_category(),
@@ -235,6 +237,44 @@ def test_guard_bounds_the_triples_light_test_compares():
     with pytest.raises(GuardExceeded, match="requires 9 > max_assoc_triples=8"):
         validate_category(objs, morphs, idents, comp,
                           GuardConfig(max_assoc_triples=8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda guards: group_category(cyclic(2), guards),
+    lambda guards: poset_category(V_POSET, guards),
+    lambda guards: opposite(bz(2), guards),
+    lambda guards: product_tuple([bz(2)], guards),
+    lambda guards: twisted_arrow_op(bz(2), guards)[0],
+], ids=["group", "poset", "opposite", "product", "twisted"])
+def test_derived_builders_obey_the_callers_guards(build):
+    # each table has more than one Light triple: these builders validated
+    # under the default guards whatever the caller passed
+    build(DEFAULT)
+    with pytest.raises(GuardExceeded, match="max_assoc_triples=1"):
+        build(GuardConfig(max_assoc_triples=1))
+
+
+def test_composable_pairs_are_counted_before_they_are_listed(monkeypatch):
+    # the sum of in-degree times out-degree over the flags of RBS(F2, 2),
+    # checked before _join lists a pair, and |G|^2 for B(G)
+    from rbscat import rbs as rbs_module
+
+    def no_join(*args):
+        raise AssertionError("pairs listed before the guard ran")
+    pairs = int(sum(np.bincount(RBS_F2.tgt) * np.bincount(RBS_F2.src)))
+    assert pairs == len(RBS_F2.flat)
+    monkeypatch.setattr(rbs_module, "_join", no_join)
+    with pytest.raises(GuardExceeded,
+                       match="flag category requires %d > max_composable"
+                       % pairs):
+        build_rbs("F2", 2, GuardConfig(max_composable_pairs=pairs - 1)).cat
+    with pytest.raises(GuardExceeded,
+                       match="group category requires 25 > max_composable"):
+        group_category(cyclic(5), GuardConfig(max_composable_pairs=24))
+    monkeypatch.undo()
+    assert build_rbs("F2", 2, GuardConfig(max_composable_pairs=pairs)).cat \
+        .mor_labels == RBS_F2.mor_labels
+    group_category(cyclic(5), GuardConfig(max_composable_pairs=25))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -27,6 +27,8 @@ from rbscat.homology import (
     snf_diagonal,
     sparse_invariant_factors,
 )
+from test_fincat import posets, small_categories
+
 
 def poset(elements, pairs):
     """The poset on elements whose relation holds exactly on the pairs."""
@@ -323,11 +325,13 @@ def test_kernel_matches_dict_oracle_on_a_seeded_corpus():
 
 
 def test_kernel_matches_dict_oracle_on_nerve_and_building_boundaries():
-    # the boundaries pi1 eliminates (skeleton nerves at depth 2) and those
-    # of a Tits building, lines long and short, over Z and F_ell
+    # the boundaries pi1 eliminates (the S-reduced d_2 of skeleta), the
+    # full depth-2 nerve's and those of a Tits building, lines long and
+    # short, over Z and F_ell
     from rbscat.rbs import build_rbs, tits_building
-    boundaries = [nerve_chain_complex(skeleton(build_rbs(spec, 2).cat), 2)
-                  .boundaries[2] for spec in ("F2", "F3", "Z4")]
+    skeleta = [skeleton(build_rbs(spec, 2).cat) for spec in ("F2", "F3", "Z4")]
+    boundaries = [nerve_chain_complex(sk, 2, reduced=reduced).boundaries[2]
+                  for sk in skeleta for reduced in (False, True)]
     boundaries += tits_building(2, 4).complex.boundaries.values()
     for d in boundaries:
         for ell in (None, 2, 3):
@@ -540,10 +544,11 @@ def test_complex_from_json_validates():
 # ---------------------------------------------------------------------------
 # array nerve and d.d check against the per-simplex dict oracles
 
-def oracle_nerve(C, depth):
+def oracle_nerve(C, depth, heads=None):
     """Per-simplex dict builder of the normalized nerve (test oracle): the
     dims and, per degree, the boundary columns {row: value}, the chains
-    listed in lexicographic order."""
+    listed in lexicographic order.  Given heads, the 2-chains are those
+    whose first morphism is in heads."""
     ids = set(C.identity_of)
     out_of = {}
     for f in non_identity_morphisms(C):
@@ -573,6 +578,7 @@ def oracle_nerve(C, depth):
         dims.append(len(chains))
         index_prev = {ch: i for i, ch in enumerate(chains)}
         chains = [ch + (g,) for ch in chains
+                  if k > 1 or heads is None or ch[0] in heads
                   for g in out_of.get(C.tgt[ch[-1]], ())]
     return dims, boundaries
 
@@ -649,6 +655,66 @@ def test_array_nerve_matches_dict_oracle(case):
         for a, b in zip(d.indptr[:-1].tolist(), d.indptr[1:].tolist()):
             assert (d.rows[a:b][1:] > d.rows[a:b][:-1]).all()
     assert oracle_dd_is_zero(boundaries)
+
+
+# ---------------------------------------------------------------------------
+# the S-reduced 2-complex; its labelled oracle is the full depth-2 nerve
+
+def assert_reduced_matches_nerve(C):
+    """The S-reduced 2-complex of C is the dict oracle's depth-2 nerve cut
+    to the 2-chains that start in C.generators, and it has the full
+    depth-2 nerve's H_0 and H_1 over Z, F2 and F3 from at most as many
+    2-chains.  Returns the 2-chain counts, reduced and full."""
+    red = nerve_chain_complex(C, 2, reduced=True)
+    full = nerve_chain_complex(C, 2)
+    heads = set(np.flatnonzero(C.generators).tolist())
+    dims, boundaries = oracle_nerve(C, 2, heads)
+    assert red.dims == dims and red.dims[:2] == full.dims[:2]
+    assert red.dims[2] <= full.dims[2]
+    assert [list(red.boundaries[k]) for k in (1, 2)] == \
+        [boundaries[1], boundaries[2]]
+    for coefficients in ("Z", "F2", "F3"):
+        h, oracle = homology(red, coefficients), homology(full, coefficients)
+        assert (h.betti, h.torsion, h.trusted_max) == \
+            (oracle.betti, oracle.torsion, oracle.trusted_max)
+    return red.dims[2], full.dims[2]
+
+
+@pytest.mark.parametrize("spec, n, counts", [
+    ("F2", 1, None), ("F2", 2, None), ("F3", 2, (320, 3018)),
+    ("Z4", 2, (1004, 11386)), ("F4", 2, (3255, 40520)),
+    ("F5", 2, (6636, 277090)), ("F2", 3, (3121, 46176)), ("Z8", 1, None),
+    ("Z16", 1, None), ("Z9", 1, None)])
+def test_reduced_complex_matches_nerve_on_rbs_skeleta(spec, n, counts):
+    from rbscat.rbs import build_rbs
+    got = assert_reduced_matches_nerve(skeleton(build_rbs(spec, n).cat))
+    assert counts is None or got == counts
+
+
+def symmetric_group_3():
+    import itertools
+    perms = list(itertools.permutations(range(3)))
+    return Group(perms, [[perms.index(tuple(a[i] for i in b)) for b in perms]
+                         for a in perms], (0, 1, 2))
+
+
+def test_reduced_complex_matches_nerve_on_groupoids_and_posets():
+    # in a group every h has an inverse, so h.s = id drops faces
+    for C in [group_category(symmetric_group_3())] + NERVE_BASES:
+        assert_reduced_matches_nerve(C)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(nerve_inputs().map(lambda case: case[0]), small_categories(),
+                 posets().map(poset_category)))
+def test_reduced_complex_matches_nerve_on_random_categories(C):
+    assert_reduced_matches_nerve(C)
+
+
+def test_reduced_complex_has_depth_2_only():
+    for depth in (1, 3):
+        with pytest.raises(ValueError, match="depth 2"):
+            nerve_chain_complex(bz(2), depth, reduced=True)
 
 
 def corrupt(cx, k, at):
