@@ -814,28 +814,6 @@ def chain_complex_from_facets(facets):
     return cx
 
 
-def maximal_chains(less):
-    """Every maximal chain of a finite strict order, as index tuples.
-
-    less: n x n boolean matrix, less[i, j] when i < j.  A maximal chain
-    runs from a minimal to a maximal element and steps only along covers
-    (i < j with nothing strictly between), so each chain is listed once
-    and no chain that is a face of another is.
-    """
-    less = np.asarray(less, bool)
-    between = (less.astype(np.int64) @ less.astype(np.int64)) > 0
-    covers = [np.flatnonzero(up).tolist() for up in less & ~between]
-    chains = []
-    stack = [(x,) for x in np.flatnonzero(~less.any(axis=0)).tolist()]
-    while stack:
-        chain = stack.pop()
-        up = covers[chain[-1]]
-        if not up:
-            chains.append(chain)
-        stack.extend(chain + (y,) for y in up)
-    return chains
-
-
 # ---------------------------------------------------------------------------
 # independent rank oracle (fraction-free over Q)
 

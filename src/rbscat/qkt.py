@@ -55,8 +55,10 @@ from .rings import (
     QuotientData,
     Submodule,
     _gauss_jordan,
+    chains_through,
     enumerate_gl,
     enumerate_submodules,
+    inclusion_table,
     kernel_basis,
     make_ring,
     rref,
@@ -367,31 +369,22 @@ def flag_quotients(ring, n, chain):
     return out
 
 
-_SUBS_CACHE = {}
+_SUBS_CACHE = {}  # nonzero subspaces, their inclusions and dimensions
 
 
 def enumerate_flag_chains(ring, n, jumps, guards=DEFAULT):
-    """All literal chains in F^n with the given dimension jumps."""
+    """All literal chains in F^n with the given dimension jumps, in
+    lexicographic order of their subspaces."""
     _require(sum(jumps) == n, "dimension jumps do not add up to n")
     key = (ring.key(), n, astuple(guards))
     if key not in _SUBS_CACHE:
-        _SUBS_CACHE[key] = enumerate_submodules(ring, n, guards)
-    subs = _SUBS_CACHE[key]
-    by_rank = {}
-    for s in subs:
-        by_rank.setdefault(s.rank, []).append(s)
-    chains = [[]]
-    dim = 0
-    for j in jumps:
-        dim += j
-        new = []
-        for ch in chains:
-            prev = ch[-1] if ch else Submodule.zero(ring, n)
-            for s in by_rank.get(dim, ()):
-                if prev < s:
-                    new.append(ch + [s])
-        chains = new
-    return [tuple(s.mat for s in ch) for ch in chains]
+        # a chain rises strictly from 0, so 0 is never a member
+        subs = [s for s in enumerate_submodules(ring, n, guards) if s.rank]
+        _SUBS_CACHE[key] = (subs, inclusion_table(ring, n, subs),
+                            [s.rank for s in subs])
+    subs, less, ranks = _SUBS_CACHE[key]
+    return [tuple(subs[i].mat for i in chain) for chain in chains_through(
+        less, ranks, tuple(itertools.accumulate(jumps))).tolist()]
 
 
 @dataclass(frozen=True)
@@ -1025,7 +1018,8 @@ class QKit:
         mor_map = {}
         for lbl in self.span_cat.mor_labels:
             mor_map[lbl] = self.psi_q1_label(lbl)
-        self._psi = FinFunctor(self.span_cat, q1, obj_map, mor_map)
+        self._psi = FinFunctor(self.span_cat, q1, obj_map, mor_map,
+                               self.guards)
         return self._psi
 
 
@@ -1106,7 +1100,7 @@ def comma_contractibility(kit, target, depth=3, guards=None):
         pad = _padded_identity_label(kit, target, i0)
         expect = (target[i0], pad)
         sub_objs = sorted(members[i0], key=repr)
-        sub, _ = full_subcategory(cat, sub_objs)
+        sub, _ = full_subcategory(cat, sub_objs, guards)
         term = sub.has_terminal_object()
         details["terminal_%d" % i0] = term
         if term != expect:

@@ -25,7 +25,9 @@ Also here: the flag poset with its GL action, the action category
 GL\\\\P with the comparison functor to the flag category, the subgroup
 E(M) generated by all U_F with the determinant cross-check, Tits
 buildings with their top homology ranks, and the blockwise decomposition
-of the subcategory under a fixed flag.
+of the subcategory under a fixed flag.  A Tits building is built from
+its complete flags, the chains through the dimensions 1..n-1 that
+rings.chains_through lists, and only its top boundary is eliminated.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .fincat import (
     product_tuple,
 )
 from .guards import DEFAULT
-from .homology import chain_complex_from_facets, homology, maximal_chains
+from .homology import chain_complex_from_facets, sparse_invariant_factors
 from .rings import (
     Mat,
     QuotientData,
@@ -58,10 +60,12 @@ from .rings import (
     _CHUNK_ENTRIES,
     _code_weights,
     _vector_digits,
+    chains_through,
     determinants,
     enumerate_flags,
     enumerate_submodules,
     gl_tables,
+    inclusion_table,
     make_ring,
     membership,
 )
@@ -84,13 +88,15 @@ class GLData:
     permutes the vector codes).  The flag action, the unipotent subgroups
     and the product table read act.  mult[i, j] is the index of g_i g_j,
     one C-contiguous int32 table built the first time it is read, a chunk
-    of rows at a time.  mats wraps entries as Mat objects, also on first
+    of rows at a time, after |GL|^2 is checked against
+    max_composable_pairs.  mats wraps entries as Mat objects, also on first
     read.
     """
 
     def __init__(self, ring, n, guards=DEFAULT):
         self.ring = ring
         self.n = n
+        self.guards = guards
         self.entries, self.act = gl_tables(ring, n, guards)
         guards.check(len(self.entries), "max_group_order", "GL table")
         weights = _code_weights(ring, n * n)
@@ -113,6 +119,8 @@ class GLData:
         g h is g (h e_k), the vector code act[g, act[h, e_k]], and g h is
         found by its column codes in a table over all candidates."""
         size, n, act = len(self), self.n, self.act
+        self.guards.check(size * size, "max_composable_pairs",
+                          "GL product table")
         vectors = act.shape[1]
         # columns[h, k], the code of h e_k; e_k has the code q^(n-1-k)
         columns = act[:, _code_weights(self.ring, n)].astype(np.int64)
@@ -393,20 +401,19 @@ def comparison_functor(rbs, action_cat=None):
 
 def bgl_category(rbs):
     """One-object category B(GL(M)) and its inclusion at the empty flag."""
-    e = rbs.empty_flag_index
-    sub, incl = full_subcategory(rbs.cat, [e])
-    return sub, incl
+    return full_subcategory(rbs.cat, [rbs.empty_flag_index], rbs.guards)
 
 
 def comparison_iso_over_bgl(rbs, p):
     """The comparison functor restricted over the empty flag is an
     isomorphism onto B(GL(M)) (the full subcategory on the empty flag)."""
     e = rbs.empty_flag_index
-    src_sub, _ = full_subcategory(p.source, [e])
-    tgt_sub, _ = full_subcategory(p.target, [e])
+    src_sub, _ = full_subcategory(p.source, [e], rbs.guards)
+    tgt_sub, _ = full_subcategory(p.target, [e], rbs.guards)
     restricted = FinFunctor(src_sub, tgt_sub,
                             {e: p.obj_map[e]},
-                            {m: p.mor_map[m] for m in src_sub.mor_labels})
+                            {m: p.mor_map[m] for m in src_sub.mor_labels},
+                            rbs.guards)
     return is_isomorphism_of_categories(restricted)
 
 
@@ -498,7 +505,6 @@ class TitsComplex:
     vertex_count: int
     simplex_counts: list
     complex: object
-    homology_z: object
     steinberg_rank: int
     euler_characteristic: int
 
@@ -506,19 +512,23 @@ class TitsComplex:
 def tits_building(q, n, guards=DEFAULT):
     """Order complex of proper nonzero subspaces of F_q^n.
 
-    The top reduced homology has rank q^{n(n-1)/2} (a wedge of
-    (n-2)-spheres); the rank is computed and asserted, not assumed.
+    Its facets are the complete flags, the chains through the dimensions
+    1..n-1.  The top reduced homology has rank q^{n(n-1)/2} (a wedge of
+    (n-2)-spheres); the rank is computed and asserted, not assumed.  The
+    complex stops in degree n-2, so that rank is dim C_{n-2} minus the
+    rank of d_{n-2} over Z, and only d_{n-2} is eliminated.
     """
     if n < 2:
         raise ValueError("the building needs n >= 2")
     ring = make_ring("F%d" % q, guards)
     subs = [s for s in enumerate_submodules(ring, n, guards)
             if 0 < s.rank < n]
-    facets = maximal_chains(_proper_inclusions(subs, q, n))
-    cx = chain_complex_from_facets(facets)
-    hz = homology(cx, "Z")
+    facets = chains_through(inclusion_table(ring, n, subs),
+                            [s.rank for s in subs], range(1, n))
+    cx = chain_complex_from_facets(facets.tolist())
     top = n - 2
-    reduced_top = hz.betti.get(top, 0) - (1 if top == 0 else 0)
+    reduced_top = cx.dims[top] - (1 if top == 0 else len(
+        sparse_invariant_factors(cx.boundaries[top])))
     expected = q ** (n * (n - 1) // 2)
     if reduced_top != expected:
         raise RuntimeError("Steinberg rank %d != q^(n(n-1)/2) = %d"
@@ -527,32 +537,7 @@ def tits_building(q, n, guards=DEFAULT):
     if chi != 1 + (-1) ** n * expected:
         raise RuntimeError("Euler characteristic %d != 1 + (-1)^n q^(n(n-1)/2)"
                            % chi)
-    return TitsComplex(q, n, len(subs), list(cx.dims), cx, hz,
-                       reduced_top, chi)
-
-
-def _proper_inclusions(subs, q, n):
-    """less[i, j] when subs[i] is a proper subspace of subs[j]: one array
-    test per pair of dimensions r < r', which looks up the rows of every
-    r-dimensional subspace in the membership vectors over F_q^n of the
-    r'-dimensional ones (vectors numbered in base q)."""
-    radix = q ** np.arange(n - 1, -1, -1)
-    ring = subs[0].ring
-    member = np.array([membership(ring, n, s.mat) for s in subs],
-                      bool).reshape(len(subs), q ** n)
-    rank = np.array([s.rank for s in subs])
-    less = np.zeros((len(subs), len(subs)), bool)
-    for r in range(1, n):
-        low = np.flatnonzero(rank == r)
-        rows = np.array([subs[i].mat for i in low.tolist()]).reshape(
-            len(low), r, n) @ radix
-        for high in (np.flatnonzero(rank == t) for t in range(r + 1, n)):
-            less[np.ix_(low, high)] = member[high][:, rows].all(axis=2).T
-    return less
-
-
-def steinberg_rank(q, n, guards=DEFAULT):
-    return tits_building(q, n, guards).steinberg_rank
+    return TitsComplex(q, n, len(subs), list(cx.dims), cx, reduced_top, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +608,7 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
             piece_labels.append((src_piece, tgt_piece, rep_piece))
         mor_map[lbl] = tuple(piece_labels)
     prod = product_tuple([g.cat for g in graded], guards)
-    functor = FinFunctor(ref_sub, prod, obj_map, mor_map)
+    functor = FinFunctor(ref_sub, prod, obj_map, mor_map, guards)
     iso = is_isomorphism_of_categories(functor)
     # the inclusion of refinements into the <=[F] subcategory is an equivalence
     incl_ok = is_fully_faithful(ref_incl_to_le(rbs, ref_objs, le_objs, le_sub, ref_sub)) \
@@ -635,7 +620,7 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
 def ref_incl_to_le(rbs, ref_objs, le_objs, le_sub, ref_sub):
     obj_map = {o: o for o in ref_objs}
     mor_map = {m: m for m in ref_sub.mor_labels}
-    return FinFunctor(ref_sub, le_sub, obj_map, mor_map)
+    return FinFunctor(ref_sub, le_sub, obj_map, mor_map, rbs.guards)
 
 
 def _essentially_surjective_on_le(rbs, fi, le_objs, ref_objs, le_sub):

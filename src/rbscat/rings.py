@@ -20,6 +20,10 @@ action on flags, the unipotent subgroups and the product table.
 enumerate_submodules is a breadth-first search that forms each span
 S + R v as a membership row over the vector codes, deduplicates spans
 by that row, and computes one canonical form per distinct submodule.
+Every chain of submodules (splittable flags, qkt's flag chains, the Tits
+building's facets) is listed by chains_through, one array join per rank,
+on the proper inclusions that inclusion_table reads from one float64
+product of membership rows.
 determinants expands permutations over a whole stack of matrices.
 
 One elimination routine, _gauss_jordan (unit pivots, each scaled to 1
@@ -424,12 +428,15 @@ def _spans(ring, n, elems, vs):
 
 
 def membership(ring, n, rows):
-    """The membership row over the vector codes of the span of rows."""
+    """The membership row over the vector codes of the span of rows: the
+    span so far gains s + c r for each row r, each element s and each c."""
+    weights = _code_weights(ring, n)
     member = np.zeros(ring.size ** n, bool)
     member[0] = True
-    codes = np.array(rows, np.int64).reshape(len(rows), n) @ _code_weights(ring, n)
-    for code in codes:
-        member = _spans(ring, n, np.flatnonzero(member), [code])[0]
+    rows = np.array(rows, np.int64).reshape(len(rows), n)
+    for multiples in ring.mul_array[:, rows].transpose(1, 0, 2):
+        elems = _vector_digits(ring, n, np.flatnonzero(member))
+        member[ring.add_array[elems[:, None, :], multiples] @ weights] = True
     return member
 
 
@@ -937,23 +944,52 @@ EMPTY = "empty"
 
 
 def enumerate_flags(ring, n, guards=DEFAULT):
-    """All splittable flags of R^n, the empty flag first."""
+    """All splittable flags of R^n, the empty flag first.
+
+    Splittable members are free, so strict inclusion strictly increases
+    the free rank: the flags are the chains through the increasing
+    subsets of the free ranks 1..n-1, each listed once."""
     subs = [s for s in enumerate_splittable_submodules(ring, n, guards)
             if 0 < s.free_rank < n]
-    subs.sort(key=Submodule.sort_key)
-    flags = []
-
-    # splittable members are free, so strict inclusion strictly increases
-    # rank and every chain is generated exactly once
-    def extend(chain):
-        flags.append(Flag(ring, n, tuple(chain)))
-        for s in subs:
-            if not chain or chain[-1] < s:
-                extend(chain + [s])
-
-    extend([])
+    less = inclusion_table(ring, n, subs)
+    ranks = [s.free_rank for s in subs]
+    free = range(1, n)
+    flags = [Flag(ring, n, tuple(subs[i] for i in chain))
+             for k in range(len(free) + 1)
+             for through in itertools.combinations(free, k)
+             for chain in chains_through(less, ranks, through).tolist()]
     flags.sort(key=Flag.sort_key)
     return flags
+
+
+def inclusion_table(ring, n, subs):
+    """less[i, j] when subs[i] is a proper submodule of subs[j].
+
+    One float64 product of the membership rows counts |S_i & S_j|;
+    S_i <= S_j when that count is |S_i|, and the inclusion is proper when
+    |S_i| < |S_j|.  The product is exact, as no count passes the length
+    |R|^n of a membership row, far below 2^53."""
+    member = np.array([membership(ring, n, s.mat) for s in subs],
+                      np.float64).reshape(len(subs), ring.size ** n)
+    common = member @ member.T
+    size = common.diagonal()
+    return (common == size[:, None]) & (size[:, None] < size)
+
+
+def chains_through(less, ranks, through):
+    """The chains x_1 < ... < x_k under the strict order less with
+    ranks[x_i] = through[i], as the rows of a k-column index array in
+    lexicographic order.  Each step is one join of the chains so far with
+    the elements of the next rank, on their last element."""
+    ranks = np.asarray(ranks)
+    chains = np.zeros((1, 0), np.int64)
+    for r in through:
+        nxt = np.flatnonzero(ranks == r)
+        joined = less[np.ix_(chains[:, -1], nxt)] if chains.shape[1] else \
+            np.ones((1, len(nxt)), bool)
+        row, col = np.nonzero(joined)
+        chains = np.column_stack([chains[row], nxt[col]])
+    return chains
 
 
 def complete_to_invertible(ring, rows, n):

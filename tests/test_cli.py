@@ -12,7 +12,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbscat import checks, cli
+from rbscat import checks, cli, jsonio
 from rbscat.fincat import (
     Group, Poset, group_category, poset_category, product_tuple)
 from rbscat.guards import GuardConfig
@@ -56,6 +56,48 @@ def test_build_tits():
     doc = json.loads(out)
     assert doc["dims"] == [14, 21]
     assert doc["steinberg_rank"] == 8
+
+
+def maximal_chains_oracle(less):
+    """Oracle for the building's facets: every maximal chain of a strict
+    order, walked from each minimal element along the covers (i < j with
+    nothing strictly between)."""
+    n = len(less)
+    covers = [[j for j in range(n) if less[i][j] and not any(
+        less[i][k] and less[k][j] for k in range(n))] for i in range(n)]
+    chains = []
+    stack = [(x,) for x in range(n) if not any(less[y][x] for y in range(n))]
+    while stack:
+        chain = stack.pop()
+        if not covers[chain[-1]]:
+            chains.append(chain)
+        stack.extend(chain + (y,) for y in covers[chain[-1]])
+    return chains
+
+
+def tits_oracle_bytes(q, n):
+    """The `build tits` document by the oracle route: the maximal chains of
+    the pairwise Submodule.__lt__ order, and homology in every degree."""
+    from rbscat.homology import chain_complex_from_facets, homology
+    from rbscat.rings import enumerate_submodules, make_ring
+    subs = [s for s in enumerate_submodules(make_ring("F%d" % q), n)
+            if 0 < s.rank < n]
+    less = [[s < t for t in subs] for s in subs]
+    cx = chain_complex_from_facets(maximal_chains_oracle(less))
+    top = n - 2
+    doc = complex_to_json(cx)
+    doc["q"], doc["n"] = q, n
+    doc["steinberg_rank"] = homology(cx, "Z").reduced_betti(top)
+    doc["euler_characteristic"] = sum((-1) ** k * d
+                                      for k, d in enumerate(cx.dims))
+    return jsonio.dumps(doc)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3)])
+def test_build_tits_bytes_match_maximal_chains_oracle(q, n):
+    code, out, _ = run_cli("build", "tits", "--q", str(q), "--n", str(n))
+    assert code == 0
+    assert out == tits_oracle_bytes(q, n)
 
 
 def test_homology_roundtrip(tmp_path):
@@ -547,13 +589,25 @@ def test_guard_trips(field, tmp_path):
 
 def test_config_reaches_bgl_in_bgl_comparison(tmp_path):
     # BGL_2(F2) has 36 composable pairs, and was built under the default
-    # guards whatever --config said
+    # guards whatever --config said.  They are the 36 products of the GL
+    # table that BGL is built from, which the guard now stops first
     cfg = tmp_path / "guards.json"
     cfg.write_text(json.dumps({"max_composable_pairs": 35}))
     code, out, err = run_cli("--config", str(cfg), "verify", "bgl-comparison",
                              "--ring", "F2", "--n", "2", "--ell", "3")
     assert code == 2 and out == ""
-    assert "group category requires 36 > max_composable_pairs=35" in err
+    assert "GL product table requires 36 > max_composable_pairs=35" in err
+
+
+def test_config_reaches_the_bgl_inclusion_in_build_bgl(tmp_path):
+    # the inclusion of BGL_2(F2) has 36 composable pairs, and was validated
+    # under the default guards whatever --config said
+    cfg = tmp_path / "guards.json"
+    cfg.write_text(json.dumps({"max_functor_pairs": 35}))
+    code, out, err = run_cli("--config", str(cfg), "build", "bgl",
+                             "--ring", "F2", "--n", "2")
+    assert code == 2 and out == ""
+    assert "requires 36 > max_functor_pairs=35" in err
 
 
 def test_inconclusive_certificate_is_not_a_failure(tmp_path):
@@ -600,6 +654,26 @@ def test_poset_regularity_f3_3_within_an_address_space_limit():
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_fp_acyclic_f3_3_exits_on_the_gl_product_guard_within_a_limit():
+    # |GL_3(F3)|^2 = 126,157,824 products pass max_composable_pairs; the
+    # guard fired only after the 504 MB product table was filled, at about
+    # 680 MB of peak RSS
+    limit = 512 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbscat.cli", "verify", "fp-acyclic",
+         "--ring", "F3", "--n", "3"], capture_output=True, text=True,
+        preexec_fn=cap, timeout=120,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "GL product table requires 126157824 > max_composable_pairs" \
+        in proc.stderr
 
 
 def test_human_verify_stdout_is_byte_identical_across_runs():

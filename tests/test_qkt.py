@@ -5,6 +5,7 @@ from rbscat.rings import (
     Mat,
     Submodule,
     _row_times_mat,
+    enumerate_submodules,
     make_ring,
     residue_independent,
 )
@@ -160,6 +161,29 @@ def test_flag_chain_enumeration():
     assert len(chains) == 3
     chains3 = enumerate_flag_chains(F2, 3, (1, 1, 1))
     assert len(chains3) == 21  # complete flags of F_2^3
+
+
+def enumerate_flag_chains_oracle(ring, n, jumps):
+    """Oracle for enumerate_flag_chains: extend each chain by every
+    subspace of the next dimension above its top, one Submodule.__lt__
+    per pair."""
+    subs = enumerate_submodules(ring, n)
+    chains = [[]]
+    dim = 0
+    for j in jumps:
+        dim += j
+        chains = [ch + [s] for ch in chains for s in subs if s.rank == dim
+                  and (ch[-1] if ch else Submodule.zero(ring, n)) < s]
+    return [tuple(s.mat for s in ch) for ch in chains]
+
+
+@pytest.mark.parametrize("ring, n, jumps", [
+    (F2, 0, ()), (F2, 3, (3,)), (F3, 3, (1, 2)), (F3, 3, (2, 1)),
+    (F3, 3, (1, 1, 1)), (F2, 4, (1, 2, 1)), (F2, 3, (0, 3)),
+    (F2, 3, (1, 0, 2))])
+def test_flag_chains_match_loop_oracle(ring, n, jumps):
+    assert enumerate_flag_chains(ring, n, jumps) == \
+        enumerate_flag_chains_oracle(ring, n, jumps)
 
 
 def test_unit_laws_and_concat():

@@ -24,7 +24,6 @@ from rbscat.rbs import (
     inductive_decomposition,
     pi1_quotient_functor,
     pi1_target,
-    steinberg_rank,
     tits_building,
 )
 from rbscat.rings import Flag, Mat, Submodule, determinants, make_ring
@@ -282,22 +281,21 @@ def test_tits_counts():
 
 
 def test_tits_ranks():
-    assert steinberg_rank(4, 2) == 4
-    assert steinberg_rank(3, 3) == 27
+    assert tits_building(4, 2).steinberg_rank == 4
+    assert tits_building(3, 3).steinberg_rank == 27
 
 
 @pytest.mark.parametrize("q, n", [(2, 2), (2, 3), (3, 3), (4, 3), (2, 4),
                                   (3, 4)])
 def test_subspace_inclusions_agree_with_pairwise_oracle(q, n):
-    # the building's order relation, one array test per pair of dimensions,
+    # the building's order relation, one product of membership rows,
     # against one Submodule.__lt__ per pair of subspaces
-    from rbscat.rbs import _proper_inclusions
-    from rbscat.rings import enumerate_submodules
-    subs = [s for s in enumerate_submodules(make_ring("F%d" % q), n)
-            if 0 < s.rank < n]
+    from rbscat.rings import enumerate_submodules, inclusion_table
+    ring = make_ring("F%d" % q)
+    subs = [s for s in enumerate_submodules(ring, n) if 0 < s.rank < n]
     oracle = np.array([[s < t for t in subs] for s in subs],
                       bool).reshape(len(subs), len(subs))
-    assert np.array_equal(_proper_inclusions(subs, q, n), oracle)
+    assert np.array_equal(inclusion_table(ring, n, subs), oracle)
 
 
 def test_tits_requires_n_at_least_2():

@@ -18,6 +18,7 @@ from rbscat.rings import (
     RingError,
     Submodule,
     canonical_rowspace,
+    chains_through,
     complete_to_invertible,
     default_irreducible,
     determinants,
@@ -27,6 +28,7 @@ from rbscat.rings import (
     enumerate_submodules,
     gl_from_generators,
     gl_tables,
+    inclusion_table,
     is_splittable,
     make_ring,
     membership,
@@ -515,6 +517,56 @@ def test_flag_lengths():
     for f in flags:
         by_len[f.length] = by_len.get(f.length, 0) + 1
     assert by_len == {1: 1, 2: 14, 3: 21}
+
+
+def enumerate_flags_oracle(ring, n):
+    """Oracle for enumerate_flags: the recursion that extends each chain by
+    every splittable member above its top, one Submodule.__lt__ per step."""
+    subs = [s for s in enumerate_splittable_submodules(ring, n)
+            if 0 < s.free_rank < n]
+    flags = []
+
+    def extend(chain):
+        flags.append(Flag(ring, n, tuple(chain)))
+        for s in subs:
+            if not chain or chain[-1] < s:
+                extend(chain + [s])
+
+    extend([])
+    flags.sort(key=Flag.sort_key)
+    return flags
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 0), ("F2", 1), ("F2", 3),
+                                     ("F3", 3), ("F4", 3), ("F2", 4),
+                                     ("Z4", 2), ("Z4", 3), ("Z8", 2),
+                                     ("Z9", 2)])
+def test_flags_match_recursive_oracle(spec, n):
+    R = make_ring(spec)
+    assert enumerate_flags(R, n) == enumerate_flags_oracle(R, n)
+
+
+@pytest.mark.parametrize("spec, n", [("F3", 3), ("F4", 2), ("Z4", 3),
+                                     ("Z9", 2)])
+def test_inclusion_table_matches_le_oracle(spec, n):
+    # every submodule, the non-splittable ones over Z/p^k included
+    R = make_ring(spec)
+    subs = enumerate_submodules(R, n)
+    oracle = [[s <= t and s != t for t in subs] for s in subs]
+    assert inclusion_table(R, n, subs).tolist() == oracle
+
+
+def test_chains_through_lists_chains_in_lexicographic_order():
+    # 0 < 1 < 3 and 0 < 2 < 3, ranks 1, 2, 2, 3
+    less = np.zeros((4, 4), bool)
+    less[0, 1:] = less[1, 3] = less[2, 3] = True
+    ranks = [1, 2, 2, 3]
+    assert chains_through(less, ranks, ()).tolist() == [[]]
+    assert chains_through(less, ranks, (2,)).tolist() == [[1], [2]]
+    assert chains_through(less, ranks, (1, 2, 3)).tolist() == \
+        [[0, 1, 3], [0, 2, 3]]
+    assert chains_through(less, ranks, (1, 3)).tolist() == [[0, 3]]
+    assert chains_through(less, ranks, (2, 2)).tolist() == []
 
 
 # ---------------------------------------------------------------------------
