@@ -151,7 +151,19 @@ def _cmd_build(args, guards):
     return EXIT_OK
 
 
+def _usage(line):
+    """Report a missing or conflicting argument; returns the usage exit
+    code."""
+    sys.stderr.write("usage: %s\n" % line)
+    return EXIT_USAGE
+
+
 def _cmd_homology(args, guards):
+    if bool(args.artifact) == bool(args.object):
+        return _usage("rbscat homology (--artifact FILE | {rbs,bgl} --ring R "
+                      "--n N): give exactly one of --artifact and an inline "
+                      "rbs or bgl, got %s"
+                      % ("both" if args.artifact else "neither"))
     if args.depth < 1:
         raise ValueError("--depth must be at least 1, got %d" % args.depth)
     if args.artifact:
@@ -165,13 +177,11 @@ def _cmd_homology(args, guards):
         else:
             C = jsonio.fincat_from_json(doc, guards)
             cx = nerve_chain_complex(C, args.depth, guards)
-    elif args.object:
+    else:
         from .rbs import build_rbs, bgl_category
         rbs = build_rbs(args.ring, args.n, guards)
         C = rbs.cat if args.object == "rbs" else bgl_category(rbs)[0]
         cx = nerve_chain_complex(C, args.depth, guards)
-    else:
-        raise SystemExit(EXIT_USAGE)
     h = homology(cx, args.coeff)
     if args.json:
         _emit(jsonio.dumps(jsonio.homology_to_json(h)))
@@ -218,7 +228,8 @@ def _cmd_verify(args, guards):
             codes.append(_VERDICT_EXIT[rep.verdict])
         return max(codes)
     if not args.check:
-        raise SystemExit(EXIT_USAGE)
+        return _usage("rbscat verify {check-name | --all | --list}: "
+                      "no check named")
     if args.check not in CHECKS:
         sys.stderr.write("unknown check %r; use --list\n" % args.check)
         return EXIT_USAGE
@@ -311,8 +322,6 @@ def main(argv=None):
     except OSError as exc:  # unreadable artifact, unwritable --out
         sys.stderr.write("file error: %s\n" % exc)
         return EXIT_USAGE
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
     return EXIT_USAGE
 
 

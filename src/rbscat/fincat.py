@@ -1,7 +1,11 @@
 """Finite 1-categories with validated composition tables.
 
 A FinCat numbers its objects and morphisms in a canonical order and keeps
-their opaque hashable labels for messages and JSON.  Composition is
+their opaque hashable labels for messages and JSON.  Morphisms are sorted
+by (source, target), and the shape is stored once, as the read-only int64
+arrays src, tgt and identity_of; so every hom-set is a range of morphism
+indices, and hom-sets, cone points, connected components and triple
+counts are read from the hom-set boundaries.  Composition is
 stored once, as an int32 table on composable pairs (see _check_axioms),
 and read through compose, compose_many and pairs.  Construction
 validates the category axioms on that table: totality and identity
@@ -47,33 +51,31 @@ class FinCat:
     """A validated finite category (see the module docstring); g.f is
     ``flat[row[g] + ipos[f]]`` whenever src g == tgt f.
 
+    ``src``, ``tgt`` and ``identity_of`` are read-only int64 arrays: the
+    source and target object index of each morphism and the identity's
+    morphism index of each object.  Morphisms are sorted by (source,
+    target), so each hom-set is a range of indices; the hom-sets are kept
+    once, as the distinct keys src·n + tgt (n objects) and where each
+    key's range starts, and every shape query reads them.
+
     ``generators`` is the read-only mask of the set S that validation
     picked for Light's test (see _generators): no identity is in S, and
     every non-identity morphism is a composite of members of S."""
 
     __slots__ = ("objects", "obj_index", "mor_labels", "mor_index",
                  "src", "tgt", "identity_of", "flat", "row", "ipos",
-                 "generators", "_hom", "_ends")
+                 "generators", "_hom_key", "_hom_start")
 
     def __init__(self, objects, mor_labels, src, tgt, identity_of, table):
         self.objects = tuple(objects)
         self.obj_index = {o: i for i, o in enumerate(self.objects)}
         self.mor_labels = tuple(mor_labels)
         self.mor_index = {m: i for i, m in enumerate(self.mor_labels)}
-        self.src = tuple(src)
-        self.tgt = tuple(tgt)
-        self.identity_of = tuple(identity_of)
+        self.src, self.tgt, self.identity_of = src, tgt, identity_of
         self.flat, self.row, self.ipos, self.generators = table
-        self.generators.flags.writeable = False
-        hom = {}
-        for i in range(len(self.mor_labels)):
-            hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
-        self._hom = hom
-        ends = (np.array(self.src, np.int64).reshape(-1),
-                np.array(self.tgt, np.int64).reshape(-1))
-        for end in ends:
-            end.flags.writeable = False
-        self._ends = ends
+        self._hom_key, self._hom_start = _runs(src * len(self.objects) + tgt)
+        for v in (src, tgt, identity_of, self.generators):
+            v.flags.writeable = False
 
     # -- basic queries ------------------------------------------------------
 
@@ -85,17 +87,23 @@ class FinCat:
     def n_morphisms(self):
         return len(self.mor_labels)
 
-    def ends(self):
-        """Source and target object index of every morphism, as read-only
-        arrays built once per category."""
-        return self._ends
-
     def hom(self, x, y):
-        """Morphism indices x -> y (objects given as labels)."""
-        return list(self._hom.get((self.obj_index[x], self.obj_index[y]), []))
+        """Morphism indices x -> y (objects given as labels), a range."""
+        return self.hom_idx(self.obj_index[x], self.obj_index[y])
 
     def hom_idx(self, xi, yi):
-        return self._hom.get((xi, yi), [])
+        """Morphism indices xi -> yi (object indices), a range."""
+        key = xi * self.n_objects + yi
+        return self._keys_in(key, key + 1)
+
+    def morphisms_from(self, xi):
+        """Morphism indices out of the object index xi, a range."""
+        return self._keys_in(xi * self.n_objects, (xi + 1) * self.n_objects)
+
+    def _keys_in(self, lo, hi):
+        # the morphisms whose key src·n + tgt lies in [lo, hi)
+        a, b = self._hom_key.searchsorted((lo, hi)).tolist()
+        return range(self._hom_start[a], self._hom_start[b])
 
     def compose(self, g, f):
         """g.f for composable indices (tgt(f) == src(g))."""
@@ -108,16 +116,12 @@ class FinCat:
     def pairs(self):
         """Every composable pair (g, f) and g.f, as arrays in table order,
         which is sorted by (g, f): rows follow the morphism order."""
-        src, tgt = self.ends()
+        src, tgt = self.src, self.tgt
         in_n = np.bincount(tgt, minlength=self.n_objects)
         _, in_order, in_start = _positions(tgt, in_n)
-        by_row = np.argsort(self.row, kind="stable")
-        g = np.repeat(by_row, in_n[src[by_row]])
+        g = np.repeat(np.arange(self.n_morphisms), in_n[src])
         column = np.arange(len(g)) - self.row[g]
         return g, in_order[in_start[src[g]] + column], self.flat
-
-    def morphisms_from(self, xi):
-        return [i for i in range(self.n_morphisms) if self.src[i] == xi]
 
     def has_terminal_object(self):
         """The first object that every object maps to exactly once, or None."""
@@ -129,52 +133,68 @@ class FinCat:
 
     def single_arrow_counts(self, end):
         """For each object y, how many objects x have exactly one morphism
-        x -> y (end 1) or y -> x (end 0); one pass over the hom-set sizes."""
-        singles = [0] * self.n_objects
-        for pair, mors in self._hom.items():
-            if len(mors) == 1:
-                singles[pair[end]] += 1
-        return singles
+        x -> y (end 1) or y -> x (end 0), as an array."""
+        return _single_arrow_counts(self._hom_key, self._hom_start,
+                                    self.n_objects, end)
 
     def _cone_point(self, end):
         # y is a cone point when all n pairs (x, y) (end 1) or (y, x) (end 0)
         # hold exactly one morphism
-        for i, count in enumerate(self.single_arrow_counts(end)):
-            if count == self.n_objects:
-                return self.objects[i]
-        return None
+        hit = np.flatnonzero(self.single_arrow_counts(end) == self.n_objects)
+        return self.objects[hit[0]] if len(hit) else None
+
+    def components(self):
+        """The least object index in the connected component of each
+        object, as an array.
+
+        Every label is an object of the same component, no larger than the
+        object it labels, and labels itself.  Each round the ends of every
+        hom-set whose labels differ point the larger label at the smaller,
+        and the labels are then followed to a fixed point.  Once the ends
+        of every hom-set agree, each component carries one label, and the
+        least object of the component labels itself."""
+        x, y = np.divmod(self._hom_key, max(self.n_objects, 1))
+        label = np.arange(self.n_objects)
+        while True:
+            a, b = label[x], label[y]
+            if (a == b).all():
+                return label
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = label[label]
+                if (jumped == label).all():
+                    break
+                label = jumped
 
     def is_connected(self):
-        if self.n_objects == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj = {}
-        for i in range(self.n_morphisms):
-            adj.setdefault(self.src[i], set()).add(self.tgt[i])
-            adj.setdefault(self.tgt[i], set()).add(self.src[i])
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj.get(x, ()):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen) == self.n_objects
+        return self.n_objects > 0 and not self.components().any()
 
     def triple_count(self):
         """Number of composable triples (for associativity-cost estimates)."""
-        in_deg = [0] * self.n_objects
-        out_deg = [0] * self.n_objects
-        for i in range(self.n_morphisms):
-            out_deg[self.src[i]] += 1
-            in_deg[self.tgt[i]] += 1
-        return sum(in_deg[self.src[g]] * out_deg[self.tgt[g]]
-                   for g in range(self.n_morphisms))
+        in_deg = np.bincount(self.tgt, minlength=self.n_objects)
+        out_deg = np.bincount(self.src, minlength=self.n_objects)
+        x, y = np.divmod(self._hom_key, max(self.n_objects, 1))
+        return int((np.diff(self._hom_start) * in_deg[x] * out_deg[y]).sum())
 
     def __repr__(self):
         return "FinCat(%d objects, %d morphisms)" % (self.n_objects, self.n_morphisms)
+
+
+def _runs(keys):
+    """The distinct values of the sorted array keys, and where the run of
+    each starts, with len(keys) appended."""
+    starts = np.ones(len(keys) + 1, bool)
+    starts[1:-1] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(starts)
+    return keys[starts[:-1]], starts
+
+
+def _single_arrow_counts(hom_key, hom_start, n, end):
+    """For each of n objects, how many of the hom-sets (keys src·n + tgt,
+    sizes from the run starts hom_start) that hold exactly one morphism
+    have it as target (end 1) or as source (end 0)."""
+    single = hom_key[np.diff(hom_start) == 1]
+    return np.bincount(single % n if end else single // n, minlength=n)
 
 
 def validate_category(objects, morphisms, identities, composition,
@@ -270,8 +290,7 @@ def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards,
                             % (labels[new_mor[a[i]]], labels[new_mor[b[i]]]))
     a, b, ab = new_mor[a], new_mor[b], new_mor[ab]
     table = _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards)
-    return FinCat(objects, labels, src.tolist(), tgt.tolist(),
-                  identity_of.tolist(), table)
+    return FinCat(objects, labels, src, tgt, identity_of, table)
 
 
 def _canon_key(label):
@@ -457,13 +476,11 @@ class FinFunctor:
             [B.obj_index[self.obj_map[o]] for o in A.objects], np.int64).reshape(-1)
         fm = self.mor_idx = np.array(
             [B.mor_index[self.mor_map[m]] for m in A.mor_labels], np.int64).reshape(-1)
-        a_src, a_tgt = A.ends()
-        b_src, b_tgt = B.ends()
-        bad = (b_src[fm] != fo[a_src]) | (b_tgt[fm] != fo[a_tgt])
+        bad = (B.src[fm] != fo[A.src]) | (B.tgt[fm] != fo[A.tgt])
         if bad.any():
             raise CategoryError("functor breaks src/tgt at %r"
                                 % (A.mor_labels[int(np.argmax(bad))],))
-        bad = fm[list(A.identity_of)] != np.array(B.identity_of, np.int64)[fo]
+        bad = fm[A.identity_of] != B.identity_of[fo]
         if bad.any():
             raise CategoryError("functor breaks identity at %r"
                                 % (A.objects[int(np.argmax(bad))],))
@@ -488,10 +505,9 @@ class FinFunctor:
 
 def opposite(C, guards=DEFAULT):
     """C^op: g.f in C^op is f.g in C (associativity is inherited)."""
-    src, tgt = C.ends()
     g, f, gf = C.pairs()
-    return _build(C.objects, C.mor_labels, tgt, src, C.identity_of, f, g, gf,
-                  guards)
+    return _build(C.objects, C.mor_labels, C.tgt, C.src, C.identity_of, f, g,
+                  gf, guards)
 
 
 def product_tuple(cats, guards=DEFAULT):
@@ -502,10 +518,9 @@ def product_tuple(cats, guards=DEFAULT):
     of the product are the tuples of composable pairs of the factors."""
     src = tgt = identity_of = g = f = gf = np.zeros(1, np.int64)
     for c in cats:
-        c_src, c_tgt = c.ends()
         c_g, c_f, c_gf = c.pairs()
-        src = _radix(src, c_src, c.n_objects)
-        tgt = _radix(tgt, c_tgt, c.n_objects)
+        src = _radix(src, c.src, c.n_objects)
+        tgt = _radix(tgt, c.tgt, c.n_objects)
         identity_of = _radix(identity_of, c.identity_of, c.n_morphisms)
         g, f, gf = (_radix(x, y, c.n_morphisms)
                     for x, y in ((g, c_g), (f, c_f), (gf, c_gf)))
@@ -516,7 +531,6 @@ def product_tuple(cats, guards=DEFAULT):
 
 def _radix(high, low, base):
     """high * base + low for every pair, high-major."""
-    low = np.asarray(low, np.int64).reshape(-1)
     return (high[:, None] * base + low).reshape(-1)
 
 
@@ -534,8 +548,7 @@ def full_subcategory(C, objs, guards=DEFAULT):
     idx = [C.obj_index[o] for o in objs]
     keep = np.zeros(C.n_objects, bool)
     keep[idx] = True
-    src, tgt = C.ends()
-    sub = _subcategory(C, idx, keep[src] & keep[tgt], guards)
+    sub = _subcategory(C, idx, keep[C.src] & keep[C.tgt], guards)
     incl = FinFunctor(sub, C, {o: o for o in objs},
                       {m: m for m in sub.mor_labels}, guards)
     return sub, incl
@@ -548,7 +561,7 @@ def _subcategory(C, objs, keep, guards):
     C is in canonical order, so its indices already order each set of
     parallel morphisms by their labels' keys; they are passed as mor_rank,
     and no label is keyed again."""
-    src, tgt = C.ends()
+    src, tgt = C.src, C.tgt
     mors = np.flatnonzero(keep)
     local_obj = np.full(C.n_objects, -1, np.int64)
     local_obj[objs] = np.arange(len(objs))
@@ -558,7 +571,7 @@ def _subcategory(C, objs, keep, guards):
     return _build([C.objects[i] for i in objs],
                   [C.mor_labels[i] for i in mors.tolist()],
                   local_obj[src[mors]], local_obj[tgt[mors]],
-                  local[np.array(C.identity_of, np.int64)[objs]],
+                  local[C.identity_of[objs]],
                   g, f, local[C.compose_many(mors[g], mors[f])],
                   guards, mors)
 
@@ -582,11 +595,10 @@ def skeleton(C, guards=DEFAULT):
     The inclusion of a skeleton is an equivalence, so the classifying
     space is unchanged up to homotopy; nerves can shrink drastically.
     """
-    src, tgt = C.ends()
+    src, tgt, ident = C.src, C.tgt, C.identity_of
     # f and g with src g = tgt f and tgt g = src f; f is an isomorphism
     # when both composites are identities
     f, g = _join(src * C.n_objects + tgt, tgt * C.n_objects + src)
-    ident = np.array(C.identity_of, np.int64)
     iso = (C.compose_many(g, f) == ident[src[f]]) & \
         (C.compose_many(f, g) == ident[tgt[f]])
     first = np.arange(C.n_objects)
@@ -647,9 +659,7 @@ class FiberFamily:
         A, B = F.source, F.target
         left = side == "left"
         fo = F.obj_idx
-        a_src, a_tgt = A.ends()
-        b_src, b_tgt = B.ends()
-        near_b, far_b = (b_tgt, b_src) if left else (b_src, b_tgt)
+        near_b, far_b = (B.tgt, B.src) if left else (B.src, B.tgt)
         place = np.full(B.n_objects, -1, np.int64)
         place[np.asarray(over, np.int64)] = np.arange(len(over))
         ms = np.flatnonzero(place[near_b] >= 0)
@@ -659,14 +669,14 @@ class FiberFamily:
         self.side, self.source, self.m_labels = side, A, B.mor_labels
         self.c, self.m, self.fiber = c, m, place[near_b[m]]
         # the morphisms of A at each object: into it (left), out of it (right)
-        self._arrows(a_tgt if left else a_src)
+        self._arrows(A.tgt if left else A.src)
         near, u = self.near, self.u
         # the far end (c', m') with m' = m.F(u) (left), F(u).m (right)
         fm = F.mor_idx
         m_far = B.compose_many(m[near], fm[u]) if left else \
             B.compose_many(fm[u], m[near])
         far = _lookup(c * B.n_morphisms + m,
-                      (a_src if left else a_tgt)[u] * B.n_morphisms + m_far)
+                      (A.src if left else A.tgt)[u] * B.n_morphisms + m_far)
         self.x, self.y = (far, near) if left else (near, far)
         self._close(len(over), guards)
 
@@ -690,11 +700,10 @@ class FiberFamily:
         self = cls.__new__(cls)
         A, B = F.source, F.target
         fo, fm = F.obj_idx, F.mor_idx
-        a_src, a_tgt = A.ends()
-        b_src, b_tgt = B.ends()
+        a_src, a_tgt = A.src, A.tgt
         # the objects of F/d in canonical order, as keys c' |B| + m'
-        ms = np.flatnonzero(b_src == di)
-        k, cp = _join(b_tgt[ms], fo)
+        ms = np.flatnonzero(B.src == di)
+        k, cp = _join(B.tgt[ms], fo)
         over = list(zip([A.objects[i] for i in cp.tolist()],
                         [B.mor_labels[i] for i in ms[k].tolist()]))
         order = np.argsort(_dense_rank(over), kind="stable")
@@ -744,8 +753,7 @@ class FiberFamily:
         parallel morphisms, and the pairs guard."""
         A = self.source
         self.guards = guards
-        self.identity_of = self.start + self.upos[
-            np.array(A.identity_of, np.int64)[self.c]]
+        self.identity_of = self.start + self.upos[A.identity_of[self.c]]
         # (y2, u2) . (y1, u1) with x2 == y1, one per composable pair,
         # counted fiber by fiber before any pair is built
         n = len(self.c)
@@ -771,11 +779,10 @@ class FiberFamily:
         from the hom-set sizes: y is terminal (x initial) when every object
         of its fiber has exactly one morphism to y (from x)."""
         n = len(self.c)
-        pair, count = np.unique(self.x * n + self.y, return_counts=True)
-        single = pair[count == 1]
+        hom = _runs(np.sort(self.x * n + self.y))
         size = np.diff(self.obj_start)[self.fiber]
-        cone = (np.bincount(single % n, minlength=n) == size) | \
-            (np.bincount(single // n, minlength=n) == size)
+        cone = (_single_arrow_counts(*hom, n, 1) == size) | \
+            (_single_arrow_counts(*hom, n, 0) == size)
         hit = np.zeros(len(self.obj_start) - 1, bool)
         hit[self.fiber[cone]] = True
         return hit
@@ -819,20 +826,19 @@ def strict_fiber(F, d, guards=DEFAULT):
     into the right fiber."""
     A, B = F.source, F.target
     di = B.obj_index[d]
-    src, tgt = A.ends()
     over = F.obj_idx == di
     id_d = B.identity_of[di]
     objs = np.flatnonzero(over)
-    fib = _subcategory(A, objs, over[src] & over[tgt] & (F.mor_idx == id_d),
-                       guards)
+    fib = _subcategory(A, objs,
+                       over[A.src] & over[A.tgt] & (F.mor_idx == id_d), guards)
     rf = right_fiber(F, d, guards)
     id_d_label = B.mor_labels[id_d]
     incl = FinFunctor(
         fib, rf,
         {o: (o, id_d_label) for o in fib.objects},
-        {fib.mor_labels[i]: ((fib.objects[fib.src[i]], id_d_label),
-                             (fib.objects[fib.tgt[i]], id_d_label),
-                             fib.mor_labels[i]) for i in range(fib.n_morphisms)},
+        {m: ((fib.objects[s], id_d_label), (fib.objects[t], id_d_label), m)
+         for m, s, t in zip(fib.mor_labels, fib.src.tolist(),
+                            fib.tgt.tolist())},
         guards)
     return fib, rf, incl
 
@@ -845,8 +851,7 @@ def twisted_arrow_op(C, guards=DEFAULT):
     factorisation f = b . f' . a, together with the projection to C sending
     f: x -> y to x (a colim-equivalence)."""
     n = C.n_morphisms
-    src, tgt = C.ends()
-    ident = np.array(C.identity_of, np.int64).reshape(-1)
+    src, tgt, ident = C.src, C.tgt, C.identity_of
     # the composable triples (b, f', a) with f = b . f' . a: a pair
     # (f', a) joined to a pair (b, f' . a)
     g, f, gf = C.pairs()
@@ -865,7 +870,8 @@ def twisted_arrow_op(C, guards=DEFAULT):
     tw = _build(C.mor_labels, labels, f, fp, identity_of, second, first,
                 composite, guards, _pair_rank(C.mor_labels, a, b))
     proj = FinFunctor(tw, C,
-                      {C.mor_labels[x]: C.objects[C.src[x]] for x in range(n)},
+                      {m: C.objects[x] for m, x in zip(C.mor_labels,
+                                                       src.tolist())},
                       {lbl: lbl[2] for lbl in labels}, guards)
     return tw, proj
 

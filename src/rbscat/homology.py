@@ -724,14 +724,13 @@ def nerve_chain_complex(C, depth, guards=DEFAULT, reduced=False):
     if reduced and depth != 2:
         raise ValueError("the reduced nerve has depth 2, got %d" % depth)
     n_mor = C.n_morphisms
-    src, tgt = C.ends()
+    src, tgt = C.src, C.tgt
     is_id = np.zeros(n_mor, bool)
-    is_id[list(C.identity_of)] = True
+    is_id[C.identity_of] = True
+    # the non-identity morphisms, ascending, so grouped by source
     arrows = np.flatnonzero(~is_id)
-    # the non-identity morphisms out of each object, ascending
     out_n = np.bincount(src[arrows], minlength=C.n_objects)
     out_start = np.cumsum(out_n) - out_n
-    out_list = arrows[np.argsort(src[arrows], kind="stable")]
     dims = [C.n_objects]
     boundaries = {}
     for k in range(1, depth + 1):
@@ -752,7 +751,7 @@ def nerve_chain_complex(C, depth, guards=DEFAULT, reduced=False):
             size = int(counts.sum())
             _check_simplices(size, k, guards)
             prefix = np.repeat(heads, counts)
-            g = out_list[np.repeat(out_start[ends] - (np.cumsum(counts) - counts),
+            g = arrows[np.repeat(out_start[ends] - (np.cumsum(counts) - counts),
                                    counts) + np.arange(size)]
             composite = C.compose_many(g, last[prefix])
             of_prefix = faces[prefix]

@@ -38,12 +38,11 @@ def fincat_to_json(C):
         "schema": "fincat/1",
         "objects": [_thaw(o) for o in C.objects],
         "morphisms": [
-            {"label": _thaw(C.mor_labels[i]),
-             "src": _thaw(C.objects[C.src[i]]),
-             "tgt": _thaw(C.objects[C.tgt[i]])}
-            for i in range(C.n_morphisms)],
-        "identities": [[_thaw(C.objects[i]), _thaw(C.mor_labels[C.identity_of[i]])]
-                       for i in range(C.n_objects)],
+            {"label": _thaw(m), "src": _thaw(C.objects[s]),
+             "tgt": _thaw(C.objects[t])}
+            for m, s, t in zip(C.mor_labels, C.src.tolist(), C.tgt.tolist())],
+        "identities": [[_thaw(o), _thaw(C.mor_labels[i])]
+                       for o, i in zip(C.objects, C.identity_of.tolist())],
         "composition": [[_thaw(C.mor_labels[g]), _thaw(C.mor_labels[f]),
                          _thaw(C.mor_labels[h])]
                         for g, f, h in pairs],

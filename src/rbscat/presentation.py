@@ -50,16 +50,17 @@ def pi1_presentation(C):
     based at its first object."""
     if not C.is_connected():
         raise ValueError("pi1_presentation requires a connected category")
-    ids = set(C.identity_of)
+    ids = set(C.identity_of.tolist())
     non_id = [i for i in range(C.n_morphisms) if i not in ids]
     # spanning tree on the underlying undirected graph
     tree = set()
     seen = {0}
     frontier = [0]
     adj = {}
+    src, tgt = C.src.tolist(), C.tgt.tolist()
     for f in non_id:
-        adj.setdefault(C.src[f], []).append((C.tgt[f], f))
-        adj.setdefault(C.tgt[f], []).append((C.src[f], f))
+        adj.setdefault(src[f], []).append((tgt[f], f))
+        adj.setdefault(tgt[f], []).append((src[f], f))
     while frontier:
         nxt = []
         for x in frontier:

@@ -696,7 +696,7 @@ class Q2Hom:
     target: tuple
     cat: object            # FinCat: objects (a, b, label(phi)), arrows 2-cells
     objects_data: dict     # label -> (a, b, MonMor)
-    components: dict       # label -> component id
+    components: dict       # label -> component id, its least object index
     terminals: dict        # component id -> list of terminal object labels
     by_code: dict          # (a, b, code of phi) -> component id
 
@@ -773,44 +773,24 @@ def q2_hom(calc, m, mp, cap, max_entry, guards=DEFAULT):
                         for p in pair.tolist()], str)
     cat = _build(obj_labels, mor_labels, src, tgt, identity_of, g, f,
                  composite, guards, rank[which.reshape(-1)])
-    roots = _components(cat)
-    components = dict(zip(cat.objects, roots))
+    comp = cat.components()
+    components = dict(zip(cat.objects, comp.tolist()))
     return Q2Hom(m, mp, cat,
                  {lbl: (a, b, calc.mors[phi])
                   for lbl, (a, b, phi) in zip(obj_labels, objects)},
-                 components, _component_terminals(cat, roots),
+                 components, _component_terminals(cat, comp),
                  {o: components[lbl] for o, lbl in zip(objects, obj_labels)})
 
 
-def _components(cat):
-    """The component id of each object: its union-find root index."""
-    parent = list(range(cat.n_objects))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for f in range(cat.n_morphisms):
-        a, b = find(cat.src[f]), find(cat.tgt[f])
-        if a != b:
-            parent[a] = b
-    return [find(i) for i in range(cat.n_objects)]
-
-
-def _component_terminals(cat, roots):
-    """The terminal objects of each component, in index order: t is
-    terminal when every object of its component has exactly one morphism
-    to t."""
-    size = {}
-    for r in roots:
-        size[r] = size.get(r, 0) + 1
-    singles = cat.single_arrow_counts(1)
-    terminals = {r: [] for r in roots}
-    for t, r in enumerate(roots):
-        if singles[t] == size[r]:
-            terminals[r].append(cat.objects[t])
+def _component_terminals(cat, comp):
+    """The terminal objects of each component, in index order, keyed by
+    its least object index (comp, per object): t is terminal when every
+    object of its component has exactly one morphism to t."""
+    size = np.bincount(comp, minlength=cat.n_objects)
+    terminals = {c: [] for c in comp.tolist()}
+    hit = cat.single_arrow_counts(1) == size[comp]
+    for t, c in zip(np.flatnonzero(hit).tolist(), comp[hit].tolist()):
+        terminals[c].append(cat.objects[t])
     return terminals
 
 

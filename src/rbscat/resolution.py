@@ -129,18 +129,16 @@ class FreeModule:
     def __init__(self, C, sources):
         self.C = C
         self.sources = list(sources)  # object indices
-        basis = []
-        for j, x in enumerate(self.sources):
-            for f in range(C.n_morphisms):
-                if C.src[f] == x:
-                    basis.append((j, f))
+        basis = [(j, f) for j, x in enumerate(self.sources)
+                 for f in C.morphisms_from(x)]
         self.basis = basis
         self.pos = {bf: i for i, bf in enumerate(basis)}
         self.dim = len(basis)
         # positions grouped by the target object of the basis morphism
         self.by_tgt = {}
+        tgt = C.tgt.tolist()
         for i, (j, f) in enumerate(basis):
-            self.by_tgt.setdefault(C.tgt[f], []).append(i)
+            self.by_tgt.setdefault(tgt[f], []).append(i)
         self._orbit_maps = {}
 
     def orbit(self, x, v, ell):

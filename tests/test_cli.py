@@ -174,11 +174,27 @@ def test_guard_exit_code(tmp_path):
     assert "guard" in err.lower()
 
 
-def test_usage_exit_code():
+def test_usage_exit_code(tmp_path):
     code, _, _ = run_cli("build", "nonsense")
     assert code == 1
     code, _, _ = run_cli()
     assert code == 1
+    # each missing or conflicting argument is named on one usage line
+    artifact = tmp_path / "rbs.json"
+    code, text, _ = run_cli("build", "rbs", "--ring", "F2", "--n", "2")
+    assert code == 0
+    artifact.write_text(text)
+    for argv, start, missing in (
+            (["verify"], "usage: rbscat verify", "no check named"),
+            (["homology"], "usage: rbscat homology", "got neither"),
+            # a readable artifact beside an inline rbs is refused, not
+            # half-read
+            (["homology", "rbs", "--artifact", str(artifact)],
+             "usage: rbscat homology", "got both")):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(start) and missing in err, err
 
 
 def test_invalid_ring_exit_code():

@@ -307,8 +307,7 @@ def generators(C, comp=None):
                              np.int64).reshape(-1)
                     for column in zip(*((g, f, h) for (g, f), h in
                                         comp.items())))
-    mask = _generators(C.n_morphisms, np.array(C.identity_of, np.int64),
-                       g, f, gf)
+    mask = _generators(C.n_morphisms, C.identity_of, g, f, gf)
     return {C.mor_labels[i] for i in np.flatnonzero(mask)}
 
 
@@ -618,8 +617,10 @@ def oracle_strict_fiber(F, d):
 
 
 def assert_same_category(C, D):
-    assert (C.objects, C.mor_labels, C.src, C.tgt, C.identity_of) == \
-        (D.objects, D.mor_labels, D.src, D.tgt, D.identity_of)
+    assert (C.objects, C.mor_labels) == (D.objects, D.mor_labels)
+    for x, y in ((C.src, D.src), (C.tgt, D.tgt),
+                 (C.identity_of, D.identity_of)):
+        assert x.tolist() == y.tolist()
     # with the same src and tgt the tables have the same layout
     for x, y in zip(C.pairs(), D.pairs()):
         assert np.array_equal(x, y)
@@ -714,7 +715,7 @@ def test_subcategories_rank_parallel_morphisms_by_parent_index(spec,
     from rbscat.jsonio import fincat_to_json
     rbs = build_rbs(spec, 2)
     P = comparison_functor(rbs)
-    src, tgt = P.source.ends()
+    src, tgt = P.source.src, P.source.tgt
 
     def artifacts():
         cats = [skeleton(rbs.cat)]
@@ -875,12 +876,10 @@ def test_joint_fiber_build_is_guarded_by_the_sum_of_light_triples():
 
 def test_ends_are_built_once_and_read_only():
     C = RBS_F2
-    src, tgt = C.ends()
-    assert C.ends()[0] is src and C.ends()[1] is tgt
-    assert src.tolist() == list(C.src) and tgt.tolist() == list(C.tgt)
-    for end in (src, tgt):
+    for field in (C.src, C.tgt, C.identity_of):
+        assert field.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
-            end[0] = 1
+            field[0] = 1
 
 
 def test_proper_p_validates_fibers_in_few_builds(monkeypatch):
@@ -909,9 +908,8 @@ def oracle_strict_inclusion_family(F, di):
 
 def digest(C):
     """sha256 of a category: objects, labels, ends, identities and table."""
-    h = hashlib.sha256(repr((C.objects, C.mor_labels, C.src, C.tgt,
-                             C.identity_of)).encode())
-    for part in (C.flat, C.row, C.ipos):
+    h = hashlib.sha256(repr((C.objects, C.mor_labels)).encode())
+    for part in (C.src, C.tgt, C.identity_of, C.flat, C.row, C.ipos):
         h.update(np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
 
@@ -1309,3 +1307,194 @@ def test_bz2_not_contractible():
 def test_empty_category_not_contractible():
     C = validate_category([], [], {}, {})
     assert not is_weakly_contractible(C, 2).ok
+
+
+# Oracles for the shape queries: the dict, breadth-first search and
+# union-find code that FinCat and qkt ran before FinCat read its hom-sets
+# as ranges of the (source, target) order.
+
+def oracle_hom(C):
+    """The morphisms of each nonempty hom-set, keyed by (source, target)."""
+    hom = {}
+    src, tgt = C.src.tolist(), C.tgt.tolist()
+    for i in range(C.n_morphisms):
+        hom.setdefault((src[i], tgt[i]), []).append(i)
+    return hom
+
+
+def oracle_single_arrow_counts(C, hom, end):
+    singles = [0] * C.n_objects
+    for pair, mors in hom.items():
+        if len(mors) == 1:
+            singles[pair[end]] += 1
+    return singles
+
+
+def oracle_cone_point(C, hom, end):
+    for i, count in enumerate(oracle_single_arrow_counts(C, hom, end)):
+        if count == C.n_objects:
+            return C.objects[i]
+    return None
+
+
+def oracle_is_connected(C):
+    if C.n_objects == 0:
+        return False
+    seen = {0}
+    frontier = [0]
+    adj = {}
+    for s, t in zip(C.src.tolist(), C.tgt.tolist()):
+        adj.setdefault(s, set()).add(t)
+        adj.setdefault(t, set()).add(s)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == C.n_objects
+
+
+def oracle_components(C):
+    """The union-find root of each object's component."""
+    parent = list(range(C.n_objects))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for s, t in zip(C.src.tolist(), C.tgt.tolist()):
+        a, b = find(s), find(t)
+        if a != b:
+            parent[a] = b
+    return [find(i) for i in range(C.n_objects)]
+
+
+def oracle_triple_count(C):
+    in_deg = [0] * C.n_objects
+    out_deg = [0] * C.n_objects
+    src, tgt = C.src.tolist(), C.tgt.tolist()
+    for i in range(C.n_morphisms):
+        out_deg[src[i]] += 1
+        in_deg[tgt[i]] += 1
+    return sum(in_deg[src[g]] * out_deg[tgt[g]] for g in range(C.n_morphisms))
+
+
+def partition(ids):
+    """The objects grouped by id, as a sorted list of sorted parts."""
+    parts = {}
+    for i, c in enumerate(ids):
+        parts.setdefault(c, []).append(i)
+    return sorted(parts.values())
+
+
+def shape_corpus():
+    """RBS(M) for M = F2^2, F3^2 and Z4^2, their skeletons, the source and
+    all left and right fibers of their comparison functors, twisted arrow
+    categories, a one-object group category, the empty category, and every
+    Hom_2 of QKit(2, 2, 3) (the empty ones included) and its Q1."""
+    from rbscat.qkt import QKit
+    cats = [bz(4), validate_category([], [], {}, {})]
+    for spec in ("F2", "F3", "Z4"):
+        rbs = build_rbs(spec, 2)
+        P = comparison_functor(rbs)
+        cats += [rbs.cat, skeleton(rbs.cat), P.source]
+        every = np.arange(P.target.n_objects)
+        for side in ("left", "right"):
+            # the left fiber of Z4^2 over the zero flag has 25.3 M Light
+            # triples, past the default max_assoc_triples
+            family = FiberFamily(P, side, every,
+                                 GuardConfig(max_assoc_triples=30_000_000))
+            cats += [family.build([i]) for i in every]
+    cats += [twisted_arrow_op(C)[0]
+             for C in (chain_category(), bz(3), v_poset_category(),
+                       indiscrete(3), RBS_F2_FIBERS[0])]
+    kit = QKit(2, 2, 3)
+    lists = kit.calc.objects_up_to(kit.cap, kit.max_entry)
+    cats += [kit.q2_hom(m, mp).cat for m in lists for mp in lists]
+    cats.append(kit.q1_category()[0])
+    return cats
+
+
+def test_shape_queries_agree_with_dict_bfs_and_union_find_oracles():
+    corpus = shape_corpus()
+    # the corpus reaches the corner cases: empty and disconnected
+    # categories, hom-sets of several morphisms, cone points and none
+    assert any(C.n_objects == 0 for C in corpus)
+    assert sum(C.n_objects > 0 and not oracle_is_connected(C)
+               for C in corpus) > 10
+    assert any(len(mors) > 1 for C in corpus for mors in oracle_hom(C).values())
+    for C in corpus:
+        n, hom = C.n_objects, oracle_hom(C)
+        for x in range(n):
+            assert list(C.morphisms_from(x)) == \
+                [i for y in range(n) for i in hom.get((x, y), [])]
+            for y in range(n):
+                assert isinstance(C.hom_idx(x, y), range)
+                assert list(C.hom_idx(x, y)) == hom.get((x, y), [])
+                assert list(C.hom(C.objects[x], C.objects[y])) == \
+                    hom.get((x, y), [])
+        for end in (0, 1):
+            assert C.single_arrow_counts(end).tolist() == \
+                oracle_single_arrow_counts(C, hom, end)
+        assert C.has_terminal_object() == oracle_cone_point(C, hom, 1)
+        assert C.has_initial_object() == oracle_cone_point(C, hom, 0)
+        assert C.is_connected() == oracle_is_connected(C)
+        comp = C.components().tolist()
+        assert partition(comp) == partition(oracle_components(C))
+        # each component is named by its least object index
+        assert all(c == part[0] for part in partition(comp)
+                   for c in (comp[i] for i in part))
+        count = C.triple_count()
+        assert type(count) is int and count == oracle_triple_count(C)
+
+
+def numpy_scalars(label):
+    """The numpy scalars anywhere inside a label."""
+    if isinstance(label, np.generic):
+        return [label]
+    if isinstance(label, (tuple, list, set, frozenset)):
+        return [x for part in label for x in numpy_scalars(part)]
+    if isinstance(label, dict):
+        return numpy_scalars(list(label.items()))
+    return []
+
+
+def test_labels_hold_no_numpy_scalar(monkeypatch):
+    # numpy 2 prints np.int64(3) where 3 was: a numpy scalar in a label
+    # would change its text and its place in the canonical order
+    from rbscat.checks import check_proper_p, check_q_suite
+    from rbscat.fincat import FinCat
+    from rbscat.qkt import QKit
+    built = []
+    init = FinCat.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(FinCat, "__init__", recording)
+    assert check_q_suite(2, 2, 3).ok
+    assert check_proper_p("F3", 2).ok
+    rbs = build_rbs("F3", 2)
+    P = comparison_functor(rbs)
+    every = np.arange(P.target.n_objects)
+    for side in ("left", "right"):
+        FiberFamily(P, side, every).build(every)
+    for di in every.tolist():
+        family, _ = FiberFamily.strict_inclusion(P, di)
+        family.build(np.arange(len(family.obj_start) - 1))
+    assert len(built) > 50
+    found = [x for C in built for label in C.objects + C.mor_labels
+             for x in numpy_scalars(label)]
+    assert found == []
+    # the component ids that Q1 labels carry
+    kit = QKit(2, 2, 3)
+    lists = kit.calc.objects_up_to(kit.cap, kit.max_entry)
+    for q2 in (kit.q2_hom(m, mp) for m in lists for mp in lists):
+        assert numpy_scalars(q2.components) == []
+        assert numpy_scalars(q2.terminals) == []

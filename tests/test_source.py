@@ -70,3 +70,33 @@ def test_only_fincat_and_jsonio_call_validate_category():
                 if name == "validate_category":
                     callers.add(path.stem)
     assert callers == {"fincat", "jsonio"}, callers
+
+
+def test_only_fincat_build_constructs_a_fincat():
+    # FinCat reads each hom-set as a range of its morphism indices, which
+    # holds because _build sorts the morphisms by (source, target); a
+    # FinCat made anywhere else could break that order
+    callers = set()
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else \
+                getattr(fn, "id", None)
+            if name == "FinCat":
+                callers.add(".".join(self.where))
+            self.generic_visit(node)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    assert callers == {"fincat._build"}, callers
