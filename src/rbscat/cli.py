@@ -27,7 +27,7 @@ from . import jsonio
 from .checks import CHECKS, DESK_PROFILE, lcg, run_check
 from .guards import DEFAULT, GuardExceeded, load_config
 from .homology import homology, nerve_chain_complex, smith_normal_form
-from .rings import enumerate_gl, make_ring
+from .rings import gl_tables, make_ring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -284,10 +284,10 @@ def _cmd_bench(args, guards):
     elif args.kernel == "gl-enum":
         ring = make_ring(args.ring, guards)
         t0 = time.time()
-        gl = enumerate_gl(ring, args.n, guards)
+        entries, _ = gl_tables(ring, args.n, guards)
         dt = time.time() - t0
         _emit("gl-enum %s n=%d: %d matrices, %.3fs\n"
-              % (args.ring, args.n, len(gl), dt))
+              % (args.ring, args.n, len(entries), dt))
     return EXIT_OK
 
 

@@ -17,21 +17,21 @@ past it construction raises GuardExceeded.  The category keeps S, read
 only, as ``generators``: the nerve's S-reduced 2-complex reads it.
 
 validate_category takes label tables, for JSON artifacts and tables
-written by hand; _build, which it calls, takes index arrays.  Opposites,
-products, poset and group categories, the twisted arrow category,
-fibers, full and strict subcategories, skeletons, action categories and
-functor checks are array operations on the index arrays and table
-gathers, with no label round trip.  A FiberFamily holds all left or
-right fibers of a functor at once; it tells which have a cone point
-before any is built, and builds any set of them as one category.
+written by hand; _build, which it calls, takes index arrays.  A
+FinFunctor keeps its map once, as the read-only index arrays obj_idx and
+mor_idx; a builder with target labels looks them up with label_indices.
+Opposites, products, poset and group categories, the twisted arrow
+category, fibers, full and strict subcategories, skeletons, action
+categories, functors and the isomorphism and full-faithfulness tests are
+array operations, with no label round trip.  A FiberFamily holds all
+left or right fibers of a functor at once; it tells which have a cone
+point before any is built, and builds any set of them as one category.
 
-Also here: functors, the basic category calculus (opposites, products,
-full subcategories, isomorphism and full-faithfulness tests), comma-style
-fibers, the twisted arrow category, and groups, posets and actions.  A
-Group holds its multiplication as one |G| x |G| index table and a Poset
-its order as one bool matrix; an action is the |G| x |P| table
-moved[g, p] of the index of g.p.  Their axioms, the action category and
-poset regularity are array operations on those tables.
+Also here: groups, posets and actions.  A Group holds its multiplication
+as one |G| x |G| index table and a Poset its order as one bool matrix; an
+action is the |G| x |P| table moved[g, p] of the index of g.p.  Their
+axioms, the action category and poset regularity are array operations on
+those tables.
 """
 
 from __future__ import annotations
@@ -218,31 +218,23 @@ def validate_category(objects, morphisms, identities, composition,
     morphisms = list(morphisms)
     labels = [m[0] for m in morphisms]
     mor_index = {m: i for i, m in enumerate(labels)}
-    try:
-        src = [obj_index[m[1]] for m in morphisms]
-        tgt = [obj_index[m[2]] for m in morphisms]
-    except KeyError as exc:
-        raise CategoryError("morphism endpoint %r is not an object" % (exc.args[0],))
-    identity_of = [-1] * len(objects)
-    for o, m in identities.items():
-        if o not in obj_index:
-            raise CategoryError("identity given for %r, which is not an object"
-                                % (o,))
-        if m not in mor_index:
-            raise CategoryError("identity %r of %r is not a morphism" % (m, o))
-        identity_of[obj_index[o]] = mor_index[m]
-    try:
-        a = [mor_index[g] for g, _ in composition]
-        b = [mor_index[f] for _, f in composition]
-        ab = [mor_index[h] for h in composition.values()]
-    except KeyError as exc:
-        raise CategoryError("composition names %r, which is not a morphism"
-                            % (exc.args[0],))
+    src, tgt = (label_indices(obj_index, [m[k] for m in morphisms],
+                              "morphism endpoint %r is not an object")
+                for k in (1, 2))
+    identity_of = np.full(len(objects), -1, np.int64)
+    identity_of[label_indices(
+        obj_index, identities, "identity given for %r, not an object")] = \
+        label_indices(mor_index, identities.values(),
+                      "identity %r is not a morphism")
+    a, b, ab = (label_indices(mor_index, x, "composition names %r, which "
+                              "is not a morphism")
+                for x in ([g for g, _ in composition],
+                          [f for _, f in composition], composition.values()))
     return _build(objects, labels, src, tgt, identity_of, a, b, ab, guards)
 
 
 def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards,
-           mor_rank=None):
+           mor_rank=None, with_order=False):
     """The FinCat given by index arrays, in canonical order, validated.
 
     src, tgt: object index of each morphism; identity_of: morphism index
@@ -253,7 +245,8 @@ def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards,
     keys are computed once per object and once per morphism.  A builder
     whose labels share their source and target parts may pass mor_rank
     instead, integers that order each set of parallel morphisms as their
-    labels' keys do.
+    labels' keys do.  with_order also returns which given object and
+    morphism each index of the category holds.
     """
     if len(set(objects)) != len(objects):
         raise CategoryError("duplicate object labels")
@@ -290,7 +283,8 @@ def _build(objects, labels, src, tgt, identity_of, a, b, ab, guards,
                             % (labels[new_mor[a[i]]], labels[new_mor[b[i]]]))
     a, b, ab = new_mor[a], new_mor[b], new_mor[ab]
     table = _check_axioms(labels, src, tgt, identity_of, a, b, ab, guards)
-    return FinCat(objects, labels, src, tgt, identity_of, table)
+    C = FinCat(objects, labels, src, tgt, identity_of, table)
+    return (C, obj_order, mor_order) if with_order else C
 
 
 def _canon_key(label):
@@ -449,33 +443,19 @@ def _associativity_fails(labels, f, g, h):
 # functors
 
 class FinFunctor:
-    __slots__ = ("source", "target", "obj_map", "mor_map", "obj_idx", "mor_idx")
+    """A functor A -> B, kept once as the read-only int64 arrays obj_idx
+    and mor_idx: the index in B of the image of each object and morphism
+    of A.  Construction checks their lengths and ranges, then sources,
+    targets, identities and composition, and raises CategoryError."""
 
-    def __init__(self, source, target, obj_map, mor_map, guards=DEFAULT):
-        """obj_map / mor_map are dicts on labels; validated on construction."""
-        self.source = source
-        self.target = target
-        self.obj_map = dict(obj_map)
-        self.mor_map = dict(mor_map)
-        self._validate(guards)
+    __slots__ = ("source", "target", "obj_idx", "mor_idx")
 
-    def _validate(self, guards):
-        A, B = self.source, self.target
-        for o in A.objects:
-            if o not in self.obj_map:
-                raise CategoryError("functor misses object %r" % (o,))
-            if self.obj_map[o] not in B.obj_index:
-                raise CategoryError("functor image %r not in target" % (self.obj_map[o],))
-        for m in A.mor_labels:
-            if m not in self.mor_map:
-                raise CategoryError("functor misses morphism %r" % (m,))
-            if self.mor_map[m] not in B.mor_index:
-                raise CategoryError("functor image %r not in target" % (self.mor_map[m],))
-        # obj_idx / mor_idx: the functor on indices
-        fo = self.obj_idx = np.array(
-            [B.obj_index[self.obj_map[o]] for o in A.objects], np.int64).reshape(-1)
-        fm = self.mor_idx = np.array(
-            [B.mor_index[self.mor_map[m]] for m in A.mor_labels], np.int64).reshape(-1)
+    def __init__(self, source, target, obj_idx, mor_idx, guards=DEFAULT):
+        A, B = self.source, self.target = source, target
+        fo = self.obj_idx = _index_array(obj_idx, A.n_objects, B.n_objects,
+                                         "object")
+        fm = self.mor_idx = _index_array(mor_idx, A.n_morphisms,
+                                         B.n_morphisms, "morphism")
         bad = (B.src[fm] != fo[A.src]) | (B.tgt[fm] != fo[A.tgt])
         if bad.any():
             raise CategoryError("functor breaks src/tgt at %r"
@@ -493,11 +473,30 @@ class FinFunctor:
                 "functor breaks composition at (%r, %r)" %
                 (A.mor_labels[g[i]], A.mor_labels[f[i]]))
 
-    def mor_image_idx(self, i):
-        return int(self.mor_idx[i])
 
-    def obj_image_idx(self, i):
-        return int(self.obj_idx[i])
+def _index_array(idx, length, bound, what):
+    """idx as a new read-only int64 array of length indices below bound."""
+    idx = np.asarray(idx)
+    if idx.shape != (length,) or (length and idx.dtype.kind not in "iu"):
+        raise CategoryError("functor needs %d %s indices, not %r of %s"
+                            % (length, what, idx.shape, idx.dtype))
+    idx = idx.astype(np.int64)
+    bad = np.flatnonzero((idx < 0) | (idx >= bound))
+    if len(bad):
+        raise CategoryError("functor sends %s %d to %d, not below %d"
+                            % (what, bad[0], idx[bad[0]], bound))
+    idx.flags.writeable = False
+    return idx
+
+
+def label_indices(index, labels, missing="%r is not in the category"):
+    """Each label's index by the dict index (a FinCat's obj_index or
+    mor_index), as an array; a missing label raises CategoryError with
+    the message missing % label."""
+    try:
+        return np.array([index[x] for x in labels], np.int64).reshape(-1)
+    except KeyError as exc:
+        raise CategoryError(missing % (exc.args[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +539,17 @@ def terminal_category():
 
 
 def full_subcategory(C, objs, guards=DEFAULT):
-    """The full subcategory on the objects objs and its inclusion."""
-    objs = list(objs)
-    for o in objs:
-        if o not in C.obj_index:
-            raise CategoryError("object %r not in category" % (o,))
-    idx = [C.obj_index[o] for o in objs]
+    """The full subcategory on the objects objs and its inclusion: the
+    subcategory keeps the order of C, so the inclusion's indices are the
+    kept ones in increasing order."""
+    idx = label_indices(C.obj_index, objs)
     keep = np.zeros(C.n_objects, bool)
     keep[idx] = True
-    sub = _subcategory(C, idx, keep[C.src] & keep[C.tgt], guards)
-    incl = FinFunctor(sub, C, {o: o for o in objs},
-                      {m: m for m in sub.mor_labels}, guards)
-    return sub, incl
+    objs, mors = np.flatnonzero(keep), keep[C.src] & keep[C.tgt]
+    if len(objs) != len(idx):
+        raise CategoryError("duplicate object labels")
+    sub = _subcategory(C, objs, mors, guards)
+    return sub, FinFunctor(sub, C, objs, np.flatnonzero(mors), guards)
 
 
 def _subcategory(C, objs, keep, guards):
@@ -577,15 +575,17 @@ def _subcategory(C, objs, keep, guards):
 
 
 def is_fully_faithful(F):
+    """Whether F maps each A(x, y) bijectively onto B(Fx, Fy): no two
+    morphisms of a hom-set share an image (faithful), and then the
+    B(Fx, Fy) over all pairs x, y hold no more morphisms than A (full)."""
     A, B = F.source, F.target
-    for xi in range(A.n_objects):
-        for yi in range(A.n_objects):
-            dom = A.hom_idx(xi, yi)
-            images = {F.mor_image_idx(i) for i in dom}
-            cod = B.hom_idx(F.obj_image_idx(xi), F.obj_image_idx(yi))
-            if len(images) != len(dom) or images != set(cod):
-                return False
-    return True
+    keys = np.sort((A.src * A.n_objects + A.tgt) * B.n_morphisms + F.mor_idx)
+    if (keys[1:] == keys[:-1]).any():
+        return False
+    over = np.bincount(F.obj_idx, minlength=B.n_objects)
+    u, v = np.divmod(B._hom_key, max(B.n_objects, 1))
+    return int((over[u] * over[v] * np.diff(B._hom_start)).sum()) == \
+        A.n_morphisms
 
 
 def skeleton(C, guards=DEFAULT):
@@ -610,14 +610,11 @@ def skeleton(C, guards=DEFAULT):
 
 
 def is_isomorphism_of_categories(F):
-    A, B = F.source, F.target
-    if A.n_objects != B.n_objects or A.n_morphisms != B.n_morphisms:
-        return False
-    if len({F.obj_map[o] for o in A.objects}) != A.n_objects:
-        return False
-    if len({F.mor_map[m] for m in A.mor_labels}) != A.n_morphisms:
-        return False
-    return True  # functoriality was validated at construction
+    """Whether F (a validated functor) is bijective on objects and arrows."""
+    B = F.target
+    return all(len(idx) == n and (np.bincount(idx, minlength=n) == 1).all()
+               for idx, n in ((F.obj_idx, B.n_objects),
+                              (F.mor_idx, B.n_morphisms)))
 
 
 # ---------------------------------------------------------------------------
@@ -828,17 +825,15 @@ def strict_fiber(F, d, guards=DEFAULT):
     di = B.obj_index[d]
     over = F.obj_idx == di
     id_d = B.identity_of[di]
-    objs = np.flatnonzero(over)
-    fib = _subcategory(A, objs,
+    fib = _subcategory(A, np.flatnonzero(over),
                        over[A.src] & over[A.tgt] & (F.mor_idx == id_d), guards)
     rf = right_fiber(F, d, guards)
-    id_d_label = B.mor_labels[id_d]
+    objects = [(o, B.mor_labels[id_d]) for o in fib.objects]
     incl = FinFunctor(
-        fib, rf,
-        {o: (o, id_d_label) for o in fib.objects},
-        {m: ((fib.objects[s], id_d_label), (fib.objects[t], id_d_label), m)
-         for m, s, t in zip(fib.mor_labels, fib.src.tolist(),
-                            fib.tgt.tolist())},
+        fib, rf, label_indices(rf.obj_index, objects),
+        label_indices(rf.mor_index, [
+            (objects[s], objects[t], m) for m, s, t in
+            zip(fib.mor_labels, fib.src.tolist(), fib.tgt.tolist())]),
         guards)
     return fib, rf, incl
 
@@ -867,13 +862,11 @@ def twisted_arrow_op(C, guards=DEFAULT):
                           ident[tgt])
     labels = [tuple(C.mor_labels[x] for x in t)
               for t in zip(f.tolist(), fp.tolist(), a.tolist(), b.tolist())]
-    tw = _build(C.mor_labels, labels, f, fp, identity_of, second, first,
-                composite, guards, _pair_rank(C.mor_labels, a, b))
-    proj = FinFunctor(tw, C,
-                      {m: C.objects[x] for m, x in zip(C.mor_labels,
-                                                       src.tolist())},
-                      {lbl: lbl[2] for lbl in labels}, guards)
-    return tw, proj
+    tw, obj_order, mor_order = _build(
+        C.mor_labels, labels, f, fp, identity_of, second, first, composite,
+        guards, _pair_rank(C.mor_labels, a, b), with_order=True)
+    # the objects of Tw(C)^op are the morphisms of C
+    return tw, FinFunctor(tw, C, src[obj_order], a[mor_order], guards)
 
 
 def _pair_rank(parts, a, b):

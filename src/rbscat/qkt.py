@@ -47,6 +47,7 @@ from .fincat import (
     _join,
     _positions,
     full_subcategory,
+    label_indices,
     left_fiber,
 )
 from .guards import DEFAULT
@@ -994,12 +995,13 @@ class QKit:
         if self._psi is not None:
             return self._psi
         q1, _ = self.q1_category()
-        obj_map = {x: self.psi_obj(x) for x in self.span_cat.objects}
-        mor_map = {}
-        for lbl in self.span_cat.mor_labels:
-            mor_map[lbl] = self.psi_q1_label(lbl)
-        self._psi = FinFunctor(self.span_cat, q1, obj_map, mor_map,
-                               self.guards)
+        span = self.span_cat
+        self._psi = FinFunctor(
+            span, q1,
+            label_indices(q1.obj_index, map(self.psi_obj, span.objects)),
+            label_indices(q1.mor_index,
+                          map(self.psi_q1_label, span.mor_labels)),
+            self.guards)
         return self._psi
 
 
@@ -1040,16 +1042,16 @@ def comma_cover_subcategories(kit, target):
     q1, _ = kit.q1_category()
     psi = kit.psi_functor()
     target = tuple(target)
-    members = {i0: set() for i0 in range(len(target))}
-    for i0 in range(len(target)):
+    # the spans [x <<- z >-> y] by x and y
+    x, y = np.array([lbl[:2] for lbl in kit.span_cat.mor_labels],
+                    np.int64).reshape(-1, 2).T
+    members = {}
+    for i0, m_i0 in enumerate(target):
         pad = q1.mor_index[_padded_identity_label(kit, target, i0)]
-        m_i0 = target[i0]
-        for s, s_lbl in enumerate(kit.span_cat.mor_labels):
-            (x, y, z, _, _) = s_lbl
-            if y != m_i0:
-                continue
-            kappa = q1.mor_labels[q1.compose(pad, psi.mor_image_idx(s))]
-            members[i0].add((x, kappa))
+        s = np.flatnonzero(y == m_i0)
+        kappa = q1.compose_many(pad, psi.mor_idx[s])
+        members[i0] = {(c, q1.mor_labels[k])
+                       for c, k in zip(x[s].tolist(), kappa.tolist())}
     return members
 
 
@@ -1079,8 +1081,7 @@ def comma_contractibility(kit, target, depth=3, guards=None):
     for i0 in range(len(target)):
         pad = _padded_identity_label(kit, target, i0)
         expect = (target[i0], pad)
-        sub_objs = sorted(members[i0], key=repr)
-        sub, _ = full_subcategory(cat, sub_objs, guards)
+        sub, _ = full_subcategory(cat, members[i0], guards)
         term = sub.has_terminal_object()
         details["terminal_%d" % i0] = term
         if term != expect:

@@ -49,6 +49,7 @@ from .fincat import (
     full_subcategory,
     is_fully_faithful,
     is_isomorphism_of_categories,
+    label_indices,
     product_tuple,
 )
 from .guards import DEFAULT
@@ -90,7 +91,7 @@ class GLData:
     one C-contiguous int32 table built the first time it is read, a chunk
     of rows at a time, after |GL|^2 is checked against
     max_composable_pairs.  mats wraps entries as Mat objects, also on first
-    read.
+    read.  codes[g], the code of g, increases with g.
     """
 
     def __init__(self, ring, n, guards=DEFAULT):
@@ -99,19 +100,25 @@ class GLData:
         self.guards = guards
         self.entries, self.act = gl_tables(ring, n, guards)
         guards.check(len(self.entries), "max_group_order", "GL table")
-        weights = _code_weights(ring, n * n)
-        codes = self.entries.reshape(len(self.entries), n * n) @ weights
-        self.one = int(np.searchsorted(
-            codes, np.eye(n, dtype=np.int64).reshape(n * n) @ weights))
+        self.codes = self.entries.reshape(len(self.entries), n * n) @ \
+            _code_weights(ring, n * n)
+        self.one = int(self.index_of(np.eye(n, dtype=np.int64)[None])[0])
+
+    def index_of(self, entries):
+        """The index in GL of each n x n matrix of the stack entries, by
+        its code; CategoryError when one is not invertible."""
+        n2 = self.n * self.n
+        codes = np.reshape(entries, (len(entries), n2)) @ \
+            _code_weights(self.ring, n2)
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self) - 1)
+        if (self.codes[at] != codes).any():
+            raise CategoryError("a matrix is not in GL(%d, %r)"
+                                % (self.n, self.ring))
+        return at
 
     @cached_property
     def mats(self):
         return [Mat(self.ring, m, cols=self.n) for m in self.entries.tolist()]
-
-    @cached_property
-    def index(self):
-        """The index of each matrix, by its entry tuple."""
-        return {m.data: i for i, m in enumerate(self.mats)}
 
     @cached_property
     def mult(self):
@@ -336,10 +343,10 @@ class RBSCategory:
         in_u = np.zeros((nf, size), bool)
         for f, u in enumerate(unipotent):
             in_u[f, u] = True
-        labels = np.array(cat.mor_labels, np.int64).reshape(-1, 3)
+        src, tgt, rep = _label_columns(cat)
         for f, u in enumerate(unipotent):
-            rep = np.asarray(self._coset_rep[f], np.int64)
-            moved = rep[mult[:, u]] != rep[:, None]
+            least = np.asarray(self._coset_rep[f], np.int64)
+            moved = least[mult[:, u]] != least[:, None]
             if moved.any():
                 g, k = np.unravel_index(np.argmax(moved), moved.shape)
                 raise CategoryError(
@@ -347,7 +354,7 @@ class RBSCategory:
                     "and g u, u = %d in U_F, have different representatives "
                     "at flag %d" % (g, u[k], f))
             # the morphisms (F_i, F, g) into F
-            fi, g = labels[labels[:, 1] == f][:, [0, 2]].T
+            fi, g = src[tgt == f], rep[tgt == f]
             conj = mult[mult[inv[g][:, None], u[None, :]], g[:, None]]
             outside = ~in_u[fi[:, None], conj]
             if outside.any():
@@ -389,14 +396,23 @@ def gl_flag_action_category(rbs):
 
 
 def comparison_functor(rbs, action_cat=None):
-    """p: GL\\\\P -> flag category; identity on objects, g -> its coset."""
+    """p: GL\\\\P -> flag category; identity on objects, g -> its coset,
+    (g, F, F') -> (F, F', least index in g U_F), found by its key."""
     if action_cat is None:
         action_cat = gl_flag_action_category(rbs)
-    obj_map = {p: p for p in action_cat.objects}
-    mor_map = {}
-    for (g, p, pp) in action_cat.mor_labels:
-        mor_map[(g, p, pp)] = (p, pp, rbs.coset_min(p, g))
-    return FinFunctor(action_cat, rbs.cat, obj_map, mor_map, rbs.guards)
+    cat, nf, size = rbs.cat, len(rbs.flags), len(rbs.gl)
+    g, f, fp = _label_columns(action_cat)
+    src, tgt, rep = _label_columns(cat)
+    mor_idx = _lookup((src * nf + tgt) * size + rep,
+                      (f * nf + fp) * size + rbs._coset_rep[f, g])
+    return FinFunctor(action_cat, cat,
+                      label_indices(cat.obj_index, action_cat.objects),
+                      mor_idx, rbs.guards)
+
+
+def _label_columns(C):
+    """The three integer columns of the morphism labels of C."""
+    return np.array(C.mor_labels, np.int64).reshape(-1, 3).T
 
 
 def bgl_category(rbs):
@@ -408,13 +424,18 @@ def comparison_iso_over_bgl(rbs, p):
     """The comparison functor restricted over the empty flag is an
     isomorphism onto B(GL(M)) (the full subcategory on the empty flag)."""
     e = rbs.empty_flag_index
-    src_sub, _ = full_subcategory(p.source, [e], rbs.guards)
-    tgt_sub, _ = full_subcategory(p.target, [e], rbs.guards)
-    restricted = FinFunctor(src_sub, tgt_sub,
-                            {e: p.obj_map[e]},
-                            {m: p.mor_map[m] for m in src_sub.mor_labels},
-                            rbs.guards)
-    return is_isomorphism_of_categories(restricted)
+    src_sub, src_in = full_subcategory(p.source, [e], rbs.guards)
+    _, tgt_in = full_subcategory(p.target, [e], rbs.guards)
+    return is_isomorphism_of_categories(_factor_through(
+        src_sub, tgt_in, p.obj_idx[src_in.obj_idx],
+        p.mor_idx[src_in.mor_idx], rbs.guards))
+
+
+def _factor_through(source, incl, obj_idx, mor_idx, guards):
+    """The functor G into incl.source with incl G = (obj_idx, mor_idx); an
+    index outside the image of incl becomes -1, which FinFunctor rejects."""
+    return FinFunctor(source, incl.source, _lookup(incl.obj_idx, obj_idx),
+                      _lookup(incl.mor_idx, mor_idx), guards)
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +498,22 @@ def pi1_quotient_functor(rbs, subgroups=None):
     gl = rbs.gl
     rep, quotient = _quotient_by_e(gl, subgroups)
     B = group_category(quotient, rbs.guards)
-    obj_map = {o: "*" for o in rbs.cat.objects}
-    labels = np.array(rbs.cat.mor_labels, np.int64).reshape(-1, 3)
-    classes = np.empty(len(labels), np.int64)
+    src, _, reps = _label_columns(rbs.cat)
+    classes = np.empty(len(src), np.int64)
     for f, u in rbs.unipotent.items():
-        into = labels[:, 0] == f
+        into = src == f
         # independence of the coset representative: all of gU_F maps to gE
-        of_coset = rep[gl.mult[labels[into, 2][:, None],
+        of_coset = rep[gl.mult[reps[into][:, None],
                                np.array(u, np.int64)[None, :]]]
         if (of_coset != of_coset[:, :1]).any():
             raise RuntimeError("U_F is not contained in E(M)")
         classes[into] = of_coset[:, 0]
-    classes = classes.tolist()
-    mor_map = {m: ("*", c) for m, c in zip(rbs.cat.mor_labels, classes)}
-    functor = FinFunctor(rbs.cat, B, obj_map, mor_map, rbs.guards)
-    surjective = set(classes) == set(quotient.elements)
+    # the morphism ("*", c) of B by its class c
+    functor = FinFunctor(
+        rbs.cat, B, np.zeros(rbs.cat.n_objects, np.int64),
+        _lookup(np.array([c for _, c in B.mor_labels], np.int64), classes),
+        rbs.guards)
+    surjective = len(set(classes.tolist())) == B.n_morphisms
     return functor, surjective
 
 
@@ -570,7 +592,7 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
     nf = len(rbs.flags)
     # objects admitting a map to F
     le_objs = [gj for gj in range(nf) if cat.hom(gj, fi)]
-    le_sub, _ = full_subcategory(cat, le_objs, guards)
+    le_sub, le_incl = full_subcategory(cat, le_objs, guards)
     # refinements of F (members contain members(F))
     ref_objs = [gj for gj in range(nf) if rbs.refines(gj, fi)]
     ref_sub, ref_incl = full_subcategory(cat, ref_objs, guards)
@@ -584,51 +606,34 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
             built[d] = RBSCategory(rbs.ring, d, guards)
     graded = [built[d] for d in dims]
     # object map: refinement G -> tuple of graded flags
-    obj_map = {}
-    piece_flag_idx = {}
-    for gj in ref_objs:
-        pieces = _graded_flags(rbs, gj, fi, quots, graded)
-        piece_flag_idx[gj] = pieces
-        obj_map[gj] = tuple(pieces)
-    # morphism map: g U_G -> blockwise (g_i U_{G_i})
-    mor_map = {}
-    for lbl in ref_sub.mor_labels:
-        (src, tgt, rep) = lbl
-        g = rbs.gl.mats[rep]
-        if rbs.flag_act[rep, fi] != fi:
-            raise CategoryError(
-                "transporter between refinements must stabilise the flag")
-        piece_labels = []
-        for i, q in enumerate(quots):
-            gm = _block_matrix(rbs, g, q, graded[i].ring)
-            gi_idx = graded[i].gl.index[gm.data]
-            src_piece = piece_flag_idx[src][i]
-            tgt_piece = piece_flag_idx[tgt][i]
-            rep_piece = graded[i].coset_min(src_piece, gi_idx)
-            piece_labels.append((src_piece, tgt_piece, rep_piece))
-        mor_map[lbl] = tuple(piece_labels)
+    pieces = {gj: tuple(_graded_flags(rbs, gj, fi, quots, graded))
+              for gj in ref_objs}
+    # morphism map: g U_G -> blockwise (g_i U_{G_i}), one piece at a time
+    src, tgt, reps = zip(*ref_sub.mor_labels)
+    if (rbs.flag_act[list(reps), fi] != fi).any():
+        raise CategoryError(
+            "transporter between refinements must stabilise the flag")
+    blockwise = []
+    for i, q in enumerate(quots):
+        s, t = ([pieces[x][i] for x in ends] for ends in (src, tgt))
+        gi = graded[i].gl.index_of([_block_matrix(
+            rbs, rbs.gl.mats[r], q, graded[i].ring).data for r in reps])
+        blockwise.append(zip(s, t, graded[i]._coset_rep[s, gi].tolist()))
+    mor_labels = list(zip(*blockwise))
     prod = product_tuple([g.cat for g in graded], guards)
-    functor = FinFunctor(ref_sub, prod, obj_map, mor_map, guards)
+    functor = FinFunctor(
+        ref_sub, prod,
+        label_indices(prod.obj_index, [pieces[o] for o in ref_sub.objects]),
+        label_indices(prod.mor_index, mor_labels), guards)
     iso = is_isomorphism_of_categories(functor)
-    # the inclusion of refinements into the <=[F] subcategory is an equivalence
-    incl_ok = is_fully_faithful(ref_incl_to_le(rbs, ref_objs, le_objs, le_sub, ref_sub)) \
-        and _essentially_surjective_on_le(rbs, fi, le_objs, ref_objs, le_sub)
+    # the inclusion of refinements into the <=[F] subcategory is an
+    # equivalence: fully faithful, and some g carries each object to a
+    # refinement
+    incl_ok = is_fully_faithful(_factor_through(
+        ref_sub, le_incl, ref_incl.obj_idx, ref_incl.mor_idx, guards)) \
+        and bool(rbs._refines[rbs.flag_act[:, le_objs], fi].any(axis=0).all())
     return InductiveDecomposition(fi, le_sub, ref_sub, graded, functor,
                                   iso, incl_ok)
-
-
-def ref_incl_to_le(rbs, ref_objs, le_objs, le_sub, ref_sub):
-    obj_map = {o: o for o in ref_objs}
-    mor_map = {m: m for m in ref_sub.mor_labels}
-    return FinFunctor(ref_sub, le_sub, obj_map, mor_map, rbs.guards)
-
-
-def _essentially_surjective_on_le(rbs, fi, le_objs, ref_objs, le_sub):
-    """Every object with a map to F is isomorphic to a refinement of F:
-    some g carries it to a refinement."""
-    is_ref = np.zeros(len(rbs.flags), bool)
-    is_ref[ref_objs] = True
-    return bool(is_ref[rbs.flag_act[:, le_objs]].any(axis=0).all())
 
 
 def _graded_flags(rbs, gj, fi, quots, graded):

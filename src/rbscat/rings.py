@@ -940,9 +940,6 @@ class Flag:
         return "Flag[%s]" % " < ".join(str(m.mat) for m in self.members)
 
 
-EMPTY = "empty"
-
-
 def enumerate_flags(ring, n, guards=DEFAULT):
     """All splittable flags of R^n, the empty flag first.
 

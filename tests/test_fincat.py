@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,8 +74,7 @@ def bz(k):
 # test-only category calculus, kept here as helpers
 
 def identity_functor(C):
-    return FinFunctor(C, C, {o: o for o in C.objects},
-                      {m: m for m in C.mor_labels})
+    return FinFunctor(C, C, range(C.n_objects), range(C.n_morphisms))
 
 
 def is_iso(C, f):
@@ -85,7 +86,7 @@ def is_iso(C, f):
 
 def is_essentially_surjective(F):
     A, B = F.source, F.target
-    image = {F.obj_image_idx(i) for i in range(A.n_objects)}
+    image = set(F.obj_idx.tolist())
     return all(yi in image or any(is_iso(B, f) for xi in image
                                   for f in B.hom_idx(xi, yi))
                for yi in range(B.n_objects))
@@ -560,7 +561,7 @@ def oracle_fiber(F, d, side):
     di = B.obj_index[d]
     objects = []
     for ci in range(A.n_objects):
-        fci = F.obj_image_idx(ci)
+        fci = F.obj_idx[ci]
         homs = B.hom_idx(fci, di) if side == "left" else B.hom_idx(di, fci)
         for m in homs:
             objects.append((A.objects[ci], B.mor_labels[m]))
@@ -571,9 +572,9 @@ def oracle_fiber(F, d, side):
         mi = B.mor_index[m]
         for u in A.morphisms_from(A.obj_index[c]):
             cpi = A.tgt[u]
-            fu = F.mor_image_idx(u)
+            fu = F.mor_idx[u]
             if side == "left":
-                targets = [mp for mp in B.hom_idx(F.obj_image_idx(cpi), di)
+                targets = [mp for mp in B.hom_idx(F.obj_idx[cpi], di)
                            if B.compose(mp, fu) == mi]
             else:
                 targets = [B.compose(fu, mi)]
@@ -612,8 +613,8 @@ def oracle_strict_fiber(F, d):
     A, B = F.source, F.target
     id_d = B.identity_of[B.obj_index[d]]
     objs = [o for i, o in enumerate(A.objects)
-            if F.obj_image_idx(i) == B.obj_index[d]]
-    return oracle_subcategory(A, objs, lambda i: F.mor_image_idx(i) == id_d)
+            if F.obj_idx[i] == B.obj_index[d]]
+    return oracle_subcategory(A, objs, lambda i: F.mor_idx[i] == id_d)
 
 
 def assert_same_category(C, D):
@@ -648,8 +649,8 @@ def small_functors(draw):
                              unique=True))
         return full_subcategory(C, objs)[1]
     P = product_tuple([C, draw(st.sampled_from(BASES))])
-    return FinFunctor(P, C, {o: o[0] for o in P.objects},
-                      {m: m[0] for m in P.mor_labels})
+    return FinFunctor(P, C, [C.obj_index[o[0]] for o in P.objects],
+                      [C.mor_index[m[0]] for m in P.mor_labels])
 
 
 @settings(max_examples=120, deadline=None)
@@ -758,7 +759,8 @@ def test_twisted_arrows_rank_parallel_morphisms_by_label_parts(name,
     C = _named_small_category(name)
     ranked_by_parts = fincat_to_json(twisted_arrow_op(C)[0])
     build = fincat._build
-    monkeypatch.setattr(fincat, "_build", lambda *args: build(*args[:9]))
+    monkeypatch.setattr(fincat, "_build",
+                        lambda *args, **kwargs: build(*args[:9], **kwargs))
     assert fincat_to_json(twisted_arrow_op(C)[0]) == ranked_by_parts
 
 
@@ -1014,8 +1016,8 @@ def test_corrupted_table_entry_is_reported():
 def test_functor_breaking_composition_is_reported():
     # 1 -> 1 from Z/2 to Z/3 sends 1 + 1 = 0 to 0, not to 2
     with pytest.raises(CategoryError, match="breaks composition"):
-        FinFunctor(bz(2), bz(3), {"*": "*"},
-                   {("*", 0): ("*", 0), ("*", 1): ("*", 1)})
+        FinFunctor(bz(2), bz(3), [0],
+                   [bz(3).mor_index[("*", 0)], bz(3).mor_index[("*", 1)]])
 
 
 # ---------------------------------------------------------------------------
@@ -1098,10 +1100,9 @@ def oracle_twisted_arrow_op(C):
                                   C.mor_labels[C.compose(a2, a1)],
                                   C.mor_labels[C.compose(b1, b2)])
     tw = validate_category(C.mor_labels, morphs, idents, comp)
-    proj = FinFunctor(tw, C,
-                      {C.mor_labels[f]: C.objects[C.src[f]]
-                       for f in range(C.n_morphisms)},
-                      {lbl: lbl[2] for (lbl, _, _) in morphs})
+    # the projection's labels f -> src f and (f, f', a, b) -> a, as indices
+    proj = ([C.src[C.mor_index[f]] for f in tw.objects],
+            [C.mor_index[lbl[2]] for lbl in tw.mor_labels])
     return tw, proj
 
 
@@ -1126,8 +1127,8 @@ def test_array_builders_agree_with_label_oracles(C, D, E):
         tw, proj = twisted_arrow_op(C)
         oracle_tw, oracle_proj = oracle_twisted_arrow_op(C)
         assert_same_category(tw, oracle_tw)
-        assert (proj.obj_map, proj.mor_map) == \
-            (oracle_proj.obj_map, oracle_proj.mor_map)
+        assert (proj.obj_idx.tolist(), proj.mor_idx.tolist()) == \
+            oracle_proj
 
 
 def test_pairs_are_sorted_by_composable_pair():
@@ -1498,3 +1499,142 @@ def test_labels_hold_no_numpy_scalar(monkeypatch):
     for q2 in (kit.q2_hom(m, mp) for m in lists for mp in lists):
         assert numpy_scalars(q2.components) == []
         assert numpy_scalars(q2.terminals) == []
+
+
+# ---------------------------------------------------------------------------
+# functors as index arrays
+
+@pytest.mark.parametrize("obj_idx, mor_idx", [
+    ([0], [0, 1, 2]),             # too few object indices
+    ([0, 1, 1], [0, 1, 2]),       # too many
+    ([0, 1], [0, 1]),             # too few morphism indices
+    ([-1, 1], [0, 1, 2]),         # negative
+    ([0, 1], [0, -1, 2]),
+    ([0, 2], [0, 1, 2]),          # past the last index
+    ([0, 1], [0, 1, 3]),
+    ([0.0, 1.0], [0, 1, 2]),      # not integers
+    ([[0, 1]], [0, 1, 2]),        # not one-dimensional
+])
+def test_functor_rejects_bad_index_arrays(obj_idx, mor_idx):
+    C = chain_category()
+    with pytest.raises(CategoryError, match="functor"):
+        FinFunctor(C, C, obj_idx, mor_idx)
+
+
+def test_functor_rejects_bad_index_arrays_under_optimize():
+    # the boundary checks raise under python -O, where bare asserts vanish
+    code = ("from rbscat.fincat import CategoryError, FinFunctor, Group, "
+            "group_category\n"
+            "B = group_category(Group([0, 1], [[0, 1], [1, 0]], 0))\n"
+            "bad = 0\n"
+            "for o, m in (([0], [0]), ([0], [0, 1, 0]), ([-1], [0, 1]),\n"
+            "             ([0], [0, 2]), ([1], [0, 1])):\n"
+            "    try:\n"
+            "        FinFunctor(B, B, o, m)\n"
+            "    except CategoryError:\n"
+            "        bad += 1\n"
+            "raise SystemExit(0 if bad == 5 else 5)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_functor_keeps_read_only_copies_of_its_arrays():
+    C = chain_category()
+    obj_idx, mor_idx = np.arange(2), np.arange(3)
+    F = FinFunctor(C, C, obj_idx, mor_idx)
+    obj_idx[0] = 1
+    assert F.obj_idx.tolist() == [0, 1] and F.obj_idx.dtype == np.int64
+    for idx in (F.obj_idx, F.mor_idx):
+        with pytest.raises(ValueError):
+            idx[0] = 0
+
+
+def oracle_is_fully_faithful(F):
+    """Oracle for is_fully_faithful: each hom-set A(x, y) and its image
+    compared with B(Fx, Fy) as sets, one pair of objects at a time."""
+    A, B = F.source, F.target
+    for xi in range(A.n_objects):
+        for yi in range(A.n_objects):
+            dom = A.hom_idx(xi, yi)
+            images = {int(F.mor_idx[i]) for i in dom}
+            cod = B.hom_idx(F.obj_idx[xi], F.obj_idx[yi])
+            if len(images) != len(dom) or images != set(cod):
+                return False
+    return True
+
+
+def oracle_is_isomorphism(F):
+    """Oracle for is_isomorphism_of_categories: the label maps of F, with
+    as many distinct images as the target has objects and morphisms."""
+    A, B = F.source, F.target
+    obj_map = {o: B.objects[i] for o, i in zip(A.objects, F.obj_idx.tolist())}
+    mor_map = {m: B.mor_labels[i]
+               for m, i in zip(A.mor_labels, F.mor_idx.tolist())}
+    return (A.n_objects == B.n_objects and A.n_morphisms == B.n_morphisms
+            and len(set(obj_map.values())) == A.n_objects
+            and len(set(mor_map.values())) == A.n_morphisms)
+
+
+def assert_shape_queries_agree(F):
+    assert is_fully_faithful(F) == oracle_is_fully_faithful(F)
+    assert is_isomorphism_of_categories(F) == oracle_is_isomorphism(F)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_functors())
+def test_shape_queries_agree_with_loop_oracles(F):
+    assert_shape_queries_agree(F)
+
+
+def test_shape_queries_on_functors_that_are_not_faithful_or_not_full():
+    T, B = terminal_category(), bz(2)
+    collapse = FinFunctor(B, T, [0], [0, 0])                 # not faithful
+    unit = FinFunctor(T, B, [0], [B.identity_of[0]])         # not full
+    for F in (collapse, unit):
+        assert not is_fully_faithful(F)
+        assert not is_isomorphism_of_categories(F)
+        assert_shape_queries_agree(F)
+    for F in (identity_functor(B), comparison_functor(build_rbs("F2", 2)),
+              full_subcategory(indiscrete(3), [0, 2])[1]):
+        assert_shape_queries_agree(F)
+
+
+def assert_indices_match(F, obj_map, mor_map):
+    """F holds the target indices of the label maps on its source, in
+    source order."""
+    A, B = F.source, F.target
+    assert F.obj_idx.tolist() == [B.obj_index[obj_map[o]] for o in A.objects]
+    assert F.mor_idx.tolist() == [B.mor_index[mor_map[m]]
+                                  for m in A.mor_labels]
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "Z4"])
+def test_builder_functors_match_their_label_maps(spec):
+    rbs = build_rbs(spec, 2)
+    C = rbs.cat
+    for objs in (C.objects, C.objects[1::2], [rbs.empty_flag_index]):
+        sub, incl = full_subcategory(C, objs)
+        assert_indices_match(incl, {o: o for o in sub.objects},
+                             {m: m for m in sub.mor_labels})
+    P = comparison_functor(rbs)
+    B = P.target
+    for d in B.objects:
+        fib, rf, incl = strict_fiber(P, d)
+        id_d = B.mor_labels[B.identity_of[B.obj_index[d]]]
+        assert_indices_match(
+            incl, {o: (o, id_d) for o in fib.objects},
+            {m: ((fib.objects[s], id_d), (fib.objects[t], id_d), m)
+             for m, s, t in zip(fib.mor_labels, fib.src.tolist(),
+                                fib.tgt.tolist())})
+
+
+@pytest.mark.parametrize("name", ["terminal", "chain2", "BZ2", "BZ3",
+                                  "RBS-F2-2"])
+def test_twisted_arrow_projection_matches_its_label_map(name):
+    from rbscat.checks import _named_small_category
+    C = _named_small_category(name)
+    tw, proj = twisted_arrow_op(C)
+    assert_indices_match(
+        proj, {m: C.objects[C.src[C.mor_index[m]]] for m in tw.objects},
+        {lbl: lbl[2] for lbl in tw.mor_labels})

@@ -346,8 +346,9 @@ def test_q2_unique_cell_to_terminal():
 
 def test_psi_objects():
     psi = KIT1.psi_functor()
-    assert psi.obj_map[0] == ()
-    assert psi.obj_map[1] == (1,)
+    Q, q1 = psi.source, psi.target
+    assert q1.objects[psi.obj_idx[Q.obj_index[0]]] == ()
+    assert q1.objects[psi.obj_idx[Q.obj_index[1]]] == (1,)
 
 
 def test_psi_fully_faithful():
@@ -359,10 +360,20 @@ def test_psi_preserves_identities():
     psi = KIT2.psi_functor()
     Q = KIT2.span_cat
     q1, _ = KIT2.q1_category()
-    for x in Q.objects:
-        idx = Q.identity_of[Q.obj_index[x]]
-        img = psi.mor_map[Q.mor_labels[idx]]
-        assert img == q1.mor_labels[q1.identity_of[q1.obj_index[psi.obj_map[x]]]]
+    for x in range(Q.n_objects):
+        assert psi.mor_idx[Q.identity_of[x]] == \
+            q1.identity_of[psi.obj_idx[x]]
+
+
+@pytest.mark.parametrize("kit", [KIT1, KIT2], ids=["2-1-2", "2-2-3"])
+def test_psi_matches_its_label_map(kit):
+    # Psi on labels: x to psi_obj(x) and each span to its Q1 class
+    psi = kit.psi_functor()
+    Q, q1 = kit.span_cat, psi.target
+    assert psi.obj_idx.tolist() == [q1.obj_index[kit.psi_obj(x)]
+                                    for x in Q.objects]
+    assert psi.mor_idx.tolist() == [q1.mor_index[kit.psi_q1_label(lbl)]
+                                    for lbl in Q.mor_labels]
 
 
 def greatest_complement_projection(ring, small):

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from rbscat import checks
 from rbscat import rbs as rbs_module
-from rbscat.fincat import CategoryError, is_fully_faithful, twisted_arrow_op
+from rbscat.fincat import (
+    CategoryError,
+    is_fully_faithful,
+    is_isomorphism_of_categories,
+    twisted_arrow_op,
+)
 from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
 from rbscat.homology import homology, nerve_chain_complex
 from rbscat.rbs import (
@@ -27,6 +32,7 @@ from rbscat.rbs import (
     tits_building,
 )
 from rbscat.rings import Flag, Mat, Submodule, determinants, make_ring
+from test_fincat import assert_indices_match
 from test_rings import det_oracle, elements
 from rbscat.fincat import check_poset_regularity
 from rbscat.toolkit import is_colim_equivalence, is_proper
@@ -236,8 +242,7 @@ def test_action_category_and_comparison():
     assert ac.n_objects == 4
     p = comparison_functor(R22, ac)
     # surjective on morphisms
-    images = {p.mor_map[m] for m in ac.mor_labels}
-    assert images == set(R22.cat.mor_labels)
+    assert set(p.mor_idx.tolist()) == set(range(R22.cat.n_morphisms))
     assert comparison_iso_over_bgl(R22, p)
 
 
@@ -252,7 +257,6 @@ def test_comparison_rank_one_iso():
     r = build_rbs("F3", 1)
     ac = gl_flag_action_category(r)
     p = comparison_functor(r, ac)
-    from rbscat.fincat import is_isomorphism_of_categories
     assert is_isomorphism_of_categories(p)
 
 
@@ -518,7 +522,6 @@ def test_gl_table_matches_matrix_products(spec, n):
     functor, _ = pi1_quotient_functor(r, sg)
     assert python_ints(r.cat.mor_labels)
     assert python_ints([sg.e_group, sg.parabolic, sg.unipotent])
-    assert python_ints(list(functor.mor_map.values()))
     assert python_ints(pi1_target(r, sg).elements)
 
 
@@ -574,3 +577,97 @@ def test_resolution_checks_run_their_engines_on_the_skeleton(monkeypatch):
     seen.clear()
     assert checks.check_bgl_comparison("F3", 2, 2).ok
     assert seen == [1, n_skeleton]  # BGL, then the flag category
+
+
+# ---------------------------------------------------------------------------
+# functors built from indices against the label maps they stand for
+
+def comparison_label_maps(r, ac):
+    """p on labels: each flag to itself, (g, F, F') to (F, F', rep), rep
+    the least index in the coset g U_F."""
+    return ({o: o for o in ac.objects},
+            {(g, f, fp): (f, fp, min(int(r.gl.mult[g, u])
+                                     for u in r.unipotent[f]))
+             for g, f, fp in ac.mor_labels})
+
+
+@pytest.mark.parametrize("r", [R22, R32, RZ4], ids=["F2", "F3", "Z4"])
+def test_comparison_functor_and_its_restriction_match_label_maps(
+        r, monkeypatch):
+    ac = gl_flag_action_category(r)
+    p = comparison_functor(r, ac)
+    obj_map, mor_map = comparison_label_maps(r, ac)
+    assert_indices_match(p, obj_map, mor_map)
+    restricted = []
+
+    def recording(F):
+        restricted.append(F)
+        return is_isomorphism_of_categories(F)
+
+    monkeypatch.setattr(rbs_module, "is_isomorphism_of_categories", recording)
+    assert comparison_iso_over_bgl(r, p)
+    (F,) = restricted
+    assert F.source.objects == F.target.objects == (r.empty_flag_index,)
+    assert_indices_match(F, obj_map, mor_map)
+
+
+@pytest.mark.parametrize("r", [R22, R32, RZ4], ids=["F2", "F3", "Z4"])
+def test_pi1_quotient_functor_matches_label_map(r):
+    sg = compute_e_group(r)
+    functor, surjective = pi1_quotient_functor(r, sg)
+    # each coset g U_F goes to the class of g, named by its least element
+    classes = {lbl: ("*", min(int(r.gl.mult[lbl[2], e]) for e in sg.e_group))
+               for lbl in r.cat.mor_labels}
+    assert_indices_match(functor, {o: "*" for o in r.cat.objects}, classes)
+    assert surjective == (set(classes.values()) ==
+                          set(functor.target.mor_labels))
+
+
+@pytest.mark.parametrize("r", [R22, R32, RZ4], ids=["F2", "F3", "Z4"])
+def test_inductive_functors_match_label_maps(r, monkeypatch):
+    # the inclusion of the refinements of F into the objects with a map to
+    # F, as inductive_decomposition tests it for full faithfulness
+    inclusions = []
+
+    def recording(F):
+        inclusions.append(F)
+        return is_fully_faithful(F)
+
+    monkeypatch.setattr(rbs_module, "is_fully_faithful", recording)
+    built = {}
+    for fi in range(len(r.flags)):
+        dec = inductive_decomposition(r, fi, built=built)
+        ref_sub, graded = dec.refinement_subcategory, dec.graded_cats
+        quots = r._quotients[fi]
+        pieces = {gj: tuple(rbs_module._graded_flags(r, gj, fi, quots, graded))
+                  for gj in ref_sub.objects}
+        # each graded block found among the matrices of its GL by entries
+        index = [{m.data: i for i, m in enumerate(g.gl.mats)} for g in graded]
+        mor_map = {}
+        for lbl in ref_sub.mor_labels:
+            src, tgt, rep = lbl
+            blocks = []
+            for i, q in enumerate(quots):
+                block = rbs_module._block_matrix(r, r.gl.mats[rep], q,
+                                                 graded[i].ring)
+                blocks.append((pieces[src][i], pieces[tgt][i],
+                               graded[i].coset_min(pieces[src][i],
+                                                   index[i][block.data])))
+            mor_map[lbl] = tuple(blocks)
+        assert_indices_match(dec.functor, pieces, mor_map)
+        incl = inclusions.pop()
+        assert (incl.source, incl.target.objects) == \
+            (ref_sub, dec.le_subcategory.objects)
+        assert_indices_match(incl, {o: o for o in ref_sub.objects},
+                             {m: m for m in ref_sub.mor_labels})
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
+                                     ("F2", 3), ("F3", 0)])
+def test_gl_index_of_finds_matrices_by_code(spec, n):
+    gl = GLData(make_ring(spec), n)
+    assert gl.index_of(gl.entries).tolist() == list(range(len(gl)))
+    assert gl.index_of(np.eye(n, dtype=np.int64)[None]).tolist() == [gl.one]
+    if n:
+        with pytest.raises(CategoryError, match="not in GL"):
+            gl.index_of(np.zeros((1, n, n), np.int64))
