@@ -109,8 +109,7 @@ def _cmd_build(args, guards):
         doc["ring"] = jsonio.ring_to_json(rbs.ring)
         doc["flags"] = [jsonio.flag_to_json(f) for f in rbs.flags]
         doc["coset_representatives"] = [
-            [list(row) for row in rbs.gl.mats[lbl[2]].data]
-            for lbl in rbs.cat.mor_labels]
+            rbs.gl.entries[lbl[2]].tolist() for lbl in rbs.cat.mor_labels]
     elif args.object == "bgl":
         rbs = build_rbs(args.ring, args.n, guards)
         sub, _ = bgl_category(rbs)

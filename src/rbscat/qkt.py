@@ -4,12 +4,20 @@ space categories.
 The base category E is the skeletal category of F_q-vector spaces of
 dimension at most N (objects 0..N, morphisms all matrices, column-vector
 convention), with short exact sequences the usual kernel/cokernel pairs.
-On top of it:
+
+A linear map F_q^a -> F_q^b is held as its row of image codes (rings'
+vector codes), so composition is a gather and mono, epi and iso mean
+injective, onto and a permutation; kernels, images, pullbacks and
+pushouts are membership rows.  The tables of F_q^n are built on first
+use, once per ring, n and guard config (_space): its subspaces, found by
+membership row, GL(n) from rings.gl_tables, and for each pair small <
+big the code maps of the complement QuotientData chooses.  On top of E:
 
   * quillen_q(E): the span category (morphisms x <<- z >-> y up to
-    isomorphism of the middle object, composed by pullback); each class
-    is labelled by its least representative over GL(z), read off one
-    reduced row echelon form (span_canonical);
+    isomorphism of the middle object, composed by pullback); the class
+    of a span is the subspace {(p w, i w)} of F^(x+y), labelled by its
+    reduced row echelon form (span_canonical), which gives the least
+    representative over GL(z);
   * the strict monoidal category of graded lists: objects are lists of
     nonzero dimensions, a morphism is an order-preserving surjection
     together with, for each target entry, a literal subspace chain with
@@ -35,7 +43,8 @@ passed to fincat._build as index arrays, and validated there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,118 +61,21 @@ from .fincat import (
 )
 from .guards import DEFAULT
 from .rings import (
-    Mat,
-    QuotientData,
-    Submodule,
-    _gauss_jordan,
+    _CHUNK_ENTRIES,
+    _code_weights,
+    _vector_digits,
     chains_through,
-    enumerate_gl,
+    distinct_rows,
+    echelon_rows,
     enumerate_submodules,
+    gl_tables,
     inclusion_table,
-    kernel_basis,
     make_ring,
-    rref,
+    membership,
+    quotient_codes,
+    span_codes,
 )
 from .toolkit import is_weakly_contractible
-
-
-# ---------------------------------------------------------------------------
-# the base category with filtrations
-
-class FiltCategory:
-    """Skeletal Vect(F_q)_{<= N} with its short exact sequences."""
-
-    def __init__(self, q, N, guards=DEFAULT):
-        if N < 0:
-            raise ValueError("--N must be at least 0, got %d" % N)
-        self.ring = make_ring("F%d" % q, guards)
-        self.guards = guards
-        self.N = N
-        total = sum(self.ring.size ** (r * c)
-                    for r in range(N + 1) for c in range(N + 1))
-        guards.check(total, "max_filt_morphisms", "base category enumeration")
-        self.objects = list(range(N + 1))
-        self.morphisms = []  # (src, tgt, Mat)
-        for a in self.objects:
-            for b in self.objects:
-                for entries in itertools.product(range(self.ring.size), repeat=a * b):
-                    m = Mat(self.ring, [entries[i * a:(i + 1) * a] for i in range(b)],
-                            cols=a)
-                    self.morphisms.append((a, b, m))
-
-    def rank(self, m):
-        return len(_gauss_jordan(self.ring, [list(r) for r in m.data], m.cols))
-
-    def is_mono(self, src, tgt, m):
-        return self.rank(m) == src
-
-    def is_epi(self, src, tgt, m):
-        return self.rank(m) == tgt
-
-    def is_ses(self, i_mono, p_epi):
-        """(a >-> b, b ->> c) is short exact: composite zero, dims add up."""
-        (a, b1, mi) = i_mono
-        (b2, c, mp) = p_epi
-        if b1 != b2 or a + c != b1:
-            return False
-        if not (self.is_mono(a, b1, mi) and self.is_epi(b2, c, mp)):
-            return False
-        comp = mp.mul(mi) if a and c else None
-        if a and c and any(any(r) for r in comp.data):
-            return False
-        return True
-
-    def validate_axioms(self):
-        """Category-with-filtrations axioms on the distinguished sequences.
-
-        1-4 are checked exhaustively; 5 and 6 (and their swapped versions)
-        on all admissible cospans/spans.
-        """
-        R = self.ring
-        monos = [(a, b, m) for (a, b, m) in self.morphisms if self.is_mono(a, b, m)]
-        epis = [(a, b, m) for (a, b, m) in self.morphisms if self.is_epi(a, b, m)]
-        # axiom 2: 0 -> a -> a and a -> a -> 0
-        for a in self.objects:
-            ida = Mat.identity(R, a)
-            z_in = Mat.zero(R, a, 0)
-            _require(self.is_ses((0, a, z_in), (a, a, ida)), "axiom 2 fails")
-            z_out = Mat.zero(R, 0, a)
-            _require(self.is_ses((a, a, ida), (a, 0, z_out)), "axiom 2 fails")
-        # axiom 3: composites of admissible monos/epis
-        for (a, b, m1) in monos:
-            for (b2, c, m2) in monos:
-                if b2 == b:
-                    _require(self.is_mono(a, c, m2.mul(m1)), "axiom 3 fails")
-        for (a, b, m1) in epis:
-            for (b2, c, m2) in epis:
-                if b2 == b:
-                    _require(self.is_epi(a, c, m2.mul(m1)), "axiom 3 fails")
-        # axiom 4: monos are kernels of their epis and conversely
-        for (a, b, mi) in monos:
-            coker = cokernel_projection(R, a, b, mi)
-            _require(self.is_ses((a, b, mi), (b, b - a, coker)), "axiom 4 fails")
-            ker_rows = kernel_basis(R, coker)
-            _require(Submodule.from_rows(R, b, [list(r) for r in ker_rows]) ==
-                     image_submodule(R, b, mi),
-                     "mono is not the kernel of its cokernel")
-        # axioms 5/6 on all pairs, each with its swapped form (pullback of
-        # mono along epi is mono; pushout of epi along mono is epi) on the
-        # same pullback or pushout
-        for (b, c, p) in epis:
-            for (cp, c2, m) in monos:
-                if c2 == c:
-                    pb_obj, to_b, to_cp = pullback(R, b, c, p, cp, m)
-                    _require(self.is_epi(pb_obj, cp, to_cp), "axiom 5 fails")
-                    _require(self.is_mono(pb_obj, b, to_b),
-                             "swapped axiom 5 fails")
-        for (z, b, i) in monos:
-            for (z2, c, p) in epis:
-                if z2 == z:
-                    po_obj, from_b, from_c = pushout(R, z, b, c, i, p)
-                    _require(self.is_mono(c, po_obj, from_c), "axiom 6 fails")
-                    _require(self.is_epi(b, po_obj, from_b),
-                             "swapped axiom 6 fails")
-        return True
 
 
 def _require(holds, what):
@@ -172,66 +84,254 @@ def _require(holds, what):
         raise CategoryError(what)
 
 
-def image_submodule(ring, ambient, m):
-    """Image of a matrix (columns span) as a canonical Submodule."""
-    cols = list(zip(*m.data)) if m.data else []
-    return Submodule.from_rows(ring, ambient, [list(c) for c in cols])
+# ---------------------------------------------------------------------------
+# the tables of F_q^n
+
+_SPACES = {}
 
 
-def cokernel_projection(ring, a, b, mi):
-    """Canonical projection F^b ->> F^{b-a} with kernel the image of mi."""
-    img = image_submodule(ring, b, mi)
-    quot = QuotientData(img, Submodule.full(ring, b))
-    cols = []
-    for j in range(b):
-        e = tuple(1 if i == j else 0 for i in range(b))
-        cols.append(quot.project(e))
-    return Mat(ring, [list(r) for r in zip(*cols)]) if b - a else \
-        Mat.zero(ring, 0, b)
+def _space(ring, n, guards):
+    # keyed by guard config (its values, as astuple gives them but cheaply):
+    # tables built under looser guards are not reused under tighter ones
+    key = (ring.key(), n, tuple(vars(guards).values()))
+    if key not in _SPACES:
+        _SPACES[key] = _Space(ring, n, guards)
+    return _SPACES[key]
 
 
-def pullback(ring, b, c, p, cp, m):
-    """Pullback of p: b ->> c along m: c' >-> c (column convention).
+def _lead(row):
+    return next(j for j, x in enumerate(row) if x)
 
-    Returns (dim, to_b, to_cp) with the two projections; the pullback is
-    the canonical kernel presentation of {(u, v): p u = m v}.
+
+class _Space:
+    """F_q^n on vector codes: subs are its subspaces in Submodule.sort_key
+    order (0 first, F^n last), members[s] the codes of subs[s], found by
+    their canonical rows (index) or members (by_members).  gl_rows maps
+    each matrix of GL(n), as its tuple of rows, to its row of image codes
+    (in the code order of gl_tables), and gl_matrix back."""
+
+    def __init__(self, ring, n, guards):
+        self.ring, self.n, self.guards = ring, n, guards
+        self.subs = enumerate_submodules(ring, n, guards)
+        self.members = [frozenset(np.flatnonzero(membership(
+            ring, n, s.mat)).tolist()) for s in self.subs]
+        self.index = {s.mat: i for i, s in enumerate(self.subs)}
+        self.by_members = {m: i for i, m in enumerate(self.members)}
+        # the proper inclusions of the nonzero subspaces, for chains
+        self.less = inclusion_table(ring, n, self.subs[1:])
+        self._pairs = {}
+
+    @cached_property
+    def gl_rows(self):
+        entries, act = gl_tables(self.ring, self.n, self.guards)
+        return dict(zip((tuple(map(tuple, m)) for m in entries.tolist()),
+                        map(tuple, act.tolist())))
+
+    @cached_property
+    def gl_matrix(self):
+        return {row: m for m, row in self.gl_rows.items()}
+
+    def quotient(self, small, big):
+        """(project, section) for subs[small] <= subs[big] as code maps
+        (project[v] is None for v outside big); over a field QuotientData's
+        complement is spanned by the canonical rows of big whose leading
+        column leads no row of small."""
+        out = self._pairs.get((small, big))
+        if out is None:
+            _require(self.members[small] <= self.members[big],
+                     "a step of a chain is not a subspace of the next")
+            rows = self.subs[small].mat
+            leads = set(map(_lead, rows))
+            section = [r for r in self.subs[big].mat if _lead(r) not in leads]
+            project, sec = quotient_codes(self.ring, self.n, *(
+                np.array(x, np.int64).reshape(len(x), self.n)
+                for x in (rows, section)))
+            out = self._pairs[small, big] = (
+                tuple(None if v < 0 else v for v in project.tolist()),
+                tuple(sec.tolist()))
+        return out
+
+
+def _isomorphism(space, row):
+    """The matrix rows of the GL(space.n) element with this row of codes."""
+    m = space.gl_matrix.get(tuple(row))
+    _require(m is not None, "merged graded map must be an isomorphism")
+    return m
+
+
+# ---------------------------------------------------------------------------
+# the base category with filtrations
+
+class FiltCategory:
+    """Skeletal Vect(F_q)_{<= N} with its short exact sequences.
+
+    The morphisms a -> b are the b x a matrices, numbered by the code of
+    their row-major entries; maps[a, b][m, v] is the code of m v, so
+    maps[a, b][m] is the row of image codes of morphism m."""
+
+    def __init__(self, q, N, guards=DEFAULT):
+        if N < 0:
+            raise ValueError("--N must be at least 0, got %d" % N)
+        self.ring = R = make_ring("F%d" % q, guards)
+        total = sum(R.size ** (r * c)
+                    for r in range(N + 1) for c in range(N + 1))
+        guards.check(total, "max_filt_morphisms", "base category enumeration")
+        guards.check(R.size ** (2 * N), "max_vector_enum",
+                     "pullbacks and pushouts")
+        self.objects = list(range(N + 1))
+        self.maps = {}
+        for a in self.objects:
+            for b in self.objects:
+                count = R.size ** (a * b)
+                mats = _vector_digits(R, a * b, np.arange(count))
+                self.maps[a, b] = span_codes(
+                    R, b, mats.reshape(count, b, a).transpose(0, 2, 1))
+
+    def map_row(self, a, b, data):
+        """The row of image codes of the b x a matrix with rows data."""
+        return self.maps[a, b][np.array(data, np.int64).reshape(a * b) @
+                               _code_weights(self.ring, a * b)]
+
+    def rank(self, a, rows):
+        """The rank of each map from F^a with these rows of image codes
+        (last axis): a minus log_q of the size of its kernel."""
+        kernel = (np.asarray(rows) == 0).sum(axis=-1)
+        return a - np.searchsorted(self.ring.size ** np.arange(a + 1), kernel)
+
+    def is_mono(self, a, b, rows):
+        return self.rank(a, rows) == a
+
+    def is_epi(self, a, b, rows):
+        return self.rank(a, rows) == b
+
+    def monos(self, a, b):
+        return self.maps[a, b][np.flatnonzero(self.is_mono(a, b, self.maps[a, b]))]
+
+    def epis(self, a, b):
+        return self.maps[a, b][np.flatnonzero(self.is_epi(a, b, self.maps[a, b]))]
+
+    def is_ses(self, a, b, c, i, p):
+        """Whether every (i: a >-> b, p: b ->> c), rows of image codes, is
+        short exact: i mono, p epi, p i = 0 and a + c = b."""
+        return bool(np.all((a + c == b) & self.is_mono(a, b, i) &
+                           self.is_epi(b, c, p) &
+                           (np.take_along_axis(p, i, -1) == 0).all(-1)))
+
+    def validate_axioms(self):
+        """Category-with-filtrations axioms on the distinguished sequences.
+
+        1-4 are checked exhaustively; 5 and 6 (and their swapped versions)
+        on all admissible cospans/spans.
+        """
+        objs, size = self.objects, self.ring.size
+        monos = {s: self.monos(*s) for s in self.maps}
+        epis = {s: self.epis(*s) for s in self.maps}
+        # axiom 2: 0 -> a -> a and a -> a -> 0
+        for a in objs:
+            ida = np.arange(size ** a)[None]
+            _require(self.is_ses(0, a, a, 0 * ida[:, :1], ida) and
+                     self.is_ses(a, a, 0, ida, 0 * ida), "axiom 2 fails")
+        # axiom 3: composites of admissible monos/epis, g o f as the
+        # gather g[f], a chunk of the g at a time
+        for a, b, c in itertools.product(objs, repeat=3):
+            for kind, test in ((monos, self.is_mono), (epis, self.is_epi)):
+                g, f = kind[b, c], kind[a, b]
+                _require(all(test(a, c, g[lo][:, f]).all()
+                             for lo in _chunks(len(g), f.size)), "axiom 3 fails")
+        # axiom 4: monos are kernels of their epis and conversely
+        for (a, b), i in monos.items():
+            if len(i):
+                coker = cokernel_projection(self, a, b, i)
+                _require(self.is_ses(a, b, b - a, i, coker), "axiom 4 fails")
+                _require(((coker == 0) == _image(i, size ** b)).all(),
+                         "mono is not the kernel of its cokernel")
+        # axioms 5/6 on all pairs, each with its swapped form (pullback of
+        # mono along epi is mono; pushout of epi along mono is epi) on the
+        # same pullback or pushout, a chunk of the epis or monos at a time
+        for b, c, cp in itertools.product(objs, repeat=3):
+            p, m = epis[b, c], monos[cp, c]
+            for lo in _chunks(len(p), len(m) * size ** (b + cp)):
+                d, to_b, to_cp = pullback(self, b, c, cp, p[lo], m)
+                _require(np.all(self.is_epi(d, cp, to_cp)), "axiom 5 fails")
+                _require(np.all(self.is_mono(d, b, to_b)),
+                         "swapped axiom 5 fails")
+        for z, b, c in itertools.product(objs, repeat=3):
+            i, p = monos[z, b], epis[z, c]
+            for lo in _chunks(len(i), len(p) * size ** (b + c)):
+                d, from_b, from_c = pushout(self, z, b, c, i[lo], p)
+                _require(np.all(self.is_mono(c, d, from_c)), "axiom 6 fails")
+                _require(np.all(self.is_epi(b, d, from_b)),
+                         "swapped axiom 6 fails")
+        return True
+
+
+def _chunks(count, width):
+    """Slices of range(count) of at most _CHUNK_ENTRIES / width items (at
+    least one); none when width is 0, as nothing then pairs up."""
+    step = max(1, _CHUNK_ENTRIES // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, count if width else 0, step)]
+
+
+def _image(rows, size):
+    """The membership rows (over size codes) of the images of the maps."""
+    member = np.zeros((len(rows), size), bool)
+    member[np.arange(len(rows))[:, None], rows] = True
+    return member
+
+
+def _bases(ring, n, member):
+    """The canonical rows, in order, of subspaces of F^n of one rank given
+    by their membership rows: an array (k, rank, n)."""
+    rows = echelon_rows(ring, n, member)
+    rank = rows.sum(axis=1)
+    _require((rank == rank[:1]).all(),
+             "subspaces of one shape differ in dimension")
+    return _vector_digits(ring, n, np.nonzero(rows)[1].reshape(
+        len(member), -1)[:, ::-1])
+
+
+def cokernel_projection(E, a, b, i):
+    """The projection F^b ->> F^{b-a} with kernel the image of each mono
+    i: a >-> b, as rows of image codes, onto the complement QuotientData
+    chooses: the unit rows at the columns that lead no row of the image."""
+    member = _image(i, E.ring.size ** b)
+    first, which = distinct_rows(member)
+    basis = _bases(E.ring, b, member[first])
+    free = np.ones((len(first), b), bool)
+    free[np.arange(len(first))[:, None],
+         (np.cumsum(basis != 0, axis=2) == 0).sum(axis=2)] = False
+    units = np.eye(b, dtype=np.int64)[np.nonzero(free)[1]]
+    return quotient_codes(E.ring, b, basis, units.reshape(
+        len(first), b - basis.shape[1], b))[0][which]
+
+
+def pullback(E, b, c, cp, p, m):
+    """Pullback P = {(u, v): p u = m v} in F^(b+c') of each epi p: b ->> c
+    along each mono m: c' >-> c (rows of image codes): its dimension d
+    and the two projections composed with the canonical basis of P (the
+    section of 0 < P), rows of image codes of shape (len(p), len(m), q^d).
     """
-    rows = []
-    for r_idx in range(c):
-        row = list(p.data[r_idx]) + [ring.neg[x] for x in m.data[r_idx]]
-        rows.append(row)
-    big = Mat(ring, rows, cols=b + cp) if c else Mat.zero(ring, 0, b + cp)
-    ker = kernel_basis(ring, big) if (b + cp) else ()
-    d = len(ker)
-    # columns of to_b / to_cp are the u- and v-parts of the kernel basis
-    to_b = Mat(ring, [[ker[j][i] for j in range(d)] for i in range(b)], cols=d)
-    to_cp = Mat(ring, [[ker[j][b + i] for j in range(d)] for i in range(cp)],
-                cols=d)
-    return d, to_b, to_cp
+    q = E.ring.size
+    member = (p[:, None, :, None] == m[None, :, None, :]).reshape(
+        len(p) * len(m), -1)
+    first, which = distinct_rows(member)
+    basis = _bases(E.ring, b + cp, member[first])
+    legs = span_codes(E.ring, b + cp, basis)[which].reshape(len(p), len(m), -1)
+    return basis.shape[1], legs // q ** cp, legs % q ** cp
 
 
-def pushout(ring, z, b, c, i_mono, p_epi):
-    """Pushout of i: z >-> b along p: z ->> c; returns (dim, from_b, from_c)."""
-    # cokernel of (i, -p): z -> b + c
-    rows = [list(i_mono.data[r]) for r in range(b)] + \
-           [[ring.neg[x] for x in p_epi.data[r]] for r in range(c)]
-    joint = Mat(ring, rows, cols=z) if z else Mat.zero(ring, b + c, 0)
-    img = image_submodule(ring, b + c, joint)
-    quot = QuotientData(img, Submodule.full(ring, b + c))
-    d = quot.quotient_rank
-    cols_b = []
-    for j in range(b):
-        e = tuple(1 if k == j else 0 for k in range(b + c))
-        cols_b.append(quot.project(e))
-    cols_c = []
-    for j in range(c):
-        e = tuple(1 if k == b + j else 0 for k in range(b + c))
-        cols_c.append(quot.project(e))
-    from_b = Mat(ring, [list(r) for r in zip(*cols_b)], cols=b) if d else \
-        Mat.zero(ring, 0, b)
-    from_c = Mat(ring, [list(r) for r in zip(*cols_c)], cols=c) if d else \
-        Mat.zero(ring, 0, c)
-    return d, from_b, from_c
+def pushout(E, z, b, c, i, p):
+    """Pushout of each mono i: z >-> b along each epi p: z ->> c: the
+    cokernel of (i, -p): F^z -> F^(b+c); returns its dimension d and the
+    maps from F^b and F^c, as rows of image codes of shape (len(i),
+    len(p), q^b) and (len(i), len(p), q^c)."""
+    q = E.ring.size
+    neg = span_codes(E.ring, c, np.eye(c, dtype=np.int64) * E.ring.neg[1])
+    joint = (i[:, None, :] * q ** c + neg[p][None, :, :]).reshape(-1, q ** z)
+    project = cokernel_projection(E, z, b + c, joint).reshape(
+        len(i), len(p), -1)
+    return (b + c - z, project[:, :, np.arange(q ** b) * q ** c],
+            project[:, :, :q ** c])
 
 
 def build_filt_category(q, N, guards=DEFAULT):
@@ -243,78 +343,65 @@ def build_filt_category(q, N, guards=DEFAULT):
 # ---------------------------------------------------------------------------
 # Quillen's span category
 
-_GL_CACHE = {}
-
-
-def _gl(ring, n, guards):
-    # keyed by guard config: a list enumerated under looser guards is not
-    # reused under tighter ones
-    key = (ring.key(), n, astuple(guards))
-    if key not in _GL_CACHE:
-        _GL_CACHE[key] = enumerate_gl(ring, n, guards)
-    return _GL_CACHE[key]
-
-
-def span_canonical(E, x, z, y, p, i):
-    """Canonical representative of the span class x <<-p- z -i>-> y.
+def span_canonical(ring, x, y, member):
+    """The label (x, y, z, p rows, i rows) of each span class x <<-p- z
+    -i>-> y given by the membership row of {(p w, i w)} in F^(x+y).
 
     GL(z) acts by (p, i) -> (p h, i h), column operations on the stacked
-    [p; i], which has full column rank z since i is mono.  The least
-    (p h, i h) in row-major order has as columns the rows of the reduced
-    row echelon form of [p; i]^T, last row first.
+    [p; i], which has full column rank z since i is mono, and its column
+    space is that subspace.  The least (p h, i h) in row-major order has
+    as columns the rows of its reduced row echelon form, last row first.
     """
-    cols = rref(E.ring, list(zip(*(p.data + i.data))))[::-1]
-    rows = tuple(zip(*cols)) if cols else ((),) * (x + y)
-    return (x, y, z, rows[:x], rows[x:])
+    labels = []
+    for codes in map(np.flatnonzero, echelon_rows(ring, x + y, member)):
+        cols = _vector_digits(ring, x + y, codes).tolist()
+        rows = tuple(zip(*cols)) if cols else ((),) * (x + y)
+        labels.append((x, y, len(cols), rows[:x], rows[x:]))
+    return labels
 
 
 def quillen_q(E, guards=DEFAULT):
-    """The span category of E as a validated FinCat.
+    """The span category of E as a validated FinCat, and span_of: label ->
+    (z, p, i) of one representative, p and i as rows of image codes.
 
-    Objects: 0..N.  A morphism x -> y is the canonical representative of
-    an isomorphism class of spans x <<-p- z -i>-> y; composition is by
-    pullback followed by canonicalisation.
+    Objects: 0..N.  A morphism x -> y is the class of the spans x <<-p- z
+    -i>-> y, found by its membership row; the composite of the classes of
+    (p1, i1) and (p2, i2) is the class of {(p1 u, i2 v): i1 u = p2 v},
+    the span through their pullback.
     """
-    R = E.ring
-    morphs = []
-    span_of = {}
+    q = E.ring.size
+    labels, src, tgt, span_of, found = [], [], [], {}, {}
     for x in E.objects:
         for y in E.objects:
-            seen = set()
-            for z in E.objects:
-                if z < x or z > y:
-                    continue
-                epis = [m for (a, b, m) in E.morphisms
-                        if a == z and b == x and E.is_epi(z, x, m)]
-                monos = [m for (a, b, m) in E.morphisms
-                         if a == z and b == y and E.is_mono(z, y, m)]
-                for p in epis:
-                    for i in monos:
-                        lbl = span_canonical(E, x, z, y, p, i)
-                        if lbl not in seen:
-                            seen.add(lbl)
-                            morphs.append((lbl, x, y))
-                            span_of[lbl] = (z, p, i)
-    idents = {}
-    for x in E.objects:
-        ida = Mat.identity(R, x)
-        lbl = span_canonical(E, x, x, x, ida, ida)
-        idents[x] = lbl
+            for z in range(x, y + 1):
+                p, i = E.epis(z, x), E.monos(z, y)
+                for lo in _chunks(len(p), len(i) * q ** (x + y)):
+                    member = _image((p[lo, None, :] * q ** y + i[None, :, :])
+                                    .reshape(-1, q ** z), q ** (x + y))
+                    new = [k for k in np.sort(distinct_rows(member)[0]).tolist()
+                           if (x, y, member[k].tobytes()) not in found]
+                    for k, lbl in zip(new, span_canonical(E.ring, x, y,
+                                                          member[new])):
+                        found[x, y, member[k].tobytes()] = len(labels)
+                        labels.append(lbl)
+                        src.append(x)
+                        tgt.append(y)
+                        span_of[lbl] = (z, p[lo][k // len(i)], i[k % len(i)])
 
-    labels = [lbl for lbl, _, _ in morphs]
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    src = np.array([x for _, x, _ in morphs], np.int64).reshape(-1)
-    tgt = np.array([y for _, _, y in morphs], np.int64).reshape(-1)
-    f, g = _join(tgt, src)
+    def index(x, y, codes):
+        member = np.zeros(q ** (x + y), bool)
+        member[codes] = True
+        return found.get((x, y, member.tobytes()), -1)
+
+    f, g = _join(np.array(tgt, np.int64), np.array(src, np.int64))
     composite = []
     for fi, gi in zip(f.tolist(), g.tolist()):
-        (x, y, _, _, _), (_, w, _, _, _) = labels[fi], labels[gi]
-        (z1, p1, i1), (z2, p2, i2) = span_of[labels[fi]], span_of[labels[gi]]
-        d, to_z1, to_z2 = pullback(R, z1, y, i1, z2, p2)
-        composite.append(index.get(span_canonical(
-            E, x, d, w, p1.mul(to_z1), i2.mul(to_z2)), -1))
-    cat = _build(E.objects, labels, src, tgt,
-                 [index[idents[x]] for x in E.objects], g, f, composite,
+        (_, p1, i1), (_, p2, i2) = span_of[labels[fi]], span_of[labels[gi]]
+        u, v = np.nonzero(i1[:, None] == p2[None, :])
+        composite.append(index(src[fi], tgt[gi], p1[u] * q ** tgt[gi] + i2[v]))
+    identity_of = [index(x, x, np.arange(q ** x) * (q ** x + 1))
+                   for x in E.objects]
+    cat = _build(E.objects, labels, src, tgt, identity_of, g, f, composite,
                  guards)
     return cat, span_of
 
@@ -323,21 +410,12 @@ def quillen_q(E, guards=DEFAULT):
 # graded lists and their flag morphisms
 
 def _surjections(src_len, tgt_len):
-    """Order-preserving surjections {0..src_len-1} -> {0..tgt_len-1}."""
+    """Order-preserving surjections {0..src_len-1} -> {0..tgt_len-1}, one
+    for each set of tgt_len - 1 places where the value steps up."""
     if tgt_len == 0:
         return [()] if src_len == 0 else []
-    if src_len < tgt_len:
-        return []
-    out = []
-    for cuts in itertools.combinations(range(1, src_len), tgt_len - 1):
-        theta = []
-        j = 0
-        for i in range(src_len):
-            if j < len(cuts) and i == cuts[j]:
-                j += 1
-            theta.append(j)
-        out.append(tuple(theta))
-    return out
+    return [tuple(sum(i >= c for c in cuts) for i in range(src_len))
+            for cuts in itertools.combinations(range(1, src_len), tgt_len - 1)]
 
 
 @dataclass(frozen=True)
@@ -345,47 +423,25 @@ class FlagChain:
     """Literal subspace chain in F^n with graded isomorphisms.
 
     chain: strictly increasing canonical subspaces ending at the full
-    space (the zero subspace is implicit); isos[t] is an invertible
-    matrix sending the canonical complement coordinates of step t to the
-    graded piece F^{dims[t]}.
+    space (the zero subspace is implicit); isos[t] is the invertible
+    matrix, as its tuple of rows, sending the canonical complement
+    coordinates of step t to the graded piece F^{dims[t]}.
     """
 
     n: int
     chain: tuple      # tuple of row-tuples (canonical), last spans F^n
-    isos: tuple       # tuple of Mat
-
-    @property
-    def steps(self):
-        return len(self.chain)
-
-
-def flag_quotients(ring, n, chain):
-    """QuotientData per step of a literal chain (0 implicit at the start)."""
-    prev = Submodule.zero(ring, n)
-    out = []
-    for rows in chain:
-        cur = Submodule(ring, n, rows)
-        out.append(QuotientData(prev, cur))
-        prev = cur
-    return out
-
-
-_SUBS_CACHE = {}  # nonzero subspaces, their inclusions and dimensions
+    isos: tuple       # tuple of matrices, each a tuple of rows
 
 
 def enumerate_flag_chains(ring, n, jumps, guards=DEFAULT):
     """All literal chains in F^n with the given dimension jumps, in
     lexicographic order of their subspaces."""
     _require(sum(jumps) == n, "dimension jumps do not add up to n")
-    key = (ring.key(), n, astuple(guards))
-    if key not in _SUBS_CACHE:
-        # a chain rises strictly from 0, so 0 is never a member
-        subs = [s for s in enumerate_submodules(ring, n, guards) if s.rank]
-        _SUBS_CACHE[key] = (subs, inclusion_table(ring, n, subs),
-                            [s.rank for s in subs])
-    subs, less, ranks = _SUBS_CACHE[key]
-    return [tuple(subs[i].mat for i in chain) for chain in chains_through(
-        less, ranks, tuple(itertools.accumulate(jumps))).tolist()]
+    space = _space(ring, n, guards)
+    # a chain rises strictly from 0, so 0 is never a member
+    return [tuple(space.subs[i + 1].mat for i in chain) for chain in
+            chains_through(space.less, [s.rank for s in space.subs[1:]],
+                           tuple(itertools.accumulate(jumps))).tolist()]
 
 
 @dataclass(frozen=True)
@@ -423,9 +479,9 @@ class MonCalculus:
         self.mors = []          # code -> MonMor
         self.labels = []        # code -> _monmor_label
         self._codes = {}        # MonMor -> code
-        self._quot_cache = {}
         self._hom_cache = {}    # (src, tgt) -> codes
         self._comp_cache = {}   # (second, first) codes -> code of second o first
+        self._flag_cache = {}   # (flag, inner flags and dims) -> merged flag
         self._identity = {}     # graded list -> code of its identity
         self._concat = {}       # (f, g) codes -> code of f (x) g
         self._tables = {}       # graded lists -> MonTable
@@ -439,11 +495,8 @@ class MonCalculus:
             self.labels.append(_monmor_label(m))
         return c
 
-    def quotients(self, n, chain):
-        key = (n, chain)
-        if key not in self._quot_cache:
-            self._quot_cache[key] = flag_quotients(self.ring, n, chain)
-        return self._quot_cache[key]
+    def space(self, n):
+        return _space(self.ring, n, self.guards)
 
     # -- identities and concatenation ------------------------------------
 
@@ -455,9 +508,8 @@ class MonCalculus:
         if c is None:
             flags = []
             for n in obj:
-                full = Submodule.full(self.ring, n)
-                flags.append(FlagChain(n, (full.mat,),
-                                       (Mat.identity(self.ring, n),)))
+                one = tuple(map(tuple, np.eye(n, dtype=int).tolist()))
+                flags.append(FlagChain(n, (one,), (one,)))
             c = self._identity[obj] = self.code(
                 MonMor(obj, obj, tuple(range(len(obj))), tuple(flags)))
         return c
@@ -497,57 +549,55 @@ class MonCalculus:
         """second o first, by lifting first's chains through the steps of
         second's chains."""
         _require(first.tgt == second.src, "composite of non-composable morphisms")
-        ring = self.ring
         theta = tuple(second.theta[j] for j in first.theta)
-        new_flags = []
-        for l, k_l in enumerate(second.tgt):
-            fiber = [j for j in range(len(second.src)) if second.theta[j] == l]
-            outer = second.flags[l]
-            outer_q = self.quotients(k_l, outer.chain)
-            merged_rows = []
-            merged_isos = []
-            prev_sub = Submodule.zero(ring, k_l)
-            for t, j in enumerate(fiber):
-                inner = first.flags[j]
-                n_j = first.tgt[j]
-                qd = outer_q[t]
-                pi_t = outer.isos[t]  # complement coords -> F^{n_j}
-                pi_inv = pi_t.inverse()
-                base_rows = list(prev_sub.mat)
-                for u, rows_u in enumerate(inner.chain):
-                    lifted = list(base_rows)
-                    for x_row in Submodule(ring, n_j, rows_u).free_basis():
-                        coords = pi_inv.mul_vec(x_row)
-                        lifted.append(qd.section(coords))
-                    sub = Submodule.from_rows(ring, k_l, [list(r) for r in lifted])
-                    merged_rows.append(sub)
-                prev_sub = merged_rows[-1]
-            # rebuild quotient data along the merged chain and compute isos
-            chain_rows = tuple(s.mat for s in merged_rows)
-            merged_q = self.quotients(k_l, chain_rows)
-            step = 0
-            for t, j in enumerate(fiber):
-                inner = first.flags[j]
-                n_j = first.tgt[j]
-                qd = outer_q[t]
-                pi_t = outer.isos[t]
-                inner_q = self.quotients(n_j, inner.chain)
-                for u in range(len(inner.chain)):
-                    mq = merged_q[step]
-                    cols = []
-                    for c in mq.section_rows:
-                        w = pi_t.mul_vec(qd.project(c))   # image in F^{n_j}
-                        wq = inner_q[u].project(w)        # class in the step
-                        cols.append(inner.isos[u].mul_vec(wq))
-                    m_i = first.src[ _fiber_index(first.theta, j, u) ]
-                    iso = Mat(ring, [list(r) for r in zip(*cols)]) if cols else \
-                        Mat(ring, [])
-                    _require(iso.rows == m_i and iso.is_invertible(),
-                             "merged graded map must be an isomorphism")
-                    merged_isos.append(iso)
-                    step += 1
-            new_flags.append(FlagChain(k_l, chain_rows, tuple(merged_isos)))
-        return MonMor(first.src, second.tgt, theta, tuple(new_flags))
+        flags = []
+        for l, outer in enumerate(second.flags):
+            # each target entry merges one flag of second with the flags
+            # of first over its fiber; that merge is stored per flag
+            key = (outer, tuple(
+                (first.flags[j], tuple(first.src[i] for i, t in
+                                       enumerate(first.theta) if t == j))
+                for j, t in enumerate(second.theta) if t == l))
+            flag = self._flag_cache.get(key)
+            if flag is None:
+                flag = self._flag_cache[key] = self._merge_flag(*key)
+            flags.append(flag)
+        return MonMor(first.src, second.tgt, theta, tuple(flags))
+
+    def _merge_flag(self, outer, inners):
+        """outer with step t refined by the chain of inners[t] = (flag,
+        source dimensions of its steps): the merged member over inner step
+        u holds the v of step t with pi_t project_t v in the inner member
+        u, and its graded iso is inner.isos[u] o (the inner quotient map)
+        o pi_t o project_t on its complement, all gathers on code maps."""
+        space = self.space(outer.n)
+        merged, isos = [0], []
+        prev = 0
+        for t, (inner, dims) in enumerate(inners):
+            sub, inner_space = space.index[outer.chain[t]], self.space(inner.n)
+            pi = inner_space.gl_rows.get(outer.isos[t])
+            _require(pi is not None and space.subs[sub].rank -
+                     space.subs[prev].rank == inner.n,
+                     "merged graded map must be an isomorphism")
+            project, _ = space.quotient(prev, sub)
+            lift = {v: pi[project[v]] for v in space.members[sub]}
+            steps = [inner_space.index[rows] for rows in inner.chain]
+            for u, (lower, upper) in enumerate(zip([0] + steps, steps)):
+                inside = inner_space.members[upper]
+                step = space.by_members[frozenset(
+                    v for v, w in lift.items() if w in inside)]
+                _, section = space.quotient(merged[-1], step)
+                inner_project, _ = inner_space.quotient(lower, upper)
+                iso = self.space(dims[u]).gl_rows.get(inner.isos[u])
+                _require(iso is not None and inner_space.subs[upper].rank -
+                         inner_space.subs[lower].rank == dims[u],
+                         "merged graded map must be an isomorphism")
+                isos.append(_isomorphism(self.space(dims[u]), [
+                    iso[inner_project[lift[v]]] for v in section]))
+                merged.append(step)
+            prev = sub
+        return FlagChain(outer.n, tuple(space.subs[s].mat for s in merged[1:]),
+                         tuple(isos))
 
     # -- enumeration -------------------------------------------------------
 
@@ -581,48 +631,25 @@ class MonCalculus:
                    for j, fib in enumerate(fibers)):
                 continue
             per_target = []
-            ok = True
             for j, fib in enumerate(fibers):
                 jumps = tuple(src[i] for i in fib)
-                chains = enumerate_flag_chains(self.ring, tgt[j], jumps,
-                                               self.guards)
-                variants = []
-                for chain in chains:
-                    qs = self.quotients(tgt[j], chain)
-                    iso_choices = []
-                    for u, i in enumerate(fib):
-                        d = qs[u].quotient_rank
-                        iso_choices.append(_gl(self.ring, d, self.guards))
-                    for isos in itertools.product(*iso_choices):
-                        variants.append(FlagChain(tgt[j], chain, tuple(isos)))
-                if not variants:
-                    ok = False
-                    break
-                per_target.append(variants)
-            if not ok:
-                continue
-            for combo in itertools.product(*per_target):
-                out.append(MonMor(tuple(src), tuple(tgt), theta, tuple(combo)))
+                isos = list(itertools.product(
+                    *(list(self.space(d).gl_rows) for d in jumps)))
+                per_target.append([
+                    FlagChain(tgt[j], chain, combo)
+                    for chain in enumerate_flag_chains(
+                        self.ring, tgt[j], jumps, self.guards)
+                    for combo in isos])
+            if all(per_target):
+                out += [MonMor(tuple(src), tuple(tgt), theta, combo)
+                        for combo in itertools.product(*per_target)]
         return out
 
     def objects_up_to(self, cap, max_entry):
         """All graded lists with entries in 1..max_entry and total <= cap."""
         self.guards.check(cap, "max_total_dim", "graded lists")
-        out = [()]
-        def extend(prefix, total):
-            for d in range(1, max_entry + 1):
-                if total + d <= cap:
-                    nxt = prefix + (d,)
-                    out.append(nxt)
-                    extend(nxt, total + d)
-        extend((), 0)
-        return sorted(set(out), key=lambda t: (len(t), t))
-
-
-def _fiber_index(theta, j, u):
-    """Global source index of the u-th element of the fiber over j."""
-    fib = [i for i in range(len(theta)) if theta[i] == j]
-    return fib[u]
+        return [t for k in range(cap + 1) for t in itertools.product(
+            range(1, max_entry + 1), repeat=k) if sum(t) <= cap]
 
 
 class MonTable:
@@ -683,7 +710,7 @@ def monoidal_category(calc, cap, max_entry, guards=DEFAULT):
 
 def _monmor_label(m):
     return (m.src, m.tgt, m.theta,
-            tuple((f.n, f.chain, tuple(i.data for i in f.isos)) for f in m.flags))
+            tuple((f.n, f.chain, f.isos) for f in m.flags))
 
 
 # ---------------------------------------------------------------------------
@@ -804,18 +831,11 @@ def terminal_decomposition(calc, q2, obj_label):
     of the component together with the unique 2-cell to it.
     """
     a, b, phi = q2.objects_data[obj_label]
-    la, lm = len(a), len(q2.source)
-    theta = phi.theta
-    tgt = phi.tgt
-    src_idx_a = set(range(la))
-    src_idx_m = set(range(la, la + lm))
-    src_idx_b = set(range(la + lm, len(phi.src)))
-    hit_a = {theta[i] for i in src_idx_a}
-    hit_m = {theta[i] for i in src_idx_m}
-    hit_b = {theta[i] for i in src_idx_b}
-    J1 = sorted(j for j in hit_a if j not in hit_m and j not in hit_b)
-    J3 = sorted(j for j in hit_b if j not in hit_m and j not in hit_a)
-    J2 = [j for j in range(len(tgt)) if j not in set(J1) and j not in set(J3)]
+    la, lm, tgt = len(a), len(q2.source), phi.tgt
+    hit_a, hit_m, hit_b = (set(phi.theta[lo:hi]) for lo, hi in (
+        (0, la), (la, la + lm), (la + lm, len(phi.src))))
+    J1, J3 = sorted(hit_a - hit_m - hit_b), sorted(hit_b - hit_m - hit_a)
+    J2 = [j for j in range(len(tgt)) if j not in J1 and j not in J3]
     # the terminal object of the component containing obj_label
     cid = q2.components[obj_label]
     terms = q2.terminals[cid]
@@ -842,6 +862,7 @@ class QKit:
     def __init__(self, q, N, cap, guards=DEFAULT):
         if cap < 0:
             raise ValueError("--cap must be at least 0, got %d" % cap)
+        guards.check(cap, "max_total_dim", "graded lists")
         self.E = build_filt_category(q, N, guards)
         self.guards = guards
         self.cap = cap
@@ -920,75 +941,52 @@ class QKit:
         return () if x == 0 else (x,)
 
     def psi_triple(self, span_label):
-        """The triple (Psi a, Psi b, phi) attached to a canonical span."""
-        ring = self.E.ring
+        """The triple (Psi a, Psi b, phi) attached to a canonical span
+        x <<-p- z -i>-> y: phi is the chain i(ker p) <= im i <= F^y, its
+        steps of dimensions a = dim ker p, x and b = y - z, with the graded
+        isos i(ker p) -> ker p -> F^a (coordinates in the canonical basis),
+        im i / i(ker p) -> F^x (p i^-1) and the identity of F^y / im i."""
         (x, y, z, p_data, i_data) = span_label
-        p = Mat(ring, p_data, cols=z)
-        i = Mat(ring, i_data, cols=z)
-        ker_rows = kernel_basis(ring, p) if z else ()
-        a_dim = len(ker_rows)
-        b_dim = y - z
-        # literal chain in F^y:  i(ker p)  <=  im i  <=  F^y
-        z1_rows = [i.mul_vec(r) for r in ker_rows]
-        z1 = Submodule.from_rows(ring, y, [list(r) for r in z1_rows])
-        z2 = image_submodule(ring, y, i) if z else Submodule.zero(ring, y)
-        full = Submodule.full(ring, y)
-        chain = []
-        dims = []
-        if a_dim:
-            chain.append(z1)
-            dims.append(a_dim)
-        if x:
-            chain.append(z2)
-            dims.append(x)
-        if b_dim:
-            chain.append(full)
-            dims.append(b_dim)
-        if not chain:
+        if not y:
             # x = y = z = 0: the empty-to-empty identity
             return ((), (), self.calc.identity(()))
-        _require(chain[-1] == full, "chain does not end at the full space")
-        quots = flag_quotients(ring, y, tuple(s.mat for s in chain))
-        # i(u) = v has one solution u, the coordinates of v in the
-        # columns of i (i is mono)
-        i_cols = list(zip(*i.data))
-        isos = []
-        step = 0
+        at_z, at_y = self.calc.space(z), self.calc.space(y)
+        p = self.E.map_row(z, x, p_data).tolist()
+        i = self.E.map_row(z, y, i_data).tolist()
+        inverse = {c: w for w, c in enumerate(i)}    # i is mono
+        kernel = at_z.by_members[frozenset(
+            w for w, c in enumerate(p) if c == 0)]
+        a_dim, b_dim = at_z.subs[kernel].rank, y - z
+        steps = []   # (subspace of F^y, graded iso as a row of codes)
         if a_dim:
-            q0 = quots[step]
-            cols = []
-            for c in q0.section_rows:
-                u = _coords_in_rows(ring, i_cols, c)
-                cols.append(_coords_in_rows(ring, ker_rows, u))
-            isos.append(Mat(ring, [list(r) for r in zip(*cols)]))
-            step += 1
+            coords, _ = at_z.quotient(0, kernel)
+            steps.append((at_y.by_members[frozenset(
+                i[w] for w in at_z.members[kernel])], coords))
         if x:
-            qx = quots[step]
-            cols = []
-            for c in qx.section_rows:
-                cols.append(p.mul_vec(_coords_in_rows(ring, i_cols, c)))
-            isos.append(Mat(ring, [list(r) for r in zip(*cols)]))
-            step += 1
+            steps.append((at_y.by_members[frozenset(i)], p))
         if b_dim:
-            qb = quots[step]
-            proj = QuotientData(z2, full)
-            cols = [proj.project(c) for c in qb.section_rows]
-            isos.append(Mat(ring, [list(r) for r in zip(*cols)]))
-            step += 1
-        flag = FlagChain(y, tuple(s.mat for s in chain), tuple(isos))
+            # im i < F^y projected through its own complement
+            steps.append((len(at_y.subs) - 1, None))
+        _require(steps[-1][0] == len(at_y.subs) - 1,
+                 "chain does not end at the full space")
+        chain, isos, prev = [], [], 0
+        for sub, through in steps:
+            d = at_y.subs[sub].rank - at_y.subs[prev].rank
+            _, section = at_y.quotient(prev, sub)
+            row = range(len(section)) if through is None else \
+                [through[inverse[c]] for c in section]
+            chain.append(at_y.subs[sub].mat)
+            isos.append(_isomorphism(self.calc.space(d), row))
+            prev = sub
         a_obj = (a_dim,) if a_dim else ()
         b_obj = (b_dim,) if b_dim else ()
-        phi = MonMor(a_obj + self.psi_obj(x) + b_obj, (y,),
-                     tuple(0 for _ in range(len(a_obj) + (1 if x else 0) + len(b_obj))),
-                     (flag,))
-        return (a_obj, b_obj, phi)
+        src = a_obj + self.psi_obj(x) + b_obj
+        return (a_obj, b_obj, MonMor(src, (y,), (0,) * len(src), (
+            FlagChain(y, tuple(chain), tuple(isos)),)))
 
     def psi_q1_label(self, span_label):
-        (x, y, _, _, _) = span_label
-        if y == 0:
-            # target is the zero object: Psi sends it to the empty list
-            return self.q1_class((), (), (), self.calc.identity(()))
-        return self.q1_class(self.psi_obj(x), *self.psi_triple(span_label))
+        return self.q1_class(self.psi_obj(span_label[0]),
+                             *self.psi_triple(span_label))
 
     def psi_functor(self):
         """Psi: span category -> Q1, validated."""
@@ -1106,14 +1104,3 @@ def comma_contractibility(kit, target, depth=3, guards=None):
                 details["bad_intersection"] = (i, j, sorted(map(repr, got)))
     return CommaReport(target, cat, cert, cover_ok, terminals_ok,
                        intersections_ok, details)
-
-
-def _coords_in_rows(ring, rows, vec):
-    """Coordinates of vec in independent rows (fields): the last column of
-    the reduced [rows^T | vec], which pivots on exactly the rows' columns
-    when vec lies in their span."""
-    work = [[r[j] for r in rows] + [x] for j, x in enumerate(vec)]
-    k = len(rows)
-    _require(_gauss_jordan(ring, work, k + 1) == list(range(k)),
-             "vector not in the row span")
-    return tuple(row[k] for row in work[:k])

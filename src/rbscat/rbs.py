@@ -55,7 +55,7 @@ from .fincat import (
 from .guards import DEFAULT
 from .homology import chain_complex_from_facets, sparse_invariant_factors
 from .rings import (
-    Mat,
+    Flag,
     QuotientData,
     Submodule,
     _CHUNK_ENTRIES,
@@ -69,6 +69,7 @@ from .rings import (
     inclusion_table,
     make_ring,
     membership,
+    quotient_codes,
 )
 
 
@@ -90,8 +91,7 @@ class GLData:
     and the product table read act.  mult[i, j] is the index of g_i g_j,
     one C-contiguous int32 table built the first time it is read, a chunk
     of rows at a time, after |GL|^2 is checked against
-    max_composable_pairs.  mats wraps entries as Mat objects, also on first
-    read.  codes[g], the code of g, increases with g.
+    max_composable_pairs.  codes[g], the code of g, increases with g.
     """
 
     def __init__(self, ring, n, guards=DEFAULT):
@@ -115,10 +115,6 @@ class GLData:
             raise CategoryError("a matrix is not in GL(%d, %r)"
                                 % (self.n, self.ring))
         return at
-
-    @cached_property
-    def mats(self):
-        return [Mat(self.ring, m, cols=self.n) for m in self.entries.tolist()]
 
     @cached_property
     def mult(self):
@@ -147,7 +143,7 @@ class GLData:
 
     @cached_property
     def inv(self):
-        """inv[i] is the index of the inverse of mats[i]."""
+        """inv[i] is the index of the inverse of g_i."""
         return np.argmax(self.mult == self.one, axis=1)
 
     def __len__(self):
@@ -421,21 +417,13 @@ def bgl_category(rbs):
 
 
 def comparison_iso_over_bgl(rbs, p):
-    """The comparison functor restricted over the empty flag is an
-    isomorphism onto B(GL(M)) (the full subcategory on the empty flag)."""
+    """The comparison functor restricted over the empty flag e is an
+    isomorphism onto B(GL(M)): p, a functor, fixes e and maps End(e) one
+    to one onto End(e)."""
     e = rbs.empty_flag_index
-    src_sub, src_in = full_subcategory(p.source, [e], rbs.guards)
-    _, tgt_in = full_subcategory(p.target, [e], rbs.guards)
-    return is_isomorphism_of_categories(_factor_through(
-        src_sub, tgt_in, p.obj_idx[src_in.obj_idx],
-        p.mor_idx[src_in.mor_idx], rbs.guards))
-
-
-def _factor_through(source, incl, obj_idx, mor_idx, guards):
-    """The functor G into incl.source with incl G = (obj_idx, mor_idx); an
-    index outside the image of incl becomes -1, which FinFunctor rejects."""
-    return FinFunctor(source, incl.source, _lookup(incl.obj_idx, obj_idx),
-                      _lookup(incl.mor_idx, mor_idx), guards)
+    A, B = p.source, p.target
+    return bool(p.obj_idx[A.obj_index[e]] == B.obj_index[e]) and \
+        sorted(p.mor_idx[A.hom(e, e)].tolist()) == list(B.hom(e, e))
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +604,7 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
     blockwise = []
     for i, q in enumerate(quots):
         s, t = ([pieces[x][i] for x in ends] for ends in (src, tgt))
-        gi = graded[i].gl.index_of([_block_matrix(
-            rbs, rbs.gl.mats[r], q, graded[i].ring).data for r in reps])
+        gi = graded[i].gl.index_of(_graded_blocks(rbs, reps, q))
         blockwise.append(zip(s, t, graded[i]._coset_rep[s, gi].tolist()))
     mor_labels = list(zip(*blockwise))
     prod = product_tuple([g.cat for g in graded], guards)
@@ -628,9 +615,11 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
     iso = is_isomorphism_of_categories(functor)
     # the inclusion of refinements into the <=[F] subcategory is an
     # equivalence: fully faithful, and some g carries each object to a
-    # refinement
-    incl_ok = is_fully_faithful(_factor_through(
-        ref_sub, le_incl, ref_incl.obj_idx, ref_incl.mor_idx, guards)) \
+    # refinement (an index outside le_incl would be -1, which FinFunctor
+    # rejects)
+    incl_ok = is_fully_faithful(FinFunctor(
+        ref_sub, le_sub, _lookup(le_incl.obj_idx, ref_incl.obj_idx),
+        _lookup(le_incl.mor_idx, ref_incl.mor_idx), guards)) \
         and bool(rbs._refines[rbs.flag_act[:, le_objs], fi].any(axis=0).all())
     return InductiveDecomposition(fi, le_sub, ref_sub, graded, functor,
                                   iso, incl_ok)
@@ -638,28 +627,29 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
 
 def _graded_flags(rbs, gj, fi, quots, graded):
     """Image flags of G in the graded pieces of F (G refines F)."""
-    G = rbs.flags[gj]
-    F = rbs.flags[fi]
-    chain = F.full_chain()
+    chain = rbs.flags[fi].full_chain()
     out = []
     for i, q in enumerate(quots):
-        lower, upper = chain[i], chain[i + 1]
-        members = []
-        for m in G.members:
-            if lower < m and m < upper:
-                rows = [q.project(r) for r in m.free_basis()]
-                sub = Submodule.from_rows(graded[i].ring, q.quotient_rank, rows)
-                members.append(sub)
-        members.sort(key=Submodule.sort_key)
-        flag = rbs.flags[0].__class__(graded[i].ring, q.quotient_rank,
-                                      tuple(members))
-        out.append(graded[i].flag_index[flag])
+        R, d = graded[i].ring, q.quotient_rank
+        members = sorted((Submodule.from_rows(R, d, [q.project(r) for r in
+                                                     m.free_basis()])
+                          for m in rbs.flags[gj].members
+                          if chain[i] < m < chain[i + 1]),
+                         key=Submodule.sort_key)
+        out.append(graded[i].flag_index[Flag(R, d, tuple(members))])
     return out
 
 
-def _block_matrix(rbs, g, quot, ring):
-    """Matrix of the action induced by g on a graded piece, in the
-    deterministic complement coordinates (column-vector convention)."""
-    images = [quot.project(g.mul_vec(r)) for r in quot.section_rows]
-    d = len(quot.section_rows)
-    return Mat(ring, [[images[j][i] for j in range(d)] for i in range(d)], cols=d)
+def _graded_blocks(rbs, reps, quot):
+    """The matrix that each g of reps induces on the graded piece quot, in
+    its complement coordinates: column j is the projection of g applied to
+    section row j, one gather from gl.act for all of reps."""
+    ring, n, d = rbs.ring, rbs.n, quot.quotient_rank
+    project, section = quotient_codes(
+        ring, n, np.array(quot.small.free_basis(), np.int64).reshape(-1, n),
+        np.array(quot.section_rows, np.int64).reshape(d, n))
+    cols = project[rbs.gl.act[np.ix_(list(reps), section[_code_weights(ring, d)])]]
+    if (cols < 0).any():
+        raise CategoryError("transporter between refinements must "
+                            "stabilise the flag")
+    return np.swapaxes(_vector_digits(ring, d, cols), 1, 2)

@@ -25,13 +25,16 @@ building's facets) is listed by chains_through, one array join per rank,
 on the proper inclusions that inclusion_table reads from one float64
 product of membership rows.
 determinants expands permutations over a whole stack of matrices.
+span_codes lists the codes of all combinations of some rows (so the row
+of image codes of a linear map), quotient_codes gives the code maps of
+big = small + <section>, echelon_rows reads reduced row echelon forms
+off membership rows.
 
 One elimination routine, _gauss_jordan (unit pivots, each scaled to 1
 and cleared from every other row), serves the whole ring layer: rref,
-Mat.inverse_or_none (on [A | I]), kernel_basis, and residue_independent,
-the greedy independence test over the residue field behind
-Submodule.free_basis, complete_to_invertible and the complement that
-QuotientData chooses.  qkt's rank and coordinate solver call it too.
+Mat.inverse_or_none (on [A | I]) and residue_independent, the greedy
+independence test over the residue field behind Submodule.free_basis,
+complete_to_invertible and the complement that QuotientData chooses.
 The Howell form and reduce_vector compute a different normal form, and
 determinants expand permutations, because unit-pivot elimination is
 wrong for a singular matrix over Z/p^k.
@@ -428,16 +431,68 @@ def _spans(ring, n, elems, vs):
 
 
 def membership(ring, n, rows):
-    """The membership row over the vector codes of the span of rows: the
-    span so far gains s + c r for each row r, each element s and each c."""
-    weights = _code_weights(ring, n)
+    """The membership row over the vector codes of the span of rows."""
     member = np.zeros(ring.size ** n, bool)
-    member[0] = True
     rows = np.array(rows, np.int64).reshape(len(rows), n)
-    for multiples in ring.mul_array[:, rows].transpose(1, 0, 2):
-        elems = _vector_digits(ring, n, np.flatnonzero(member))
-        member[ring.add_array[elems[:, None, :], multiples] @ weights] = True
+    member[span_codes(ring, n, rows)] = True
     return member
+
+
+def span_codes(ring, n, rows):
+    """The code of c . rows for every c in R^r, in code order, for each
+    stack of r rows of R^n in rows (shape (..., r, n)).  So a linear map
+    given by the matrix M (column convention) has the row of image codes
+    span_codes(ring, b, M^T)."""
+    rows = np.asarray(rows, np.int64)
+    r = rows.shape[-2]
+    coeffs = _vector_digits(ring, r, np.arange(ring.size ** r))
+    acc = np.zeros(rows.shape[:-2] + (len(coeffs), n), np.int64)
+    for k in range(r):
+        acc = ring.add_array[acc, ring.mul_array[coeffs[:, k, None],
+                                                 rows[..., None, k, :]]]
+    return acc @ _code_weights(ring, n)
+
+
+def quotient_codes(ring, n, small, section):
+    """The code maps of big = small + <section>, free on the rows of small
+    (shape (k, r, n) or (r, n)) and section (shape (k, d, n) or (d, n)):
+    section[x] is the code of x . section for x in R^d, and project[v]
+    the code of x when v = s . small + x . section, -1 for v outside big.
+    The combinations (s, x) with s = 0 come first, so they are section."""
+    both = span_codes(ring, n, np.concatenate([small, section], -2))
+    d = ring.size ** section.shape[-2]
+    flat = both.reshape(-1, both.shape[-1])
+    project = np.full((len(flat), ring.size ** n), -1, np.int64)
+    project[np.arange(len(flat))[:, None], flat] = np.arange(flat.shape[1]) % d
+    return project.reshape(both.shape[:-1] + (-1,)), both[..., :d]
+
+
+def distinct_rows(rows):
+    """The first index of each distinct row of a 2-d bool array, in the
+    order of the rows' packed bytes, and the position of each row's class
+    among them; np.unique would import numpy.ma."""
+    keys = np.packbits(rows, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    new = np.r_[True, keys[order][1:] != keys[order][:-1]]
+    which = np.empty(len(keys), np.int64)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
+
+
+def echelon_rows(ring, n, member):
+    """The rows of the reduced row echelon form of each subspace of F_q^n
+    with these membership rows (shape (..., q^n)), as a mask over the
+    vector codes.  The pivot columns are the leading columns of the
+    members, and the row with pivot j is the member with a 1 there and 0
+    at every other pivot.  Ordered by pivot, the rows fall in code."""
+    digits = _vector_digits(ring, n, np.arange(ring.size ** n))
+    nonzero = digits != 0
+    # leads[v, j] when j is the leading column of v (none for v = 0)
+    leads = (np.cumsum(nonzero, axis=1) == 0).sum(axis=1)[:, None] == np.arange(n)
+    pivot = (member.astype(np.int64) @ leads) > 0
+    hits = pivot.astype(np.int64) @ nonzero.T
+    return member & (hits == 1) & ((digits * leads).sum(axis=1) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +578,6 @@ class Mat:
         stack = np.array(self.data, np.int64).reshape(1, self.rows, self.cols)
         return int(determinants(self.ring, stack)[0])
 
-    def is_invertible(self):
-        return self.inverse_or_none() is not None
-
     def inverse(self):
         inv = self.inverse_or_none()
         if inv is None:
@@ -543,10 +595,6 @@ class Mat:
         if _gauss_jordan(self.ring, aug, n) != list(range(n)):
             return None
         return Mat(self.ring, [row[n:] for row in aug], cols=n)
-
-    def encode(self):
-        """Total order key: row-major entry tuple."""
-        return self.data
 
 
 # ---------------------------------------------------------------------------
@@ -783,11 +831,6 @@ class Submodule:
             total *= R.size // _gcd(R.size, piv)
         return total
 
-    def transform(self, g):
-        """Image g(S) for g an invertible Mat acting on column vectors."""
-        rows = [g.mul_vec(r) for r in self.mat]
-        return Submodule.from_rows(self.ring, self.n, rows)
-
     @property
     def free_rank(self):
         """Rank of the mod-p reduction; equals the free rank for summands."""
@@ -874,10 +917,7 @@ def enumerate_submodules(ring, n, guards=DEFAULT):
                 rows = _spans(ring, n, elems, vs)
                 keys = np.packbits(rows, axis=1)
                 # the first v of each distinct span in the chunk
-                flat = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-                order = np.argsort(flat, kind="stable")
-                ordered = flat[order]
-                for i in order[np.r_[True, ordered[1:] != ordered[:-1]]].tolist():
+                for i in distinct_rows(rows)[0].tolist():
                     key = keys[i].tobytes()
                     if key not in seen:
                         v = digits[vs[i]].tolist()
@@ -922,9 +962,6 @@ class Flag:
 
     def member_set(self):
         return frozenset(self.members)
-
-    def transform(self, g):
-        return Flag(self.ring, self.n, tuple(m.transform(g) for m in self.members))
 
     def full_chain(self):
         """0 = M_0 < M_1 < ... < M_d = R^n including the ends."""
@@ -1089,31 +1126,6 @@ class QuotientData:
         return len(self.comp_idx)
 
 
-def kernel_basis(ring, mat):
-    """Canonical basis rows of {v : mat . v = 0} (column-vector convention).
-
-    Computed from the RREF of mat with the standard free-column completion,
-    then re-canonicalised, so equal kernels give equal bases.
-    """
-    if not ring.is_field:
-        raise RingError("%s is not a field" % (ring,))
-    work = [list(r) for r in mat.data]
-    ncols = mat.cols
-    pivots = _gauss_jordan(ring, work, ncols)
-    rows = work[:len(pivots)]
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [0] * ncols
-        v[j] = 1
-        for r_idx, r in enumerate(rows):
-            # entry at pivot column solves the row equation
-            v[pivots[r_idx]] = ring.neg[r[j]]
-        basis.append(v)
-    return canonical_rowspace(ring, basis) if basis else ()
-
-
 # ---------------------------------------------------------------------------
 # GL(M)
 
@@ -1195,5 +1207,5 @@ def gl_from_generators(ring, n, guards=DEFAULT):
                     seen[prod.data] = prod
                     nxt.append(prod)
         frontier = nxt
-    return sorted(seen.values(), key=Mat.encode)
+    return sorted(seen.values(), key=lambda m: m.data)
 

@@ -544,6 +544,23 @@ def test_total_dim_guard_bounds_the_graded_lists(tmp_path):
     assert "requires 6 > max_total_dim=3" in proc.stderr
 
 
+def test_total_dim_guard_trips_before_anything_is_built(monkeypatch):
+    # --cap is checked against max_total_dim first: the base category of
+    # Vect(F_2)_{<=3} is never constructed (it once took 12 s to exit 2)
+    import rbscat.qkt as qkt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the base category was built")
+
+    monkeypatch.setattr(qkt, "FiltCategory", refuse)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "q-suite", "--q", "2", "--N", "3",
+                         "--cap", "4"])
+    assert code == 2 and out.getvalue() == ""
+    assert "requires 4 > max_total_dim=3" in err.getvalue()
+
+
 def _disk_verdict(guards):
     disk = poset_category(disk_face_poset())
     return is_weakly_contractible(disk, 3, guards).verdict

@@ -609,6 +609,31 @@ def oracle_subcategory(C, objs, keep):
     return validate_category(objs, morphs, idents, comp)
 
 
+def test_restriction_that_is_not_a_subcategory_raises_under_optimize():
+    # a restriction inherits its parent's associativity (only Light's loop
+    # is skipped), but a keep mask that drops the composite of two kept
+    # morphisms, or an identity, still fails; python -O strips no check
+    code = ("import numpy as np\n"
+            "from rbscat.fincat import (CategoryError, Poset, _subcategory,\n"
+            "                           poset_category)\n"
+            "from rbscat.guards import DEFAULT\n"
+            "C = poset_category(Poset([0, 1, 2], np.triu(np.ones((3, 3), bool))))\n"
+            "for drop, what in ((C.mor_index[(0, 2)], 'is not a morphism'),\n"
+            "                   (C.identity_of[1], 'missing identity')):\n"
+            "    keep = np.ones(C.n_morphisms, bool)\n"
+            "    keep[drop] = False\n"
+            "    try:\n"
+            "        _subcategory(C, np.arange(3), keep, DEFAULT)\n"
+            "    except CategoryError as err:\n"
+            "        if what not in str(err):\n"
+            "            raise SystemExit('wrong error: %s' % err)\n"
+            "        continue\n"
+            "    raise SystemExit('no CategoryError: ' + what)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
 def oracle_strict_fiber(F, d):
     A, B = F.source, F.target
     id_d = B.identity_of[B.obj_index[d]]
@@ -732,7 +757,8 @@ def test_subcategories_rank_parallel_morphisms_by_parent_index(spec,
     ranked_by_index = artifacts()
     build = fincat._build
     # the first nine arguments: everything but mor_rank
-    monkeypatch.setattr(fincat, "_build", lambda *args: build(*args[:9]))
+    monkeypatch.setattr(fincat, "_build",
+                        lambda *args, **kwargs: build(*args[:9], **kwargs))
     assert artifacts() == ranked_by_index
 
 
@@ -1011,6 +1037,29 @@ def test_corrupted_table_entry_is_reported():
         full_subcategory(C, C.objects)
     with pytest.raises(CategoryError, match="associativity"):
         skeleton(C)
+
+
+def test_restrictions_inherit_the_associativity_certificate(monkeypatch):
+    # a restriction of a table that is still the validated one skips
+    # Light's loop; once the table is changed in place it runs again
+    from rbscat import fincat
+    C = bz(3)
+    skipped = []
+    real = fincat._check_axioms
+
+    def recording(*args):
+        skipped.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(fincat, "_check_axioms", recording)
+    full_subcategory(C, C.objects)
+    skeleton(C)
+    assert skipped == [True, True]
+    one = C.mor_index[("*", 1)]
+    C.flat[C.row[one] + C.ipos[one]] = C.identity_of[0]
+    with pytest.raises(CategoryError, match="associativity"):
+        skeleton(C)
+    assert skipped[-1] is False
 
 
 def test_functor_breaking_composition_is_reported():

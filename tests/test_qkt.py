@@ -1,13 +1,22 @@
+import hashlib
+import itertools
+
+import numpy as np
 import pytest
 
 from rbscat.fincat import is_fully_faithful
 from rbscat.rings import (
     Mat,
+    QuotientData,
     Submodule,
+    _gauss_jordan,
     _row_times_mat,
+    canonical_rowspace,
+    enumerate_gl,
     enumerate_submodules,
     make_ring,
     residue_independent,
+    rref,
 )
 from rbscat.qkt import (
     FiltCategory,
@@ -15,7 +24,7 @@ from rbscat.qkt import (
     MonCalculus,
     MonMor,
     QKit,
-    _gl,
+    _image,
     build_filt_category,
     comma_contractibility,
     cokernel_projection,
@@ -27,7 +36,6 @@ from rbscat.qkt import (
     quillen_q,
     span_canonical,
     terminal_decomposition,
-    flag_quotients,
     _monmor_label,
 )
 
@@ -39,17 +47,162 @@ KIT2 = QKit(2, 2, cap=3)
 
 
 # ---------------------------------------------------------------------------
+# oracles: the former Mat implementations, one matrix at a time
+
+def kernel_basis(ring, mat):
+    """Oracle helper: canonical basis rows of {v : mat . v = 0}, from the
+    reduced row echelon form of mat with the free-column completion."""
+    work = [list(r) for r in mat.data]
+    pivots = _gauss_jordan(ring, work, mat.cols)
+    basis = []
+    for j in (j for j in range(mat.cols) if j not in pivots):
+        v = [0] * mat.cols
+        v[j] = 1
+        for r_idx, r in enumerate(work[:len(pivots)]):
+            v[pivots[r_idx]] = ring.neg[r[j]]
+        basis.append(v)
+    return canonical_rowspace(ring, basis) if basis else ()
+
+
+def image_submodule(ring, ambient, m):
+    return Submodule.from_rows(ring, ambient, [list(c) for c in zip(*m.data)])
+
+
+def flag_quotients(ring, n, chain):
+    """Oracle helper: QuotientData per step of a literal chain."""
+    prev, out = Submodule.zero(ring, n), []
+    for rows in chain:
+        cur = Submodule(ring, n, rows)
+        out.append(QuotientData(prev, cur))
+        prev = cur
+    return out
+
+
+def _projection_mat(ring, quot, ambient):
+    cols = [quot.project(tuple(int(i == j) for i in range(ambient)))
+            for j in range(ambient)]
+    return Mat(ring, [list(r) for r in zip(*cols)], cols=ambient)
+
+
+def cokernel_projection_oracle(ring, a, b, mi):
+    """Oracle for cokernel_projection: F^b ->> F^{b-a} through
+    QuotientData(image, F^b), column by column."""
+    quot = QuotientData(image_submodule(ring, b, mi), Submodule.full(ring, b))
+    return _projection_mat(ring, quot, b) if b - a else Mat.zero(ring, 0, b)
+
+
+def pullback_oracle(ring, b, c, p, cp, m):
+    """Oracle for pullback: the kernel basis of [p | -m]; returns (dim,
+    to_b, to_cp)."""
+    rows = [list(p.data[r]) + [ring.neg[x] for x in m.data[r]]
+            for r in range(c)]
+    big = Mat(ring, rows, cols=b + cp) if c else Mat.zero(ring, 0, b + cp)
+    ker = kernel_basis(ring, big) if (b + cp) else ()
+    d = len(ker)
+    to_b = Mat(ring, [[ker[j][i] for j in range(d)] for i in range(b)], cols=d)
+    to_cp = Mat(ring, [[ker[j][b + i] for j in range(d)] for i in range(cp)],
+                cols=d)
+    return d, to_b, to_cp
+
+
+def pushout_oracle(ring, z, b, c, i_mono, p_epi):
+    """Oracle for pushout: QuotientData of the image of (i, -p); returns
+    (dim, from_b, from_c)."""
+    rows = [list(i_mono.data[r]) for r in range(b)] + \
+        [[ring.neg[x] for x in p_epi.data[r]] for r in range(c)]
+    joint = Mat(ring, rows, cols=z) if z else Mat.zero(ring, b + c, 0)
+    quot = QuotientData(image_submodule(ring, b + c, joint),
+                        Submodule.full(ring, b + c))
+    d = quot.quotient_rank
+    proj = _projection_mat(ring, quot, b + c) if d else Mat.zero(ring, 0, b + c)
+    return (d, Mat(ring, [r[:b] for r in proj.data], cols=b),
+            Mat(ring, [r[b:] for r in proj.data], cols=c))
+
+
+def span_canonical_oracle(ring, x, z, y, p, i):
+    """Oracle for span_canonical: the reduced row echelon form of [p; i]^T,
+    last row first, as the columns of the label."""
+    cols = rref(ring, list(zip(*(p.data + i.data))))[::-1]
+    rows = tuple(zip(*cols)) if cols else ((),) * (x + y)
+    return (x, y, z, rows[:x], rows[x:])
+
+
+def merge_oracle(ring, second, first):
+    """Oracle for MonCalculus._merge: lift first's chains through the steps
+    of second's chains with one QuotientData per step and one Mat.mul_vec
+    per vector."""
+    theta = tuple(second.theta[j] for j in first.theta)
+    new_flags = []
+    for l, k_l in enumerate(second.tgt):
+        fiber = [j for j in range(len(second.src)) if second.theta[j] == l]
+        outer = second.flags[l]
+        outer_q = flag_quotients(ring, k_l, outer.chain)
+        merged, prev = [], Submodule.zero(ring, k_l)
+        for t, j in enumerate(fiber):
+            pi_inv = Mat(ring, outer.isos[t]).inverse()
+            for rows_u in first.flags[j].chain:
+                lifted = list(prev.mat) + [
+                    outer_q[t].section(pi_inv.mul_vec(x)) for x in
+                    Submodule(ring, first.tgt[j], rows_u).free_basis()]
+                merged.append(Submodule.from_rows(ring, k_l, lifted))
+            prev = merged[-1]
+        chain = tuple(s.mat for s in merged)
+        merged_q = iter(flag_quotients(ring, k_l, chain))
+        isos = []
+        for t, j in enumerate(fiber):
+            inner = first.flags[j]
+            pi_t = Mat(ring, outer.isos[t])
+            inner_q = flag_quotients(ring, first.tgt[j], inner.chain)
+            for u in range(len(inner.chain)):
+                cols = [Mat(ring, inner.isos[u]).mul_vec(inner_q[u].project(
+                    pi_t.mul_vec(outer_q[t].project(c))))
+                    for c in next(merged_q).section_rows]
+                iso = Mat(ring, [list(r) for r in zip(*cols)])
+                assert iso.inverse_or_none() is not None
+                isos.append(iso.data)
+        new_flags.append(FlagChain(k_l, chain, tuple(isos)))
+    return MonMor(first.src, second.tgt, theta, tuple(new_flags))
+
+
+def mats_of(E, a, b):
+    """The morphisms a -> b of E as Mats, in E's order."""
+    return [Mat(E.ring, [e[k * a:(k + 1) * a] for k in range(b)], cols=a)
+            for e in itertools.product(range(E.ring.size), repeat=a * b)]
+
+
+def codes_of(ring, m):
+    """The row of image codes of the Mat m."""
+    q = ring.size
+    return [sum(x * q ** (m.rows - 1 - k) for k, x in enumerate(m.mul_vec(v)))
+            for v in itertools.product(range(q), repeat=m.cols)]
+
+
+# ---------------------------------------------------------------------------
 # base category axioms
 
 def test_filt_category_counts():
     E = build_filt_category(2, 1)
     assert len(E.objects) == 2
-    assert len(E.morphisms) == 5  # 1 + 1 + 1 + 2 endomorphisms of F_2
+    # 1 + 1 + 1 + 2 endomorphisms of F_2
+    assert sum(map(len, E.maps.values())) == 5
     E2 = build_filt_category(2, 2)
     assert len(E2.objects) == 3
     # morphism counts are q^{rc} per shape
-    assert len(E2.morphisms) == sum(2 ** (r * c)
-                                    for r in range(3) for c in range(3))
+    assert sum(map(len, E2.maps.values())) == sum(
+        2 ** (r * c) for r in range(3) for c in range(3))
+
+
+@pytest.mark.parametrize("q, N", [(2, 2), (3, 2), (4, 1)])
+def test_morphism_rows_are_the_matrix_actions(q, N):
+    E = FiltCategory(q, N)
+    for (a, b), rows in E.maps.items():
+        mats = mats_of(E, a, b)
+        assert rows.tolist() == [codes_of(E.ring, m) for m in mats]
+        assert E.rank(a, rows).tolist() == [
+            len(_gauss_jordan(E.ring, [list(r) for r in m.data], a))
+            for m in mats]
+        for m, row in zip(mats[::7], rows[::7]):
+            assert E.map_row(a, b, m.data).tolist() == row.tolist()
 
 
 def test_filt_axioms_f3():
@@ -58,31 +211,69 @@ def test_filt_axioms_f3():
 
 def test_pullback_of_epi_along_mono_is_epi():
     E = build_filt_category(2, 2)
-    R = E.ring
-    p = Mat(R, [[1, 0]])          # F_2^2 ->> F_2
-    m = Mat(R, [[1]])             # F_2 >-> F_2
-    d, to_b, to_cp = pullback(R, 2, 1, p, 1, m)
-    assert d == 2
-    assert E.is_epi(d, 1, to_cp)
-    assert E.is_mono(d, 2, to_b)  # base change of the mono m along p
+    p = E.map_row(2, 1, [[1, 0]])[None]     # F_2^2 ->> F_2
+    m = E.map_row(1, 1, [[1]])[None]        # F_2 >-> F_2
+    d, to_b, to_cp = pullback(E, 2, 1, 1, p, m)
+    assert d == 2 and to_b.shape == to_cp.shape == (1, 1, 4)
+    assert E.is_epi(d, 1, to_cp).all()
+    assert E.is_mono(d, 2, to_b).all()  # base change of the mono m along p
 
 
 def test_pushout_of_mono_along_epi_is_mono():
     E = build_filt_category(2, 2)
-    R = E.ring
-    i = Mat(R, [[1], [0]])        # F_2 >-> F_2^2
-    p = Mat(R, [[1]])             # F_2 ->> F_2
-    d, from_b, from_c = pushout(R, 1, 2, 1, i, p)
-    assert d == 2
-    assert E.is_mono(1, d, from_c)
+    i = E.map_row(1, 2, [[1], [0]])[None]   # F_2 >-> F_2^2
+    p = E.map_row(1, 1, [[1]])[None]        # F_2 ->> F_2
+    d, from_b, from_c = pushout(E, 1, 2, 1, i, p)
+    assert d == 2 and from_b.shape == (1, 1, 4) and from_c.shape == (1, 1, 2)
+    assert E.is_mono(1, d, from_c).all()
 
 
 def test_cokernel_projection():
-    R = F2
-    i = Mat(R, [[1], [1]])
-    cok = cokernel_projection(R, 1, 2, i)
-    assert cok.rows == 1 and cok.cols == 2
-    assert cok.mul(i).data == ((0,),)
+    E = build_filt_category(2, 2)
+    i = E.map_row(1, 2, [[1], [1]])[None]
+    (cok,) = cokernel_projection(E, 1, 2, i)
+    assert len(cok) == 4 and cok.max() == 1     # F_2^2 ->> F_2
+    assert cok[i[0]].tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("q, N", [(2, 2), (3, 2), (4, 1)])
+def test_pullback_pushout_and_cokernel_agree_with_mat_oracles(q, N):
+    # every admissible (co)span: the legs on vector codes are the maps the
+    # former Mat code built, read as rows of image codes
+    E = FiltCategory(q, N)
+    R = E.ring
+    mats = {s: mats_of(E, *s) for s in E.maps}
+    mono = {s: np.flatnonzero(E.is_mono(*s, E.maps[s])) for s in E.maps}
+    epi = {s: np.flatnonzero(E.is_epi(*s, E.maps[s])) for s in E.maps}
+    for (a, b), idx in mono.items():
+        if len(idx):
+            got = cokernel_projection(E, a, b, E.maps[a, b][idx])
+            assert got.tolist() == [codes_of(R, cokernel_projection_oracle(
+                R, a, b, mats[a, b][k])) for k in idx]
+    seen = 0
+    for b, c, cp in itertools.product(E.objects, repeat=3):
+        p, m = epi[b, c], mono[cp, c]
+        if len(p) and len(m):
+            d, to_b, to_cp = pullback(E, b, c, cp, E.maps[b, c][p],
+                                      E.maps[cp, c][m])
+            for (x, k), (y, j) in itertools.product(enumerate(p), enumerate(m)):
+                od, ob, ocp = pullback_oracle(R, b, c, mats[b, c][k], cp,
+                                              mats[cp, c][j])
+                assert (d, to_b[x, y].tolist(), to_cp[x, y].tolist()) == \
+                    (od, codes_of(R, ob), codes_of(R, ocp))
+                seen += 1
+    for z, b, c in itertools.product(E.objects, repeat=3):
+        i, p = mono[z, b], epi[z, c]
+        if len(i) and len(p):
+            d, from_b, from_c = pushout(E, z, b, c, E.maps[z, b][i],
+                                        E.maps[z, c][p])
+            for (x, k), (y, j) in itertools.product(enumerate(i), enumerate(p)):
+                od, ob, oc = pushout_oracle(R, z, b, c, mats[z, b][k],
+                                            mats[z, c][j])
+                assert (d, from_b[x, y].tolist(), from_c[x, y].tolist()) == \
+                    (od, codes_of(R, ob), codes_of(R, oc))
+                seen += 1
+    assert seen
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +307,7 @@ def test_quillen_q_hom_sizes_n2():
 def least_over_gl(E, x, z, y, p, i):
     """Oracle for span_canonical: the least (p h, i h) over all h in
     GL(z), by exhaustive search."""
-    best = min((p.mul(h).data, i.mul(h).data) for h in _gl(E.ring, z, E.guards))
+    best = min((p.mul(h).data, i.mul(h).data) for h in enumerate_gl(E.ring, z))
     return (x, y, z) + best
 
 
@@ -124,15 +315,22 @@ def least_over_gl(E, x, z, y, p, i):
     (2, 2, 1), (3, 2, 1), (4, 1, 1), (5, 1, 1), (4, 2, 25)])
 def test_span_canonical_matches_gl_search_oracle(q, N, stride):
     # every span x <<- z >-> y of Vect(F_q)_{<=N} (every stride-th one for
-    # F_4^2, where the search runs over |GL_2(F_4)| = 180 elements)
+    # F_4^2, where the search runs over |GL_2(F_4)| = 180 elements),
+    # labelled from the membership row of {(p w, i w)}
     E = FiltCategory(q, N)
-    spans = [(x, z, y, p, i)
+    mats = {s: mats_of(E, *s) for s in E.maps}
+    spans = [(x, z, y, k, j)
              for x in E.objects for y in E.objects for z in range(x, y + 1)
-             for (a, b, p) in E.morphisms if (a, b) == (z, x) and E.is_epi(z, x, p)
-             for (c, d, i) in E.morphisms if (c, d) == (z, y) and E.is_mono(z, y, i)]
+             for k in np.flatnonzero(E.is_epi(z, x, E.maps[z, x]))
+             for j in np.flatnonzero(E.is_mono(z, y, E.maps[z, y]))]
     assert spans
-    for x, z, y, p, i in spans[::stride]:
-        assert span_canonical(E, x, z, y, p, i) == least_over_gl(E, x, z, y, p, i)
+    for x, z, y, k, j in spans[::stride]:
+        p, i = mats[z, x][k], mats[z, y][j]
+        member = _image(E.maps[z, x][k][None] * q ** y + E.maps[z, y][j][None],
+                        q ** (x + y))
+        (label,) = span_canonical(E.ring, x, y, member)
+        assert label == least_over_gl(E, x, z, y, p, i) == \
+            span_canonical_oracle(E.ring, x, z, y, p, i)
 
 
 def test_identity_span_is_identity():
@@ -407,7 +605,7 @@ def psi_triple_greatest_complement(kit, span_label):
     project = greatest_complement_projection(ring, small)
     cols = [project(c) for c in last.section_rows]
     iso = Mat(ring, [list(r) for r in zip(*cols)])
-    alt = FlagChain(y, flag.chain, flag.isos[:-1] + (iso,))
+    alt = FlagChain(y, flag.chain, flag.isos[:-1] + (iso.data,))
     return a, b, MonMor(phi.src, phi.tgt, phi.theta, (alt,))
 
 
@@ -483,10 +681,10 @@ def test_failed_exact_category_axiom_raises_category_error():
 
 def _zero_leg(real, leg):
     """real (pullback or pushout) with the given leg of its result, 1 or
-    2, replaced by a zero matrix of the same shape."""
-    def corrupted(ring, *args):
-        out = list(real(ring, *args))
-        out[leg] = Mat.zero(ring, out[leg].rows, out[leg].cols)
+    2, replaced by zero maps of the same shape."""
+    def corrupted(*args):
+        out = list(real(*args))
+        out[leg] = np.zeros_like(out[leg])
         return tuple(out)
     return corrupted
 
@@ -571,6 +769,33 @@ def test_each_composite_is_merged_once_during_the_q_suite(monkeypatch):
     assert calls["compose"] == []
 
 
+def test_q_suite_and_inductive_run_on_code_tables(monkeypatch):
+    # linear maps are rows of image codes: neither check multiplies a Mat,
+    # and the q-suite eliminates only to list the subspaces of F_2 and
+    # F_2^2 (1 + 4 canonical forms) when it builds their tables
+    import rbscat.qkt as qkt
+    import rbscat.rings as rings
+    from rbscat.checks import check_inductive, check_q_suite
+    calls = {"mul": 0, "mul_vec": 0, "_gauss_jordan": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
+
+    counting(Mat, "mul")
+    counting(Mat, "mul_vec")
+    counting(rings, "_gauss_jordan")
+    monkeypatch.setattr(qkt, "_SPACES", {})
+    assert check_q_suite(2, 2, 3).ok
+    assert calls == {"mul": 0, "mul_vec": 0, "_gauss_jordan": 5}
+    assert check_inductive("F3", 2).ok
+    assert calls["mul"] == calls["mul_vec"] == 0
+
+
 def _composable_pairs(mor_objs):
     mors = list(mor_objs.values())
     return [(g, f) for f in mors for g in mors if g.src == f.tgt]
@@ -585,7 +810,7 @@ def test_stored_composites_equal_fresh_merges(ring, cap, max_entry):
     assert len(pairs) == len(cat.flat)
     for g, f in pairs:
         fresh = oracle._merge(g, f)
-        assert calc.compose(g, f) == fresh
+        assert calc.compose(g, f) == fresh == merge_oracle(ring, g, f)
         gi = cat.mor_index[_monmor_label(g)]
         fi = cat.mor_index[_monmor_label(f)]
         assert cat.mor_labels[cat.compose(gi, fi)] == _monmor_label(fresh)
@@ -610,12 +835,12 @@ def test_corrupted_merge_raises_under_optimize():
     code = ("import dataclasses\n"
             "from rbscat.fincat import CategoryError\n"
             "from rbscat.qkt import MonCalculus, MonMor\n"
-            "from rbscat.rings import Mat, make_ring\n"
+            "from rbscat.rings import make_ring\n"
             "R = make_ring('F2')\n"
             "calc = MonCalculus(R)\n"
             "f = calc.hom((1, 1), (2,))[0]\n"
             "flag = dataclasses.replace(\n"
-            "    f.flags[0], isos=(Mat.zero(R, 1, 1),) + f.flags[0].isos[1:])\n"
+            "    f.flags[0], isos=(((0,),),) + f.flags[0].isos[1:])\n"
             "bad = dataclasses.replace(f, flags=(flag,))\n"
             "attempts = {\n"
             "    'singular merge': lambda: calc.compose(calc.identity((2,)), bad),\n"
@@ -643,13 +868,97 @@ def test_corrupted_merge_raises_under_optimize():
 def test_q_suite_obeys_guards_after_a_default_run(limit):
     from rbscat.checks import check_q_suite
     from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
-    from rbscat.qkt import _GL_CACHE, _SUBS_CACHE, _gl
+    from rbscat.qkt import _SPACES, _space
     from dataclasses import astuple
-    # warm both caches under the default guards
-    _gl(F2, 2, DEFAULT)
+    # warm the tables of F_2^2, GL(2) included, under the default guards
+    assert len(_space(F2, 2, DEFAULT).gl_rows) == 6
     enumerate_flag_chains(F2, 2, (1, 1))
-    assert (F2.key(), 2, astuple(DEFAULT)) in _GL_CACHE
-    assert (F2.key(), 2, astuple(DEFAULT)) in _SUBS_CACHE
+    assert (F2.key(), 2, astuple(DEFAULT)) in _SPACES
     tight = GuardConfig(**limit)
-    with pytest.raises(GuardExceeded, match=next(iter(limit))):
+    name = next(iter(limit))
+    with pytest.raises(GuardExceeded, match=name):
         check_q_suite(2, 2, 3, 3, tight)
+    # the warm tables are not read under the tighter guards
+    with pytest.raises(GuardExceeded, match=name):
+        _space(F2, 2, tight).gl_rows
+    with pytest.raises(GuardExceeded, match=name):
+        MonCalculus(F2, tight).hom((2,), (2,))
+
+
+# ---------------------------------------------------------------------------
+# the tables on vector codes are the tables of the former Mat code
+
+def table_digest(C):
+    """Objects, labels, src/tgt, identities and composition of C."""
+    h = hashlib.sha256(repr((C.objects, C.mor_labels)).encode())
+    for a in (C.src, C.tgt, C.identity_of) + tuple(C.pairs()):
+        h.update(np.asarray(a, np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (span, every Hom_2 in object order, Q1, graded lists), taken from the
+# Mat implementation that the code tables replaced
+FORMER_DIGESTS = {
+    (2, 1, 2): ("b917aa37f0237712", "ddc3a089fdac4c16", "dc997fb13ef133d3",
+                "b73ed3cfe3711898"),
+    (2, 2, 3): ("375f5972b1d6d48a", "86c551c79a9ad431", "7888dec8eb4675f6",
+                "f51286da214258c3"),
+    (3, 1, 2): ("2159dfba1ce911a8", "e4f33fc887ab7b71", "4b0578a65b053d9e",
+                "db3f6f49563a7117"),
+    (3, 2, 3): ("2b1f062cfbde28a1", "d47ff2f886929f43", "96425a20d2937ede",
+                "3e3ef451f7e8b96e"),
+}
+
+
+@pytest.mark.parametrize("q, N, cap", sorted(FORMER_DIGESTS))
+def test_tables_are_digest_identical_to_the_mat_implementation(q, N, cap):
+    kit = QKit(q, N, cap)
+    objs = kit.calc.objects_up_to(cap, N)
+    q2 = hashlib.sha256("".join(table_digest(kit.q2_hom(m, mp).cat)
+                                for m in objs for mp in objs).encode())
+    assert (table_digest(kit.span_cat), q2.hexdigest()[:16],
+            table_digest(kit.q1_category()[0]),
+            table_digest(monoidal_category(kit.calc, cap, N)[0])) == \
+        FORMER_DIGESTS[q, N, cap]
+
+
+def test_chunked_axioms_and_span_category_agree(monkeypatch):
+    # with chunks of a few entries every axiom is still checked and the
+    # span category is the same table
+    import rbscat.qkt as qkt
+    whole = table_digest(quillen_q(build_filt_category(3, 2))[0])
+    monkeypatch.setattr(qkt, "_CHUNK_ENTRIES", 8)
+    assert table_digest(quillen_q(build_filt_category(3, 2))[0]) == whole
+    E = FiltCategory(2, 1)
+    monkeypatch.setattr(qkt, "pullback", _zero_leg(qkt.pullback, 2))
+    with pytest.raises(qkt.CategoryError, match="^axiom 5 fails$"):
+        E.validate_axioms()
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 3), ("F3", 2), ("F4", 2),
+                                     ("F5", 2)])
+def test_complement_maps_agree_with_quotient_data(spec, n):
+    # every pair small <= big of F_q^n: the tabulated projection and
+    # section are QuotientData's, on every member of big
+    from rbscat.guards import DEFAULT
+    from rbscat.qkt import _space
+    ring = make_ring(spec)
+    space = _space(ring, n, DEFAULT)
+    q = ring.size
+
+    def code(v):
+        return sum(x * q ** (len(v) - 1 - k) for k, x in enumerate(v))
+
+    vectors = list(itertools.product(range(q), repeat=n))
+    for small, s in enumerate(space.subs):
+        for big, b in enumerate(space.subs):
+            if not s <= b:
+                continue
+            project, section = space.quotient(small, big)
+            qd = QuotientData(s, b)
+            assert list(section) == [code(qd.section(x)) for x in
+                                     itertools.product(
+                                         range(q), repeat=qd.quotient_rank)]
+            assert [project[code(v)] for v in vectors] == [
+                code(qd.project(v)) if b.contains(v) else None
+                for v in vectors]

@@ -13,6 +13,7 @@ from rbscat.fincat import (
     CategoryError,
     is_fully_faithful,
     is_isomorphism_of_categories,
+    full_subcategory,
     twisted_arrow_op,
 )
 from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
@@ -42,6 +43,16 @@ from rbscat.toolkit import is_colim_equivalence, is_proper
 R22 = build_rbs("F2", 2)
 R32 = build_rbs("F3", 2)
 RZ4 = build_rbs("Z4", 2)
+
+
+def mat(gl, i):
+    """The matrix g_i of GL as a Mat."""
+    return Mat(gl.ring, gl.entries[i].tolist(), cols=gl.n)
+
+
+def mats(gl):
+    """The matrices of GL, in index order, as Mats."""
+    return [mat(gl, i) for i in range(len(gl))]
 
 
 def lines_of(rbs):
@@ -125,7 +136,7 @@ def unipotent_oracle(r, fi):
     chain = r.flags[fi].full_chain()
     oracle = []
     for gi in r.parabolic[fi]:
-        g = r.gl.mats[gi]
+        g = mat(r.gl, gi)
         if all(chain[i - 1].contains(tuple(
                 ring.add[x][ring.neg[y]] for x, y in zip(g.mul_vec(v), v)))
                for i in range(1, len(chain)) for v in elements(chain[i])):
@@ -151,7 +162,7 @@ def test_unipotent_agrees_with_intrinsic_oracle():
 @pytest.mark.parametrize("spec, n", RBS_CORPUS)
 def test_det_one_matches_permutation_expansion(spec, n):
     gl = GLData(make_ring(spec), n)
-    assert tuple(i for i, m in enumerate(gl.mats)
+    assert tuple(i for i, m in enumerate(mats(gl))
                  if det_oracle(gl.ring, m.data) == 1) == \
         tuple(np.flatnonzero(determinants(gl.ring, gl.entries) == 1).tolist())
 
@@ -510,9 +521,10 @@ def python_ints(x):
                                      ("F4", 2), ("F2", 3), ("F3", 0)])
 def test_gl_table_matches_matrix_products(spec, n):
     gl = GLData(make_ring(spec), n)
-    index = {m.data: i for i, m in enumerate(gl.mats)}
-    assert gl.mult.tolist() == [[index[a.mul(b).data] for b in gl.mats]
-                                for a in gl.mats]
+    every = mats(gl)
+    index = {m.data: i for i, m in enumerate(every)}
+    assert gl.mult.tolist() == [[index[a.mul(b).data] for b in every]
+                                for a in every]
     assert gl.mult.dtype == np.int32 and gl.mult.flags.c_contiguous
     assert gl.one == index[Mat.identity(gl.ring, n).data]
     assert (gl.mult[np.arange(len(gl)), gl.inv] == gl.one).all()
@@ -528,17 +540,20 @@ def test_gl_table_matches_matrix_products(spec, n):
 @pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
                                      ("F4", 2), ("F2", 3)])
 def test_flag_action_matches_per_pair_transform(spec, n):
-    # oracle: one Submodule.transform, with its canonical row form, per
-    # (g, member) pair, and the flag of the sorted images
+    # oracle: one image g(S), with its canonical row form, per (g, member)
+    # pair, and the flag of the sorted images
     r = build_rbs(spec, n)
 
+    def transform(m, g):
+        return Submodule.from_rows(r.ring, n, [g.mul_vec(x) for x in m.mat])
+
     def image(g, f):
-        members = sorted((m.transform(g) for m in f.members),
+        members = sorted((transform(m, g) for m in f.members),
                          key=Submodule.sort_key)
         return r.flag_index[Flag(r.ring, n, tuple(members))]
 
     assert r.flag_act.tolist() == [[image(g, f) for f in r.flags]
-                                   for g in r.gl.mats]
+                                   for g in mats(r.gl)]
 
 
 def test_rbs_cache_is_keyed_by_guards():
@@ -591,24 +606,53 @@ def comparison_label_maps(r, ac):
              for g, f, fp in ac.mor_labels})
 
 
+def restriction_over_bgl_oracle(r, p):
+    """Oracle for comparison_iso_over_bgl: p restricted to the one-object
+    full subcategories on the empty flag, each built and validated, as a
+    functor between them."""
+    from rbscat.fincat import FinFunctor, _lookup
+    e = r.empty_flag_index
+    src_sub, src_in = full_subcategory(p.source, [e], r.guards)
+    tgt_sub, tgt_in = full_subcategory(p.target, [e], r.guards)
+    return FinFunctor(src_sub, tgt_sub,
+                      _lookup(tgt_in.obj_idx, p.obj_idx[src_in.obj_idx]),
+                      _lookup(tgt_in.mor_idx, p.mor_idx[src_in.mor_idx]),
+                      r.guards)
+
+
 @pytest.mark.parametrize("r", [R22, R32, RZ4], ids=["F2", "F3", "Z4"])
-def test_comparison_functor_and_its_restriction_match_label_maps(
-        r, monkeypatch):
+def test_comparison_functor_and_its_restriction_match_label_maps(r):
     ac = gl_flag_action_category(r)
     p = comparison_functor(r, ac)
     obj_map, mor_map = comparison_label_maps(r, ac)
     assert_indices_match(p, obj_map, mor_map)
-    restricted = []
-
-    def recording(F):
-        restricted.append(F)
-        return is_isomorphism_of_categories(F)
-
-    monkeypatch.setattr(rbs_module, "is_isomorphism_of_categories", recording)
-    assert comparison_iso_over_bgl(r, p)
-    (F,) = restricted
+    F = restriction_over_bgl_oracle(r, p)
     assert F.source.objects == F.target.objects == (r.empty_flag_index,)
     assert_indices_match(F, obj_map, mor_map)
+    assert comparison_iso_over_bgl(r, p) is \
+        is_isomorphism_of_categories(F) is True
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "Z4", "F4"])
+def test_comparison_iso_over_bgl_agrees_with_subcategory_oracle(spec):
+    # End(empty) compared through p's arrays, without building the two
+    # one-object subcategories; a p that collapses two End(empty) images,
+    # or sends one outside End(empty), is no isomorphism
+    import types
+    r = checks._rbs(spec, 2, DEFAULT)
+    p = comparison_functor(r)
+    assert comparison_iso_over_bgl(r, p) is is_isomorphism_of_categories(
+        restriction_over_bgl_oracle(r, p)) is True
+    e = r.empty_flag_index
+    ends = list(p.source.hom(e, e))
+    outside = next(m for m in range(p.source.n_morphisms)
+                   if p.mor_idx[m] not in p.target.hom(e, e))
+    for a, b in ((ends[0], ends[1]), (ends[-1], outside)):
+        mor_idx = p.mor_idx.copy()
+        mor_idx[a] = p.mor_idx[b]
+        bad = types.SimpleNamespace(source=p.source, target=p.target,
+                                    obj_idx=p.obj_idx, mor_idx=mor_idx)
+        assert comparison_iso_over_bgl(r, bad) is False
 
 
 @pytest.mark.parametrize("r", [R22, R32, RZ4], ids=["F2", "F3", "Z4"])
@@ -621,6 +665,29 @@ def test_pi1_quotient_functor_matches_label_map(r):
     assert_indices_match(functor, {o: "*" for o in r.cat.objects}, classes)
     assert surjective == (set(classes.values()) ==
                           set(functor.target.mor_labels))
+
+
+def block_matrix_oracle(g, quot, ring):
+    """Oracle for the graded blocks of inductive_decomposition: the matrix
+    that the Mat g induces on a graded piece in its complement
+    coordinates, one mul_vec and QuotientData.project per section row."""
+    images = [quot.project(g.mul_vec(r)) for r in quot.section_rows]
+    d = len(quot.section_rows)
+    return Mat(ring, [[images[j][i] for j in range(d)] for i in range(d)],
+               cols=d)
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
+                                     ("F2", 3)])
+def test_graded_blocks_agree_with_mat_oracle(spec, n):
+    # every g of every parabolic P_F, on every graded piece of F
+    r = checks._rbs(spec, n, DEFAULT)
+    for fi, quots in enumerate(r._quotients):
+        reps = list(r.parabolic[fi])
+        for q in quots:
+            got = rbs_module._graded_blocks(r, reps, q)
+            assert got.tolist() == [[list(row) for row in block_matrix_oracle(
+                mat(r.gl, g), q, r.ring).data] for g in reps]
 
 
 @pytest.mark.parametrize("r", [R22, R32, RZ4], ids=["F2", "F3", "Z4"])
@@ -642,14 +709,13 @@ def test_inductive_functors_match_label_maps(r, monkeypatch):
         pieces = {gj: tuple(rbs_module._graded_flags(r, gj, fi, quots, graded))
                   for gj in ref_sub.objects}
         # each graded block found among the matrices of its GL by entries
-        index = [{m.data: i for i, m in enumerate(g.gl.mats)} for g in graded]
+        index = [{m.data: i for i, m in enumerate(mats(g.gl))} for g in graded]
         mor_map = {}
         for lbl in ref_sub.mor_labels:
             src, tgt, rep = lbl
             blocks = []
             for i, q in enumerate(quots):
-                block = rbs_module._block_matrix(r, r.gl.mats[rep], q,
-                                                 graded[i].ring)
+                block = block_matrix_oracle(mat(r.gl, rep), q, graded[i].ring)
                 blocks.append((pieces[src][i], pieces[tgt][i],
                                graded[i].coset_min(pieces[src][i],
                                                    index[i][block.data])))

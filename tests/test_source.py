@@ -75,7 +75,9 @@ def test_only_fincat_and_jsonio_call_validate_category():
 def test_only_fincat_build_constructs_a_fincat():
     # FinCat reads each hom-set as a range of its morphism indices, which
     # holds because _build sorts the morphisms by (source, target); a
-    # FinCat made anywhere else could break that order
+    # FinCat made anywhere else could break that order.  It also pins that
+    # every FinCat passed Light's associativity test in _build, which
+    # fincat._subcategory relies on when a restriction skips that test
     callers = set()
 
     class Calls(ast.NodeVisitor):
