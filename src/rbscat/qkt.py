@@ -11,7 +11,7 @@ injective, onto and a permutation; kernels, images, pullbacks and
 pushouts are membership rows.  The tables of F_q^n are built on first
 use, once per ring, n and guard config (_space): its subspaces, found by
 membership row, GL(n) from rings.gl_tables, and for each pair small <
-big the code maps of the complement QuotientData chooses.  On top of E:
+big the code maps of rings.complement_codes.  On top of E:
 
   * quillen_q(E): the span category (morphisms x <<- z >-> y up to
     isomorphism of the middle object, composed by pullback); the class
@@ -65,6 +65,7 @@ from .rings import (
     _code_weights,
     _vector_digits,
     chains_through,
+    complement_codes,
     distinct_rows,
     echelon_rows,
     enumerate_submodules,
@@ -72,7 +73,6 @@ from .rings import (
     inclusion_table,
     make_ring,
     membership,
-    quotient_codes,
     span_codes,
 )
 from .toolkit import is_weakly_contractible
@@ -97,10 +97,6 @@ def _space(ring, n, guards):
     if key not in _SPACES:
         _SPACES[key] = _Space(ring, n, guards)
     return _SPACES[key]
-
-
-def _lead(row):
-    return next(j for j, x in enumerate(row) if x)
 
 
 class _Space:
@@ -132,20 +128,15 @@ class _Space:
         return {row: m for m, row in self.gl_rows.items()}
 
     def quotient(self, small, big):
-        """(project, section) for subs[small] <= subs[big] as code maps
-        (project[v] is None for v outside big); over a field QuotientData's
-        complement is spanned by the canonical rows of big whose leading
-        column leads no row of small."""
+        """(project, section) for subs[small] <= subs[big] as the code maps
+        of rings.complement_codes (project[v] is None for v outside big)."""
         out = self._pairs.get((small, big))
         if out is None:
             _require(self.members[small] <= self.members[big],
                      "a step of a chain is not a subspace of the next")
-            rows = self.subs[small].mat
-            leads = set(map(_lead, rows))
-            section = [r for r in self.subs[big].mat if _lead(r) not in leads]
-            project, sec = quotient_codes(self.ring, self.n, *(
-                np.array(x, np.int64).reshape(len(x), self.n)
-                for x in (rows, section)))
+            project, sec = complement_codes(
+                self.ring, self.n, self.subs[small].free_rows(),
+                self.subs[big].free_rows())
             out = self._pairs[small, big] = (
                 tuple(None if v < 0 else v for v in project.tolist()),
                 tuple(sec.tolist()))
@@ -292,17 +283,12 @@ def _bases(ring, n, member):
 
 def cokernel_projection(E, a, b, i):
     """The projection F^b ->> F^{b-a} with kernel the image of each mono
-    i: a >-> b, as rows of image codes, onto the complement QuotientData
-    chooses: the unit rows at the columns that lead no row of the image."""
+    i: a >-> b, as rows of image codes, onto the complement of the image
+    in F^b that rings.complement_codes chooses, once per distinct image."""
     member = _image(i, E.ring.size ** b)
     first, which = distinct_rows(member)
-    basis = _bases(E.ring, b, member[first])
-    free = np.ones((len(first), b), bool)
-    free[np.arange(len(first))[:, None],
-         (np.cumsum(basis != 0, axis=2) == 0).sum(axis=2)] = False
-    units = np.eye(b, dtype=np.int64)[np.nonzero(free)[1]]
-    return quotient_codes(E.ring, b, basis, units.reshape(
-        len(first), b - basis.shape[1], b))[0][which]
+    return complement_codes(E.ring, b, _bases(E.ring, b, member[first]),
+                            np.eye(b, dtype=np.int64))[0][which]
 
 
 def pullback(E, b, c, cp, p, m):

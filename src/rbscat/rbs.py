@@ -56,12 +56,12 @@ from .guards import DEFAULT
 from .homology import chain_complex_from_facets, sparse_invariant_factors
 from .rings import (
     Flag,
-    QuotientData,
     Submodule,
     _CHUNK_ENTRIES,
     _code_weights,
     _vector_digits,
     chains_through,
+    complement_codes,
     determinants,
     enumerate_flags,
     enumerate_submodules,
@@ -69,7 +69,6 @@ from .rings import (
     inclusion_table,
     make_ring,
     membership,
-    quotient_codes,
 )
 
 
@@ -238,12 +237,15 @@ class RBSCategory:
 
     @cached_property
     def _quotients(self):
-        """The graded pieces of each flag, as QuotientData, by flag index."""
+        """The graded pieces of each flag, by flag index: for each step
+        M_{i-1} < M_i, its rank d and the code maps (project, section) of
+        rings.complement_codes."""
         out = []
         for f in self.flags:
             chain = f.full_chain()
-            out.append([QuotientData(chain[i], chain[i + 1])
-                        for i in range(len(chain) - 1)])
+            out.append([(big.free_rank - small.free_rank,) + complement_codes(
+                self.ring, self.n, small.free_rows(), big.free_rows())
+                for small, big in zip(chain, chain[1:])])
         return out
 
     @cached_property
@@ -369,7 +371,7 @@ class RBSCategory:
 
     def graded_dims(self, fi):
         """Free ranks of the graded pieces of the flag."""
-        return tuple(q.quotient_rank for q in self._quotients[fi])
+        return tuple(d for d, _, _ in self._quotients[fi])
 
 
 def build_rbs(ring_spec, n, guards=DEFAULT):
@@ -626,30 +628,30 @@ def inductive_decomposition(rbs, fi, guards=DEFAULT, built=None):
 
 
 def _graded_flags(rbs, gj, fi, quots, graded):
-    """Image flags of G in the graded pieces of F (G refines F)."""
+    """Image flags of G in the graded pieces of F (G refines F): the
+    free-basis rows of each member of G inside a step of F, projected by
+    one gather from that step's project map."""
+    R, n = rbs.ring, rbs.n
     chain = rbs.flags[fi].full_chain()
     out = []
-    for i, q in enumerate(quots):
-        R, d = graded[i].ring, q.quotient_rank
-        members = sorted((Submodule.from_rows(R, d, [q.project(r) for r in
-                                                     m.free_basis()])
-                          for m in rbs.flags[gj].members
-                          if chain[i] < m < chain[i + 1]),
-                         key=Submodule.sort_key)
+    for i, (d, project, _) in enumerate(quots):
+        members = sorted((Submodule.from_rows(R, d, _vector_digits(
+            R, d, project[m.free_rows() @ _code_weights(R, n)]).tolist())
+            for m in rbs.flags[gj].members if chain[i] < m < chain[i + 1]),
+            key=Submodule.sort_key)
         out.append(graded[i].flag_index[Flag(R, d, tuple(members))])
     return out
 
 
-def _graded_blocks(rbs, reps, quot):
-    """The matrix that each g of reps induces on the graded piece quot, in
-    its complement coordinates: column j is the projection of g applied to
-    section row j, one gather from gl.act for all of reps."""
-    ring, n, d = rbs.ring, rbs.n, quot.quotient_rank
-    project, section = quotient_codes(
-        ring, n, np.array(quot.small.free_basis(), np.int64).reshape(-1, n),
-        np.array(quot.section_rows, np.int64).reshape(d, n))
-    cols = project[rbs.gl.act[np.ix_(list(reps), section[_code_weights(ring, d)])]]
+def _graded_blocks(rbs, reps, step):
+    """The matrix that each g of reps induces on the graded piece step =
+    (d, project, section), in its complement coordinates: column j is the
+    projection of g applied to section row j, one gather from gl.act for
+    all of reps."""
+    d, project, section = step
+    cols = project[rbs.gl.act[np.ix_(list(reps),
+                                     section[_code_weights(rbs.ring, d)])]]
     if (cols < 0).any():
         raise CategoryError("transporter between refinements must "
                             "stabilise the flag")
-    return np.swapaxes(_vector_digits(ring, d, cols), 1, 2)
+    return np.swapaxes(_vector_digits(rbs.ring, d, cols), 1, 2)

@@ -26,18 +26,22 @@ on the proper inclusions that inclusion_table reads from one float64
 product of membership rows.
 determinants expands permutations over a whole stack of matrices.
 span_codes lists the codes of all combinations of some rows (so the row
-of image codes of a linear map), quotient_codes gives the code maps of
-big = small + <section>, echelon_rows reads reduced row echelon forms
-off membership rows.
+of image codes of a linear map), echelon_rows reads reduced row echelon
+forms off membership rows.  complement_codes is the one place that
+chooses the complement of small in big (for rbs's graded pieces and
+qkt's quotients and cokernels): the rows of big's free basis at the
+columns that are no pivot of small's coordinates, read off code maps,
+returned as the code maps of the projection and the section.  There is
+no matrix class: a matrix is an int64 array, or a tuple of row tuples
+where it is a label or a key.
 
 One elimination routine, _gauss_jordan (unit pivots, each scaled to 1
-and cleared from every other row), serves the whole ring layer: rref,
-Mat.inverse_or_none (on [A | I]) and residue_independent, the greedy
-independence test over the residue field behind Submodule.free_basis,
-complete_to_invertible and the complement that QuotientData chooses.
-The Howell form and reduce_vector compute a different normal form, and
-determinants expand permutations, because unit-pivot elimination is
-wrong for a singular matrix over Z/p^k.
+and cleared from every other row), serves the ring layer: rref and
+residue_independent, the greedy independence test over the residue
+field behind Submodule.free_basis.  The Howell form and reduce_vector
+compute a different normal form, and determinants expand permutations,
+because unit-pivot elimination is wrong for a singular matrix over
+Z/p^k.
 """
 
 from __future__ import annotations
@@ -453,14 +457,36 @@ def span_codes(ring, n, rows):
     return acc @ _code_weights(ring, n)
 
 
-def quotient_codes(ring, n, small, section):
-    """The code maps of big = small + <section>, free on the rows of small
-    (shape (k, r, n) or (r, n)) and section (shape (k, d, n) or (d, n)):
-    section[x] is the code of x . section for x in R^d, and project[v]
-    the code of x when v = s . small + x . section, -1 for v outside big.
-    The combinations (s, x) with s = 0 come first, so they are section."""
+def complement_codes(ring, n, small, big):
+    """The complement of small in big, as the code maps of big = small +
+    <section>: section[x] is the code of x . section for x in R^d, and
+    project[v] the code of x when v = s . small + x . section, -1 for v
+    outside big.  small (shape (..., k, n)) and big (shape (r, n)) are
+    free bases; the section of each small is the rows of big at the
+    columns that are no pivot of small.
+
+    The coordinates in big's basis of every combination of small's rows
+    come from one scatter of span_codes(big).  The pivots are the leading
+    columns of those coordinates over the residue field, that is, the
+    columns of their first unit entries (a unit is nonzero mod p)."""
+    small, big = np.asarray(small, np.int64), np.asarray(big, np.int64)
+    r, k = len(big), small.shape[-2]
+    coords = np.full(ring.size ** n, -1, np.int64)
+    coords[span_codes(ring, n, big)] = np.arange(ring.size ** r)
+    x = coords[span_codes(ring, n, small)]
+    if (x < 0).any():
+        raise RingError("small must be contained in big")
+    unit = np.zeros(ring.size, bool)
+    unit[list(ring.units)] = True
+    # the number of columns before the first unit is the leading column
+    lead = (np.cumsum(unit[_vector_digits(ring, r, x)], -1) == 0).sum(-1)
+    free = ~(lead[..., None] == np.arange(r)).any(-2)
+    if (free.sum(-1) != r - k).any():
+        raise RingError("small is not a free summand of big")
+    section = big[np.nonzero(free)[-1].reshape(x.shape[:-1] + (r - k,))]
+    # the combinations (s, x) with s = 0 come first, so they are section
     both = span_codes(ring, n, np.concatenate([small, section], -2))
-    d = ring.size ** section.shape[-2]
+    d = ring.size ** (r - k)
     flat = both.reshape(-1, both.shape[-1])
     project = np.full((len(flat), ring.size ** n), -1, np.int64)
     project[np.arange(len(flat))[:, None], flat] = np.arange(flat.shape[1]) % d
@@ -493,108 +519,6 @@ def echelon_rows(ring, n, member):
     pivot = (member.astype(np.int64) @ leads) > 0
     hits = pivot.astype(np.int64) @ nonzero.T
     return member & (hits == 1) & ((digits * leads).sum(axis=1) == 1)
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-class Mat:
-    """Immutable matrix over a FiniteRing (row-major tuple of tuples).
-
-    Empty matrices carry an explicit column count so that maps to and
-    from the zero module compose correctly.
-    """
-
-    __slots__ = ("ring", "rows", "cols", "data")
-
-    def __init__(self, ring, data, cols=None):
-        self.ring = ring
-        self.data = tuple(tuple(r) for r in data)
-        self.rows = len(self.data)
-        if self.data:
-            self.cols = len(self.data[0])
-            if cols is not None and cols != self.cols:
-                raise RingError("matrix rows have %d entries, not cols=%d"
-                                % (self.cols, cols))
-        else:
-            self.cols = 0 if cols is None else cols
-        if any(len(r) != self.cols for r in self.data):
-            raise RingError("matrix rows differ in length")
-
-    @staticmethod
-    def identity(ring, n):
-        return Mat(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   cols=n)
-
-    @staticmethod
-    def zero(ring, r, c):
-        return Mat(ring, [[0] * c for _ in range(r)], cols=c)
-
-    def __eq__(self, other):
-        return isinstance(other, Mat) and self.data == other.data and \
-            self.cols == other.cols and self.ring is other.ring
-
-    def __hash__(self):
-        return hash((id(self.ring), self.data, self.cols))
-
-    def __repr__(self):
-        return "Mat(%s)" % (self.data,)
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise RingError("shape mismatch: %d columns times %d rows"
-                            % (self.cols, other.rows))
-        R = self.ring
-        add, mul = R.add, R.mul
-        out = []
-        for row in self.data:
-            orow = []
-            for j in range(other.cols):
-                acc = 0
-                for k, x in enumerate(row):
-                    y = other.data[k][j]
-                    if x and y:
-                        acc = add[acc][mul[x][y]]
-                orow.append(acc)
-            out.append(orow)
-        return Mat(R, out, cols=other.cols)
-
-    def mul_vec(self, vec):
-        R = self.ring
-        add, mul = R.add, R.mul
-        out = []
-        for row in self.data:
-            acc = 0
-            for x, y in zip(row, vec):
-                if x and y:
-                    acc = add[acc][mul[x][y]]
-            out.append(acc)
-        return tuple(out)
-
-    def det(self):
-        """Determinant by permutation expansion (intended for n <= 4)."""
-        if self.rows != self.cols:
-            raise RingError("determinant of a non-square matrix")
-        stack = np.array(self.data, np.int64).reshape(1, self.rows, self.cols)
-        return int(determinants(self.ring, stack)[0])
-
-    def inverse(self):
-        inv = self.inverse_or_none()
-        if inv is None:
-            raise RingError("matrix is not invertible")
-        return inv
-
-    def inverse_or_none(self):
-        """Gauss-Jordan on [A | I]: A is invertible iff every column of A
-        takes a unit pivot.  Works over fields and Z/p^k."""
-        if self.rows != self.cols:
-            return None
-        n = self.rows
-        aug = [list(row) + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.data)]
-        if _gauss_jordan(self.ring, aug, n) != list(range(n)):
-            return None
-        return Mat(self.ring, [row[n:] for row in aug], cols=n)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +726,8 @@ class Submodule:
 
     @staticmethod
     def full(ring, n):
-        return Submodule(ring, n, Mat.identity(ring, n).data if n else ())
+        return Submodule(ring, n, tuple(tuple(int(i == j) for j in range(n))
+                                        for i in range(n)))
 
     @property
     def rank(self):
@@ -847,6 +772,11 @@ class Submodule:
         if R.is_field:
             return self.mat
         return tuple(self.mat[i] for i in residue_independent(R, self.mat))
+
+    def free_rows(self):
+        """free_basis as an int64 array of shape (free rank, n)."""
+        basis = self.free_basis()
+        return np.array(basis, np.int64).reshape(len(basis), self.n)
 
     def sort_key(self):
         return (self.rank, self.mat)
@@ -1026,113 +956,8 @@ def chains_through(less, ranks, through):
     return chains
 
 
-def complete_to_invertible(ring, rows, n):
-    """Extend free-basis rows to an invertible n x n matrix by greedily
-    appending standard basis rows (lexicographically least completion)."""
-    units = [[int(i == j) for i in range(n)] for j in range(n)]
-    kept = residue_independent(ring, list(rows) + units)
-    if kept[:len(rows)] != list(range(len(rows))):
-        raise RingError("rows are not independent over the residue field")
-    ext = Mat(ring, [list(r) for r in rows] +
-              [units[j - len(rows)] for j in kept[len(rows):]])
-    inv = ext.inverse_or_none() if ext.rows == n else None
-    if inv is None:
-        raise RingError("completion failed to be invertible")
-    return ext, inv
-
-
-def _row_times_mat(ring, vec, mat):
-    """Row vector times matrix."""
-    add, mul = ring.add, ring.mul
-    out = [0] * mat.cols
-    for x, row in zip(vec, mat.data):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] = add[out[j]][mul[x][y]]
-    return tuple(out)
-
-
-class QuotientData:
-    """Chosen complement of `small` inside `big` with coordinate maps.
-
-    section_rows: ambient rows spanning the complement (a free summand).
-    project(v): complement coordinates of an ambient vector v in big.
-    coords(v): coordinates of v in big's canonical free basis.
-    The choice rule is deterministic: complement coordinates are the
-    non-pivot columns of small's image in big-coordinates over the residue
-    field, completed lexicographically.
-    """
-
-    def __init__(self, small, big):
-        if not big.contains_sub(small):
-            raise RingError("small must be contained in big")
-        ring = small.ring
-        self.ring = ring
-        self.small = small
-        self.big = big
-        n = small.n
-        B = big.free_basis()
-        rb = len(B)
-        ext, ext_inv = complete_to_invertible(ring, B, n)
-        self._ext_inv = ext_inv
-        self._rb = rb
-        # small's free basis in big-coordinates; the columns a greedy pass
-        # keeps are its pivot columns over the residue field
-        small_rows = [self._coords(r) for r in small.free_basis()]
-        pivots = residue_independent(ring, list(zip(*small_rows)))
-        if len(pivots) != len(small_rows):
-            raise RingError("small free basis degenerate in big coordinates")
-        comp_idx = [i for i in range(rb) if i not in pivots]
-        self.comp_idx = comp_idx
-        self.section_rows = tuple(B[i] for i in comp_idx)
-        # invert [small_rows; unit rows at comp_idx] to split coordinates
-        square = [list(r) for r in small_rows]
-        for i in comp_idx:
-            square.append([1 if j == i else 0 for j in range(rb)])
-        if rb:
-            sq = Mat(ring, square)
-            self._split_inv = sq.inverse()
-        else:
-            self._split_inv = Mat(ring, [])
-        self._nsmall = len(small_rows)
-
-    def _coords(self, vec):
-        full = _row_times_mat(self.ring, vec, self._ext_inv)
-        if any(full[self._rb:]):
-            raise RingError("vector outside big")
-        return full[: self._rb]
-
-    def coords(self, vec):
-        return self._coords(vec)
-
-    def project(self, vec):
-        """Complement coordinates of v (the class of v in big/small)."""
-        x = self._coords(vec)
-        y = _row_times_mat(self.ring, x, self._split_inv)
-        return tuple(y[self._nsmall:])
-
-    def section(self, comp_coords):
-        """Ambient representative of a class given in complement coordinates."""
-        ring = self.ring
-        v = [0] * self.small.n
-        for c, row in zip(comp_coords, self.section_rows):
-            if c:
-                v = [ring.add[x][ring.mul[c][y]] for x, y in zip(v, row)]
-        return tuple(v)
-
-    @property
-    def quotient_rank(self):
-        return len(self.comp_idx)
-
-
 # ---------------------------------------------------------------------------
 # GL(M)
-
-def _check_gl_rank(n):
-    if n < 0:
-        raise RingError("GL rank n must be at least 0, got %d" % n)
-
 
 def gl_tables(ring, n, guards=DEFAULT):
     """GL(R^n) as arrays: entries[g], the invertible n x n matrices in
@@ -1146,7 +971,8 @@ def gl_tables(ring, n, guards=DEFAULT):
     code r_i, puts dot[r_i, v] = r_i . v at place i of the code of A v,
     so act is a sum of gathers from the table dot, a chunk of candidates
     at a time."""
-    _check_gl_rank(n)
+    if n < 0:
+        raise RingError("GL rank n must be at least 0, got %d" % n)
     candidates = guards.check(ring.size ** (n * n), "max_gl_candidates",
                               "GL enumeration")
     size = guards.check(ring.size ** n, "max_vector_enum", "GL action")
@@ -1170,42 +996,7 @@ def gl_tables(ring, n, guards=DEFAULT):
 
 
 def enumerate_gl(ring, n, guards=DEFAULT):
-    """All invertible n x n matrices, sorted by entry encoding (the
-    matrices of gl_tables)."""
+    """All invertible n x n matrices, each a tuple of row tuples, sorted
+    by entry encoding (the matrices of gl_tables)."""
     entries, _ = gl_tables(ring, n, guards)
-    return [Mat(ring, m, cols=n) for m in entries.tolist()]
-
-
-def gl_from_generators(ring, n, guards=DEFAULT):
-    """GL(R^n) as the multiplicative closure of elementary and unit-diagonal
-    matrices; cross-check path for enumerate_gl."""
-    _check_gl_rank(n)
-    if n == 0:
-        return [Mat(ring, [])]
-    gens = []
-    ident = Mat.identity(ring, n)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [list(r) for r in ident.data]
-                rows[i][j] = 1
-                gens.append(Mat(ring, rows))
-    for u in ring.units:
-        rows = [list(r) for r in ident.data]
-        rows[0][0] = u
-        gens.append(Mat(ring, rows))
-    seen = {ident.data: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = g.mul(m)
-                if prod.data not in seen:
-                    if len(seen) >= guards.max_group_order:
-                        raise GuardExceeded("group closure exceeds max_group_order")
-                    seen[prod.data] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda m: m.data)
-
+    return [tuple(map(tuple, m)) for m in entries.tolist()]

@@ -32,6 +32,18 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("spec", ["F2", "F3", "Z4"])
+def test_verify_inductive_passes_at_rank_zero(spec):
+    # R^0 has the empty flag alone, with one graded piece of rank 0
+    code, out, err = run_cli("verify", "inductive", "--ring", spec,
+                             "--n", "0", "--json")
+    assert code == 0, err
+    report = json.loads(out.splitlines()[0])
+    assert report["verdict"] == "pass"
+    assert report["measured"]["flags"] == {
+        "0": {"iso": True, "equivalence": True, "graded": [0]}}
+
+
 def test_build_rbs_json_and_determinism(tmp_path):
     code1, out1, _ = run_cli("build", "rbs", "--ring", "F2", "--n", "2")
     code2, out2, _ = run_cli("build", "rbs", "--ring", "F2", "--n", "2")

@@ -6,13 +6,12 @@ import pytest
 
 from rbscat.fincat import is_fully_faithful
 from rbscat.rings import (
-    Mat,
-    QuotientData,
     Submodule,
     _gauss_jordan,
-    _row_times_mat,
     canonical_rowspace,
+    complement_codes,
     enumerate_gl,
+    enumerate_splittable_submodules,
     enumerate_submodules,
     make_ring,
     residue_independent,
@@ -38,6 +37,7 @@ from rbscat.qkt import (
     terminal_decomposition,
     _monmor_label,
 )
+from test_rings import Mat, QuotientData, _row_times_mat
 
 F2 = make_ring("F2")
 F3 = make_ring("F3")
@@ -307,7 +307,9 @@ def test_quillen_q_hom_sizes_n2():
 def least_over_gl(E, x, z, y, p, i):
     """Oracle for span_canonical: the least (p h, i h) over all h in
     GL(z), by exhaustive search."""
-    best = min((p.mul(h).data, i.mul(h).data) for h in enumerate_gl(E.ring, z))
+    best = min((p.mul(Mat(E.ring, h, cols=z)).data,
+                i.mul(Mat(E.ring, h, cols=z)).data)
+               for h in enumerate_gl(E.ring, z))
     return (x, y, z) + best
 
 
@@ -770,30 +772,32 @@ def test_each_composite_is_merged_once_during_the_q_suite(monkeypatch):
 
 
 def test_q_suite_and_inductive_run_on_code_tables(monkeypatch):
-    # linear maps are rows of image codes: neither check multiplies a Mat,
-    # and the q-suite eliminates only to list the subspaces of F_2 and
-    # F_2^2 (1 + 4 canonical forms) when it builds their tables
+    # linear maps are rows of image codes, and complements are chosen on
+    # code maps (rings.complement_codes), with no elimination: the q-suite
+    # eliminates only to list the subspaces of F_2 and F_2^2 (1 + 4
+    # canonical forms) when it builds their tables, and inductive on F_3^2
+    # only for canonical forms: the 4 + 1 subspaces of F_3^2 when its flags
+    # are listed, F_3^1 when its graded rank is built, and the 4 lines as
+    # image flags in the graded piece of the empty flag; none for the
+    # complements of the 9 flag steps
+    import rbscat.checks as checks
     import rbscat.qkt as qkt
     import rbscat.rings as rings
     from rbscat.checks import check_inductive, check_q_suite
-    calls = {"mul": 0, "mul_vec": 0, "_gauss_jordan": 0}
+    calls = {"_gauss_jordan": 0}
+    real = rings._gauss_jordan
 
-    def counting(owner, name):
-        real = getattr(owner, name)
-
-        def count(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, count)
-
-    counting(Mat, "mul")
-    counting(Mat, "mul_vec")
-    counting(rings, "_gauss_jordan")
+    def count(*args, **kwargs):
+        calls["_gauss_jordan"] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rings, "_gauss_jordan", count)
     monkeypatch.setattr(qkt, "_SPACES", {})
     assert check_q_suite(2, 2, 3).ok
-    assert calls == {"mul": 0, "mul_vec": 0, "_gauss_jordan": 5}
+    assert calls == {"_gauss_jordan": 5}
+    monkeypatch.setattr(checks, "_RBS_CACHE", {})
+    calls["_gauss_jordan"] = 0
     assert check_inductive("F3", 2).ok
-    assert calls["mul"] == calls["mul_vec"] == 0
+    assert calls == {"_gauss_jordan": 10}
 
 
 def _composable_pairs(mor_objs):
@@ -935,30 +939,45 @@ def test_chunked_axioms_and_span_category_agree(monkeypatch):
         E.validate_axioms()
 
 
-@pytest.mark.parametrize("spec, n", [("F2", 3), ("F3", 2), ("F4", 2),
-                                     ("F5", 2)])
+# the pairs small <= big of splittable submodules of each module, 594 in all
+COMPLEMENT_PAIRS = {("F2", 3): 66, ("F3", 2): 15, ("F4", 2): 18,
+                    ("F5", 2): 21, ("F9", 2): 33, ("Z4", 2): 21,
+                    ("Z4", 3): 339, ("Z8", 2): 39, ("Z9", 2): 39,
+                    ("Z27", 1): 3}
+
+
+@pytest.mark.parametrize("spec, n", list(COMPLEMENT_PAIRS))
 def test_complement_maps_agree_with_quotient_data(spec, n):
-    # every pair small <= big of F_q^n: the tabulated projection and
-    # section are QuotientData's, on every member of big
+    # the section and projection of rings.complement_codes are the
+    # QuotientData oracle's, on every member of big; over a field so are
+    # the tabulated quotient maps of qkt
     from rbscat.guards import DEFAULT
     from rbscat.qkt import _space
     ring = make_ring(spec)
-    space = _space(ring, n, DEFAULT)
+    subs = enumerate_splittable_submodules(ring, n)
+    space = _space(ring, n, DEFAULT) if ring.is_field else None
     q = ring.size
 
     def code(v):
         return sum(x * q ** (len(v) - 1 - k) for k, x in enumerate(v))
 
     vectors = list(itertools.product(range(q), repeat=n))
-    for small, s in enumerate(space.subs):
-        for big, b in enumerate(space.subs):
+    pairs = 0
+    for s in subs:
+        for b in subs:
             if not s <= b:
                 continue
-            project, section = space.quotient(small, big)
+            pairs += 1
             qd = QuotientData(s, b)
-            assert list(section) == [code(qd.section(x)) for x in
-                                     itertools.product(
-                                         range(q), repeat=qd.quotient_rank)]
+            project, section = complement_codes(ring, n, s.free_rows(),
+                                                b.free_rows())
+            assert section.tolist() == [code(qd.section(x)) for x in
+                                        itertools.product(
+                                            range(q), repeat=qd.quotient_rank)]
             assert [project[code(v)] for v in vectors] == [
-                code(qd.project(v)) if b.contains(v) else None
-                for v in vectors]
+                code(qd.project(v)) if b.contains(v) else -1 for v in vectors]
+            if space is not None:
+                assert space.quotient(space.index[s.mat], space.index[b.mat]) \
+                    == (tuple(None if c < 0 else c for c in project.tolist()),
+                        tuple(section.tolist()))
+    assert pairs == COMPLEMENT_PAIRS[spec, n]

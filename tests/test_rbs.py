@@ -32,9 +32,9 @@ from rbscat.rbs import (
     pi1_target,
     tits_building,
 )
-from rbscat.rings import Flag, Mat, Submodule, determinants, make_ring
+from rbscat.rings import Flag, Submodule, determinants, make_ring
 from test_fincat import assert_indices_match
-from test_rings import det_oracle, elements
+from test_rings import Mat, QuotientData, det_oracle, elements
 from rbscat.fincat import check_poset_regularity
 from rbscat.toolkit import is_colim_equivalence, is_proper
 
@@ -667,6 +667,12 @@ def test_pi1_quotient_functor_matches_label_map(r):
                           set(functor.target.mor_labels))
 
 
+def quotient_oracles(rbs, fi):
+    """The QuotientData oracle for each step of the flag fi."""
+    chain = rbs.flags[fi].full_chain()
+    return [QuotientData(small, big) for small, big in zip(chain, chain[1:])]
+
+
 def block_matrix_oracle(g, quot, ring):
     """Oracle for the graded blocks of inductive_decomposition: the matrix
     that the Mat g induces on a graded piece in its complement
@@ -677,15 +683,33 @@ def block_matrix_oracle(g, quot, ring):
                cols=d)
 
 
+def graded_flags_oracle(rbs, gj, fi, graded):
+    """Oracle for the image flags of G in the graded pieces of F: each
+    free-basis row of a member inside a step projected by QuotientData."""
+    chain = rbs.flags[fi].full_chain()
+    out = []
+    for i, q in enumerate(quotient_oracles(rbs, fi)):
+        R, d = graded[i].ring, q.quotient_rank
+        members = sorted((Submodule.from_rows(R, d, [q.project(r) for r in
+                                                     m.free_basis()])
+                          for m in rbs.flags[gj].members
+                          if chain[i] < m < chain[i + 1]),
+                         key=Submodule.sort_key)
+        out.append(graded[i].flag_index[Flag(R, d, tuple(members))])
+    return out
+
+
 @pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("Z4", 2),
                                      ("F2", 3)])
 def test_graded_blocks_agree_with_mat_oracle(spec, n):
     # every g of every parabolic P_F, on every graded piece of F
     r = checks._rbs(spec, n, DEFAULT)
-    for fi, quots in enumerate(r._quotients):
+    for fi, steps in enumerate(r._quotients):
         reps = list(r.parabolic[fi])
-        for q in quots:
-            got = rbs_module._graded_blocks(r, reps, q)
+        quots = quotient_oracles(r, fi)
+        assert r.graded_dims(fi) == tuple(q.quotient_rank for q in quots)
+        for step, q in zip(steps, quots):
+            got = rbs_module._graded_blocks(r, reps, step)
             assert got.tolist() == [[list(row) for row in block_matrix_oracle(
                 mat(r.gl, g), q, r.ring).data] for g in reps]
 
@@ -705,9 +729,11 @@ def test_inductive_functors_match_label_maps(r, monkeypatch):
     for fi in range(len(r.flags)):
         dec = inductive_decomposition(r, fi, built=built)
         ref_sub, graded = dec.refinement_subcategory, dec.graded_cats
-        quots = r._quotients[fi]
-        pieces = {gj: tuple(rbs_module._graded_flags(r, gj, fi, quots, graded))
+        pieces = {gj: tuple(graded_flags_oracle(r, gj, fi, graded))
                   for gj in ref_sub.objects}
+        assert pieces == {gj: tuple(rbs_module._graded_flags(
+            r, gj, fi, r._quotients[fi], graded)) for gj in ref_sub.objects}
+        quots = quotient_oracles(r, fi)
         # each graded block found among the matrices of its GL by entries
         index = [{m.data: i for i, m in enumerate(mats(g.gl))} for g in graded]
         mor_map = {}

@@ -256,10 +256,11 @@ def test_disconnected_category():
 @pytest.mark.slow
 def test_agreement_with_nerve_gl2f3():
     # deep cross-check on a group algebra of order 48 (runs ~2 min)
-    from rbscat.rings import make_ring, enumerate_gl, Mat
+    from rbscat.rings import make_ring, enumerate_gl
     from rbscat.guards import GuardConfig
+    from test_rings import Mat
     F3 = make_ring("F3")
-    gl = enumerate_gl(F3, 2)
+    gl = [Mat(F3, m) for m in enumerate_gl(F3, 2)]
     index = {m.data: i for i, m in enumerate(gl)}
     G = Group([m.data for m in gl],
               [[index[a.mul(b).data] for b in gl] for a in gl],

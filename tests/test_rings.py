@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import os
 import random
 import re
 import subprocess
@@ -10,23 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbscat.guards import GuardConfig, GuardExceeded
+from rbscat.guards import DEFAULT, GuardConfig, GuardExceeded
 from rbscat.rings import (
     Flag,
-    Mat,
-    QuotientData,
     RingError,
     Submodule,
+    _code_weights,
+    _gauss_jordan,
+    _vector_digits,
     canonical_rowspace,
     chains_through,
-    complete_to_invertible,
+    complement_codes,
     default_irreducible,
     determinants,
     enumerate_flags,
     enumerate_gl,
     enumerate_splittable_submodules,
     enumerate_submodules,
-    gl_from_generators,
     gl_tables,
     inclusion_table,
     is_splittable,
@@ -208,6 +209,249 @@ def brute_force_complement_exists(sub, all_subs):
             if joined == whole:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# test-only oracles: a matrix type that multiplies and inverts one entry
+# at a time, the complement rule by matrix inverses (QuotientData, the
+# oracle for rings.complement_codes) and GL by generator closure (the
+# oracle for enumerate_gl)
+
+class Mat:
+    """Oracle matrix type: an immutable matrix over a FiniteRing
+    (row-major tuple of tuples), multiplied and inverted one entry at a
+    time on the list tables.
+
+    Empty matrices carry an explicit column count so that maps to and
+    from the zero module compose correctly.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "data")
+
+    def __init__(self, ring, data, cols=None):
+        self.ring = ring
+        self.data = tuple(tuple(r) for r in data)
+        self.rows = len(self.data)
+        if self.data:
+            self.cols = len(self.data[0])
+            if cols is not None and cols != self.cols:
+                raise RingError("matrix rows have %d entries, not cols=%d"
+                                % (self.cols, cols))
+        else:
+            self.cols = 0 if cols is None else cols
+        if any(len(r) != self.cols for r in self.data):
+            raise RingError("matrix rows differ in length")
+
+    @staticmethod
+    def identity(ring, n):
+        return Mat(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+                   cols=n)
+
+    @staticmethod
+    def zero(ring, r, c):
+        return Mat(ring, [[0] * c for _ in range(r)], cols=c)
+
+    def __eq__(self, other):
+        return isinstance(other, Mat) and self.data == other.data and \
+            self.cols == other.cols and self.ring is other.ring
+
+    def __hash__(self):
+        return hash((id(self.ring), self.data, self.cols))
+
+    def __repr__(self):
+        return "Mat(%s)" % (self.data,)
+
+    def mul(self, other):
+        if self.cols != other.rows:
+            raise RingError("shape mismatch: %d columns times %d rows"
+                            % (self.cols, other.rows))
+        R = self.ring
+        add, mul = R.add, R.mul
+        out = []
+        for row in self.data:
+            orow = []
+            for j in range(other.cols):
+                acc = 0
+                for k, x in enumerate(row):
+                    y = other.data[k][j]
+                    if x and y:
+                        acc = add[acc][mul[x][y]]
+                orow.append(acc)
+            out.append(orow)
+        return Mat(R, out, cols=other.cols)
+
+    def mul_vec(self, vec):
+        R = self.ring
+        add, mul = R.add, R.mul
+        out = []
+        for row in self.data:
+            acc = 0
+            for x, y in zip(row, vec):
+                if x and y:
+                    acc = add[acc][mul[x][y]]
+            out.append(acc)
+        return tuple(out)
+
+    def det(self):
+        """Determinant by permutation expansion (intended for n <= 4)."""
+        if self.rows != self.cols:
+            raise RingError("determinant of a non-square matrix")
+        stack = np.array(self.data, np.int64).reshape(1, self.rows, self.cols)
+        return int(determinants(self.ring, stack)[0])
+
+    def inverse(self):
+        inv = self.inverse_or_none()
+        if inv is None:
+            raise RingError("matrix is not invertible")
+        return inv
+
+    def inverse_or_none(self):
+        """Gauss-Jordan on [A | I]: A is invertible iff every column of A
+        takes a unit pivot.  Works over fields and Z/p^k."""
+        if self.rows != self.cols:
+            return None
+        n = self.rows
+        aug = [list(row) + [int(i == j) for j in range(n)]
+               for i, row in enumerate(self.data)]
+        if _gauss_jordan(self.ring, aug, n) != list(range(n)):
+            return None
+        return Mat(self.ring, [row[n:] for row in aug], cols=n)
+
+
+def complete_to_invertible(ring, rows, n):
+    """Oracle helper: extend free-basis rows to an invertible n x n Mat by
+    greedily appending standard basis rows (lexicographically least
+    completion); returns it with its inverse."""
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    kept = residue_independent(ring, list(rows) + units)
+    if kept[:len(rows)] != list(range(len(rows))):
+        raise RingError("rows are not independent over the residue field")
+    ext = Mat(ring, [list(r) for r in rows] +
+              [units[j - len(rows)] for j in kept[len(rows):]])
+    inv = ext.inverse_or_none() if ext.rows == n else None
+    if inv is None:
+        raise RingError("completion failed to be invertible")
+    return ext, inv
+
+
+def _row_times_mat(ring, vec, mat):
+    """Oracle helper: row vector times Mat."""
+    add, mul = ring.add, ring.mul
+    out = [0] * mat.cols
+    for x, row in zip(vec, mat.data):
+        if x:
+            for j, y in enumerate(row):
+                if y:
+                    out[j] = add[out[j]][mul[x][y]]
+    return tuple(out)
+
+
+class QuotientData:
+    """Oracle for complement_codes: the complement of `small` inside `big`
+    with coordinate maps, by matrix inverses.
+
+    section_rows: ambient rows spanning the complement (a free summand).
+    project(v): complement coordinates of an ambient vector v in big.
+    coords(v): coordinates of v in big's canonical free basis.
+    The choice rule: complement coordinates are the non-pivot columns of
+    small's image in big-coordinates over the residue field.
+    """
+
+    def __init__(self, small, big):
+        if not big.contains_sub(small):
+            raise RingError("small must be contained in big")
+        ring = small.ring
+        self.ring = ring
+        self.small = small
+        self.big = big
+        n = small.n
+        B = big.free_basis()
+        rb = len(B)
+        ext, ext_inv = complete_to_invertible(ring, B, n)
+        self._ext_inv = ext_inv
+        self._rb = rb
+        # small's free basis in big-coordinates; the columns a greedy pass
+        # keeps are its pivot columns over the residue field
+        small_rows = [self._coords(r) for r in small.free_basis()]
+        pivots = residue_independent(ring, list(zip(*small_rows)))
+        if len(pivots) != len(small_rows):
+            raise RingError("small free basis degenerate in big coordinates")
+        comp_idx = [i for i in range(rb) if i not in pivots]
+        self.comp_idx = comp_idx
+        self.section_rows = tuple(B[i] for i in comp_idx)
+        # invert [small_rows; unit rows at comp_idx] to split coordinates
+        square = [list(r) for r in small_rows]
+        for i in comp_idx:
+            square.append([1 if j == i else 0 for j in range(rb)])
+        if rb:
+            sq = Mat(ring, square)
+            self._split_inv = sq.inverse()
+        else:
+            self._split_inv = Mat(ring, [])
+        self._nsmall = len(small_rows)
+
+    def _coords(self, vec):
+        full = _row_times_mat(self.ring, vec, self._ext_inv)
+        if any(full[self._rb:]):
+            raise RingError("vector outside big")
+        return full[: self._rb]
+
+    def coords(self, vec):
+        return self._coords(vec)
+
+    def project(self, vec):
+        """Complement coordinates of v (the class of v in big/small)."""
+        x = self._coords(vec)
+        y = _row_times_mat(self.ring, x, self._split_inv)
+        return tuple(y[self._nsmall:])
+
+    def section(self, comp_coords):
+        """Ambient representative of a class given in complement coordinates."""
+        ring = self.ring
+        v = [0] * self.small.n
+        for c, row in zip(comp_coords, self.section_rows):
+            if c:
+                v = [ring.add[x][ring.mul[c][y]] for x, y in zip(v, row)]
+        return tuple(v)
+
+    @property
+    def quotient_rank(self):
+        return len(self.comp_idx)
+
+
+def gl_from_generators(ring, n, guards=DEFAULT):
+    """Oracle for enumerate_gl: GL(R^n) as the multiplicative closure of
+    elementary and unit-diagonal matrices, as Mats."""
+    if n < 0:
+        raise RingError("GL rank n must be at least 0, got %d" % n)
+    if n == 0:
+        return [Mat(ring, [])]
+    gens = []
+    ident = Mat.identity(ring, n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                rows = [list(r) for r in ident.data]
+                rows[i][j] = 1
+                gens.append(Mat(ring, rows))
+    for u in ring.units:
+        rows = [list(r) for r in ident.data]
+        rows[0][0] = u
+        gens.append(Mat(ring, rows))
+    seen = {ident.data: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = g.mul(m)
+                if prod.data not in seen:
+                    if len(seen) >= guards.max_group_order:
+                        raise GuardExceeded("group closure exceeds max_group_order")
+                    seen[prod.data] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda m: m.data)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +651,13 @@ def test_canonical_invariant_under_invertible_left_mult():
     base = canonical_rowspace(Z4, rows)
     m = Mat(Z4, rows)
     for u in gl2:
-        assert canonical_rowspace(Z4, u.mul(m).data) == base
+        assert canonical_rowspace(Z4, Mat(Z4, u).mul(m).data) == base
     gl_f3 = enumerate_gl(F3, 2)
     rows_f = [[1, 2], [2, 1]]
     base_f = canonical_rowspace(F3, rows_f)
     mf = Mat(F3, rows_f)
     for u in gl_f3:
-        assert canonical_rowspace(F3, u.mul(mf).data) == base_f
+        assert canonical_rowspace(F3, Mat(F3, u).mul(mf).data) == base_f
 
 
 def test_canonical_equal_iff_equal_span():
@@ -572,50 +816,68 @@ def test_chains_through_lists_chains_in_lexicographic_order():
 # ---------------------------------------------------------------------------
 # quotient maps
 
+def complement_of(small, big):
+    """complement_codes for small <= big, read back as vectors: the
+    section rows and the projection v -> complement coordinates (None
+    for v outside big)."""
+    R, n = small.ring, small.n
+    d = big.free_rank - small.free_rank
+    project, section = complement_codes(R, n, small.free_rows(),
+                                        big.free_rows())
+    rows = [tuple(r) for r in _vector_digits(
+        R, n, section[_code_weights(R, d)]).tolist()]
+
+    def proj(v):
+        c = int(project[np.array(v, np.int64) @ _code_weights(R, n)])
+        return None if c < 0 else tuple(_vector_digits(R, d, c).tolist())
+    return proj, rows
+
+
 def test_quotient_map_identity_on_zero():
     full = Submodule.full(F2, 2)
-    qd = QuotientData(Submodule.zero(F2, 2), full)
-    assert len(qd.section_rows) == 2
-    for i, row in enumerate(qd.section_rows):
-        out = qd.project(row)
+    project, rows = complement_of(Submodule.zero(F2, 2), full)
+    assert rows == [(1, 0), (0, 1)]
+    for i, row in enumerate(rows):
+        out = project(row)
         assert out[i] == 1 and sum(1 for x in out if x) == 1
 
 
 def test_quotient_map_kills_submodule():
     full = Submodule.full(F2, 2)
     s = Submodule.from_rows(F2, 2, [[1, 0]])
-    qd = QuotientData(s, full)
-    assert qd.project((1, 0)) == (0,)
-    assert len(qd.section_rows) == 1
+    project, rows = complement_of(s, full)
+    assert project((1, 0)) == (0,)
+    assert rows == [(0, 1)]
 
 
 def test_quotient_map_projection_section_identity():
     full = Submodule.full(F3, 2)
     s = Submodule.from_rows(F3, 2, [[1, 1]])
-    qd = QuotientData(s, full)
-    assert len(qd.section_rows) == 1
-    assert qd.project(qd.section_rows[0]) == (1,)
+    project, rows = complement_of(s, full)
+    assert len(rows) == 1
+    assert project(rows[0]) == (1,)
     for v in elements(s):
-        assert qd.project(v) == (0,)
+        assert project(v) == (0,)
 
 
 def test_quotient_map_inside_proper_submodule():
     big = Submodule.from_rows(F2, 3, [[1, 0, 0], [0, 1, 0]])
     small = Submodule.from_rows(F2, 3, [[1, 1, 0]])
-    qd = QuotientData(small, big)
-    assert len(qd.section_rows) == 1
-    assert qd.project(qd.section_rows[0]) == (1,)
-    assert qd.project((1, 1, 0)) == (0,)
+    project, rows = complement_of(small, big)
+    assert rows == [(0, 1, 0)]
+    assert project(rows[0]) == (1,)
+    assert project((1, 1, 0)) == (0,)
+    assert project((0, 0, 1)) is None
 
 
 def test_quotient_map_over_z4():
     big = Submodule.full(Z4, 2)
     s = Submodule.from_rows(Z4, 2, [[2, 1]])
-    qd = QuotientData(s, big)
-    assert len(qd.section_rows) == 1
-    assert qd.project(qd.section_rows[0]) == (1,)
+    project, rows = complement_of(s, big)
+    assert rows == [(1, 0)]
+    assert project(rows[0]) == (1,)
     for v in elements(s):
-        assert qd.project(v) == (0,)
+        assert project(v) == (0,)
 
 
 def test_complete_to_invertible():
@@ -668,12 +930,16 @@ def test_free_basis_and_completion_match_incremental_echelon(spec):
         assert ext.data[len(basis):] == tuple(
             units[j] for j in greedy_kept(R, units, ech))
         assert ext.mul(inv) == Mat.identity(R, n)
-        # QuotientData complements the pivots of the echelon of small
+        # QuotientData complements the pivots of the echelon of small, and
+        # so does complement_codes, where small is splittable
         if n:
             qd = QuotientData(sub, Submodule.full(R, n))
             ech = ResidueEchelon(R)
             pivots = {ech.add(qd.coords(r)) for r in basis}
             assert qd.comp_idx == [i for i in range(n) if i not in pivots]
+            if is_splittable(sub):
+                _, rows = complement_of(sub, Submodule.full(R, n))
+                assert rows == [units[i] for i in qd.comp_idx]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +949,7 @@ def test_gl_orders_against_formula():
     for (R, n) in ((F2, 2), (F3, 2), (F2, 3)):
         got = enumerate_gl(R, n)
         assert len(got) == gl_order(R.size, n)
-        assert len(got) == len(set(m.data for m in got))
+        assert len(got) == len(set(got))
 
 
 def test_gl_f4():
@@ -691,7 +957,7 @@ def test_gl_f4():
 
 
 def test_gl_z4():
-    gl = enumerate_gl(Z4, 2)
+    gl = [Mat(Z4, m) for m in enumerate_gl(Z4, 2)]
     assert len(gl) == 96
     # closed under product and inverse
     gl_set = {m.data for m in gl}
@@ -705,7 +971,7 @@ def test_gl_generator_closure_matches():
     for (R, n) in ((F2, 2), (F3, 2), (Z4, 2), (F2, 3)):
         brute = enumerate_gl(R, n)
         closed = gl_from_generators(R, n)
-        assert [m.data for m in brute] == [m.data for m in closed]
+        assert brute == [m.data for m in closed]
 
 
 def test_gl_zero_module():
@@ -742,7 +1008,7 @@ def test_gl_tables_match_per_matrix_oracle(spec, n):
     entries, act = gl_tables(R, n)
     oracle = enumerate_gl_oracle(R, n)
     assert entries.tolist() == [[list(r) for r in m.data] for m in oracle]
-    assert [m.data for m in enumerate_gl(R, n)] == [m.data for m in oracle]
+    assert enumerate_gl(R, n) == [m.data for m in oracle]
     assert act.dtype == np.int32
     vectors = list(itertools.product(range(R.size), repeat=n))
     code = {v: i for i, v in enumerate(vectors)}
@@ -824,15 +1090,22 @@ BAD_INPUTS = (
     ("rref(Z4, [[1, 0]])", "not a field"),
     ("howell(F2, [[1, 0]])", "Z/p^k"),
     ("complete_to_invertible(F2, [[1, 0], [1, 0]], 2)", "not independent"),
-    ("QuotientData(Submodule.full(F2, 2), Submodule.zero(F2, 2))",
-     "contained in big"),
+    ("complement_codes(F2, 2, [[1, 0]], [[0, 1]])", "contained in big"),
+    ("complement_codes(Z4, 2, [[2, 0]], [[1, 0], [0, 1]])",
+     "not a free summand"),
     ("enumerate_gl(F2, -1)", "at least 0, got -1"),
     ("gl_from_generators(F2, -1)", "at least 0, got -1"),
 )
-PRELUDE = ("from rbscat.rings import (Flag, Mat, QuotientData, RingError,"
-           " Submodule, complete_to_invertible, enumerate_gl,"
-           " gl_from_generators, howell, make_ring, rref)\n"
-           "F2, Z4 = make_ring('F2'), make_ring('Z4')\n")
+# the Mat, complete_to_invertible and gl_from_generators cases check the
+# oracles of this file, imported from it
+PRELUDE = ("import sys\n"
+           "sys.path.insert(0, %r)\n"
+           "from rbscat.rings import (Flag, RingError, Submodule,"
+           " complement_codes, enumerate_gl, howell, make_ring, rref)\n"
+           "from test_rings import Mat, complete_to_invertible,"
+           " gl_from_generators\n"
+           "F2, Z4 = make_ring('F2'), make_ring('Z4')\n"
+           % os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("expr, message", BAD_INPUTS)

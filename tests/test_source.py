@@ -102,3 +102,27 @@ def test_only_fincat_build_constructs_a_fincat():
     for path in sorted(PACKAGE.glob("*.py")):
         Calls(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
     assert callers == {"fincat._build"}, callers
+
+
+def test_every_name_the_benchmark_tracer_binds_exists():
+    # perfbench/spans.py rebinds each (module, attribute) of its TARGETS
+    # with getattr; a name deleted from the library would break every
+    # traced benchmark pass.  TARGETS is read from the source, so the
+    # benchmark package is neither imported nor changed
+    import importlib
+    spans = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and
+                   [t.id for t in node.targets] == ["TARGETS"])
+    names = [(entry.elts[1].value, entry.elts[2].value)
+             for entry in targets.elts]
+    assert ("rbscat.rings", "enumerate_gl") in names
+    missing = []
+    for module, attribute in names:
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append("%s.%s" % (module, attribute))
+    assert missing == [], missing
